@@ -1,7 +1,7 @@
 """Command-line interface: one JSON document per invocation on stdout.
 
-Exit codes: 0 on success, 1 on domain errors (bad files, invalid values),
-2 on usage errors. Diagnostics go to stderr only.
+Exit codes: 0 on success, 1 on domain errors (bad files, invalid values,
+numerical failures), 2 on usage errors. Diagnostics go to stderr only.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["json", "csv", "human"], default="json")
     common.add_argument("--tol", type=float, default=stage.DEFAULT_TOL, help="numeric tolerance")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument(
-        "--threads", type=_positive_int, default=1, help="accepted for compatibility; evaluation is serial"
-    )
     parser = argparse.ArgumentParser(
         prog="repfreq",
         description="Equilibrium action-frequency bounds for reputation games.",
@@ -128,7 +125,7 @@ def _cmd_analyze(args) -> dict:
             "v_star": stack.v_star,
         },
         "minmax": report.minmax,
-        "vbar": report.vbar,
+        "vbar": stage.vbar_p1(game, args.tol),
     }
 
 
@@ -307,7 +304,7 @@ def dispatch(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         rendered = _emit(_COMMANDS[args.command](args), args.format)
-    except (ValueError, FileNotFoundError, IsADirectoryError, KeyError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(rendered)

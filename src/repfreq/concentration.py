@@ -16,6 +16,12 @@ import numpy as np
 
 _ROOT_WIDTH = 1e-13  # bisection stops when the bracket is this narrow
 _EXP_CAP = 700.0  # beyond this, exp overflows; the moment is effectively +inf
+# Monte Carlo stream layout: replications per Philox stream, and steps drawn
+# per live row between prune checks. Both fix which uniform each step uses, so
+# changing either changes every estimate for a given seed. 256 x 64 float64
+# keeps each chunk's working set near 128 KB.
+_BATCH = 256
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -145,10 +151,20 @@ def tail_probability_mc(
     """Estimate the probability that the discounted running sum of i.i.d.
     draws ever reaches ``c``, and compare against the analytic bound.
 
-    Each replication has its own counter-based stream keyed by (seed, index),
-    so results do not depend on execution order. Paths stop early once the
-    best possible continuation can no longer reach ``c``; that pruning is
-    exact, while the horizon cut can only lower the estimate.
+    Replications run in batches of ``_BATCH`` rows. Batch ``k`` (rows
+    ``k * _BATCH`` onward; the last batch may be short) draws from one Philox
+    stream keyed by ``(seed % 2**64, k)``, so results do not depend on the
+    order in which batches run. Each draw from that stream is a
+    ``(live rows, _CHUNK)`` matrix of uniforms (fewer columns if the horizon
+    ends sooner), mapped to support values by the cumulative probabilities;
+    rows that hit ``c`` or can no longer reach it leave the batch after each
+    chunk. That pruning is exact, while the horizon cut can only lower the
+    estimate.
+
+    So after the first chunk, the uniforms a replication receives depend on
+    which rows of its batch are still live, which depends on ``delta``,
+    ``c`` and the horizon. Calls that differ in those share draws only within
+    the first chunk, and only where their horizons give it the same width.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
@@ -164,30 +180,31 @@ def tail_probability_mc(
     analytic = math.exp(-r_star * c)
 
     values = dist.values
-    cum = np.cumsum(dist.probs)
-    cum[-1] = 1.0
+    edges = np.cumsum(dist.probs)[:-1]  # u maps to values[number of edges <= u]
     max_pos = dist.max_value
     disc_all = np.exp(math.log(delta) * np.arange(1, horizon + 1))
 
-    chunk = 512
     hits = 0
-    for rep in range(reps):
-        key = np.array([seed % 2**64, rep], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
+    for batch, first in enumerate(range(0, reps, _BATCH)):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, batch], dtype=np.uint64)))
+        carry = np.zeros(min(_BATCH, reps - first))  # live rows' sums so far
         start = 1  # the sum runs over t = 1, 2, ...
-        carry = 0.0
-        while start <= horizon:
-            n = min(chunk, horizon - start + 1)
-            draws = values[np.searchsorted(cum, rng.random(n), side="right").clip(max=len(values) - 1)]
-            sums = carry + np.cumsum(disc_all[start - 1 : start - 1 + n] * draws)
-            if np.any(sums >= c):
-                hits += 1
-                break
-            carry = float(sums[-1])
+        while carry.size and start <= horizon:
+            n = min(_CHUNK, horizon - start + 1)
+            u = rng.random((carry.size, n))
+            index = np.zeros(u.shape, dtype=np.intp)
+            for edge in edges:
+                index += u >= edge
+            steps = values[index]
+            steps *= disc_all[start - 1 : start - 1 + n]
+            sums = np.cumsum(steps, axis=1, out=steps)
+            sums += carry[:, None]
+            hit = (sums >= c).any(axis=1)
+            hits += int(np.count_nonzero(hit))
+            carry = sums[:, -1]
             start += n
-            # Prune once even an all-positive future cannot reach c.
-            if carry + delta**start * max_pos / (1.0 - delta) < c:
-                break
+            # Keep rows that have not hit and whose best future can still reach c.
+            carry = carry[~hit & (carry + delta**start * max_pos / (1.0 - delta) >= c)]
     empirical = hits / reps
     std_error = math.sqrt(empirical * (1.0 - empirical) / reps)
     return TailReport(

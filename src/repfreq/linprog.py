@@ -122,7 +122,8 @@ def solve_lp(
     phase1 = np.zeros(n + n_ub + m)
     phase1[n + n_ub :] = 1.0
     status = _run_simplex(tableau, basis, phase1)
-    assert status == "optimal"  # phase 1 is always bounded below by 0
+    if status != "optimal":
+        raise RuntimeError(f"phase-1 LP returned {status!r}; it is always bounded below by 0")
     if float(phase1[basis] @ tableau[:, -1]) > _FEAS_TOL:
         return LPResult("infeasible")
 

@@ -40,7 +40,6 @@ class AssumptionReport:
     a2_not_best_reply: bool
     a2_above_minmax: bool
     minmax: float
-    vbar: float
 
     @property
     def satisfied(self) -> bool:
@@ -163,7 +162,8 @@ def _min_max_over_support(game: StageGame, subset: tuple[int, ...]) -> float:
     a_eq = np.zeros((1, k + 2))
     a_eq[0, :k] = 1.0
     res = solve_lp(c, a_ub=a_ub, b_ub=np.zeros(n_a), a_eq=a_eq, b_eq=np.ones(1))
-    assert res.optimal, "inner minmax LP must be feasible and bounded"
+    if not res.optimal:
+        raise RuntimeError("inner minmax LP must be feasible and bounded")
     return res.value
 
 
@@ -219,7 +219,8 @@ def _max_min_over_pair(game: StageGame, t_set, s_set) -> float:
     a_eq = np.zeros((1, k + 2))
     a_eq[0, :k] = 1.0
     res = solve_lp(c, a_ub=a_ub, b_ub=np.zeros(len(t_set)), a_eq=a_eq, b_eq=np.ones(1))
-    assert res.optimal, "inner support-pair LP must be feasible and bounded"
+    if not res.optimal:
+        raise RuntimeError("inner support-pair LP must be feasible and bounded")
     return -res.value
 
 
@@ -227,14 +228,12 @@ def check_assumptions(game: StageGame, tol: float = DEFAULT_TOL) -> AssumptionRe
     stack = stackelberg(game, tol)
     not_br = stack.a_star not in _pure_best_replies_p1(game, stack.b_star, tol)
     mm = minmax_p1(game, tol)
-    vb = vbar_p1(game, tol)
     return AssumptionReport(
         a1_unique_stackelberg=stack.unique_action,
         a1_unique_reply=stack.unique_reply,
         a2_not_best_reply=not_br,
         a2_above_minmax=stack.v_star > mm + tol,
         minmax=mm,
-        vbar=vb,
     )
 
 

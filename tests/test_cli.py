@@ -4,6 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from repfreq import cli
 from repfreq.cli import dispatch
 from .conftest import fixture_path
 
@@ -147,6 +148,18 @@ def test_invalid_game_exits_1(capsys, tmp_path):
     bad.write_text('{"actions1": ["a"], "actions2": ["x", "y"], "u1": [[0, 0]], "u2": [[0, 0]]}')
     code, _ = run_cli(capsys, "analyze", str(bad))
     assert code == 1
+
+
+def test_runtime_error_exits_1_with_one_stderr_line(capsys, monkeypatch):
+    def fail(args):
+        raise RuntimeError("block entered compensation with a payoff deficit (-0.1)")
+
+    monkeypatch.setitem(cli._COMMANDS, "fstar", fail)
+    code = dispatch(["fstar", str(fixture_path("product_choice"))])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: block entered compensation with a payoff deficit (-0.1)"]
 
 
 def test_deterministic_stdout(capsys):

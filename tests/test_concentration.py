@@ -106,6 +106,46 @@ def test_monotone_in_delta_at_matched_seeds():
     assert empiricals[1] <= empiricals[2] + 1e-12
 
 
+def _exact_tail(dist, delta, c, horizon):
+    """Probability that the discounted sum reaches c by ``horizon``, by
+    enumerating every draw sequence; sequences that hit or can no longer
+    reach c stop branching."""
+    sums, probs = np.zeros(1), np.ones(1)
+    total = 0.0
+    for t in range(1, horizon + 1):
+        sums = (sums[:, None] + delta**t * dist.values).ravel()
+        probs = (probs[:, None] * dist.probs).ravel()
+        hit = sums >= c
+        total += probs[hit].sum()
+        alive = ~hit & (sums + delta ** (t + 1) * dist.max_value / (1 - delta) >= c)
+        sums, probs = sums[alive], probs[alive]
+    return total
+
+
+@pytest.mark.parametrize(
+    "pairs, delta, c",
+    [
+        # Short horizons (20 steps at delta = 0.5). c = 0.6 needs two or more
+        # steps and sits more than 5e-8 from every reachable partial sum.
+        ([(1.0, 0.3), (-0.5, 0.7)], 0.5, 0.6),  # two-point support
+        ([(1.0, 0.2), (0.3, 0.3), (-0.8, 0.5)], 0.5, 0.6),  # three-point support
+        # A hit needs 70 straight +1 steps, so it spans two chunks of draws;
+        # one -100 step puts c out of reach and prunes the sequence.
+        ([(1.0, 0.965), (-100.0, 0.035)], 0.99, 49.76),
+    ],
+)
+def test_estimate_matches_exact_tail(pairs, delta, c):
+    dist = FiniteDist.from_pairs(pairs)
+    reps = 20_077  # not a multiple of the batch size
+    horizon = min_horizon(dist, delta, c)
+    exact = _exact_tail(dist, delta, c, horizon)
+    assert 0.05 < exact < 0.1
+    report = tail_probability_mc(dist, delta, c, horizon, reps=reps, seed=17)
+    assert report.reps == reps
+    sigma = math.sqrt(exact * (1 - exact) / reps)
+    assert abs(report.empirical - exact) <= 4 * sigma
+
+
 def test_determinism():
     a = tail_probability_mc(DIST_QUARTER, 0.9, 1.0, 200, reps=2000, seed=9)
     b = tail_probability_mc(DIST_QUARTER, 0.9, 1.0, 200, reps=2000, seed=9)

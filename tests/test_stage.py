@@ -115,7 +115,7 @@ def test_minmax_below_vbar_random_games():
 def test_assumptions_product_choice(product_choice):
     rep = check_assumptions(product_choice)
     assert rep.satisfied
-    assert rep.vbar == pytest.approx(0.6, abs=1e-9)
+    assert vbar_p1(product_choice) == pytest.approx(0.6, abs=1e-9)
 
 
 def test_assumptions_hold_on_all_applied_games(games):
