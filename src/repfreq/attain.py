@@ -15,7 +15,7 @@ import numpy as np
 
 from .game import MixedAction, StageGame
 from .linprog import solve_lp
-from .stage import DEFAULT_TOL, br_polytope, stackelberg
+from .stage import DEFAULT_TOL, _stacked_reply_blocks, stackelberg
 
 # Feasibility slack absorbing LP rounding in the exact-payoff constraint;
 # kept well inside the 1e-9 tolerances used by callers.
@@ -62,33 +62,19 @@ def decompose_target(
     stack = stackelberg(game, tol)
     n_a = len(game.actions1)
     n_b = len(game.actions2)
-    dim = n_a * n_b
     target_vec = target.as_vector(game.actions1)
 
-    ub_rows: list[np.ndarray] = []
-    ub_rhs: list[float] = []
-    for j, b in enumerate(game.actions2):
-        for row in br_polytope(game, b).halfspaces:
-            full = np.zeros(dim)
-            full[j * n_a : (j + 1) * n_a] = -row
-            ub_rows.append(full)
-            ub_rhs.append(0.0)
-    pay = np.concatenate([game.u1[:, j] for j in range(n_b)])
+    cone, pay = _stacked_reply_blocks(game)
     band = epsilon + _PAYOFF_SLACK
-    ub_rows.append(pay)
-    ub_rhs.append(stack.v_star + band)
-    ub_rows.append(-pay)
-    ub_rhs.append(-(stack.v_star - band))
-
-    eq_rows = np.zeros((n_a, dim))
-    for j in range(n_b):
-        eq_rows[:, j * n_a : (j + 1) * n_a] = np.eye(n_a)
+    b_ub = np.zeros(len(cone) + 2)
+    b_ub[-2] = stack.v_star + band
+    b_ub[-1] = -(stack.v_star - band)
 
     res = solve_lp(
-        np.zeros(dim),
-        a_ub=np.array(ub_rows),
-        b_ub=np.array(ub_rhs),
-        a_eq=eq_rows,
+        np.zeros(n_a * n_b),
+        a_ub=np.vstack([cone, pay, -pay]),
+        b_ub=b_ub,
+        a_eq=np.tile(np.eye(n_a), n_b),
         b_eq=target_vec,
     )
     if not res.optimal:

@@ -3,9 +3,13 @@ indifference pieces, and a brute-force grid oracle.
 
 The headline program minimizes the weight on the Stackelberg action over
 two-point mixtures of reply-consistent profiles subject to a payoff floor.
-It is bilinear as stated, but substituting x = q*alpha1, y = (1-q)*alpha2
-makes it one small LP per ordered reply pair: the best-reply halfspaces are
-homogeneous in alpha, so they survive the scaling unchanged.
+It is bilinear as stated, but it becomes one LP over stacked reply blocks
+x_b = mass_b * alpha_b, one block per opponent reply: the best-reply
+halfspaces are homogeneous in alpha, so each block stays in its reply's cone
+unchanged. Only two constraints couple the blocks (total mass one and the
+payoff floor), so a basic optimum has at most two nonzero blocks --
+Caratheodory in the (frequency, payoff) plane -- and the LP value is the
+two-point program's value.
 """
 
 from __future__ import annotations
@@ -18,7 +22,14 @@ import numpy as np
 
 from .game import MixedAction, StageGame
 from .linprog import solve_lp
-from .stage import DEFAULT_TOL, best_replies_p2, br_polytope, is_monotone_supermodular, lowest_pair, stackelberg
+from .stage import (
+    DEFAULT_TOL,
+    _stacked_reply_blocks,
+    best_replies_p2,
+    is_monotone_supermodular,
+    lowest_pair,
+    stackelberg,
+)
 
 
 @dataclass(frozen=True)
@@ -27,7 +38,10 @@ class FreqBound:
 
     The witness mixes (alpha1, b1) with weight q and (alpha2, b2) with weight
     1-q. A component that carries no weight is reported as a canonical
-    reply-consistent placeholder and flagged.
+    reply-consistent placeholder and flagged. The exact LP reports its nonzero
+    reply blocks in reply order; when only one block has mass, q is 1, that
+    reply is b1, and the placeholder is the second component with
+    ``placeholder2`` set.
     """
 
     value: float
@@ -50,9 +64,6 @@ class IndifferencePiece:
 
     b: str
     vertices: np.ndarray  # one vertex per row
-
-    def mixed_vertices(self, game: StageGame) -> tuple[MixedAction, ...]:
-        return tuple(MixedAction.from_vector(game.actions1, v) for v in self.vertices)
 
 
 def _require_unique_stackelberg(game: StageGame, tol: float):
@@ -92,56 +103,41 @@ def min_stackelberg_freq(
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     stack = _require_unique_stackelberg(game, tol)
-    n = len(game.actions1)
-    i_star = game.a_index(stack.a_star)
+    n_a = len(game.actions1)
+    n_b = len(game.actions2)
     target = stack.v_star - epsilon
 
-    halfspaces = {b: br_polytope(game, b).halfspaces for b in game.actions2}
-    best_value = np.inf
-    best: tuple | None = None
-    c = np.zeros(2 * n)
-    c[i_star] = 1.0
-    c[n + i_star] = 1.0
-    for j1, b1 in enumerate(game.actions2):
-        for j2, b2 in enumerate(game.actions2):
-            ub_rows = []
-            h1, h2 = halfspaces[b1], halfspaces[b2]
-            for row in h1:
-                ub_rows.append(np.concatenate([-row, np.zeros(n)]))
-            for row in h2:
-                ub_rows.append(np.concatenate([np.zeros(n), -row]))
-            pay = np.concatenate([game.u1[:, j1], game.u1[:, j2]])
-            eq_rows = [np.ones(2 * n)]
-            eq_rhs = [1.0]
-            if equality:
-                eq_rows.append(pay)
-                eq_rhs.append(target)
-                b_ub = np.zeros(len(ub_rows))
-            else:
-                ub_rows.append(-pay)
-                b_ub = np.zeros(len(ub_rows))
-                b_ub[-1] = -target
-            res = solve_lp(c, a_ub=np.array(ub_rows), b_ub=b_ub, a_eq=np.array(eq_rows), b_eq=np.array(eq_rhs))
-            if res.optimal and res.value < best_value - 1e-12:
-                best_value = res.value
-                best = (res.x.copy(), b1, b2)
-    if best is None:
+    cone, pay = _stacked_reply_blocks(game)
+    c = np.zeros(n_a * n_b)
+    c[game.a_index(stack.a_star) :: n_a] = 1.0
+    mass = np.ones((1, n_a * n_b))
+    if equality:
+        res = solve_lp(c, a_ub=cone, b_ub=np.zeros(len(cone)), a_eq=np.vstack([mass, pay]), b_eq=[1.0, target])
+    else:
+        b_ub = np.zeros(len(cone) + 1)
+        b_ub[-1] = -target
+        res = solve_lp(c, a_ub=np.vstack([cone, -pay]), b_ub=b_ub, a_eq=mass, b_eq=[1.0])
+    if not res.optimal:
         raise RuntimeError("frequency program infeasible; the Stackelberg point always qualifies")
 
-    x, b1, b2 = best
-    q = _clamp_unit(float(x[:n].sum()))
-    placeholder1 = q <= 1e-12
-    placeholder2 = 1.0 - q <= 1e-12
-    if placeholder1:
-        alpha1, b1 = _placeholder_component(game, tol)
-    else:
-        alpha1 = MixedAction.from_vector(game.actions1, x[:n] / q, tol=1e-7)
-    if placeholder2:
+    blocks = res.x.reshape(n_b, n_a)
+    masses = blocks.sum(axis=1)
+    live = np.flatnonzero(masses > 1e-9)  # below is rounding dust at a degenerate vertex
+    if not 1 <= len(live) <= 2:
+        raise RuntimeError(f"frequency LP returned {len(live)} nonzero reply blocks; a basic optimum has one or two")
+    components = [
+        (float(masses[j]), MixedAction.from_vector(game.actions1, blocks[j] / masses[j], tol=1e-7), game.actions2[j])
+        for j in live
+    ]
+    if len(components) == 1:
+        q = 1.0
+        ((_, alpha1, b1),) = components
         alpha2, b2 = _placeholder_component(game, tol)
     else:
-        alpha2 = MixedAction.from_vector(game.actions1, x[n:] / (1.0 - q), tol=1e-7)
+        (m1, alpha1, b1), (m2, alpha2, b2) = components
+        q = m1 / (m1 + m2)
     return FreqBound(
-        value=_clamp_unit(float(best_value)),
+        value=_clamp_unit(float(res.value)),
         q=q,
         alpha1=alpha1,
         b1=b1,
@@ -150,8 +146,7 @@ def min_stackelberg_freq(
         method="lp",
         epsilon=epsilon,
         equality=equality,
-        placeholder1=placeholder1,
-        placeholder2=placeholder2,
+        placeholder2=len(components) == 1,
     )
 
 

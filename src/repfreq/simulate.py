@@ -29,7 +29,6 @@ _RESIDUAL_WEIGHT = 1e-8
 _MIX_MARGIN = 1e-3
 
 PHASE_PREP, PHASE_REVIEW, PHASE_ABSORB, PHASE_COMP = 0, 1, 2, 3
-PHASE_NAMES = ("prep", "review", "absorb", "comp")
 
 
 @dataclass(frozen=True)

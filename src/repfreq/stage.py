@@ -75,6 +75,22 @@ def br_polytope(game: StageGame, b: str) -> BRPolytope:
     return BRPolytope(b, np.array(cols, dtype=float))
 
 
+def _stacked_reply_blocks(game: StageGame) -> tuple[np.ndarray, np.ndarray]:
+    """Best-reply rows and payoff vector over stacked reply blocks.
+
+    The variable stacks one block x_b = mass_b * alpha_b per reply, in reply
+    order. ``cone @ x <= 0`` holds iff every block lies in the (homogeneous)
+    best-reply cone of its reply, and ``pay @ x`` is player 1's payoff.
+    """
+    n_a = len(game.actions1)
+    n_b = len(game.actions2)
+    cone = np.zeros((n_b * (n_b - 1), n_a * n_b))
+    for j, b in enumerate(game.actions2):
+        rows = slice(j * (n_b - 1), (j + 1) * (n_b - 1))
+        cone[rows, j * n_a : (j + 1) * n_a] = -br_polytope(game, b).halfspaces
+    return cone, game.u1.T.flatten()
+
+
 def best_replies_p2(game: StageGame, alpha: MixedAction, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
     """All player-2 actions within ``tol`` of the best payoff against ``alpha``."""
     for label in alpha.support():

@@ -1,6 +1,9 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
+from repfreq import bounds
 from repfreq.bounds import (
     indifference_pieces,
     min_freq_curve,
@@ -9,8 +12,9 @@ from repfreq.bounds import (
     min_stackelberg_freq_finite,
 )
 from repfreq.game import MixedAction, StageGame, expected_payoffs
+from repfreq.linprog import LPResult, solve_lp
 from repfreq.stage import best_replies_p2, stackelberg
-from .conftest import TWO_BY_TWO, UNIQUE_GAMES, random_assumption_games
+from .conftest import TWO_BY_TWO, UNIQUE_GAMES, load_fixture, random_assumption_games
 
 
 def _witness_payoff(game, fb):
@@ -86,6 +90,19 @@ def test_value_is_one_when_commitment_point_is_uniquely_best(games):
         flag = fb.placeholder2 if fb.q > 0.5 else fb.placeholder1
         assert flag
         assert placeholder.support()  # canonical reply-consistent filler
+
+
+@pytest.mark.parametrize("equality", [False, True])
+@pytest.mark.parametrize("name", ["battle_of_sexes", "chicken"])
+def test_single_block_witness_puts_the_placeholder_second(games, name, equality):
+    game = games[name]
+    fb = min_stackelberg_freq(game, equality=equality)
+    placeholder = game.actions1[0]
+    assert fb.q == 1.0
+    assert fb.b1 == stackelberg(game).b_star
+    assert not fb.placeholder1 and fb.placeholder2
+    assert fb.alpha2.prob(placeholder) == 1.0
+    assert fb.b2 == best_replies_p2(game, MixedAction.delta(placeholder))[0]
 
 
 def test_requires_unique_commitment_point():
@@ -214,7 +231,7 @@ def test_random_games_equality_matches_and_stays_interior():
         assert 0.0 <= fb.value < 1.0
 
 
-def _min_freq_scipy(game):
+def _min_freq_scipy(game, equality=False):
     # Same pair programs, solved by an external LP engine.
     import scipy.optimize
 
@@ -231,18 +248,20 @@ def _min_freq_scipy(game):
         for j2 in range(len(game.actions2)):
             h1 = br_polytope(game, game.actions2[j1]).halfspaces
             h2 = br_polytope(game, game.actions2[j2]).halfspaces
-            a_ub = np.vstack(
-                [
-                    np.hstack([-h1, np.zeros_like(h1)]),
-                    np.hstack([np.zeros_like(h2), -h2]),
-                    -np.concatenate([game.u1[:, j1], game.u1[:, j2]])[None, :],
-                ]
-            )
-            b_ub = np.zeros(len(a_ub))
-            b_ub[-1] = -stack.v_star
-            res = scipy.optimize.linprog(
-                c, A_ub=a_ub, b_ub=b_ub, A_eq=np.ones((1, 2 * n)), b_eq=[1.0], method="highs"
-            )
+            pay = np.concatenate([game.u1[:, j1], game.u1[:, j2]])
+            cones = [np.hstack([-h1, np.zeros_like(h1)]), np.hstack([np.zeros_like(h2), -h2])]
+            if equality:
+                a_ub = np.vstack(cones)
+                b_ub = np.zeros(len(a_ub))
+                a_eq = np.vstack([np.ones(2 * n), pay])
+                b_eq = [1.0, stack.v_star]
+            else:
+                a_ub = np.vstack(cones + [-pay[None, :]])
+                b_ub = np.zeros(len(a_ub))
+                b_ub[-1] = -stack.v_star
+                a_eq = np.ones((1, 2 * n))
+                b_eq = [1.0]
+            res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
             if res.status == 0:
                 best = min(best, res.fun)
     return best
@@ -265,3 +284,85 @@ def test_product_choice_comparative_statics_quick():
     assert value(0.6, 0.4, 0.2) > value(0.5, 0.4, 0.2) + 1e-6
     assert value(0.5, 0.5, 0.2) < value(0.5, 0.4, 0.2) - 1e-6
     assert value(0.5, 0.4, 0.7) == pytest.approx(value(0.5, 0.4, 0.2), abs=1e-9)
+
+
+@cache
+def _block_games() -> dict[str, StageGame]:
+    """The fixtures plus random assumption-satisfying games at 3, 4 and 5 actions."""
+    out = {name: load_fixture(name) for name in UNIQUE_GAMES}
+    for size in (3, 4, 5):
+        for i, game in enumerate(random_assumption_games(8, seed=700 + size, size=size)):
+            out[f"random_{size}x{size}_{i}"] = game
+    return out
+
+
+@pytest.mark.parametrize("equality", [False, True])
+def test_block_lp_witness_on_fixtures_and_random_games(monkeypatch, equality):
+    solutions = []
+
+    def recording_solve_lp(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        solutions.append(res.x)
+        return res
+
+    monkeypatch.setattr(bounds, "solve_lp", recording_solve_lp)
+    for name, game in _block_games().items():
+        stack = stackelberg(game)
+        fb = min_stackelberg_freq(game, equality=equality)
+        (x,) = solutions
+        solutions.clear()
+        masses = x.reshape(len(game.actions2), len(game.actions1)).sum(axis=1)
+        assert np.count_nonzero(masses > 1e-9) <= 2, name
+        assert fb.b1 in best_replies_p2(game, fb.alpha1, tol=1e-7), name
+        assert fb.b2 in best_replies_p2(game, fb.alpha2, tol=1e-7), name
+        freq = fb.q * fb.alpha1.prob(stack.a_star) + (1 - fb.q) * fb.alpha2.prob(stack.a_star)
+        assert freq == pytest.approx(fb.value, abs=1e-9), name
+        payoff = _witness_payoff(game, fb)
+        if equality:
+            assert abs(payoff - stack.v_star) <= 1e-9, name
+        else:
+            assert payoff >= stack.v_star - 1e-9, name
+
+
+@pytest.mark.parametrize("equality", [False, True])
+def test_block_lp_matches_scipy_pair_programs(equality):
+    for name, game in _block_games().items():
+        ours = min_stackelberg_freq(game, equality=equality).value
+        assert ours == pytest.approx(_min_freq_scipy(game, equality), abs=1e-8), name
+
+
+def test_more_than_two_nonzero_blocks_is_an_error(monkeypatch, games):
+    game = games["product_choice_three"]
+    n = len(game.actions1) * len(game.actions2)
+    spread = LPResult("optimal", np.full(n, 1.0 / n), 0.5)
+    monkeypatch.setattr(bounds, "solve_lp", lambda *args, **kwargs: spread)
+    with pytest.raises(RuntimeError, match="3 nonzero reply blocks"):
+        min_stackelberg_freq(game)
+
+
+def _relabelled_affine(game: StageGame, rng, player: int, scale: float) -> StageGame:
+    """Shuffle both players' actions and map one player's payoffs to scale * u + shift."""
+    rows = rng.permutation(len(game.actions1))
+    cols = rng.permutation(len(game.actions2))
+    payoffs = [game.u1, game.u2]
+    payoffs[player] = scale * payoffs[player] + rng.uniform(-5.0, 5.0)
+    return StageGame(
+        tuple(game.actions1[i] for i in rows),
+        tuple(game.actions2[j] for j in cols),
+        payoffs[0][np.ix_(rows, cols)],
+        payoffs[1][np.ix_(rows, cols)],
+        order1=game.order1,
+        order2=game.order2,
+    )
+
+
+def test_value_invariant_under_affine_payoff_maps_and_relabelling():
+    rng = np.random.default_rng(31)
+    for name, game in _block_games().items():
+        a_star = stackelberg(game).a_star
+        value = min_stackelberg_freq(game).value
+        for player in (0, 1):
+            for scale in (1e-2, 0.5, 3.0, 1e2):
+                moved = _relabelled_affine(game, rng, player, scale)
+                assert stackelberg(moved).a_star == a_star, (name, player, scale)
+                assert abs(min_stackelberg_freq(moved).value - value) <= 1e-10, (name, player, scale)
