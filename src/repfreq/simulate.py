@@ -28,6 +28,10 @@ _RESIDUAL_WEIGHT = 1e-8
 # Backoff applied to the largest mixture weight that keeps the reply strict.
 _MIX_MARGIN = 1e-3
 
+# Normal-phase blocks drawn per chunk. Part of the stream definition: changing
+# it changes the path drawn for a given (seed, stream).
+_CHUNK_BLOCKS = 48
+
 PHASE_PREP, PHASE_REVIEW, PHASE_ABSORB, PHASE_COMP = 0, 1, 2, 3
 
 
@@ -86,6 +90,7 @@ class PathStats:
     comp_periods: int
     absorb_entries: int
     blocks: list[BlockRecord]
+    phase_weights: np.ndarray  # discounted weight of each phase, indexed by PHASE_*
     actions: np.ndarray | None = None
     replies: np.ndarray | None = None
     phases: np.ndarray | None = None
@@ -297,6 +302,174 @@ def _horizon(delta: float) -> int:
     return max(0, math.ceil(math.log(_RESIDUAL_WEIGHT) / math.log(delta)) - 1)
 
 
+def _total_weight(delta: float) -> float:
+    # Discounted weight of periods 0 .. _horizon(delta), 1 - delta**(t_max + 1).
+    return -math.expm1((_horizon(delta) + 1) * math.log(delta))
+
+
+class _Chunk:
+    """A chunk of i.i.d. normal-phase blocks, drawn and settled together.
+
+    Every quantity of a block is local to it: the surplus ``g`` is measured in
+    units of the block's first period, the breach test discounts within the
+    absorbing run, and the compensation length depends only on ``g`` and the
+    offset at which compensation starts. A block that starts at period ``s``
+    therefore adds ``delta**s`` times its local frequency, payoff and phase
+    weights. Blocks are drawn untruncated; the caller cuts the one that crosses
+    the horizon. Compensation runs are capped at ``max_comp`` periods, which no
+    block that fits the horizon reaches.
+    """
+
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        game: StageGame,
+        params: SimParams,
+        delta: float,
+        max_comp: int,
+    ) -> None:
+        self.ia_star, self.ia_prime = game.a_index(params.a_star), game.a_index(params.a_prime)
+        self.jb_star, self.jb_prime = game.b_index(params.b_star), game.b_index(params.b_prime)
+        n_a, t1, t2, v = len(game.actions1), params.t1, params.t2_bar, params.v_star
+        disc = delta ** np.arange(max(t1, t2), dtype=float)
+
+        # Stream order: review matrix, absorbing draws for the all-tempting
+        # rows only, one compensation coin per block.
+        self.prime = rng.random((_CHUNK_BLOCKS, t1)) < params.p
+        self.rows = rows = np.flatnonzero(self.prime.all(axis=1))
+        device = rng.random((len(rows), t2)) < params.eps1
+        action_u = rng.random((len(rows), t2))
+        coins = rng.random(_CHUNK_BLOCKS)
+
+        # Review: the commitment reply throughout, so only tempting periods add surplus.
+        w_prime = self.prime @ disc[:t1]
+        w_star = ~self.prime @ disc[:t1]
+        u_tempt = float(game.u1[self.ia_prime, self.jb_star])
+        self.freq = np.zeros((_CHUNK_BLOCKS, n_a))
+        self.freq[:, self.ia_prime] = w_prime
+        self.freq[:, self.ia_star] = w_star
+        self.payoff = u_tempt * w_prime + v * w_star
+        self.phase = np.zeros((_CHUNK_BLOCKS, 4))
+        self.phase[:, PHASE_REVIEW] = disc[:t1].sum()
+        g = (u_tempt - v) * w_prime
+
+        # Absorbing: the device picks the mixture or a witness atom each period;
+        # the run ends at its first breach or at the cap.
+        self.absorb_len = np.zeros(_CHUNK_BLOCKS, dtype=np.int64)
+        self.breach: list[str | None] = [None] * _CHUNK_BLOCKS
+        if rows.size:
+            # Outcomes: the witness atoms, then the mixture's tempting and
+            # commitment actions, both against the commitment reply. An atom's
+            # index is the number of cumulative edges at or below u.
+            out_a = np.append(params.atom_a, [self.ia_prime, self.ia_star])
+            out_b = np.append(params.atom_b, [self.jb_star, self.jb_star])
+            atom = sum((action_u >= edge).view(np.int8) for edge in params.atom_cum[:-1])
+            mix = len(params.atom_cum) + (action_u >= params.p).view(np.int8)
+            outcome = np.where(device, mix, atom)
+            self.a_sub, self.b_sub = out_a.take(outcome), out_b.take(outcome)
+            running = np.cumsum(disc[:t2] * game.u1[out_a, out_b].take(outcome), axis=1)
+            weight_sum = np.cumsum(disc[:t2])
+            low = running < v * weight_sum - params.c
+            breached = low | (running > params.drift_target * weight_sum + params.c)
+            r = np.arange(len(rows))
+            first = breached.argmax(axis=1)
+            hit = breached[r, first]
+            sub_len = np.where(hit, first + 1, t2)
+            self.absorb_len[rows] = sub_len
+            for k, k_hit, k_low in zip(rows.tolist(), hit.tolist(), low[r, first].tolist()):
+                self.breach[k] = ("low" if k_low else "high") if k_hit else "cap"
+            kept = np.where(np.arange(t2) < sub_len[:, None], disc[:t2], 0.0)
+            cells = (r[:, None] * n_a + self.a_sub).ravel()
+            sub_freq = np.bincount(cells, weights=kept.ravel(), minlength=len(rows) * n_a)
+            sub_pay, sub_weight = running[r, sub_len - 1], weight_sum[sub_len - 1]
+            scale = delta**t1
+            self.freq[rows] += scale * sub_freq.reshape(-1, n_a)
+            self.payoff[rows] += scale * sub_pay
+            self.phase[rows, PHASE_ABSORB] = scale * sub_weight
+            g[rows] += scale * (sub_pay - v * sub_weight)
+        self.off = t1 + self.absorb_len
+
+        # Compensation: the shortest run of n periods whose burn,
+        # rate * delta**off * (1 - delta**n) / (1 - delta), covers g. The closed
+        # form gives n up to rounding; one exact step in each direction fixes it.
+        u_comp = float(game.u1[self.ia_prime, self.jb_prime])
+        rate = v - u_comp
+        log_d = math.log(delta)
+        lead = delta**self.off / (1.0 - delta)
+
+        def burned(n: np.ndarray) -> np.ndarray:
+            return lead * -np.expm1(n * log_d)
+
+        self.burns = g > 1e-12
+        y = np.where(self.burns, g / (rate * lead), 0.0)
+        reachable = y < 1.0
+        n = np.ceil(np.log1p(-np.where(reachable, y, 0.0)) / log_d)
+        n = np.where(rate * burned(n - 1) >= g, n - 1, np.where(rate * burned(n) < g, n + 1, n))
+        n = np.where(reachable, np.minimum(n, max_comp), max_comp)
+        self.n_comp = np.where(self.burns, n, 0).astype(np.int64)
+        g_after = g - rate * burned(self.n_comp)
+        g_before = g - rate * burned(self.n_comp - 1)
+        exact = np.abs(g_after) <= 1e-15
+        self.phi = np.where(exact, 0.0, -g_after / np.where(exact, 1.0, g_before - g_after))
+        early = coins < self.phi
+        self.comp_len = np.where(self.burns, self.n_comp - early, 0)
+        comp_w = burned(self.comp_len)
+        self.freq[:, self.ia_prime] += comp_w
+        self.payoff += u_comp * comp_w
+        self.phase[:, PHASE_COMP] = comp_w
+        self.length = self.off + self.comp_len
+        self.g = g
+        self.realized_residual = np.where(self.burns, np.where(early, g_before, g_after), g)
+        self.expected_residual = np.where(self.burns, self.phi * g_before + (1.0 - self.phi) * g_after, g)
+
+    def periods(self, first: int, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Actions, replies and phases of consecutive blocks from ``first`` on,
+        each cut to its entry of ``lengths``, back to back."""
+        t1 = self.prime.shape[1]
+        offsets = np.cumsum(lengths) - lengths
+        total = int(lengths.sum())
+        # Every period not in review or absorbing is compensation.
+        a = np.full(total, self.ia_prime)
+        b = np.full(total, self.jb_prime)
+        phase = np.full(total, PHASE_COMP)
+        steps = np.arange(t1)
+        keep = steps < lengths[:, None]
+        at = (offsets[:, None] + steps)[keep]
+        a[at] = np.where(self.prime[first : first + len(lengths)], self.ia_prime, self.ia_star)[keep]
+        b[at] = self.jb_star
+        phase[at] = PHASE_REVIEW
+        r = np.flatnonzero((self.rows >= first) & (self.rows < first + len(lengths)))
+        if r.size:
+            j = self.rows[r] - first
+            steps = np.arange(self.a_sub.shape[1])
+            keep = (steps < self.absorb_len[self.rows[r], None]) & (t1 + steps < lengths[j, None])
+            at = (offsets[j, None] + t1 + steps)[keep]
+            a[at] = self.a_sub[r][keep]
+            b[at] = self.b_sub[r][keep]
+            phase[at] = PHASE_ABSORB
+        return a, b, phase
+
+    def records(self, n: int, delta: float) -> list[BlockRecord]:
+        """Block records of the first ``n`` blocks.
+
+        Residuals are in discounted-average units: the block identity says the
+        block-local average payoff equals the commitment payoff, so the
+        device-expected residual must vanish.
+        """
+        cols = zip(
+            self.length[:n].tolist(),
+            self.breach[:n],
+            self.burns[:n].tolist(),
+            self.phi[:n].tolist(),
+            ((1.0 - delta) * self.expected_residual[:n]).tolist(),
+            ((1.0 - delta) * self.realized_residual[:n]).tolist(),
+        )
+        return [
+            BlockRecord(length, breach is not None, breach, phi if burns else None, expected, realized)
+            for length, breach, burns, phi, expected, realized in cols
+        ]
+
+
 def simulate_path(
     game: StageGame,
     params: SimParams,
@@ -305,7 +478,13 @@ def simulate_path(
     stream: int = 0,
     record: bool = False,
 ) -> PathStats:
-    """Simulate one on-path history; deterministic in (seed, stream)."""
+    """Simulate one on-path history; deterministic in (seed, stream).
+
+    After preparation the path draws its blocks ``_CHUNK_BLOCKS`` at a time
+    from the same stream (see :class:`_Chunk`), adds every block that ends
+    inside the horizon at once, and cuts the first block that does not at the
+    horizon, as drawn.
+    """
     if not params.trivial and not params.delta_bar < delta < 1.0:
         raise ValueError(f"delta must lie in ({params.delta_bar}, 1)")
     if params.trivial and not 0.0 < delta < 1.0:
@@ -313,10 +492,9 @@ def simulate_path(
 
     n_a = len(game.actions1)
     t_max = _horizon(delta)
-    powers = delta ** np.arange(t_max + 2, dtype=float)
-    total_weight = float((1.0 - delta) * powers[: t_max + 1].sum())
 
     if params.trivial:
+        total_weight = _total_weight(delta)
         freq = np.zeros(n_a)
         freq[game.a_index(params.a_star)] = total_weight
         stats = PathStats(
@@ -328,6 +506,7 @@ def simulate_path(
             comp_periods=0,
             absorb_entries=0,
             blocks=[],
+            phase_weights=np.array([total_weight, 0.0, 0.0, 0.0]),
         )
         if record:
             stats.actions = np.full(t_max + 1, game.a_index(params.a_star), dtype=np.int16)
@@ -340,175 +519,96 @@ def simulate_path(
     ia_star = game.a_index(params.a_star)
     ia_prime = game.a_index(params.a_prime)
     jb_star = game.b_index(params.b_star)
-    jb_prime = game.b_index(params.b_prime)
-    u_comp = float(game.u1[ia_prime, jb_prime])
-    rate = params.v_star - u_comp
-    p = params.p
-    eps1 = params.eps1
 
     freq_raw = np.zeros(n_a)
     payoff_raw = 0.0
+    phase_raw = np.zeros(4)
+    periods = np.zeros(4, dtype=np.int64)
     rec_a = np.empty(t_max + 1, dtype=np.int16) if record else None
     rec_b = np.empty(t_max + 1, dtype=np.int16) if record else None
     rec_phase = np.empty(t_max + 1, dtype=np.uint8) if record else None
     blocks: list[BlockRecord] = []
-    prep_periods = review_periods = absorb_periods = comp_periods = absorb_entries = 0
+    absorb_entries = 0
 
-    def fill(t0: int, a_vec: np.ndarray, b_vec: np.ndarray, phase: int) -> float:
-        nonlocal payoff_raw, freq_raw
-        n = len(a_vec)
-        wts = powers[t0 : t0 + n]
-        pay = game.u1[a_vec, b_vec]
+    def write(t0: int, a_vec: np.ndarray, b_vec: np.ndarray, phase: np.ndarray) -> None:
+        rec_a[t0 : t0 + len(a_vec)] = a_vec
+        rec_b[t0 : t0 + len(a_vec)] = b_vec
+        rec_phase[t0 : t0 + len(a_vec)] = phase
+
+    def fill(t0: int, a_vec: np.ndarray, b_vec: np.ndarray, phase: np.ndarray) -> None:
+        nonlocal payoff_raw, freq_raw, phase_raw, periods
+        wts = delta ** np.arange(t0, t0 + len(a_vec), dtype=float)
         freq_raw += np.bincount(a_vec, weights=wts, minlength=n_a)
-        payoff_raw += float(wts @ pay)
+        payoff_raw += float(wts @ game.u1[a_vec, b_vec])
+        phase_raw += np.bincount(phase, weights=wts, minlength=4)
+        periods += np.bincount(phase, minlength=4)
         if record:
-            rec_a[t0 : t0 + n] = a_vec
-            rec_b[t0 : t0 + n] = b_vec
-            rec_phase[t0 : t0 + n] = phase
-        return float(wts @ (pay - params.v_star))
+            write(t0, a_vec, b_vec, phase)
 
     t = 0
     # Preparation: mix toward the tempting action until it realizes.
     while t <= t_max:
         n = min(256, t_max - t + 1)
-        hits = rng.random(n) < p
+        hits = rng.random(n) < params.p
         k = int(np.argmax(hits)) if hits.any() else -1
         stop = k + 1 if k >= 0 else n
         a_vec = np.full(stop, ia_star, dtype=np.int64)
         if k >= 0:
             a_vec[k] = ia_prime
-        fill(t, a_vec, np.full(stop, jb_star, dtype=np.int64), PHASE_PREP)
-        prep_periods += stop
+        fill(t, a_vec, np.full(stop, jb_star, dtype=np.int64), np.full(stop, PHASE_PREP))
         t += stop
         if k >= 0:
             break
 
     # Normal phase: blocks of review / absorbing / compensation.
     while t <= t_max:
-        block_t0 = t
-        inv0 = 1.0 / powers[block_t0]
-        g = 0.0
-
-        n = min(params.t1, t_max - t + 1)
-        a_vec = np.where(rng.random(n) < p, ia_prime, ia_star)
-        g += fill(t, a_vec, np.full(n, jb_star, dtype=np.int64), PHASE_REVIEW) * inv0
-        review_periods += n
-        t += n
-        if n < params.t1:
-            break  # horizon hit mid-review; final block is incomplete
-        all_prime = bool(np.all(a_vec == ia_prime))
-
-        absorbed = False
-        breach: str | None = None
-        if all_prime and t <= t_max:
-            absorbed = True
-            absorb_entries += 1
-            cap = min(params.t2_bar, t_max - t + 1)
-            device = rng.random(cap) < eps1
-            action_u = rng.random(cap)
-            a_sub = np.empty(cap, dtype=np.int64)
-            b_sub = np.empty(cap, dtype=np.int64)
-            a_sub[device] = np.where(action_u[device] < p, ia_prime, ia_star)
-            b_sub[device] = jb_star
-            idx = np.searchsorted(params.atom_cum, action_u[~device], side="right")
-            idx = idx.clip(max=len(params.atom_cum) - 1)
-            a_sub[~device] = params.atom_a[idx]
-            b_sub[~device] = params.atom_b[idx]
-
-            sub_disc = powers[t : t + cap] / powers[t]
-            pay_sub = game.u1[a_sub, b_sub]
-            running = np.cumsum(sub_disc * pay_sub)
-            weight_sum = np.cumsum(sub_disc)
-            low = running < params.v_star * weight_sum - params.c
-            high = running > params.drift_target * weight_sum + params.c
-            breached = low | high
-            if breached.any():
-                k = int(np.argmax(breached))
-                length = k + 1
-                breach = "low" if low[k] else "high"
-            else:
-                length = cap
-                breach = "cap" if cap == params.t2_bar else None
-            g += fill(t, a_sub[:length], b_sub[:length], PHASE_ABSORB) * inv0
-            absorb_periods += length
-            t += length
-
-        if t > t_max:
-            break
-        if g < -1e-9:
-            raise RuntimeError(f"block entered compensation with a payoff deficit ({g})")
-
-        phi: float | None = None
-        realized_residual = g
-        expected_residual = g
-        if g > 1e-12:
-            need = g / (rate * inv0)
-            # Closed-form estimate of the run length, then an exact local scan.
-            y = need * (1.0 - delta) / powers[t]
-            if y >= 1.0:
-                n_est = t_max - t + 1
-            else:
-                n_est = min(t_max - t + 1, math.ceil(math.log1p(-y) / math.log(delta)) + 2)
-            csum = np.cumsum(powers[t : t + n_est])
-            idx = int(np.searchsorted(csum, need, side="left"))
-            if t + idx > t_max or idx >= len(csum):
-                n_fill = t_max - t + 1
-                fill(t, np.full(n_fill, ia_prime, dtype=np.int64), np.full(n_fill, jb_prime, dtype=np.int64), PHASE_COMP)
-                comp_periods += n_fill
-                t += n_fill
-                break  # surplus cannot be burned before the horizon
-            n_comp = idx + 1
-            g_after = g - rate * float(csum[idx]) * inv0
-            g_before = g - rate * float(csum[idx - 1]) * inv0 if idx >= 1 else g
-            if abs(g_after) <= 1e-15:
-                phi = 0.0
-                realized = n_comp
-                realized_residual = g_after
-                expected_residual = g_after
-            else:
-                phi = -g_after / (g_before - g_after)
-                end_early = bool(rng.random() < phi)
-                realized = n_comp - 1 if end_early else n_comp
-                realized_residual = g_before if end_early else g_after
-                expected_residual = phi * g_before + (1.0 - phi) * g_after
-            if realized:
-                fill(
-                    t,
-                    np.full(realized, ia_prime, dtype=np.int64),
-                    np.full(realized, jb_prime, dtype=np.int64),
-                    PHASE_COMP,
-                )
-            comp_periods += realized
-            t += realized
-
-        # Residuals in discounted-average units: the block identity says the
-        # block-local average payoff equals the commitment payoff, so the
-        # device-expected residual must vanish.
-        blocks.append(
-            BlockRecord(
-                length=t - block_t0,
-                absorbed=absorbed,
-                breach=breach,
-                phi=phi,
-                expected_residual=(1.0 - delta) * expected_residual,
-                realized_residual=(1.0 - delta) * realized_residual,
-            )
-        )
+        chunk = _Chunk(rng, game, params, delta, max_comp=t_max + 2)
+        starts = t + np.cumsum(chunk.length) - chunk.length
+        # A block is kept if its review and absorbing part ends before the
+        # horizon and its full compensation run fits by it.
+        fits = (starts + chunk.off <= t_max) & (starts + chunk.off + chunk.n_comp <= t_max + 1)
+        n = _CHUNK_BLOCKS if fits.all() else int(fits.argmin())
+        deficit = chunk.g[:n][chunk.g[:n] < -1e-9]
+        if deficit.size:
+            raise RuntimeError(f"block entered compensation with a payoff deficit ({deficit[0]})")
+        scale = delta ** starts[:n].astype(float)
+        freq_raw += scale @ chunk.freq[:n]
+        payoff_raw += float(scale @ chunk.payoff[:n])
+        phase_raw += scale @ chunk.phase[:n]
+        periods[PHASE_REVIEW] += n * params.t1
+        periods[PHASE_ABSORB] += chunk.absorb_len[:n].sum()
+        periods[PHASE_COMP] += chunk.comp_len[:n].sum()
+        absorb_entries += int(np.count_nonzero(chunk.absorb_len[:n]))
+        blocks += chunk.records(n, delta)
+        if record and n:
+            write(t, *chunk.periods(0, chunk.length[:n]))
+        if n == _CHUNK_BLOCKS:
+            t = int(starts[-1] + chunk.length[-1])
+            continue
+        # The first block that does not fit is cut at the horizon as drawn;
+        # redrawing it would bias the length of the last block.
+        t = int(starts[n])
+        if t <= t_max:
+            a_vec, b_vec, phase = chunk.periods(n, np.array([t_max + 1 - t]))
+            fill(t, a_vec, b_vec, phase)
+            absorb_entries += int(PHASE_ABSORB in phase)
+        break
 
     stats = PathStats(
         freq=(1.0 - delta) * freq_raw,
         payoff=(1.0 - delta) * payoff_raw,
-        prep_periods=prep_periods,
-        review_periods=review_periods,
-        absorb_periods=absorb_periods,
-        comp_periods=comp_periods,
+        prep_periods=int(periods[PHASE_PREP]),
+        review_periods=int(periods[PHASE_REVIEW]),
+        absorb_periods=int(periods[PHASE_ABSORB]),
+        comp_periods=int(periods[PHASE_COMP]),
         absorb_entries=absorb_entries,
         blocks=blocks,
+        phase_weights=(1.0 - delta) * phase_raw,
     )
     if record:
-        stats.actions = rec_a[:t]
-        stats.replies = rec_b[:t]
-        stats.phases = rec_phase[:t]
+        stats.actions = rec_a
+        stats.replies = rec_b
+        stats.phases = rec_phase
     return stats
 
 
@@ -537,10 +637,12 @@ def estimate_frequencies(
         "absorb_cap_ends": 0.0,
     }
     max_residual = 0.0
+    phase_weights = np.zeros(4)
     for rep in range(reps):
         st = simulate_path(game, params, delta, seed, stream=rep)
         freqs[rep] = st.freq
         payoffs[rep] = st.payoff
+        phase_weights += st.phase_weights
         tallies["prep_periods"] += st.prep_periods
         tallies["review_periods"] += st.review_periods
         tallies["absorb_periods"] += st.absorb_periods
@@ -561,6 +663,9 @@ def estimate_frequencies(
     payoff_se = float(payoffs.std(ddof=1)) / math.sqrt(reps)
     phase_stats = {key: val / reps for key, val in tallies.items()}
     phase_stats["max_block_residual"] = max_residual
+    # Share of the discounted weight each phase carries, averaged over paths.
+    for name, weight in zip(("prep", "review", "absorb", "comp"), phase_weights / reps):
+        phase_stats[f"share_{name}"] = float(weight / _total_weight(delta))
     return SimOutcome(
         freq={a: float(freq_mean[i]) for i, a in enumerate(game.actions1)},
         payoff=float(payoffs.mean()),

@@ -108,22 +108,18 @@ def _pure_best_replies_p1(game: StageGame, b: str, tol: float) -> tuple[str, ...
 
 def stackelberg(game: StageGame, tol: float = DEFAULT_TOL) -> StackelbergResult:
     """Enumerate pure commitments; ties are reported, never broken silently."""
-    worst = np.empty(len(game.actions1))
-    for i, a in enumerate(game.actions1):
-        replies = best_replies_p2(game, MixedAction.delta(a), tol)
-        worst[i] = min(game.u1[i, game.b_index(b)] for b in replies)
-    top = worst.max()
-    candidates = [i for i in range(len(game.actions1)) if worst[i] >= top - tol]
-    i_star = candidates[0]
-    a_star = game.actions1[i_star]
-    replies = best_replies_p2(game, MixedAction.delta(a_star), tol)
-    b_star = min(replies, key=lambda b: (game.u1[i_star, game.b_index(b)], game.b_index(b)))
+    # Best replies to pure action i, as best_replies_p2 finds them for e_i @ u2 == u2[i].
+    replies = [np.flatnonzero(row >= row.max() - tol) for row in game.u2]
+    worst = np.array([game.u1[i, js].min() for i, js in enumerate(replies)])
+    candidates = np.flatnonzero(worst >= worst.max() - tol)
+    i_star = int(candidates[0])
+    j_star = min(replies[i_star].tolist(), key=lambda j: (game.u1[i_star, j], j))
     return StackelbergResult(
-        a_star=a_star,
-        b_star=b_star,
-        v_star=float(game.u1[i_star, game.b_index(b_star)]),
+        a_star=game.actions1[i_star],
+        b_star=game.actions2[j_star],
+        v_star=float(game.u1[i_star, j_star]),
         unique_action=len(candidates) == 1,
-        unique_reply=len(replies) == 1,
+        unique_reply=len(replies[i_star]) == 1,
     )
 
 

@@ -98,6 +98,24 @@ def test_simulate_output_and_csv(capsys, tmp_path):
     assert len(lines) == 3
 
 
+def test_simulate_reports_phase_shares(capsys):
+    code, out = run_cli(
+        capsys,
+        "simulate",
+        str(fixture_path("product_choice")),
+        "--target", "H:0.375,L:0.625",
+        "--delta", "0.999",
+        "--eps1", "0.01",
+        "--reps", "100",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    validate(doc, "simulate.schema.json")
+    shares = [doc["phase_stats"][f"share_{phase}"] for phase in ("prep", "review", "absorb", "comp")]
+    assert sum(shares) == pytest.approx(1.0, abs=1e-9)
+    assert doc["phase_stats"]["share_absorb"] == 0
+
+
 def test_concentration_output(capsys):
     code, out = run_cli(
         capsys,

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,11 +8,17 @@ from repfreq.apps import ProductChoiceParams, build_stage_game
 from repfreq.bounds import min_stackelberg_freq
 from repfreq.game import MixedAction
 from repfreq.simulate import (
+    PHASE_ABSORB,
+    PHASE_COMP,
+    PHASE_REVIEW,
+    _horizon,
     check_incentives,
     derive_params,
     estimate_frequencies,
     simulate_path,
 )
+
+from ._reference_sim import simulate_path as reference_simulate_path
 
 TARGET_PC = MixedAction({"H": 0.375, "L": 0.625})
 
@@ -185,3 +192,110 @@ def test_simulate_validates_delta(product_choice, pc_params):
 def test_negative_seed_accepted(product_choice, pc_params):
     st = simulate_path(product_choice, pc_params, 0.999, seed=-7)
     assert st.payoff == pytest.approx(0.6, abs=0.05)
+
+
+def absorbing_game_params(delta: float):
+    game = build_stage_game(ProductChoiceParams(gamma=0.1, cost_high=0.4, cost_low=0.2))
+    return game, derive_params(game, equality_target(game), eps1=0.2, delta=delta)
+
+
+def path_ending(st, horizon: int) -> str:
+    """How the path meets the horizon: in which phase it is cut, or "exact"."""
+    if st.prep_periods + sum(blk.length for blk in st.blocks) == horizon:
+        return "exact"
+    return {PHASE_REVIEW: "review", PHASE_ABSORB: "absorb", PHASE_COMP: "comp"}[int(st.phases[-1])]
+
+
+def test_bookkeeping_of_the_clipped_final_block():
+    delta = 0.995
+    game, params = absorbing_game_params(delta)
+    horizon = _horizon(delta) + 1
+    weights = (1 - delta) * delta ** np.arange(horizon)
+    endings = Counter()
+    for stream in range(500):
+        st = simulate_path(game, params, delta, seed=3, stream=stream, record=True)
+        assert len(st.actions) == horizon
+        rebuilt = np.bincount(st.actions, weights=weights, minlength=len(game.actions1))
+        assert np.abs(rebuilt - st.freq).max() <= 1e-12
+        assert abs(weights @ game.u1[st.actions, st.replies] - st.payoff) <= 1e-12
+        phase_rebuilt = np.bincount(st.phases, weights=weights, minlength=4)
+        assert np.abs(phase_rebuilt - st.phase_weights).max() <= 1e-12
+        counts = (st.prep_periods, st.review_periods, st.absorb_periods, st.comp_periods)
+        assert counts == tuple(np.bincount(st.phases, minlength=4))
+        assert sum(counts) == horizon
+        assert st.prep_periods + sum(blk.length for blk in st.blocks) <= horizon
+        in_absorb = np.concatenate(([False], st.phases == PHASE_ABSORB))
+        assert st.absorb_entries == np.count_nonzero(in_absorb[1:] & ~in_absorb[:-1])
+        endings[path_ending(st, horizon)] += 1
+    assert set(endings) == {"review", "absorb", "comp", "exact"}, endings
+
+
+def path_summaries(simulate, game, params, delta, paths: int, seed: int) -> dict[str, np.ndarray]:
+    i_star = game.a_index(params.a_star)
+    rows = []
+    for stream in range(paths):
+        st = simulate(game, params, delta, seed, stream=stream, record=True)
+        breaches = sum(blk.breach in ("low", "high") for blk in st.blocks)
+        # Periods after the last recorded block: the cut final block.
+        tail = np.bincount(st.phases[st.prep_periods + sum(blk.length for blk in st.blocks) :], minlength=4)
+        rows.append((
+            st.freq[i_star], st.payoff, len(st.blocks), st.absorb_entries, breaches,
+            st.review_periods, st.absorb_periods, st.comp_periods, *tail[1:],
+        ))
+    names = (
+        "freq_star", "payoff", "blocks", "absorb_entries", "breaches", "review", "absorb", "comp",
+        "tail_review", "tail_absorb", "tail_comp",
+    )
+    return dict(zip(names, np.array(rows, dtype=float).T))
+
+
+def two_sample_z(x: np.ndarray, y: np.ndarray) -> float:
+    se = math.sqrt(x.var(ddof=1) / len(x) + y.var(ddof=1) / len(y))
+    diff = x.mean() - y.mean()
+    return diff / se if se > 0 else (0.0 if diff == 0 else math.inf)
+
+
+@pytest.mark.parametrize("config, delta", [("criterion7", 0.995), ("criterion7", 0.999), ("absorbing", 0.995)])
+def test_chunked_paths_match_the_per_period_reference(product_choice, config, delta):
+    # The reference steps each block in Python with its own draws, so the two
+    # simulators agree in distribution only: compare path means by a two-sample
+    # z. Distinct seeds keep the samples independent, since both simulators
+    # draw a path's first review the same way. At delta = 0.995 the criterion-7
+    # surplus cannot be burned before the horizon, so no block completes there;
+    # delta = 0.999 checks its blocks.
+    if config == "criterion7":
+        game, params = product_choice, derive_params(product_choice, TARGET_PC, eps1=0.01, delta=delta)
+    else:
+        game, params = absorbing_game_params(delta)
+    new = path_summaries(simulate_path, game, params, delta, paths=400, seed=41)
+    old = path_summaries(reference_simulate_path, game, params, delta, paths=400, seed=43)
+    for name in (name for name in new if name != "breaches"):
+        z = two_sample_z(new[name], old[name])
+        assert abs(z) <= 4, f"{name}: z = {z:.2f}"
+    entries = np.array([new["absorb_entries"].sum(), old["absorb_entries"].sum()])
+    breaches = np.array([new["breaches"].sum(), old["breaches"].sum()])
+    if config == "absorbing":
+        assert entries.min() >= 1000
+        pooled = breaches.sum() / entries.sum()
+        se = math.sqrt(pooled * (1 - pooled) * (1 / entries[0] + 1 / entries[1]))
+        z = (breaches[0] / entries[0] - breaches[1] / entries[1]) / se
+        assert abs(z) <= 4, f"breach rate: z = {z:.2f}"
+    else:
+        assert entries.max() == 0
+
+
+@pytest.mark.parametrize("config", ["criterion7", "absorbing"])
+def test_phase_shares_split_the_discounted_weight(product_choice, pc_params, config):
+    if config == "criterion7":
+        game, params = product_choice, pc_params
+    else:
+        game, params = absorbing_game_params(0.999)
+    out = estimate_frequencies(game, params, 0.999, reps=100, seed=17)
+    shares = [out.phase_stats[f"share_{phase}"] for phase in ("prep", "review", "absorb", "comp")]
+    assert min(shares) >= 0
+    assert sum(shares) == pytest.approx(1.0, abs=1e-9)
+    # The criterion-7 reviews are never all tempting, so absorption carries no weight.
+    if config == "criterion7":
+        assert out.phase_stats["share_absorb"] == 0
+    else:
+        assert out.phase_stats["share_absorb"] > 0
