@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import apps, attain, bounds, concentration, simulate, stage
@@ -31,15 +32,15 @@ def _unit_open(text: str) -> float:
 
 def _nonneg(text: str) -> float:
     value = float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative value, got {text}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite nonnegative value, got {text}")
     return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "human"], default="json")
-    common.add_argument("--tol", type=float, default=stage.DEFAULT_TOL, help="numeric tolerance")
+    common.add_argument("--tol", type=_nonneg, default=stage.DEFAULT_TOL, help="numeric tolerance")
     common.add_argument("--seed", type=int, default=0)
     parser = argparse.ArgumentParser(
         prog="repfreq",
@@ -125,7 +126,7 @@ def _cmd_analyze(args) -> dict:
             "v_star": stack.v_star,
         },
         "minmax": report.minmax,
-        "vbar": stage.vbar_p1(game, args.tol),
+        "vbar": stage.vbar_p1(game),
     }
 
 

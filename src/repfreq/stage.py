@@ -3,12 +3,31 @@
 All subset enumerations here are exponential in the number of actions, which
 is fine at desk scale (six or fewer actions per side) and keeps every value
 exact up to LP tolerance.
+
+Player 1's minmax against rationalizable myopic opponents and the cap v-bar
+of Fudenberg, Kreps and Maskin (1990) share one enumeration. A player-2
+support S is rationalizable when some mixed action alpha makes every action in
+S a best reply. v-bar maximizes, over the support pairs (T, S) for which some
+alpha with supp(alpha) in T makes all of S best replies, the value
+max over beta on S of min over a in T of u1(a, beta). Relaxing
+supp(alpha) = T to supp(alpha) in T cannot raise v-bar: the pair
+(supp(alpha), S) is itself a candidate, and its minimum runs over fewer
+actions. Two monotone facts make the pruning exact:
+
+- An S that fails with T = every action fails with every T, because an alpha
+  on a smaller T is an alpha on all actions. So both bounds iterate only the
+  rationalizable supports.
+- For one S, a superset T' of a feasible T is feasible (the same alpha
+  serves), and its value, a minimum over more actions, is no higher. So
+  ``vbar_p1`` tries T in order of size and skips every T that contains a T
+  already found feasible for that S; no skipped pair can raise the maximum.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -123,123 +142,75 @@ def stackelberg(game: StageGame, tol: float = DEFAULT_TOL) -> StackelbergResult:
     )
 
 
-def _jointly_best_replied(game: StageGame, subset: tuple[int, ...]) -> bool:
-    """Is there an alpha making every action in ``subset`` a best reply?"""
-    n = len(game.actions1)
-    rows = []
-    for j in subset:
-        for k in range(len(game.actions2)):
-            if k != j:
-                rows.append(-(game.u2[:, j] - game.u2[:, k]))  # u2(.,j) >= u2(.,k)
+def _supports(n: int) -> Iterator[tuple[int, ...]]:
+    """Nonempty subsets of ``range(n)``, smallest first."""
+    return chain.from_iterable(combinations(range(n), size) for size in range(1, n + 1))
+
+
+def _best_replied(game: StageGame, t: tuple[int, ...], s: tuple[int, ...]) -> bool:
+    """Is there an alpha on ``t`` to which every action in ``s`` is a best reply?"""
+    rows = np.vstack([br_polytope(game, game.actions2[j]).halfspaces[:, t] for j in s])
     res = solve_lp(
-        np.zeros(n),
-        a_ub=np.array(rows) if rows else None,
-        b_ub=np.zeros(len(rows)) if rows else None,
-        a_eq=np.ones((1, n)),
+        np.zeros(len(t)),
+        a_ub=-rows,
+        b_ub=np.zeros(len(rows)),
+        a_eq=np.ones((1, len(t))),
         b_eq=np.ones(1),
     )
     return res.optimal
 
 
-def minmax_p1(game: StageGame, tol: float = DEFAULT_TOL) -> float:
-    """Worst payoff rationalizable myopic opponents can hold player 1 to.
-
-    Enumerates the subsets of player-2 actions that are jointly best replies
-    to some mixed action, and minimizes the max-payoff LP over each feasible
-    support.
-    """
-    n_b = len(game.actions2)
-    best = np.inf
-    for size in range(1, n_b + 1):
-        for subset in combinations(range(n_b), size):
-            if not _jointly_best_replied(game, subset):
-                continue
-            value = _min_max_over_support(game, subset)
-            best = min(best, value)
-    return best
-
-
-def _min_max_over_support(game: StageGame, subset: tuple[int, ...]) -> float:
-    # min over beta on subset of max_a u1(a, beta); t free, split as t+ - t-.
-    k = len(subset)
-    n_a = len(game.actions1)
-    c = np.zeros(k + 2)
-    c[k] = 1.0
-    c[k + 1] = -1.0
-    a_ub = np.zeros((n_a, k + 2))
-    for i in range(n_a):
-        a_ub[i, :k] = game.u1[i, list(subset)]
-        a_ub[i, k] = -1.0
-        a_ub[i, k + 1] = 1.0
-    a_eq = np.zeros((1, k + 2))
-    a_eq[0, :k] = 1.0
-    res = solve_lp(c, a_ub=a_ub, b_ub=np.zeros(n_a), a_eq=a_eq, b_eq=np.ones(1))
-    if not res.optimal:
-        raise RuntimeError("inner minmax LP must be feasible and bounded")
-    return res.value
-
-
-def vbar_p1(game: StageGame, tol: float = DEFAULT_TOL) -> float:
-    """Highest payoff supportable with myopic opponents best-replying.
-
-    Enumerates support pairs (T over player-1 actions, S over player-2
-    actions); feasibility relaxes supp(alpha) = T to supp(alpha) in T, which
-    is harmless for the value because every realizable sub-support pair is
-    itself enumerated.
-    """
-    n_a = len(game.actions1)
-    n_b = len(game.actions2)
-    best = -np.inf
-    for size_t in range(1, n_a + 1):
-        for t_set in combinations(range(n_a), size_t):
-            for size_s in range(1, n_b + 1):
-                for s_set in combinations(range(n_b), size_s):
-                    if not _support_pair_feasible(game, t_set, s_set):
-                        continue
-                    best = max(best, _max_min_over_pair(game, t_set, s_set))
-    return best
-
-
-def _support_pair_feasible(game: StageGame, t_set, s_set) -> bool:
-    k = len(t_set)
-    rows = []
-    for j in s_set:
-        for j2 in range(len(game.actions2)):
-            if j2 != j:
-                rows.append(-(game.u2[list(t_set), j] - game.u2[list(t_set), j2]))
-    res = solve_lp(
-        np.zeros(k),
-        a_ub=np.array(rows) if rows else None,
-        b_ub=np.zeros(len(rows)) if rows else None,
-        a_eq=np.ones((1, k)),
-        b_eq=np.ones(1),
-    )
-    return res.optimal
-
-
-def _max_min_over_pair(game: StageGame, t_set, s_set) -> float:
-    # max over beta on s_set of min_{a in t_set} u1(a, beta); maximize t => minimize -t.
-    k = len(s_set)
+def _maxmin(pay: np.ndarray) -> float:
+    """Max over beta in the simplex of the smallest entry of ``pay @ beta``."""
+    m, k = pay.shape
+    # Variables: beta, then the value t split as t+ - t-; maximize t => minimize -t.
     c = np.zeros(k + 2)
     c[k] = -1.0
     c[k + 1] = 1.0
-    a_ub = np.zeros((len(t_set), k + 2))
-    for r, i in enumerate(t_set):
-        a_ub[r, :k] = -game.u1[i, list(s_set)]
-        a_ub[r, k] = 1.0
-        a_ub[r, k + 1] = -1.0
-    a_eq = np.zeros((1, k + 2))
-    a_eq[0, :k] = 1.0
-    res = solve_lp(c, a_ub=a_ub, b_ub=np.zeros(len(t_set)), a_eq=a_eq, b_eq=np.ones(1))
+    a_ub = np.hstack([-pay, np.ones((m, 1)), -np.ones((m, 1))])
+    res = solve_lp(c, a_ub=a_ub, b_ub=np.zeros(m), a_eq=np.r_[np.ones(k), 0.0, 0.0], b_eq=np.ones(1))
     if not res.optimal:
-        raise RuntimeError("inner support-pair LP must be feasible and bounded")
+        raise RuntimeError("max-min LP must be feasible and bounded")
     return -res.value
+
+
+def _rationalizable_supports(game: StageGame) -> list[tuple[int, ...]]:
+    """Player-2 supports whose actions are jointly best replies to some alpha."""
+    everyone = tuple(range(len(game.actions1)))
+    return [s for s in _supports(len(game.actions2)) if _best_replied(game, everyone, s)]
+
+
+def minmax_p1(game: StageGame) -> float:
+    """Worst payoff rationalizable myopic opponents can hold player 1 to.
+
+    The least, over rationalizable player-2 supports S, of the min over beta
+    on S of max over a of u1(a, beta).
+    """
+    return min(-_maxmin(-game.u1[:, s]) for s in _rationalizable_supports(game))
+
+
+def vbar_p1(game: StageGame) -> float:
+    """Highest payoff supportable with myopic opponents best-replying.
+
+    The largest, over feasible support pairs (T, S), of the max over beta on S
+    of min over a in T of u1(a, beta). The module docstring says why the pairs
+    it skips cannot raise it.
+    """
+    best = -np.inf
+    for s in _rationalizable_supports(game):
+        feasible: list[set[int]] = []
+        for t in _supports(len(game.actions1)):
+            if any(f.issubset(t) for f in feasible) or not _best_replied(game, t, s):
+                continue
+            feasible.append(set(t))
+            best = max(best, _maxmin(game.u1[np.ix_(t, s)]))
+    return best
 
 
 def check_assumptions(game: StageGame, tol: float = DEFAULT_TOL) -> AssumptionReport:
     stack = stackelberg(game, tol)
     not_br = stack.a_star not in _pure_best_replies_p1(game, stack.b_star, tol)
-    mm = minmax_p1(game, tol)
+    mm = minmax_p1(game)
     return AssumptionReport(
         a1_unique_stackelberg=stack.unique_action,
         a1_unique_reply=stack.unique_reply,

@@ -156,6 +156,25 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "GAME", "--tol", "-1"],
+        ["analyze", "GAME", "--tol", "nan"],
+        ["fstar", "GAME", "--epsilon", "nan"],
+        ["fstar", "GAME", "--epsilon", "inf"],
+        ["in-set-a", "GAME", "--alpha", "H:1", "--epsilon", "nan"],
+        ["concentration", "--dist", str(DIST_FILE), "--delta", "0.9", "--reps", "10", "--c", "nan"],
+    ],
+)
+def test_non_finite_or_negative_numbers_are_usage_errors(capsys, argv):
+    argv = [str(fixture_path("product_choice")) if arg == "GAME" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_missing_file_exits_1(capsys):
     code, _ = run_cli(capsys, "fstar", "/no/such/game.json")
     assert code == 1

@@ -1,6 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
+from repfreq import stage
 from repfreq.game import MixedAction, StageGame
 from repfreq.stage import (
     best_replies_p2,
@@ -12,7 +15,17 @@ from repfreq.stage import (
     stackelberg,
     vbar_p1,
 )
+from . import _reference_stage
 from .conftest import UNIQUE_GAMES
+
+
+def _random_game(rng, n_a: int, n_b: int, integer: bool) -> StageGame:
+    """Uniform payoffs in [-1, 1], or integers in [-2, 2] to force ties."""
+
+    def draw():
+        return rng.integers(-2, 3, (n_a, n_b)).astype(float) if integer else rng.uniform(-1, 1, (n_a, n_b))
+
+    return StageGame(tuple(f"a{i}" for i in range(n_a)), tuple(f"b{j}" for j in range(n_b)), draw(), draw())
 
 
 def test_best_replies_indifference_point(product_choice):
@@ -179,3 +192,77 @@ def test_lowest_pair_full_tie_takes_first_label():
 def test_lowest_pair_needs_order(matching_pennies):
     with pytest.raises(ValueError, match="order"):
         lowest_pair(matching_pennies)
+
+
+def test_bounds_match_the_exhaustive_reference(games):
+    # Non-square shapes matter: T and S are pruned differently.
+    rng = np.random.default_rng(606)
+    shapes = [(2, 2), (3, 3), (4, 4), (5, 5), (2, 5), (5, 2), (3, 4)]
+    cases = list(games.values())
+    cases += [_random_game(rng, *shape, integer) for shape in shapes for integer in (False, True)]
+    cases += [_random_game(rng, 3, 3, integer) for integer in (False, True) for _ in range(4)]
+    for game in cases:
+        assert minmax_p1(game) == pytest.approx(_reference_stage.minmax_p1(game), abs=1e-12)
+        assert vbar_p1(game) == pytest.approx(_reference_stage.vbar_p1(game), abs=1e-12)
+
+
+def test_vbar_skips_every_superset_of_a_feasible_t(monkeypatch, games):
+    # Skipping supersets is what saves the LPs; values alone cannot show it.
+    calls = []
+    real = stage._best_replied
+
+    def record(game, t, s):
+        feasible = real(game, t, s)
+        calls.append((set(t), s, feasible))
+        return feasible
+
+    monkeypatch.setattr(stage, "_best_replied", record)
+    rng = np.random.default_rng(608)
+    for game in [games["product_choice_three"], _random_game(rng, 4, 4, False), _random_game(rng, 4, 3, True)]:
+        calls.clear()
+        vbar_p1(game)
+        for k, (t, s, _) in enumerate(calls):
+            assert not any(s2 == s and ok and t2 < t for t2, s2, ok in calls[:k]), (t, s)
+
+
+def _flags(rep) -> tuple[bool, ...]:
+    return (rep.a1_unique_stackelberg, rep.a1_unique_reply, rep.a2_not_best_reply, rep.a2_above_minmax)
+
+
+def test_bounds_and_assumptions_are_invariant():
+    """u1 -> s u1 + k moves both bounds to s v + k; u2 -> s u2 + k and
+    relabelling both players' actions leave them, and the assumptions, as they are.
+
+    ``check_assumptions`` reports ``minmax_p1``'s value, so its ``minmax``
+    field stands for that function here."""
+    rng = np.random.default_rng(607)
+    for scale, integer, _ in product((1e-2, 0.5, 3.0, 1e2), (False, True), range(3)):
+        game = _random_game(rng, *rng.integers(2, 5, 2), integer)
+        rep, vb = check_assumptions(game), vbar_p1(game)
+        k = rng.uniform(-2, 2)
+        tol = 1e-10 * max(1.0, scale)
+        for u1, u2, expect in (
+            (scale * game.u1 + k, game.u2, lambda v: scale * v + k),
+            (game.u1, scale * game.u2 + k, lambda v: v),
+        ):
+            moved = StageGame(game.actions1, game.actions2, u1, u2)
+            moved_rep = check_assumptions(moved)
+            assert moved_rep.minmax == pytest.approx(expect(rep.minmax), abs=tol)
+            assert vbar_p1(moved) == pytest.approx(expect(vb), abs=tol)
+            assert _flags(moved_rep) == _flags(rep)
+        rows = rng.permutation(len(game.actions1))
+        cols = rng.permutation(len(game.actions2))
+        shuffled = StageGame(
+            tuple(game.actions1[i] for i in rows),
+            tuple(game.actions2[j] for j in cols),
+            game.u1[np.ix_(rows, cols)],
+            game.u2[np.ix_(rows, cols)],
+        )
+        shuffled_rep = check_assumptions(shuffled)
+        assert shuffled_rep.minmax == pytest.approx(rep.minmax, abs=1e-10)
+        assert vbar_p1(shuffled) == pytest.approx(vb, abs=1e-10)
+        # Tied commitments are broken by action order, so the other flags
+        # survive a relabelling only when the commitment is unique.
+        assert shuffled_rep.satisfied == rep.satisfied
+        if rep.a1_unique_stackelberg:
+            assert _flags(shuffled_rep) == _flags(rep)
