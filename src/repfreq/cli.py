@@ -2,12 +2,17 @@
 
 Exit codes: 0 on success, 1 on domain errors (bad files, invalid values,
 numerical failures), 2 on usage errors. Diagnostics go to stderr only.
+
+The argument parser is built on the first call to :func:`dispatch` and reused
+by every later call in the same process; parsing keeps no state in it, so
+each call sees the defaults afresh.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -37,7 +42,9 @@ def _nonneg(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv", "human"], default="json")
     common.add_argument("--tol", type=_nonneg, default=stage.DEFAULT_TOL, help="numeric tolerance")
@@ -305,7 +312,7 @@ def dispatch(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         rendered = _emit(_COMMANDS[args.command](args), args.format)
-    except (ValueError, FileNotFoundError, IsADirectoryError, KeyError, RuntimeError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(rendered)

@@ -4,6 +4,13 @@ Every program solved here has a handful of variables and rows, so a plain
 tableau method with Bland's rule (no cycling) is adequate, dependency-free,
 and reproducible across platforms. Variables are implicitly nonnegative;
 callers split free variables into positive and negative parts.
+
+The dense tableau is updated with whole-array operations: one broadcast update
+per pivot, reduced costs from all basic rows at once, and a ratio test over
+only the rows with a positive entry in the entering column. Bland's rule is
+unchanged, and every entry rounds as in a row-by-row update, so the kernel
+takes the same pivots and returns bitwise the same results as that loop
+(kept as the test reference in ``tests/_reference_linprog.py``).
 """
 
 from __future__ import annotations
@@ -30,41 +37,55 @@ class LPResult:
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    pivot_row = tableau[row] / tableau[row, col]
+    factor = tableau[:, col, None]
+    # Rows with a zero factor are left untouched, as in a row-by-row update.
+    np.subtract(tableau, factor * pivot_row, out=tableau, where=factor != 0.0)
+    tableau[row] = pivot_row
     basis[row] = col
 
 
 def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> str:
     """Minimize cost over the tableau in place. Returns "optimal" or "unbounded"."""
-    m = tableau.shape[0]
+    terms = np.empty((tableau.shape[0] + 1, tableau.shape[1] - 1))
+    terms[0] = cost  # the accumulation below leaves this row as it is
     while True:
-        # Reduced costs of the current basis.
-        z = cost.copy()
-        for r in range(m):
-            if abs(cost[basis[r]]) > 0.0:
-                z -= cost[basis[r]] * tableau[r, :-1]
-        entering = -1
-        for j in range(len(z)):  # Bland: smallest eligible index
-            if z[j] < -_TOL:
-                entering = j
-                break
-        if entering < 0:
+        # Reduced costs of the current basis. The rows are subtracted in order,
+        # so every entry rounds exactly as in a row-by-row update.
+        np.multiply(cost[basis][:, None], tableau[:, :-1], out=terms[1:])
+        z = np.subtract.accumulate(terms, out=terms)[-1]
+        eligible = z < -_TOL
+        entering = int(eligible.argmax())  # Bland: smallest eligible index
+        if not eligible[entering]:
             return "optimal"
+        column = tableau[:, entering]
+        rows = (column > _TOL).nonzero()[0].tolist()
+        if not rows:
+            return "unbounded"
+        col, rhs, var = column.tolist(), tableau[:, -1].tolist(), basis.tolist()
         ratio = np.inf
         leaving = -1
-        for r in range(m):
-            a = tableau[r, entering]
-            if a > _TOL:
-                t = tableau[r, -1] / a
-                if t < ratio - _TOL or (t < ratio + _TOL and (leaving < 0 or basis[r] < basis[leaving])):
-                    ratio = t
-                    leaving = r
-        if leaving < 0:
-            return "unbounded"
+        for r in rows:
+            t = rhs[r] / col[r]
+            if t < ratio - _TOL or (t < ratio + _TOL and (leaving < 0 or var[r] < var[leaving])):
+                ratio = t
+                leaving = r
         _pivot(tableau, basis, leaving, entering)
+
+
+def _constraints(a, b, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """One constraint block as a (rows, n) matrix and its right-hand side."""
+    if a is None and b is None:
+        return np.empty((0, n)), np.empty(0)
+    if a is None or b is None:
+        raise ValueError(f"a_{kind} and b_{kind} must be given together")
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if a.ndim != 2 or a.shape[1] != n:
+        raise ValueError(f"a_{kind} must have rows of length {n}, got shape {a.shape}")
+    if b.shape != (a.shape[0],):
+        raise ValueError(f"b_{kind} must have {a.shape[0]} entries, got shape {b.shape}")
+    return a, b
 
 
 def solve_lp(
@@ -74,53 +95,47 @@ def solve_lp(
     a_eq=None,
     b_eq=None,
 ) -> LPResult:
-    """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @ x == b_eq``, ``x >= 0``."""
+    """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @ x == b_eq``, ``x >= 0``.
+
+    Raises ``ValueError`` when a matrix comes without its right-hand side (or
+    the reverse), when the shapes disagree, or when any entry is not finite.
+    """
     c = np.asarray(c, dtype=float)
+    if c.ndim != 1:
+        raise ValueError(f"c must be a vector, got shape {c.shape}")
     n = c.shape[0]
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    n_ub = 0
-    if a_ub is not None:
-        a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
-        n_ub = a_ub.shape[0]
-        for i in range(n_ub):
-            rows.append(a_ub[i])
-            rhs.append(b_ub[i])
-    if a_eq is not None:
-        a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-        b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-        for i in range(a_eq.shape[0]):
-            rows.append(a_eq[i])
-            rhs.append(b_eq[i])
-    m = len(rows)
+    a_ub, b_ub = _constraints(a_ub, b_ub, n, "ub")
+    a_eq, b_eq = _constraints(a_eq, b_eq, n, "eq")
+    n_ub = a_ub.shape[0]
+    m = n_ub + a_eq.shape[0]
+    k = n + n_ub  # structural and slack columns; the artificials follow
+
+    # Standard form: slacks for the <= rows, then one artificial per row.
+    width = k + m + 1
+    tableau = np.zeros((m, width))
+    tableau[:n_ub, :n] = a_ub
+    tableau[n_ub:, :n] = a_eq
+    tableau[:n_ub, -1] = b_ub
+    tableau[n_ub:, -1] = b_eq
+    if not (np.isfinite(c).all() and np.isfinite(tableau).all()):
+        raise ValueError("LP data must be finite")
     if m == 0:
         # Unconstrained over the nonnegative orthant.
         if np.any(c < -_TOL):
             return LPResult("unbounded")
         return LPResult("optimal", np.zeros(n), 0.0)
+    # Entry (i, j + i) of the tableau is entry j + i * (width + 1) of its flat view.
+    flat = tableau.reshape(-1)
+    flat[n : n_ub * (width + 1) : width + 1] = 1.0  # slack i in row i
+    np.negative(tableau, out=tableau, where=tableau[:, -1:] < 0)  # make b >= 0
+    flat[k :: width + 1] = 1.0  # artificial i in row i
 
-    # Standard form: slacks for the <= rows, then one artificial per row.
-    a = np.zeros((m, n + n_ub + m))
-    b = np.array(rhs, dtype=float)
-    for i, row in enumerate(rows):
-        a[i, :n] = row
-        if i < n_ub:
-            a[i, n + i] = 1.0
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-    for i in range(m):
-        a[i, n + n_ub + i] = 1.0
+    a_std = tableau[:, :k].copy()  # pre-pivot copy for the refinement step
+    b_std = tableau[:, -1].copy()
+    basis = np.arange(k, k + m)
 
-    a_std = a[:, : n + n_ub].copy()  # pre-pivot copy for the refinement step
-    b_std = b.copy()
-
-    tableau = np.hstack([a, b[:, None]])
-    basis = np.array([n + n_ub + i for i in range(m)], dtype=int)
-
-    phase1 = np.zeros(n + n_ub + m)
-    phase1[n + n_ub :] = 1.0
+    phase1 = np.zeros(k + m)
+    phase1[k:] = 1.0
     status = _run_simplex(tableau, basis, phase1)
     if status != "optimal":
         raise RuntimeError(f"phase-1 LP returned {status!r}; it is always bounded below by 0")
@@ -128,28 +143,28 @@ def solve_lp(
         return LPResult("infeasible")
 
     # Drive leftover artificials out of the basis; drop redundant rows.
-    keep = np.ones(m, dtype=bool)
-    for r in range(m):
-        if basis[r] >= n + n_ub:
-            for j in range(n + n_ub):
+    redundant = []
+    for r, var in enumerate(basis.tolist()):
+        if var >= k:
+            for j in range(k):
                 if abs(tableau[r, j]) > _TOL:
                     _pivot(tableau, basis, r, j)
                     break
             else:
-                keep[r] = False
-    tableau = tableau[keep]
-    basis = basis[keep]
-    tableau[:, n + n_ub : -1] = 0.0  # artificials are dead from here on
+                redundant.append(r)
+    if redundant:
+        tableau = np.delete(tableau, redundant, axis=0)
+        basis = np.delete(basis, redundant)
+    tableau[:, k:-1] = 0.0  # artificials are dead from here on
 
-    cost = np.zeros(n + n_ub + m)
+    cost = np.zeros(k + m)
     cost[:n] = c
     status = _run_simplex(tableau, basis, cost)
     if status == "unbounded":
         return LPResult("unbounded")
 
-    x = np.zeros(n + n_ub)
-    for r, col in enumerate(basis):
-        x[col] = tableau[r, -1]
+    x = np.zeros(k)
+    x[basis] = tableau[:, -1]
 
     x = _refine(x, basis, a_std, b_std)
     sol = np.maximum(x[:n], 0.0)

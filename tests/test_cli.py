@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -180,6 +183,39 @@ def test_missing_file_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "concentration", "simulate"])
+def test_os_errors_exit_1_with_one_stderr_line(capsys, tmp_path, command):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    bad = str(not_a_dir / "x")
+    argv = {
+        "analyze": ["analyze", bad],
+        "concentration": ["concentration", "--dist", bad, "--delta", "0.9", "--c", "1", "--reps", "10"],
+        "simulate": [
+            "simulate", str(fixture_path("product_choice")), "--target", "H:0.375,L:0.625",
+            "--delta", "0.999", "--reps", "100", "--out", bad,
+        ],
+    }[command]
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Not a directory" in captured.err
+
+
+def test_permission_error_exits_1(capsys, monkeypatch):
+    def deny(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "load_game_file", deny)
+    code = dispatch(["fstar", "game.json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: [Errno 13] Permission denied: 'game.json'"]
+
+
 def test_invalid_game_exits_1(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"actions1": ["a"], "actions2": ["x", "y"], "u1": [[0, 0]], "u2": [[0, 0]]}')
@@ -225,3 +261,35 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("minmax,") for line in lines)
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    game = str(fixture_path("product_choice"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    fresh: dict[tuple[str, ...], str] = {}
+
+    def check(*argv) -> str:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        if argv not in fresh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repfreq.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            fresh[argv] = proc.stdout
+        assert out == fresh[argv]
+        return out
+
+    check("fstar", game, "--equality", "--tol", "1e-6", "--format", "human", "--method", "prop1")
+    check("fstar", game, "--equality")
+    doc = json.loads(check("fstar", game))
+    assert doc["equality"] is False
+    assert doc["method"] == "lp"
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["fstar", game, "--method", "simplex"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert check("fstar", game) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    json.loads(check("analyze", game))

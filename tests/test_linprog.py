@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from repfreq import linprog
 from repfreq.linprog import solve_lp
+
+from . import _reference_linprog
 
 
 def test_simple_bounded():
@@ -59,6 +62,31 @@ def test_redundant_rows():
     assert res.value == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"c": [np.nan, 1.0], "a_ub": [[1.0, 1.0]], "b_ub": [1.0]},
+        {"c": [-1.0, -1.0], "a_ub": [[1.0, np.nan]], "b_ub": [1.0]},
+        {"c": [-1.0, -1.0], "a_ub": [[1.0, 1.0]], "b_ub": [np.inf]},
+        {"c": [-1.0, -1.0], "a_eq": [[1.0, 1.0]], "b_eq": [-np.inf]},
+        {"c": [-1.0, -1.0], "a_ub": [[1.0, 1.0]], "b_ub": [1.0, 2.0]},
+        {"c": [-1.0, -1.0], "a_eq": [[1.0, 1.0], [1.0, 0.0]], "b_eq": [1.0]},
+        {"c": [-1.0, -1.0], "a_ub": [[1.0, 1.0]]},
+        {"c": [-1.0, -1.0], "a_eq": [[1.0, 1.0]]},
+        {"c": [-1.0, -1.0], "b_ub": [1.0]},
+        {"c": [-1.0, -1.0], "a_ub": [[1.0, 1.0, 1.0]], "b_ub": [1.0]},
+        {"c": [-1.0, -1.0], "a_eq": [[1.0]], "b_eq": [1.0]},
+    ],
+    ids=[
+        "nan-cost", "nan-row", "inf-rhs", "inf-eq-rhs", "long-rhs", "short-eq-rhs",
+        "a_ub-without-b_ub", "a_eq-without-b_eq", "b_ub-without-a_ub", "long-row", "short-eq-row",
+    ],
+)
+def test_malformed_input_raises_value_error(kwargs):
+    with pytest.raises(ValueError):
+        solve_lp(**kwargs)
+
+
 def _random_instance(rng, n, m_ub, m_eq):
     c = rng.uniform(-1, 1, n)
     a_ub = rng.uniform(-1, 1, (m_ub, n))
@@ -103,3 +131,80 @@ def test_infeasible_instances_agree_with_scipy(trial):
     # a @ x <= -1 and -a @ x <= -1 cannot both hold.
     ours = solve_lp(np.zeros(n), a_ub=np.vstack([a, -a]), b_ub=np.array([-1.0, -1.0]))
     assert ours.status == "infeasible"
+
+
+def _fuzz_instance(kind, rng):
+    n = int(rng.integers(2, 7))
+    if kind == "float":
+        m_ub, m_eq = int(rng.integers(1, 6)), int(rng.integers(0, 3))
+        c, a_ub, b_ub, a_eq, b_eq = _random_instance(rng, n, m_ub, m_eq)
+        # Some right-hand sides negative, so rows are flipped in standard form.
+        b_ub = b_ub - rng.uniform(0, 1, m_ub) * (rng.random(m_ub) < 0.3)
+        return c, a_ub, b_ub, a_eq, b_eq
+    if kind == "degenerate":
+        # Small integers with mostly zero right-hand sides: many ratio ties.
+        m_ub, m_eq = int(rng.integers(2, 7)), int(rng.integers(0, 2))
+        c = rng.integers(-2, 3, n).astype(float)
+        a_ub = rng.integers(-2, 3, (m_ub, n)).astype(float)
+        b_ub = rng.integers(0, 3, m_ub).astype(float) * (rng.random(m_ub) < 0.4)
+        if m_eq == 0:
+            return c, a_ub, b_ub, None, None
+        return c, a_ub, b_ub, np.ones((1, n)), np.ones(1)
+    if kind == "equality":
+        m_eq = int(rng.integers(1, n + 1))
+        a_eq = rng.integers(-3, 4, (m_eq, n)).astype(float)
+        b_eq = a_eq @ rng.integers(0, 3, n).astype(float)
+        return rng.uniform(-1, 1, n), None, None, a_eq, b_eq
+    if kind == "redundant":
+        c, a_ub, b_ub, a_eq, b_eq = _random_instance(rng, n, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+        # Append multiples and sums of the equality rows.
+        weights = rng.integers(-2, 3, (int(rng.integers(1, 3)), a_eq.shape[0])).astype(float)
+        return c, a_ub, b_ub, np.vstack([a_eq, weights @ a_eq]), np.r_[b_eq, weights @ b_eq]
+    if kind == "infeasible":
+        # Random rows, plus sum(x) == 1 against sum(x) <= 1 - gap.
+        c, a_ub, b_ub, _, _ = _random_instance(rng, n, int(rng.integers(1, 4)), 0)
+        a_ub = np.vstack([a_ub, np.ones(n)])
+        return c, a_ub, np.r_[b_ub, 1.0 - rng.uniform(0.1, 0.5)], np.ones((1, n)), np.ones(1)
+    # Unbounded: every cost negative, and the rows never bound the first variable.
+    a_ub = rng.uniform(0, 1, (int(rng.integers(1, 4)), n))
+    a_ub[:, 0] = -rng.uniform(0, 1, a_ub.shape[0])
+    return -rng.uniform(0.1, 1, n), a_ub, rng.uniform(0, 1, a_ub.shape[0]), None, None
+
+
+def _record_pivots(monkeypatch, module) -> list[tuple[int, int]]:
+    pivots = []
+    inner = module._pivot
+
+    def pivot(tableau, basis, row, col):
+        pivots.append((int(row), int(col)))
+        inner(tableau, basis, row, col)
+
+    monkeypatch.setattr(module, "_pivot", pivot)
+    return pivots
+
+
+FUZZ_KINDS = ["float", "degenerate", "equality", "redundant", "infeasible", "unbounded"]
+
+
+@pytest.mark.parametrize("kind", FUZZ_KINDS)
+def test_kernel_matches_row_loop_reference_bitwise(kind, monkeypatch):
+    """Same pivots, status, x and value as the row loop, compared bit for bit."""
+    ours_pivots = _record_pivots(monkeypatch, linprog)
+    ref_pivots = _record_pivots(monkeypatch, _reference_linprog)
+    rng = np.random.default_rng(77 + FUZZ_KINDS.index(kind))
+    statuses = set()
+    for _ in range(300):
+        args = _fuzz_instance(kind, rng)
+        ours_pivots.clear()
+        ref_pivots.clear()
+        ours = solve_lp(*args)
+        ref = _reference_linprog.solve_lp(*args)
+        assert ours_pivots == ref_pivots
+        assert ours.status == ref.status
+        statuses.add(ours.status)
+        if ref.optimal:
+            assert ours.x.tobytes() == ref.x.tobytes()
+            assert np.float64(ours.value).tobytes() == np.float64(ref.value).tobytes()
+        else:
+            assert ours.x is None and ours.value is None
+    assert kind not in ("infeasible", "unbounded") or statuses == {kind}
