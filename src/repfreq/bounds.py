@@ -10,6 +10,11 @@ unchanged. Only two constraints couple the blocks (total mass one and the
 payoff floor), so a basic optimum has at most two nonzero blocks --
 Caratheodory in the (frequency, payoff) plane -- and the LP value is the
 two-point program's value.
+
+The finite-candidate variant is the same program with other columns: one
+weight per vertex of each candidate (indifference pieces and the lowest-action
+pair), no cone rows, and a candidate's block is its weighted vertex sum. Both
+routes share one LP builder and one witness rule.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .game import MixedAction, StageGame
 from .linprog import solve_lp
 from .stage import (
     DEFAULT_TOL,
+    _pure_best_replies_p1,
     _stacked_reply_blocks,
     best_replies_p2,
     is_monotone_supermodular,
@@ -37,11 +43,12 @@ class FreqBound:
     """Value of the minimal-frequency program plus the optimizing witness.
 
     The witness mixes (alpha1, b1) with weight q and (alpha2, b2) with weight
-    1-q. A component that carries no weight is reported as a canonical
-    reply-consistent placeholder and flagged. The exact LP reports its nonzero
-    reply blocks in reply order; when only one block has mass, q is 1, that
-    reply is b1, and the placeholder is the second component with
-    ``placeholder2`` set.
+    1-q. Both methods report their nonzero blocks in block order (reply order
+    for the exact LP, candidate order for prop1). When only one block has
+    mass, q is 1, that block is the first component, and the second is a
+    canonical reply-consistent placeholder with ``placeholder2`` set. The
+    first component always carries weight, so ``placeholder1`` is always
+    false; the field stays for the output schema.
     """
 
     value: float
@@ -89,6 +96,56 @@ def _clamp_unit(value: float, tol: float = 1e-9) -> float:
     return value
 
 
+def _solve_freq_lp(c, pay, cone, target: float, equality: bool):
+    """Minimize ``c @ x`` over x >= 0 with total mass one, ``cone @ x <= 0``
+    and the payoff ``pay @ x`` at least (or, with ``equality``, exactly)
+    ``target``."""
+    mass = np.ones((1, len(c)))
+    if equality:
+        res = solve_lp(c, a_ub=cone, b_ub=np.zeros(len(cone)), a_eq=np.vstack([mass, pay]), b_eq=[1.0, target])
+    else:
+        b_ub = np.zeros(len(cone) + 1)
+        b_ub[-1] = -target
+        res = solve_lp(c, a_ub=np.vstack([cone, -pay]), b_ub=b_ub, a_eq=mass, b_eq=[1.0])
+    if not res.optimal:
+        raise RuntimeError("frequency program infeasible; the Stackelberg point always qualifies")
+    return res
+
+
+def _freq_bound(
+    game: StageGame, value, blocks, replies, method: str, tol: float, epsilon=0.0, equality=False
+) -> FreqBound:
+    """The witness of a frequency LP optimum from its blocks: row j of
+    ``blocks`` is mass_j * alpha_j, paired with reply ``replies[j]``."""
+    masses = blocks.sum(axis=1)
+    live = np.flatnonzero(masses > 1e-9)  # below is rounding dust at a degenerate vertex
+    if not 1 <= len(live) <= 2:
+        raise RuntimeError(f"frequency LP returned {len(live)} nonzero reply blocks; a basic optimum has one or two")
+    components = [
+        (float(masses[j]), MixedAction.from_vector(game.actions1, blocks[j] / masses[j], tol=1e-7), replies[j])
+        for j in live
+    ]
+    if len(components) == 1:
+        q = 1.0
+        ((_, alpha1, b1),) = components
+        alpha2, b2 = _placeholder_component(game, tol)
+    else:
+        (m1, alpha1, b1), (m2, alpha2, b2) = components
+        q = m1 / (m1 + m2)
+    return FreqBound(
+        value=_clamp_unit(float(value)),
+        q=q,
+        alpha1=alpha1,
+        b1=b1,
+        alpha2=alpha2,
+        b2=b2,
+        method=method,
+        epsilon=epsilon,
+        equality=equality,
+        placeholder2=len(components) == 1,
+    )
+
+
 def min_stackelberg_freq(
     game: StageGame,
     epsilon: float = 0.0,
@@ -105,49 +162,12 @@ def min_stackelberg_freq(
     stack = _require_unique_stackelberg(game, tol)
     n_a = len(game.actions1)
     n_b = len(game.actions2)
-    target = stack.v_star - epsilon
-
     cone, pay = _stacked_reply_blocks(game)
     c = np.zeros(n_a * n_b)
     c[game.a_index(stack.a_star) :: n_a] = 1.0
-    mass = np.ones((1, n_a * n_b))
-    if equality:
-        res = solve_lp(c, a_ub=cone, b_ub=np.zeros(len(cone)), a_eq=np.vstack([mass, pay]), b_eq=[1.0, target])
-    else:
-        b_ub = np.zeros(len(cone) + 1)
-        b_ub[-1] = -target
-        res = solve_lp(c, a_ub=np.vstack([cone, -pay]), b_ub=b_ub, a_eq=mass, b_eq=[1.0])
-    if not res.optimal:
-        raise RuntimeError("frequency program infeasible; the Stackelberg point always qualifies")
-
+    res = _solve_freq_lp(c, pay, cone, stack.v_star - epsilon, equality)
     blocks = res.x.reshape(n_b, n_a)
-    masses = blocks.sum(axis=1)
-    live = np.flatnonzero(masses > 1e-9)  # below is rounding dust at a degenerate vertex
-    if not 1 <= len(live) <= 2:
-        raise RuntimeError(f"frequency LP returned {len(live)} nonzero reply blocks; a basic optimum has one or two")
-    components = [
-        (float(masses[j]), MixedAction.from_vector(game.actions1, blocks[j] / masses[j], tol=1e-7), game.actions2[j])
-        for j in live
-    ]
-    if len(components) == 1:
-        q = 1.0
-        ((_, alpha1, b1),) = components
-        alpha2, b2 = _placeholder_component(game, tol)
-    else:
-        (m1, alpha1, b1), (m2, alpha2, b2) = components
-        q = m1 / (m1 + m2)
-    return FreqBound(
-        value=_clamp_unit(float(res.value)),
-        q=q,
-        alpha1=alpha1,
-        b1=b1,
-        alpha2=alpha2,
-        b2=b2,
-        method="lp",
-        epsilon=epsilon,
-        equality=equality,
-        placeholder2=len(components) == 1,
-    )
+    return _freq_bound(game, res.value, blocks, game.actions2, "lp", tol, epsilon, equality)
 
 
 def indifference_pieces(game: StageGame, tol: float = DEFAULT_TOL) -> list[IndifferencePiece]:
@@ -203,63 +223,27 @@ def min_stackelberg_freq_finite(game: StageGame, tol: float = DEFAULT_TOL) -> Fr
     """Same value as :func:`min_stackelberg_freq`, optimizing only over the
     indifference pieces plus the lowest-action pair.
 
-    Valid when the game is monotone under the supplied orders; each piece
-    enters the pair LP through the conic hull of its vertices.
+    Valid when the game is monotone under the supplied orders and the
+    commitment action is not a stage best reply to its reply. The program is
+    the exact route's block LP with one column per candidate vertex in place
+    of the reply cones; a candidate's block is its weighted vertex sum.
     """
     if not is_monotone_supermodular(game, tol):
         raise ValueError("game is not monotone-supermodular under the supplied orders")
     stack = _require_unique_stackelberg(game, tol)
-    i_star = game.a_index(stack.a_star)
+    if stack.a_star in _pure_best_replies_p1(game, stack.b_star, tol):
+        raise ValueError("the finite-candidate program needs a commitment action that is not a best reply to its reply")
 
     a_low, b_low = lowest_pair(game, tol)
-    candidates: list[tuple[np.ndarray, str]] = [
-        (piece.vertices, piece.b) for piece in indifference_pieces(game, tol)
-    ]
-    low_vec = MixedAction.delta(a_low).as_vector(game.actions1)
-    candidates.append((low_vec[None, :], b_low))
-
-    best_value = np.inf
-    best: tuple | None = None
-    for v1, b1 in candidates:
-        for v2, b2 in candidates:
-            k1, k2 = len(v1), len(v2)
-            pay1 = v1 @ game.u1[:, game.b_index(b1)]
-            pay2 = v2 @ game.u1[:, game.b_index(b2)]
-            c = np.concatenate([v1[:, i_star], v2[:, i_star]])
-            a_eq = np.ones((1, k1 + k2))
-            a_ub = -np.concatenate([pay1, pay2])[None, :]
-            b_ub = np.array([-stack.v_star])
-            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.ones(1))
-            if res.optimal and res.value < best_value - 1e-12:
-                best_value = res.value
-                best = (res.x.copy(), v1, b1, v2, b2)
-    if best is None:
-        raise RuntimeError("finite candidate program infeasible")
-
-    lam, v1, b1, v2, b2 = best
-    k1 = len(v1)
-    q = _clamp_unit(float(lam[:k1].sum()))
-    placeholder1 = q <= 1e-12
-    placeholder2 = 1.0 - q <= 1e-12
-    if placeholder1:
-        alpha1, b1 = _placeholder_component(game, tol)
-    else:
-        alpha1 = MixedAction.from_vector(game.actions1, lam[:k1] @ v1 / q, tol=1e-7)
-    if placeholder2:
-        alpha2, b2 = _placeholder_component(game, tol)
-    else:
-        alpha2 = MixedAction.from_vector(game.actions1, lam[k1:] @ v2 / (1.0 - q), tol=1e-7)
-    return FreqBound(
-        value=_clamp_unit(float(best_value)),
-        q=q,
-        alpha1=alpha1,
-        b1=b1,
-        alpha2=alpha2,
-        b2=b2,
-        method="prop1",
-        placeholder1=placeholder1,
-        placeholder2=placeholder2,
-    )
+    candidates = [(piece.vertices, piece.b) for piece in indifference_pieces(game, tol)]
+    candidates.append((MixedAction.delta(a_low).as_vector(game.actions1)[None, :], b_low))
+    vertices = np.vstack([v for v, _ in candidates])
+    pay = np.concatenate([v @ game.u1[:, game.b_index(b)] for v, b in candidates])
+    c = vertices[:, game.a_index(stack.a_star)]
+    res = _solve_freq_lp(c, pay, np.empty((0, len(c))), stack.v_star, equality=False)
+    starts = np.cumsum([0] + [len(v) for v, _ in candidates[:-1]])
+    blocks = np.add.reduceat(res.x[:, None] * vertices, starts, axis=0)
+    return _freq_bound(game, res.value, blocks, [b for _, b in candidates], "prop1", tol)
 
 
 def min_freq_grid(game: StageGame, resolution: int, br_tol: float = DEFAULT_TOL) -> float:

@@ -45,10 +45,12 @@ def _nonneg(text: str) -> float:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "csv", "human"], default="json")
-    common.add_argument("--tol", type=_nonneg, default=stage.DEFAULT_TOL, help="numeric tolerance")
-    common.add_argument("--seed", type=int, default=0)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["json", "csv", "human"], default="json")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_nonneg, default=stage.DEFAULT_TOL, help="numeric tolerance")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
     parser = argparse.ArgumentParser(
         prog="repfreq",
         description="Equilibrium action-frequency bounds for reputation games.",
@@ -56,23 +58,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "analyze", parents=[common], help="stage-game report: assumptions, commitment point, payoff bounds"
+        "analyze", parents=[fmt, tol], help="stage-game report: assumptions, commitment point, payoff bounds"
     )
     p.add_argument("game", help="path to a game JSON file")
 
-    p = sub.add_parser("fstar", parents=[common], help="minimal commitment-action frequency")
+    p = sub.add_parser("fstar", parents=[fmt, tol], help="minimal commitment-action frequency")
     p.add_argument("game")
     p.add_argument("--epsilon", type=_nonneg, default=0.0)
     p.add_argument("--equality", action="store_true")
     p.add_argument("--method", choices=["lp", "prop1", "grid"], default="lp")
     p.add_argument("--resolution", type=_positive_int, default=50)
 
-    p = sub.add_parser("in-set-a", parents=[common], help="attainability of a target action distribution")
+    p = sub.add_parser("in-set-a", parents=[fmt, tol], help="attainability of a target action distribution")
     p.add_argument("game")
     p.add_argument("--alpha", required=True, help="target as label:prob,label:prob")
     p.add_argument("--epsilon", type=_nonneg, default=0.0)
 
-    p = sub.add_parser("simulate", parents=[common], help="simulate the constructed equilibrium")
+    p = sub.add_parser("simulate", parents=[fmt, tol, seed], help="simulate the constructed equilibrium")
     p.add_argument("game")
     p.add_argument("--target", required=True, help="target as label:prob,label:prob")
     p.add_argument("--delta", type=_unit_open, required=True)
@@ -82,30 +84,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", type=_unit_open, default=0.5, help="prior on the commitment type (recorded only)")
     p.add_argument("--out", help="write per-action estimates as CSV to this path")
 
-    p = sub.add_parser("concentration", parents=[common], help="tail bound for discounted sums, analytic and Monte Carlo")
+    p = sub.add_parser(
+        "concentration", parents=[fmt, seed], help="tail bound for discounted sums, analytic and Monte Carlo"
+    )
     p.add_argument("--dist", required=True, help="JSON file: array of {value, prob}")
     p.add_argument("--delta", type=_unit_open, required=True)
     p.add_argument("--c", type=_nonneg, required=True)
     p.add_argument("--reps", type=_positive_int, required=True)
     p.add_argument("--horizon", type=_positive_int, default=None)
 
-    p = sub.add_parser("app", parents=[common], help="closed-form applications versus the LP value")
+    p = sub.add_parser("app", help="closed-form applications versus the LP value")
     app_sub = p.add_subparsers(dest="variant", required=True)
-    q = app_sub.add_parser("product-choice", parents=[common])
+    q = app_sub.add_parser("product-choice", parents=[fmt, tol])
     q.add_argument("--gamma", type=_unit_open, required=True)
     q.add_argument("--ch", type=_unit_open, required=True)
     q.add_argument("--cl", type=_unit_open, required=True)
-    q = app_sub.add_parser("product3", parents=[common])
+    q = app_sub.add_parser("product3", parents=[fmt, tol])
     q.add_argument("--g1", type=_unit_open, required=True)
     q.add_argument("--g2", type=_unit_open, required=True)
     q.add_argument("--p", type=_unit_open, required=True)
     q.add_argument("--c", type=_unit_open, required=True)
-    q = app_sub.add_parser("entry", parents=[common])
+    q = app_sub.add_parser("entry", parents=[fmt, tol])
     q.add_argument("--gamma", type=_unit_open, required=True)
     q.add_argument("--co", type=_unit_open, required=True)
     q.add_argument("--ci", type=float, required=True)
     q.add_argument("--subsidy", type=_nonneg, default=0.0)
-    q = app_sub.add_parser("fiscal", parents=[common])
+    q = app_sub.add_parser("fiscal", parents=[fmt, tol])
     q.add_argument("--tau", type=_unit_open, required=True)
     q.add_argument("--c", type=_unit_open, required=True)
     return parser
@@ -187,7 +191,7 @@ def _cmd_simulate(args) -> dict:
     game = load_game_file(args.game)
     target = parse_mixed_action(args.target)
     params = simulate.derive_params(
-        game, target, args.eps1, args.delta, z2_variant=args.z2_variant, pi=args.pi
+        game, target, args.eps1, args.delta, z2_variant=args.z2_variant, pi=args.pi, tol=args.tol
     )
     outcome = simulate.estimate_frequencies(game, params, args.delta, args.reps, args.seed)
     incentives = simulate.check_incentives(game, params, args.delta)
@@ -264,7 +268,7 @@ def _cmd_app(args) -> dict:
         params = apps.FiscalPolicyParams(tax=args.tau, cost=args.c)
     closed = apps.closed_form_min_freq(params)
     game = apps.build_stage_game(params)
-    lp_value = bounds.min_stackelberg_freq(game).value
+    lp_value = bounds.min_stackelberg_freq(game, tol=args.tol).value
     out = {
         "variant": args.variant,
         "closed_form": closed,

@@ -60,7 +60,6 @@ class SimParams:
     z2: FiniteDist | None = None
     z2_variant: str = "drift"
     drift_target: float = 0.0
-    mean_witness_payoff: float = 0.0
     delta_bar: float = 0.0
     delta_bar_theory: float = 0.0
     m_bar: float = 0.0
@@ -287,7 +286,6 @@ def derive_params(
         z2=z2,
         z2_variant=z2_variant,
         drift_target=drift_target,
-        mean_witness_payoff=mean_witness_payoff,
         delta_bar=delta_bar,
         delta_bar_theory=delta_bar_theory,
         m_bar=m_bar,

@@ -13,7 +13,7 @@ from repfreq.bounds import (
 )
 from repfreq.game import MixedAction, StageGame, expected_payoffs
 from repfreq.linprog import LPResult, solve_lp
-from repfreq.stage import best_replies_p2, stackelberg
+from repfreq.stage import best_replies_p2, check_assumptions, is_monotone_supermodular, stackelberg
 from .conftest import TWO_BY_TWO, UNIQUE_GAMES, load_fixture, random_assumption_games
 
 
@@ -127,6 +127,87 @@ def test_finite_variant_rejects_non_monotone(fiscal_policy):
     # The expropriation game has a payoff tie when the citizen stays out.
     with pytest.raises(ValueError, match="monotone"):
         min_stackelberg_freq_finite(fiscal_policy)
+
+
+def test_finite_variant_rejects_commitment_best_reply():
+    # Monotone with a unique commitment point, but a0 is player 1's best reply
+    # to b0; the candidates would give 0.6 where the exact value is 0.25.
+    game = StageGame(
+        ("a0", "a1"),
+        ("b0", "b1"),
+        u1=np.array([[0.4, -0.8], [0.6, 0.45]]),
+        u2=np.array([[0.25, -0.95], [-0.6, 0.2]]),
+        order1=("a0", "a1"),
+        order2=("b0", "b1"),
+    )
+    assert min_stackelberg_freq(game).value == pytest.approx(0.25, abs=1e-12)
+    with pytest.raises(ValueError, match="not a best reply"):
+        min_stackelberg_freq_finite(game)
+
+
+@cache
+def _prop1_games() -> list[StageGame]:
+    """The monotone fixtures plus random 2- and 3-action games that are
+    monotone-supermodular under a0 > a1 > ... and b0 > b1 > ... and meet
+    prop1's hypothesis; half have payoffs on a quarter grid, which gives
+    degenerate ties."""
+    out = [load_fixture(name) for name in ("product_choice", "product_choice_three", "entry_deterrence")]
+    rng = np.random.default_rng(9)
+    while len(out) < 153:
+        size = int(rng.integers(2, 4))
+        y = np.sort(rng.uniform(0, 1, size))[::-1]
+        x = np.sort(rng.uniform(0, 1, size))[::-1]
+        u1 = np.sort(rng.uniform(-1, 1, (size, size)), axis=0) + y
+        u2 = rng.uniform(-1, 1, (size, size)) + 2 * np.outer(x, y)
+        if rng.random() < 0.5:
+            u1, u2 = np.round(u1 * 4) / 4, np.round(u2 * 4) / 4
+        labels1 = tuple(f"a{i}" for i in range(size))
+        labels2 = tuple(f"b{j}" for j in range(size))
+        game = StageGame(labels1, labels2, u1, u2, order1=labels1, order2=labels2)
+        if not is_monotone_supermodular(game):
+            continue
+        report = check_assumptions(game)
+        if report.a1_unique_stackelberg and report.a1_unique_reply and report.a2_not_best_reply:
+            out.append(game)
+    return out
+
+
+def test_finite_variant_is_one_lp_with_a_valid_witness(monkeypatch):
+    solutions = []
+
+    def recording_solve_lp(*args, **kwargs):
+        res = solve_lp(*args, **kwargs)
+        solutions.append(res.x)
+        return res
+
+    monkeypatch.setattr(bounds, "solve_lp", recording_solve_lp)
+    single = spread = 0
+    for n, game in enumerate(_prop1_games()):
+        stack = stackelberg(game)
+        fb = min_stackelberg_freq_finite(game)
+        (x,) = solutions
+        solutions.clear()
+        assert fb.value == pytest.approx(min_stackelberg_freq(game).value, abs=1e-12), n
+        solutions.clear()
+        assert fb.b1 in best_replies_p2(game, fb.alpha1, tol=1e-7), n
+        assert fb.b2 in best_replies_p2(game, fb.alpha2, tol=1e-7), n
+        freq = fb.q * fb.alpha1.prob(stack.a_star) + (1 - fb.q) * fb.alpha2.prob(stack.a_star)
+        assert freq == pytest.approx(fb.value, abs=1e-9), n
+        assert _witness_payoff(game, fb) >= stack.v_star - 1e-9, n
+        # Weights per candidate, in the order the finite program lists them.
+        sizes = [len(piece.vertices) for piece in indifference_pieces(game)] + [1]
+        starts = np.cumsum([0] + sizes[:-1])
+        live = np.flatnonzero(np.add.reduceat(x, starts) > 1e-9)
+        assert 1 <= len(live) <= 2, n
+        assert not fb.placeholder1, n
+        assert fb.placeholder2 == (len(live) == 1), n
+        if len(live) == 1:
+            single += 1
+            assert fb.q == 1.0, n
+        spread += sum(np.count_nonzero(x[starts[j] : starts[j] + sizes[j]] > 1e-9) > 1 for j in live)
+    # The sample holds single-candidate optima and candidates weighted on
+    # more than one vertex, so both parts of the witness rule are exercised.
+    assert single > 0 and spread > 0
 
 
 def test_indifference_pieces_product_choice(product_choice):

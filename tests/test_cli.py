@@ -178,6 +178,78 @@ def test_non_finite_or_negative_numbers_are_usage_errors(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+APP_PRODUCT_CHOICE = ["product-choice", "--gamma", "0.5", "--ch", "0.4", "--cl", "0.2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "GAME", "--seed", "1"],
+        ["fstar", "GAME", "--seed", "1"],
+        ["in-set-a", "GAME", "--alpha", "H:1", "--seed", "1"],
+        ["concentration", "--dist", str(DIST_FILE), "--delta", "0.9", "--c", "1", "--reps", "10", "--tol", "1e-6"],
+        ["app", "--format", "csv", *APP_PRODUCT_CHOICE],
+    ],
+)
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    argv = [str(fixture_path("product_choice")) if arg == "GAME" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_app_variant_takes_format(capsys):
+    code, out = run_cli(capsys, "app", *APP_PRODUCT_CHOICE, "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "key,value"
+    assert any(line.startswith("lp_value,") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            [
+                "simulate", str(fixture_path("product_choice")), "--target", "H:0.375,L:0.625",
+                "--delta", "0.999", "--reps", "100", "--tol", "0.5",
+            ],
+            "requires a unique commitment action and reply",
+        ),
+        (["app", *APP_PRODUCT_CHOICE, "--tol", "0.5"], "multiple optimal commitment actions"),
+    ],
+)
+def test_simulate_and_app_read_tol(capsys, argv, message):
+    # At a tolerance of 0.5 the product-choice commitment point is no longer unique.
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_prop1_outside_its_hypothesis_exits_1(capsys, tmp_path):
+    game = tmp_path / "best_reply.json"
+    game.write_text(
+        json.dumps(
+            {
+                "actions1": ["a0", "a1"],
+                "actions2": ["b0", "b1"],
+                "u1": [[0.4, -0.8], [0.6, 0.45]],
+                "u2": [[0.25, -0.95], [-0.6, 0.2]],
+                "order1": ["a0", "a1"],
+                "order2": ["b0", "b1"],
+            }
+        )
+    )
+    code = dispatch(["fstar", str(game), "--method", "prop1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "not a best reply" in captured.err
+
+
 def test_missing_file_exits_1(capsys):
     code, _ = run_cli(capsys, "fstar", "/no/such/game.json")
     assert code == 1
