@@ -15,7 +15,7 @@ import numpy as np
 
 from .game import MixedAction, StageGame
 from .linprog import solve_lp
-from .stage import DEFAULT_TOL, _stacked_reply_blocks, stackelberg
+from .stage import DEFAULT_TOL, _live_blocks, _stacked_reply_blocks, stackelberg
 
 # Feasibility slack absorbing LP rounding in the exact-payoff constraint;
 # kept well inside the 1e-9 tolerances used by callers.
@@ -80,18 +80,12 @@ def decompose_target(
     if not res.optimal:
         return None
 
-    kept: dict[str, tuple[float, np.ndarray]] = {}
-    for j, b in enumerate(game.actions2):
-        block = res.x[j * n_a : (j + 1) * n_a]
-        mass = float(block.sum())
-        if mass <= 1e-9:  # numerical dust, not a real component
-            continue
-        kept[b] = (mass, block)
-    total_mass = sum(mass for mass, _ in kept.values())
+    blocks = res.x.reshape(n_b, n_a)
+    live = _live_blocks(game, blocks)
+    total_mass = sum(mass for _, mass, _ in live)
     weights: dict[str, tuple[float, MixedAction]] = {}
     total_pay = 0.0
-    for b, (mass, block) in kept.items():
-        alpha = MixedAction.from_vector(game.actions1, block / mass, tol=1e-7)
-        weights[b] = (mass / total_mass, alpha)
-        total_pay += float(block @ game.u1[:, game.b_index(b)]) / total_mass
+    for j, mass, alpha in live:
+        weights[game.actions2[j]] = (mass / total_mass, alpha)
+        total_pay += float(blocks[j] @ game.u1[:, j]) / total_mass
     return TargetDecomposition(weights=weights, target=target, payoff=total_pay)

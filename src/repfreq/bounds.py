@@ -29,9 +29,10 @@ from .game import MixedAction, StageGame
 from .linprog import solve_lp
 from .stage import (
     DEFAULT_TOL,
+    _best,
+    _live_blocks,
     _pure_best_replies_p1,
     _stacked_reply_blocks,
-    best_replies_p2,
     is_monotone_supermodular,
     lowest_pair,
     stackelberg,
@@ -83,9 +84,7 @@ def _require_unique_stackelberg(game: StageGame, tol: float):
 
 
 def _placeholder_component(game: StageGame, tol: float) -> tuple[MixedAction, str]:
-    a = game.actions1[0]
-    b = best_replies_p2(game, MixedAction.delta(a), tol)[0]
-    return MixedAction.delta(a), b
+    return MixedAction.delta(game.actions1[0]), game.actions2[_best(game.u2[0], tol)[0]]
 
 
 def _clamp_unit(value: float, tol: float = 1e-9) -> float:
@@ -117,32 +116,28 @@ def _freq_bound(
 ) -> FreqBound:
     """The witness of a frequency LP optimum from its blocks: row j of
     ``blocks`` is mass_j * alpha_j, paired with reply ``replies[j]``."""
-    masses = blocks.sum(axis=1)
-    live = np.flatnonzero(masses > 1e-9)  # below is rounding dust at a degenerate vertex
+    live = _live_blocks(game, blocks)
     if not 1 <= len(live) <= 2:
         raise RuntimeError(f"frequency LP returned {len(live)} nonzero reply blocks; a basic optimum has one or two")
-    components = [
-        (float(masses[j]), MixedAction.from_vector(game.actions1, blocks[j] / masses[j], tol=1e-7), replies[j])
-        for j in live
-    ]
-    if len(components) == 1:
+    if len(live) == 1:
         q = 1.0
-        ((_, alpha1, b1),) = components
+        ((j1, _, alpha1),) = live
         alpha2, b2 = _placeholder_component(game, tol)
     else:
-        (m1, alpha1, b1), (m2, alpha2, b2) = components
+        (j1, m1, alpha1), (j2, m2, alpha2) = live
+        b2 = replies[j2]
         q = m1 / (m1 + m2)
     return FreqBound(
         value=_clamp_unit(float(value)),
         q=q,
         alpha1=alpha1,
-        b1=b1,
+        b1=replies[j1],
         alpha2=alpha2,
         b2=b2,
         method=method,
         epsilon=epsilon,
         equality=equality,
-        placeholder2=len(components) == 1,
+        placeholder2=len(live) == 1,
     )
 
 
@@ -266,13 +261,9 @@ def min_freq_grid(game: StageGame, resolution: int, br_tol: float = DEFAULT_TOL)
     pay_list: list[float] = []
     for counts in _compositions(resolution, n_a):
         vec = np.array(counts, dtype=float) / resolution
-        alpha = MixedAction.from_vector(game.actions1, vec)
-        u2_vals = vec @ game.u2
-        top = u2_vals.max()
-        for j in range(len(game.actions2)):
-            if u2_vals[j] >= top - br_tol:
-                freq_list.append(vec[i_star])
-                pay_list.append(float(vec @ game.u1[:, j]))
+        for j in _best(vec @ game.u2, br_tol):
+            freq_list.append(vec[i_star])
+            pay_list.append(float(vec @ game.u1[:, j]))
     freq = np.array(freq_list)
     pay = np.array(pay_list)
 

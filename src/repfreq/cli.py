@@ -21,11 +21,14 @@ from . import apps, attain, bounds, concentration, simulate, stage
 from .game import MixedAction, load_game_file, parse_mixed_action
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text}")
+        return value
+
+    return integer
 
 
 def _unit_open(text: str) -> float:
@@ -67,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=_nonneg, default=0.0)
     p.add_argument("--equality", action="store_true")
     p.add_argument("--method", choices=["lp", "prop1", "grid"], default="lp")
-    p.add_argument("--resolution", type=_positive_int, default=50)
+    p.add_argument("--resolution", type=_int_at_least(1), default=50)
 
     p = sub.add_parser("in-set-a", parents=[fmt, tol], help="attainability of a target action distribution")
     p.add_argument("game")
@@ -79,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="target as label:prob,label:prob")
     p.add_argument("--delta", type=_unit_open, required=True)
     p.add_argument("--eps1", type=_unit_open, default=0.01)
-    p.add_argument("--reps", type=_positive_int, default=2000)
+    p.add_argument("--reps", type=_int_at_least(simulate.MIN_REPS), default=2000)
     p.add_argument("--z2-variant", choices=["drift", "literal"], default="drift")
     p.add_argument("--pi", type=_unit_open, default=0.5, help="prior on the commitment type (recorded only)")
     p.add_argument("--out", help="write per-action estimates as CSV to this path")
@@ -90,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True, help="JSON file: array of {value, prob}")
     p.add_argument("--delta", type=_unit_open, required=True)
     p.add_argument("--c", type=_nonneg, required=True)
-    p.add_argument("--reps", type=_positive_int, required=True)
-    p.add_argument("--horizon", type=_positive_int, default=None)
+    p.add_argument("--reps", type=_int_at_least(concentration.MIN_REPS), required=True)
+    p.add_argument("--horizon", type=_int_at_least(1), default=None)
 
     p = sub.add_parser("app", help="closed-form applications versus the LP value")
     app_sub = p.add_subparsers(dest="variant", required=True)

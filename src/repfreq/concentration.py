@@ -22,6 +22,8 @@ _EXP_CAP = 700.0  # beyond this, exp overflows; the moment is effectively +inf
 # keeps each chunk's working set near 128 KB.
 _BATCH = 256
 _CHUNK = 64
+_HORIZON_REL = 1e-6  # most the sum may still gain after the horizon, as a share of max(c, 1)
+MIN_REPS = 1000  # fewest replications tail_probability_mc accepts
 
 
 @dataclass(frozen=True)
@@ -116,16 +118,16 @@ def tail_exponent(dist: FiniteDist) -> float:
     return 0.5 * (lo + hi)
 
 
-def min_horizon(dist: FiniteDist, delta: float, c: float, rel: float = 1e-6) -> int:
+def min_horizon(dist: FiniteDist, delta: float, c: float) -> int:
     """Smallest horizon whose post-horizon best case moves the sum by less
-    than ``rel`` of max(c, 1)."""
+    than a millionth (``_HORIZON_REL``) of max(c, 1)."""
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     max_pos = max(dist.max_value, 0.0)
     if max_pos == 0.0:
         return 1
-    # delta^(h+1) * max_pos / (1 - delta) < rel * max(c, 1)
-    bound = rel * max(c, 1.0) * (1.0 - delta) / max_pos
+    # delta^(h+1) * max_pos / (1 - delta) < _HORIZON_REL * max(c, 1)
+    bound = _HORIZON_REL * max(c, 1.0) * (1.0 - delta) / max_pos
     h = math.ceil(math.log(bound) / math.log(delta)) - 1
     return max(int(h), 1)
 
@@ -133,10 +135,11 @@ def min_horizon(dist: FiniteDist, delta: float, c: float, rel: float = 1e-6) -> 
 def _check_horizon(dist: FiniteDist, delta: float, c: float, horizon: int) -> None:
     max_pos = max(dist.max_value, 0.0)
     residual = delta ** (horizon + 1) * max_pos / (1.0 - delta)
-    if residual >= 1e-6 * max(c, 1.0):
+    limit = _HORIZON_REL * max(c, 1.0)
+    if residual >= limit:
         raise ValueError(
             f"horizon {horizon} leaves a reachable post-horizon increment of "
-            f"{residual:.3g}; need below {1e-6 * max(c, 1.0):.3g}"
+            f"{residual:.3g}; need below {limit:.3g}"
         )
 
 
@@ -170,8 +173,8 @@ def tail_probability_mc(
         raise ValueError("delta must be in (0, 1)")
     if c < 0:
         raise ValueError("c must be nonnegative")
-    if reps < 1000:
-        raise ValueError("reps must be at least 1000")
+    if reps < MIN_REPS:
+        raise ValueError(f"reps must be at least {MIN_REPS}")
     if horizon < 1:
         raise ValueError("horizon must be positive")
     _check_horizon(dist, delta, c, horizon)

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attain import TargetDecomposition, decompose_target
+from .attain import decompose_target
 from .concentration import FiniteDist, tail_exponent
 from .game import MixedAction, StageGame
-from .stage import DEFAULT_TOL, best_replies_p2, minmax_p1, stackelberg
+from .stage import DEFAULT_TOL, _best, minmax_p1, stackelberg
 
 # Path simulation stops once the remaining discounted weight is below this.
 _RESIDUAL_WEIGHT = 1e-8
@@ -32,6 +32,8 @@ _MIX_MARGIN = 1e-3
 # it changes the path drawn for a given (seed, stream).
 _CHUNK_BLOCKS = 48
 
+MIN_REPS = 100  # fewest replications estimate_frequencies accepts
+
 PHASE_PREP, PHASE_REVIEW, PHASE_ABSORB, PHASE_COMP = 0, 1, 2, 3
 
 
@@ -39,8 +41,6 @@ PHASE_PREP, PHASE_REVIEW, PHASE_ABSORB, PHASE_COMP = 0, 1, 2, 3
 class SimParams:
     """Derived constants of the construction for one game and target."""
 
-    target: MixedAction
-    witness: TargetDecomposition | None
     a_star: str
     b_star: str
     v_star: float
@@ -167,8 +167,6 @@ def derive_params(
 
     if target.prob(stack.a_star) >= 1.0 - 1e-12:
         return SimParams(
-            target=target,
-            witness=None,
             a_star=stack.a_star,
             b_star=stack.b_star,
             v_star=stack.v_star,
@@ -181,9 +179,7 @@ def derive_params(
     if witness is None:
         raise ValueError("target distribution is not attainable at the commitment payoff")
 
-    i_star = game.a_index(stack.a_star)
-    j_star = game.b_index(stack.b_star)
-    col = game.u1[:, j_star]
+    col = game.u1[:, game.b_index(stack.b_star)]
     candidates = [i for i in range(len(game.actions1)) if col[i] > stack.v_star + tol]
     if not candidates:
         raise ValueError(
@@ -192,8 +188,8 @@ def derive_params(
         )
     i_prime = max(candidates, key=lambda i: (col[i], -i))
     a_prime = game.actions1[i_prime]
-    replies = best_replies_p2(game, MixedAction.delta(a_prime), tol)
-    b_prime = min(replies, key=lambda b: (game.u1[i_prime, game.b_index(b)], game.b_index(b)))
+    j_prime = min(_best(game.u2[i_prime], tol), key=lambda j: (game.u1[i_prime, j], j))
+    b_prime = game.actions2[j_prime]
     u_comp = game.payoff1(a_prime, b_prime)
     if not u_comp < stack.v_star - tol:
         raise ValueError("no reply to the tempting action pays strictly below the commitment payoff")
@@ -265,8 +261,6 @@ def derive_params(
         raise ValueError(f"delta {delta} is below the construction bound {delta_bar} (1 - eps1)")
 
     return SimParams(
-        target=target,
-        witness=witness,
         a_star=stack.a_star,
         b_star=stack.b_star,
         v_star=v,
@@ -618,8 +612,8 @@ def estimate_frequencies(
     seed: int,
 ) -> SimOutcome:
     """Average discounted action frequencies and payoff over independent paths."""
-    if reps < 100:
-        raise ValueError("reps must be at least 100")
+    if reps < MIN_REPS:
+        raise ValueError(f"reps must be at least {MIN_REPS}")
     n_a = len(game.actions1)
     freqs = np.empty((reps, n_a))
     payoffs = np.empty(reps)

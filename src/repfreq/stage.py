@@ -110,27 +110,37 @@ def _stacked_reply_blocks(game: StageGame) -> tuple[np.ndarray, np.ndarray]:
     return cone, game.u1.T.flatten()
 
 
+def _live_blocks(game: StageGame, blocks: np.ndarray) -> list[tuple[int, float, MixedAction]]:
+    """The components of a (k x n_a) block matrix, row j being mass_j * alpha_j:
+    (j, mass_j, alpha_j) for each row whose mass exceeds rounding dust."""
+    masses = blocks.sum(axis=1)
+    return [
+        (int(j), float(masses[j]), MixedAction.from_vector(game.actions1, blocks[j] / masses[j], tol=1e-7))
+        for j in np.flatnonzero(masses > 1e-9)  # below is dust at a degenerate vertex
+    ]
+
+
+def _best(values: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the entries within ``tol`` of the largest: every best-reply tie rule."""
+    return np.flatnonzero(values >= values.max() - tol)
+
+
 def best_replies_p2(game: StageGame, alpha: MixedAction, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
     """All player-2 actions within ``tol`` of the best payoff against ``alpha``."""
     for label in alpha.support():
         game.a_index(label)
-    vals = alpha.as_vector(game.actions1) @ game.u2
-    best = vals.max()
-    return tuple(b for j, b in enumerate(game.actions2) if vals[j] >= best - tol)
+    return tuple(game.actions2[j] for j in _best(alpha.as_vector(game.actions1) @ game.u2, tol))
 
 
 def _pure_best_replies_p1(game: StageGame, b: str, tol: float) -> tuple[str, ...]:
-    col = game.u1[:, game.b_index(b)]
-    best = col.max()
-    return tuple(a for i, a in enumerate(game.actions1) if col[i] >= best - tol)
+    return tuple(game.actions1[i] for i in _best(game.u1[:, game.b_index(b)], tol))
 
 
 def stackelberg(game: StageGame, tol: float = DEFAULT_TOL) -> StackelbergResult:
     """Enumerate pure commitments; ties are reported, never broken silently."""
-    # Best replies to pure action i, as best_replies_p2 finds them for e_i @ u2 == u2[i].
-    replies = [np.flatnonzero(row >= row.max() - tol) for row in game.u2]
+    replies = [_best(row, tol) for row in game.u2]
     worst = np.array([game.u1[i, js].min() for i, js in enumerate(replies)])
-    candidates = np.flatnonzero(worst >= worst.max() - tol)
+    candidates = _best(worst, tol)
     i_star = int(candidates[0])
     j_star = min(replies[i_star].tolist(), key=lambda j: (game.u1[i_star, j], j))
     return StackelbergResult(
@@ -253,6 +263,5 @@ def lowest_pair(game: StageGame, tol: float = DEFAULT_TOL) -> tuple[str, str]:
     order1 = _require_order(game, "order1")
     a_low = order1[-1]
     i = game.a_index(a_low)
-    replies = best_replies_p2(game, MixedAction.delta(a_low), tol)
-    b_low = max(replies, key=lambda b: (game.u1[i, game.b_index(b)], -game.b_index(b)))
-    return a_low, b_low
+    j_low = max(_best(game.u2[i], tol), key=lambda j: (game.u1[i, j], -j))
+    return a_low, game.actions2[j_low]

@@ -3,7 +3,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from repfreq import bounds
+from repfreq import attain, bounds
 from repfreq.bounds import (
     indifference_pieces,
     min_freq_curve,
@@ -419,6 +419,19 @@ def test_more_than_two_nonzero_blocks_is_an_error(monkeypatch, games):
     monkeypatch.setattr(bounds, "solve_lp", lambda *args, **kwargs: spread)
     with pytest.raises(RuntimeError, match="3 nonzero reply blocks"):
         min_stackelberg_freq(game)
+
+
+@pytest.mark.parametrize("mass, kept", [(1e-10, False), (2e-9, True)])
+def test_block_mass_at_or_below_dust_is_dropped(monkeypatch, product_choice, mass, kept):
+    # Blocks in reply order (h, then l), each over (H, L); the l block has ``mass``.
+    solved = LPResult("optimal", np.array([1.0 - mass, 0.0, 0.0, mass]), 0.5)
+    monkeypatch.setattr(bounds, "solve_lp", lambda *args, **kwargs: solved)
+    monkeypatch.setattr(attain, "solve_lp", lambda *args, **kwargs: solved)
+    fb = min_stackelberg_freq(product_choice)
+    a2, b2 = ("L", "l") if kept else ("H", "h")  # the l block, or the placeholder
+    assert (fb.placeholder2, fb.alpha2, fb.b2) == (not kept, MixedAction.delta(a2), b2)
+    decomposition = attain.decompose_target(product_choice, MixedAction.delta("H"))
+    assert sorted(decomposition.weights) == (["h", "l"] if kept else ["h"])
 
 
 def _relabelled_affine(game: StageGame, rng, player: int, scale: float) -> StageGame:

@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from repfreq import cli
+from repfreq import cli, concentration, simulate
 from repfreq.cli import dispatch
 from .conftest import fixture_path
 
@@ -167,10 +167,28 @@ def test_unknown_subcommand_exits_2(capsys):
         ["fstar", "GAME", "--epsilon", "nan"],
         ["fstar", "GAME", "--epsilon", "inf"],
         ["in-set-a", "GAME", "--alpha", "H:1", "--epsilon", "nan"],
-        ["concentration", "--dist", str(DIST_FILE), "--delta", "0.9", "--reps", "10", "--c", "nan"],
+        ["concentration", "--dist", str(DIST_FILE), "--delta", "0.9", "--reps", "1000", "--c", "nan"],
     ],
 )
 def test_non_finite_or_negative_numbers_are_usage_errors(capsys, argv):
+    argv = [str(fixture_path("product_choice")) if arg == "GAME" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "GAME", "--target", "H:1", "--delta", "0.999", "--reps", str(simulate.MIN_REPS - 1)],
+        [
+            "concentration", "--dist", str(DIST_FILE), "--delta", "0.9", "--c", "1",
+            "--reps", str(concentration.MIN_REPS - 1),
+        ],
+    ],
+)
+def test_reps_below_the_library_minimum_are_usage_errors(capsys, argv):
     argv = [str(fixture_path("product_choice")) if arg == "GAME" else arg for arg in argv]
     with pytest.raises(SystemExit) as exc:
         dispatch(argv)
@@ -187,7 +205,7 @@ APP_PRODUCT_CHOICE = ["product-choice", "--gamma", "0.5", "--ch", "0.4", "--cl",
         ["analyze", "GAME", "--seed", "1"],
         ["fstar", "GAME", "--seed", "1"],
         ["in-set-a", "GAME", "--alpha", "H:1", "--seed", "1"],
-        ["concentration", "--dist", str(DIST_FILE), "--delta", "0.9", "--c", "1", "--reps", "10", "--tol", "1e-6"],
+        ["concentration", "--dist", str(DIST_FILE), "--delta", "0.9", "--c", "1", "--reps", "1000", "--tol", "1e-6"],
         ["app", "--format", "csv", *APP_PRODUCT_CHOICE],
     ],
 )
@@ -262,7 +280,7 @@ def test_os_errors_exit_1_with_one_stderr_line(capsys, tmp_path, command):
     bad = str(not_a_dir / "x")
     argv = {
         "analyze": ["analyze", bad],
-        "concentration": ["concentration", "--dist", bad, "--delta", "0.9", "--c", "1", "--reps", "10"],
+        "concentration": ["concentration", "--dist", bad, "--delta", "0.9", "--c", "1", "--reps", "1000"],
         "simulate": [
             "simulate", str(fixture_path("product_choice")), "--target", "H:0.375,L:0.625",
             "--delta", "0.999", "--reps", "100", "--out", bad,

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from repfreq import stage
+from repfreq import bounds, stage
 from repfreq.game import MixedAction, StageGame
 from repfreq.stage import (
     best_replies_p2,
@@ -192,6 +192,26 @@ def test_lowest_pair_full_tie_takes_first_label():
 def test_lowest_pair_needs_order(matching_pennies):
     with pytest.raises(ValueError, match="order"):
         lowest_pair(matching_pennies)
+
+
+def test_reply_tolerance_keeps_a_reply_exactly_tol_below_the_best():
+    # Quarter-grid payoffs at tol = 0.25. Against T, x is exactly tol below y and
+    # is kept, z is 0.5 below and is not; against B, y is kept and x is not. Each
+    # consumer's answer would change if the edge case went the other way.
+    game = StageGame(
+        ("T", "B"),
+        ("x", "y", "z"),
+        np.array([[0.5, 1.0, 0.0], [1.0, 0.75, -0.5]]),
+        np.array([[0.75, 1.0, 0.5], [0.5, 0.75, 1.0]]),
+        order1=("T", "B"),
+    )
+    tol = 0.25
+    assert best_replies_p2(game, MixedAction.delta("T"), tol) == ("x", "y")
+    assert best_replies_p2(game, MixedAction.delta("B"), tol) == ("y", "z")
+    stack = stackelberg(game, tol)
+    assert (stack.a_star, stack.b_star, stack.v_star, stack.unique_reply) == ("T", "x", 0.5, False)
+    assert lowest_pair(game, tol) == ("B", "y")
+    assert bounds._placeholder_component(game, tol) == (MixedAction.delta("T"), "x")
 
 
 def test_bounds_match_the_exhaustive_reference(games):
