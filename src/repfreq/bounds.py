@@ -32,6 +32,7 @@ from .stage import (
     _best,
     _live_blocks,
     _pure_best_replies_p1,
+    _simplex_vertices,
     _stacked_reply_blocks,
     is_monotone_supermodular,
     lowest_pair,
@@ -169,49 +170,21 @@ def indifference_pieces(game: StageGame, tol: float = DEFAULT_TOL) -> list[Indif
     """Regions where the opponent has two or more tied best replies, split by
     which tied reply maximizes player 1's payoff; empty when some reply is
     strictly dominant everywhere."""
-    n_a = len(game.actions1)
     n_b = len(game.actions2)
     pieces: list[IndifferencePiece] = []
     for size in range(2, n_b + 1):
         for subset in combinations(range(n_b), size):
-            j0 = subset[0]
-            eq_rows = [game.u2[:, j0] - game.u2[:, j] for j in subset[1:]]
-            eq_rows.append(np.ones(n_a))
-            eq_rhs = np.zeros(len(eq_rows))
-            eq_rhs[-1] = 1.0
-            base_ub = [-(game.u2[:, j0] - game.u2[:, j]) for j in range(n_b) if j not in subset]
-            base_ub.extend(-np.eye(n_a))  # alpha >= 0
+            gap = game.u2[:, subset[0], None] - game.u2  # column j: u2(., b_j0) - u2(., b_j)
+            others = [j for j in range(n_b) if j not in subset]
             for j_best in subset:
-                ub_rows = list(base_ub)
-                for j in subset:
-                    if j != j_best:
-                        ub_rows.append(-(game.u1[:, j_best] - game.u1[:, j]))
-                vertices = _polytope_vertices(
-                    np.array(eq_rows), eq_rhs, np.array(ub_rows), np.zeros(len(ub_rows)), n_a
-                )
-                if vertices.size:
-                    pieces.append(IndifferencePiece(b=game.actions2[j_best], vertices=vertices))
+                ahead = game.u1[:, j_best, None] - game.u1[:, [j for j in subset if j != j_best]]
+                found: list[np.ndarray] = []
+                for x in _simplex_vertices(gap[:, list(subset[1:])].T, np.hstack([gap[:, others], ahead]).T):
+                    if not any(np.allclose(x, v, atol=1e-8) for v in found):
+                        found.append(x)
+                if found:
+                    pieces.append(IndifferencePiece(b=game.actions2[j_best], vertices=np.array(found)))
     return pieces
-
-
-def _polytope_vertices(a_eq, b_eq, a_ub, b_ub, dim, tol: float = 1e-9) -> np.ndarray:
-    """Vertices of {x : a_eq x = b_eq, a_ub x <= b_ub} by basis enumeration."""
-    rank_eq = np.linalg.matrix_rank(a_eq, tol=1e-11)
-    need = dim - rank_eq
-    found: list[np.ndarray] = []
-    for active in combinations(range(len(a_ub)), need):
-        mat = np.vstack([a_eq, a_ub[list(active)]]) if need else a_eq
-        rhs = np.concatenate([b_eq, b_ub[list(active)]]) if need else b_eq
-        if np.linalg.matrix_rank(mat, tol=1e-11) < dim:
-            continue
-        x, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-        if np.max(np.abs(mat @ x - rhs)) > tol:
-            continue
-        if np.any(a_ub @ x > b_ub + tol) or np.max(np.abs(a_eq @ x - b_eq)) > tol:
-            continue
-        if not any(np.allclose(x, v, atol=10 * tol) for v in found):
-            found.append(x)
-    return np.array(found) if found else np.empty((0, dim))
 
 
 def min_stackelberg_freq_finite(game: StageGame, tol: float = DEFAULT_TOL) -> FreqBound:

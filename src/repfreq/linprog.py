@@ -23,6 +23,10 @@ import numpy as np
 _TOL = 1e-10
 # Phase-1 objective above this means the program is infeasible.
 _FEAS_TOL = 1e-8
+# Pivots allowed in one simplex run. The ratio test compares within _TOL, so
+# Bland's rule no longer rules out cycling; the most any run takes in the test
+# suite or the benchmark workloads is 85.
+_MAX_PIVOTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -46,10 +50,13 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 
 def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> str:
-    """Minimize cost over the tableau in place. Returns "optimal" or "unbounded"."""
+    """Minimize cost over the tableau in place. Returns "optimal" or "unbounded".
+
+    Raises ``RuntimeError`` when the run would take more than ``_MAX_PIVOTS`` pivots.
+    """
     terms = np.empty((tableau.shape[0] + 1, tableau.shape[1] - 1))
     terms[0] = cost  # the accumulation below leaves this row as it is
-    while True:
+    for pivots in range(_MAX_PIVOTS + 1):
         # Reduced costs of the current basis. The rows are subtracted in order,
         # so every entry rounds exactly as in a row-by-row update.
         np.multiply(cost[basis][:, None], tableau[:, :-1], out=terms[1:])
@@ -62,6 +69,8 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> st
         rows = (column > _TOL).nonzero()[0].tolist()
         if not rows:
             return "unbounded"
+        if pivots == _MAX_PIVOTS:
+            break
         col, rhs, var = column.tolist(), tableau[:, -1].tolist(), basis.tolist()
         ratio = np.inf
         leaving = -1
@@ -71,6 +80,7 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> st
                 ratio = t
                 leaving = r
         _pivot(tableau, basis, leaving, entering)
+    raise RuntimeError(f"simplex made {_MAX_PIVOTS} pivots without finishing; the ratio test is cycling")
 
 
 def _constraints(a, b, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:

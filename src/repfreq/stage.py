@@ -1,33 +1,35 @@
 """Stage-game analysis: best replies, Stackelberg quantities, payoff bounds.
 
-All subset enumerations here are exponential in the number of actions, which
-is fine at desk scale (six or fewer actions per side) and keeps every value
-exact up to LP tolerance.
-
 Player 1's minmax against rationalizable myopic opponents and the cap v-bar
-of Fudenberg, Kreps and Maskin (1990) share one enumeration. A player-2
-support S is rationalizable when some mixed action alpha makes every action in
-S a best reply. v-bar maximizes, over the support pairs (T, S) for which some
-alpha with supp(alpha) in T makes all of S best replies, the value
-max over beta on S of min over a in T of u1(a, beta). Relaxing
-supp(alpha) = T to supp(alpha) in T cannot raise v-bar: the pair
-(supp(alpha), S) is itself a candidate, and its minimum runs over fewer
-actions. Two monotone facts make the pruning exact:
+of Fudenberg, Kreps and Maskin (1990) read one table of support pairs, built
+without an LP. Let P_b be the mixed actions alpha to which b is a best reply.
+For a player-1 face T and a player-2 support S containing b, the alphas on T
+to which every action in S is a best reply are P_b with some of its
+inequalities (alpha_i >= 0 off T, the ties with the rest of S) held as
+equalities: a face of P_b. A nonempty face of a polytope holds one of its
+vertices, so the pair (T, S) is feasible exactly when some vertex v of some
+P_b has supp(v) in T and S in BR(v), the replies tied at v.
 
-- An S that fails with T = every action fails with every T, because an alpha
-  on a smaller T is an alpha on all actions. So both bounds iterate only the
-  rationalizable supports.
-- For one S, a superset T' of a feasible T is feasible (the same alpha
-  serves), and its value, a minimum over more actions, is no higher. So
-  ``vbar_p1`` tries T in order of size and skips every T that contains a T
-  already found feasible for that S; no skipped pair can raise the maximum.
+- v-bar is the largest, over feasible pairs, of max over beta on S of
+  min over a in T of u1(a, beta). That value rises as T shrinks or S grows,
+  so the pairs (supp v, BR v) attain it, and a pair dominated by another
+  (support no smaller, replies no larger) can be dropped.
+- The minmax is the least, over rationalizable supports S, of min over beta
+  on S of max over a of u1(a, beta), which falls as S grows. The
+  rationalizable supports are the subsets of the sets BR(v), so the maximal
+  BR(v) attain it.
+
+The table holds the undominated pairs, from every vertex of every P_b; one
+max-min LP per pair gives the value, and none is solved where a pure saddle
+point or a pure bound settles it. The vertex count is exponential in the
+number of actions, which is fine at desk scale (six or fewer per side).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -152,26 +154,81 @@ def stackelberg(game: StageGame, tol: float = DEFAULT_TOL) -> StackelbergResult:
     )
 
 
-def _supports(n: int) -> Iterator[tuple[int, ...]]:
-    """Nonempty subsets of ``range(n)``, smallest first."""
-    return chain.from_iterable(combinations(range(n), size) for size in range(1, n + 1))
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` scaled to unit length, rows of zeros dropped."""
+    norms = np.linalg.norm(rows, axis=1)
+    keep = norms > 0.0
+    return rows[keep] / norms[keep, None]
 
 
-def _best_replied(game: StageGame, t: tuple[int, ...], s: tuple[int, ...]) -> bool:
-    """Is there an alpha on ``t`` to which every action in ``s`` is a best reply?"""
-    rows = np.vstack([br_polytope(game, game.actions2[j]).halfspaces[:, t] for j in s])
-    res = solve_lp(
-        np.zeros(len(t)),
-        a_ub=-rows,
-        b_ub=np.zeros(len(rows)),
-        a_eq=np.ones((1, len(t))),
-        b_eq=np.ones(1),
-    )
-    return res.optimal
+def _simplex_vertices(eq: np.ndarray, ineq: np.ndarray) -> np.ndarray:
+    """Vertices of {alpha in the simplex : eq @ alpha = 0, ineq @ alpha >= 0}, one per row.
+
+    A vertex is where n independent constraints bind: the simplex sum, a basis
+    of the ``eq`` rows, and as many inequalities (``alpha >= 0`` among them) as
+    are still needed. Every choice of those inequalities is solved in one
+    batch. Rows have unit length, so the tolerances do not depend on the
+    payoff scale.
+    """
+    n = eq.shape[1]
+    eq = _unit_rows(eq)
+    if len(eq) > 1:  # an orthonormal basis in place of rows that may be dependent
+        _, sing, vt = np.linalg.svd(eq)
+        eq = vt[: np.count_nonzero(sing > DEFAULT_TOL)]
+    need = n - 1 - len(eq)
+    if need < 0:
+        return np.empty((0, n))
+    ineq = np.vstack([_unit_rows(ineq), np.eye(n)])
+    choices = list(combinations(range(len(ineq)), need))
+    systems = np.empty((len(choices), n, n))
+    systems[:, 0] = n**-0.5
+    systems[:, 1 : n - need] = eq
+    systems[:, n - need :] = ineq[np.array(choices, dtype=np.intp).reshape(len(choices), need)]
+    systems = systems[np.abs(np.linalg.det(systems)) > 1e-12]  # drop choices of dependent rows
+    rhs = np.zeros((len(systems), n, 1))
+    rhs[:, 0] = n**-0.5
+    points = np.linalg.solve(systems, rhs)[..., 0]
+    return points[np.all(points @ ineq.T >= -DEFAULT_TOL, axis=1)]
+
+
+def _maximal(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a boolean matrix that no other row contains."""
+    rows = np.unique(rows, axis=0)
+    contains = (rows[:, None] >= rows).all(axis=2)
+    np.fill_diagonal(contains, False)
+    return rows[~contains.any(axis=0)]
+
+
+def _reply_table(game: StageGame) -> tuple[np.ndarray, np.ndarray]:
+    """The undominated (supp v, BR v) pairs over the vertices v of every P_b,
+    as boolean rows over player 1's and player 2's actions."""
+    return _reply_table_of(game.u2.tobytes(), game.u2.shape)
+
+
+@lru_cache(maxsize=16)
+def _reply_table_of(data: bytes, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    u2 = np.frombuffer(data).reshape(shape)
+    n_a = shape[0]
+    pairs = []
+    for j in range(shape[1]):
+        diff = u2[:, j, None] - u2  # column k: u2(., b_j) - u2(., b_k)
+        vertices = _simplex_vertices(np.empty((0, n_a)), diff.T)
+        replies = vertices @ diff <= DEFAULT_TOL * np.linalg.norm(diff, axis=0)
+        pairs.append(np.hstack([vertices <= DEFAULT_TOL, replies]))
+    # A pair dominates another when its row (actions off the support, then
+    # replies) contains the other's.
+    pairs = _maximal(np.vstack(pairs))
+    table = ~pairs[:, :n_a], pairs[:, n_a:]
+    for part in table:
+        part.setflags(write=False)  # shared by every caller of the cache
+    return table
 
 
 def _maxmin(pay: np.ndarray) -> float:
     """Max over beta in the simplex of the smallest entry of ``pay @ beta``."""
+    lower, upper = pay.min(axis=0).max(), pay.max(axis=1).min()
+    if lower >= upper:  # a pure saddle point
+        return float(lower)
     m, k = pay.shape
     # Variables: beta, then the value t split as t+ - t-; maximize t => minimize -t.
     c = np.zeros(k + 2)
@@ -184,37 +241,36 @@ def _maxmin(pay: np.ndarray) -> float:
     return -res.value
 
 
-def _rationalizable_supports(game: StageGame) -> list[tuple[int, ...]]:
-    """Player-2 supports whose actions are jointly best replies to some alpha."""
-    everyone = tuple(range(len(game.actions1)))
-    return [s for s in _supports(len(game.actions2)) if _best_replied(game, everyone, s)]
+def _largest_maxmin(blocks: list[np.ndarray]) -> float:
+    """The largest ``_maxmin`` over ``blocks``. A block's value is at most its
+    least row maximum, so blocks are taken in falling order of that bound and
+    the scan stops once the bound cannot beat the best value found."""
+    best = -np.inf
+    for block in sorted(blocks, key=lambda block: block.max(axis=1).min(), reverse=True):
+        if block.max(axis=1).min() <= best:
+            break
+        best = max(best, _maxmin(block))
+    return best
 
 
 def minmax_p1(game: StageGame) -> float:
     """Worst payoff rationalizable myopic opponents can hold player 1 to.
 
-    The least, over rationalizable player-2 supports S, of the min over beta
-    on S of max over a of u1(a, beta).
+    The least, over the maximal reply sets S of the vertex table, of the min
+    over beta on S of max over a of u1(a, beta).
     """
-    return min(-_maxmin(-game.u1[:, s]) for s in _rationalizable_supports(game))
+    return -_largest_maxmin([-game.u1[:, s] for s in _maximal(_reply_table(game)[1])])
 
 
 def vbar_p1(game: StageGame) -> float:
     """Highest payoff supportable with myopic opponents best-replying.
 
-    The largest, over feasible support pairs (T, S), of the max over beta on S
-    of min over a in T of u1(a, beta). The module docstring says why the pairs
-    it skips cannot raise it.
+    The largest, over the vertex table's pairs (T, S), of the max over beta
+    on S of min over a in T of u1(a, beta). The module docstring says why
+    those pairs suffice.
     """
-    best = -np.inf
-    for s in _rationalizable_supports(game):
-        feasible: list[set[int]] = []
-        for t in _supports(len(game.actions1)):
-            if any(f.issubset(t) for f in feasible) or not _best_replied(game, t, s):
-                continue
-            feasible.append(set(t))
-            best = max(best, _maxmin(game.u1[np.ix_(t, s)]))
-    return best
+    supports, replies = _reply_table(game)
+    return _largest_maxmin([game.u1[np.ix_(t, s)] for t, s in zip(supports, replies)])
 
 
 def check_assumptions(game: StageGame, tol: float = DEFAULT_TOL) -> AssumptionReport:

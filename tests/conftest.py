@@ -33,6 +33,16 @@ TWO_BY_TWO = [
 ]
 
 
+# With u2 mapped to 1e6 * u2 + 0.37, the simplex cycles on this game's LP for
+# an alpha to which b1 and b2 are both best replies (there is none).
+CYCLING_U1 = np.array([[1.0, 0.0, 1.0, -2.0], [1.0, -2.0, -1.0, -1.0]])
+CYCLING_U2 = np.array([[-1.0, -2.0, 2.0, 1.0], [2.0, 1.0, -1.0, -2.0]])
+
+
+def cycling_game(u2_scale: float = 1e6, u2_shift: float = 0.37) -> StageGame:
+    return StageGame(("a0", "a1"), ("b0", "b1", "b2", "b3"), CYCLING_U1, u2_scale * CYCLING_U2 + u2_shift)
+
+
 def fixture_path(name: str) -> Path:
     return FIXTURES / GAME_FILES[name]
 

@@ -7,9 +7,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from repfreq import cli, concentration, simulate
+from repfreq import cli, concentration, linprog, simulate
 from repfreq.cli import dispatch
-from .conftest import fixture_path
+from repfreq.game import emit_game
+from .conftest import cycling_game, fixture_path
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 DIST_FILE = Path(__file__).resolve().parent.parent / "fixtures" / "tail_dist_quarter.json"
@@ -323,6 +324,29 @@ def test_runtime_error_exits_1_with_one_stderr_line(capsys, monkeypatch):
     assert code == 1
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: block entered compensation with a payoff deficit (-0.1)"]
+
+
+def test_simplex_past_its_pivot_cap_exits_1_with_one_stderr_line(capsys, monkeypatch):
+    monkeypatch.setattr(linprog, "_MAX_PIVOTS", 0)
+    code = dispatch(["fstar", str(fixture_path("product_choice"))])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: simplex made 0 pivots without finishing; the ratio test is cycling"]
+
+
+def test_analyze_bounds_ignore_a_large_u2_scale(capsys, tmp_path):
+    # At this scale the simplex cycles on the LP that asks whether b1 and b2
+    # can both be best replies (see test_linprog); the bounds must not need it.
+    docs = {}
+    for name, game in (("plain", cycling_game(1.0, 0.0)), ("scaled", cycling_game())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(emit_game(game))
+        code, out = run_cli(capsys, "analyze", str(path))
+        assert code == 0
+        docs[name] = json.loads(out)
+    for key in ("minmax", "vbar"):
+        assert docs["scaled"][key] == pytest.approx(docs["plain"][key], abs=1e-9)
 
 
 def test_deterministic_stdout(capsys):

@@ -4,8 +4,10 @@ import scipy.optimize
 
 from repfreq import linprog
 from repfreq.linprog import solve_lp
+from repfreq.stage import br_polytope
 
 from . import _reference_linprog
+from .conftest import cycling_game
 
 
 def test_simple_bounded():
@@ -208,3 +210,12 @@ def test_kernel_matches_row_loop_reference_bitwise(kind, monkeypatch):
         else:
             assert ours.x is None and ours.value is None
     assert kind not in ("infeasible", "unbounded") or statuses == {kind}
+
+
+def test_a_cycling_run_stops_at_the_pivot_cap(monkeypatch):
+    game = cycling_game()
+    rows = np.vstack([br_polytope(game, "b1").halfspaces, br_polytope(game, "b2").halfspaces])
+    pivots = _record_pivots(monkeypatch, linprog)
+    with pytest.raises(RuntimeError, match="10000 pivots"):
+        solve_lp(np.zeros(2), a_ub=-rows, b_ub=np.zeros(len(rows)), a_eq=np.ones((1, 2)), b_eq=np.ones(1))
+    assert len(pivots) == linprog._MAX_PIVOTS

@@ -1,7 +1,8 @@
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from repfreq import bounds, stage
 from repfreq.game import MixedAction, StageGame
@@ -221,28 +222,38 @@ def test_bounds_match_the_exhaustive_reference(games):
     cases = list(games.values())
     cases += [_random_game(rng, *shape, integer) for shape in shapes for integer in (False, True)]
     cases += [_random_game(rng, 3, 3, integer) for integer in (False, True) for _ in range(4)]
+    cases += [_random_game(rng, 6, 6, integer) for integer in (False, True)]
     for game in cases:
         assert minmax_p1(game) == pytest.approx(_reference_stage.minmax_p1(game), abs=1e-12)
         assert vbar_p1(game) == pytest.approx(_reference_stage.vbar_p1(game), abs=1e-12)
 
 
-def test_vbar_skips_every_superset_of_a_feasible_t(monkeypatch, games):
-    # Skipping supersets is what saves the LPs; values alone cannot show it.
-    calls = []
-    real = stage._best_replied
+def _subsets(n: int) -> list[tuple[int, ...]]:
+    return [s for size in range(1, n + 1) for s in combinations(range(n), size)]
 
-    def record(game, t, s):
-        feasible = real(game, t, s)
-        calls.append((set(t), s, feasible))
-        return feasible
 
-    monkeypatch.setattr(stage, "_best_replied", record)
+def test_vertex_table_answers_support_feasibility_as_highs_does(games):
+    # (T, S) is feasible when some alpha on T makes every action in S a best
+    # reply; the table says so when one of its pairs has a support within T
+    # and replies containing S.
     rng = np.random.default_rng(608)
-    for game in [games["product_choice_three"], _random_game(rng, 4, 4, False), _random_game(rng, 4, 3, True)]:
-        calls.clear()
-        vbar_p1(game)
-        for k, (t, s, _) in enumerate(calls):
-            assert not any(s2 == s and ok and t2 < t for t2, s2, ok in calls[:k]), (t, s)
+    shapes = [(2, 2), (3, 3), (4, 4), (5, 5), (2, 5), (5, 3), (3, 4)]
+    cases = list(games.values())
+    cases += [_random_game(rng, *shape, integer) for shape in shapes for integer in (False, True)]
+    for game in cases:
+        supports, replies = stage._reply_table(game)
+        n_a, n_b = game.u1.shape
+        halfspaces = [br_polytope(game, b).halfspaces for b in game.actions2]
+        for t in _subsets(n_a):
+            for s in _subsets(n_b):
+                rows = np.vstack([halfspaces[j][:, t] for j in s])
+                highs = scipy.optimize.linprog(
+                    np.zeros(len(t)), A_ub=-rows, b_ub=np.zeros(len(rows)), A_eq=np.ones((1, len(t))), b_eq=[1.0]
+                )
+                assert highs.status in (0, 2)
+                in_t, in_s = np.isin(range(n_a), t), np.isin(range(n_b), s)
+                table = bool(np.any((supports <= in_t).all(axis=1) & (replies >= in_s).all(axis=1)))
+                assert table == (highs.status == 0), (game, t, s)
 
 
 def _flags(rep) -> tuple[bool, ...]:
@@ -286,3 +297,14 @@ def test_bounds_and_assumptions_are_invariant():
         assert shuffled_rep.satisfied == rep.satisfied
         if rep.a1_unique_stackelberg:
             assert _flags(shuffled_rep) == _flags(rep)
+    # Extreme u2 scales: the bounds read u2 only through the vertex table.
+    for scale, integer, _ in product((1e-6, 1e6), (False, True), range(3)):
+        game = _random_game(rng, *rng.integers(2, 6, 2), integer)
+        rep, vb = check_assumptions(game), vbar_p1(game)
+        moved = StageGame(game.actions1, game.actions2, game.u1, scale * game.u2 + rng.uniform(-2, 2))
+        for moved_part, part in zip(stage._reply_table(moved), stage._reply_table(game)):
+            assert np.array_equal(moved_part, part)
+        moved_rep = check_assumptions(moved)
+        assert moved_rep.minmax == pytest.approx(rep.minmax, abs=1e-10)
+        assert vbar_p1(moved) == pytest.approx(vb, abs=1e-10)
+        assert _flags(moved_rep) == _flags(rep)
