@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _live_blocks, _solve_block_lp, _stacked_reply_blocks
 from .game import MixedAction, StageGame
-from .linprog import solve_lp
-from .stage import DEFAULT_TOL, _live_blocks, _stacked_reply_blocks, stackelberg
+from .stage import DEFAULT_TOL, stackelberg
 
 # Feasibility slack absorbing LP rounding in the exact-payoff constraint;
 # kept well inside the 1e-9 tolerances used by callers.
@@ -51,9 +51,10 @@ def decompose_target(
     """Find a reply-consistent decomposition of ``target`` delivering the
     commitment payoff within ``epsilon``, or ``None`` when there is none.
 
-    Feasibility LP over stacked blocks x_b = mass_b * alpha_b: each block
-    obeys the (homogeneous) best-reply halfspaces of its reply, the blocks
-    sum to the target, and the total payoff sits in the required band.
+    The frequency bound's block program (:mod:`repfreq.bounds`) as a
+    feasibility LP: each block x_b = mass_b * alpha_b obeys the (homogeneous)
+    best-reply halfspaces of its reply, the blocks sum to the target, and the
+    total payoff sits in the required band.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -61,26 +62,16 @@ def decompose_target(
         game.a_index(label)
     stack = stackelberg(game, tol)
     n_a = len(game.actions1)
-    n_b = len(game.actions2)
-    target_vec = target.as_vector(game.actions1)
-
     cone, pay = _stacked_reply_blocks(game)
+    sums = np.tile(np.eye(n_a), len(game.actions2))  # row i: the blocks' total weight on action i
     band = epsilon + _PAYOFF_SLACK
-    b_ub = np.zeros(len(cone) + 2)
-    b_ub[-2] = stack.v_star + band
-    b_ub[-1] = -(stack.v_star - band)
-
-    res = solve_lp(
-        np.zeros(n_a * n_b),
-        a_ub=np.vstack([cone, pay, -pay]),
-        b_ub=b_ub,
-        a_eq=np.tile(np.eye(n_a), n_b),
-        b_eq=target_vec,
+    res = _solve_block_lp(
+        np.zeros(len(pay)), pay, cone, sums, target.as_vector(game.actions1), stack.v_star - band, stack.v_star + band
     )
     if not res.optimal:
         return None
 
-    blocks = res.x.reshape(n_b, n_a)
+    blocks = res.x.reshape(-1, n_a)
     live = _live_blocks(game, blocks)
     total_mass = sum(mass for _, mass, _ in live)
     weights: dict[str, tuple[float, MixedAction]] = {}

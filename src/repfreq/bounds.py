@@ -14,7 +14,9 @@ two-point program's value.
 The finite-candidate variant is the same program with other columns: one
 weight per vertex of each candidate (indifference pieces and the lowest-action
 pair), no cone rows, and a candidate's block is its weighted vertex sum. Both
-routes share one LP builder and one witness rule.
+routes share one LP builder and one witness rule. The block layout, that
+builder and the block decoder live here alone: attainability
+(:mod:`repfreq.attain`) asks the same program a feasibility question.
 """
 
 from __future__ import annotations
@@ -30,14 +32,15 @@ from .linprog import solve_lp
 from .stage import (
     DEFAULT_TOL,
     _best,
-    _live_blocks,
     _pure_best_replies_p1,
     _simplex_vertices,
-    _stacked_reply_blocks,
+    br_polytope,
     is_monotone_supermodular,
     lowest_pair,
     stackelberg,
 )
+
+_INFEASIBLE = "frequency program infeasible; the Stackelberg point always qualifies"
 
 
 @dataclass(frozen=True)
@@ -96,20 +99,45 @@ def _clamp_unit(value: float, tol: float = 1e-9) -> float:
     return value
 
 
-def _solve_freq_lp(c, pay, cone, target: float, equality: bool):
-    """Minimize ``c @ x`` over x >= 0 with total mass one, ``cone @ x <= 0``
-    and the payoff ``pay @ x`` at least (or, with ``equality``, exactly)
-    ``target``."""
-    mass = np.ones((1, len(c)))
-    if equality:
-        res = solve_lp(c, a_ub=cone, b_ub=np.zeros(len(cone)), a_eq=np.vstack([mass, pay]), b_eq=[1.0, target])
-    else:
-        b_ub = np.zeros(len(cone) + 1)
-        b_ub[-1] = -target
-        res = solve_lp(c, a_ub=np.vstack([cone, -pay]), b_ub=b_ub, a_eq=mass, b_eq=[1.0])
-    if not res.optimal:
-        raise RuntimeError("frequency program infeasible; the Stackelberg point always qualifies")
-    return res
+def _stacked_reply_blocks(game: StageGame) -> tuple[np.ndarray, np.ndarray]:
+    """Best-reply rows and payoff vector over stacked reply blocks.
+
+    The variable stacks one block x_b = mass_b * alpha_b per reply, in reply
+    order. ``cone @ x <= 0`` holds iff every block lies in the (homogeneous)
+    best-reply cone of its reply, and ``pay @ x`` is player 1's payoff.
+    """
+    n_a = len(game.actions1)
+    n_b = len(game.actions2)
+    cone = np.zeros((n_b * (n_b - 1), n_a * n_b))
+    for j, b in enumerate(game.actions2):
+        rows = slice(j * (n_b - 1), (j + 1) * (n_b - 1))
+        cone[rows, j * n_a : (j + 1) * n_a] = -br_polytope(game, b).halfspaces
+    return cone, game.u1.T.flatten()
+
+
+def _solve_block_lp(c, pay, cone, a_eq, b_eq, lo: float, hi: float = np.inf):
+    """Minimize ``c @ x`` over x >= 0 with ``cone @ x <= 0``, ``a_eq @ x = b_eq``
+    and the payoff ``pay @ x`` in [lo, hi].
+
+    ``lo == hi`` pins the payoff with one equality row after ``a_eq``.
+    Otherwise the band adds the row ``pay @ x <= hi`` when ``hi`` is finite,
+    then ``-pay @ x <= -lo``.
+    """
+    if lo == hi:
+        return solve_lp(c, a_ub=cone, b_ub=np.zeros(len(cone)), a_eq=np.vstack([a_eq, pay]), b_eq=np.append(b_eq, lo))
+    cap, rhs = ([pay], [hi]) if hi < np.inf else ([], [])
+    a_ub = np.vstack([cone, *cap, -pay])
+    return solve_lp(c, a_ub=a_ub, b_ub=np.concatenate([np.zeros(len(cone)), rhs, [-lo]]), a_eq=a_eq, b_eq=b_eq)
+
+
+def _live_blocks(game: StageGame, blocks: np.ndarray) -> list[tuple[int, float, MixedAction]]:
+    """The components of a (k x n_a) block matrix, row j being mass_j * alpha_j:
+    (j, mass_j, alpha_j) for each row whose mass exceeds rounding dust."""
+    masses = blocks.sum(axis=1)
+    return [
+        (int(j), float(masses[j]), MixedAction.from_vector(game.actions1, blocks[j] / masses[j], tol=1e-7))
+        for j in np.flatnonzero(masses > 1e-9)  # below is dust at a degenerate vertex
+    ]
 
 
 def _freq_bound(
@@ -157,13 +185,14 @@ def min_stackelberg_freq(
         raise ValueError("epsilon must be nonnegative")
     stack = _require_unique_stackelberg(game, tol)
     n_a = len(game.actions1)
-    n_b = len(game.actions2)
     cone, pay = _stacked_reply_blocks(game)
-    c = np.zeros(n_a * n_b)
+    c = np.zeros(len(pay))
     c[game.a_index(stack.a_star) :: n_a] = 1.0
-    res = _solve_freq_lp(c, pay, cone, stack.v_star - epsilon, equality)
-    blocks = res.x.reshape(n_b, n_a)
-    return _freq_bound(game, res.value, blocks, game.actions2, "lp", tol, epsilon, equality)
+    floor = stack.v_star - epsilon
+    res = _solve_block_lp(c, pay, cone, np.ones((1, len(c))), [1.0], floor, floor if equality else np.inf)
+    if not res.optimal:
+        raise RuntimeError(_INFEASIBLE)
+    return _freq_bound(game, res.value, res.x.reshape(-1, n_a), game.actions2, "lp", tol, epsilon, equality)
 
 
 def indifference_pieces(game: StageGame, tol: float = DEFAULT_TOL) -> list[IndifferencePiece]:
@@ -208,7 +237,9 @@ def min_stackelberg_freq_finite(game: StageGame, tol: float = DEFAULT_TOL) -> Fr
     vertices = np.vstack([v for v, _ in candidates])
     pay = np.concatenate([v @ game.u1[:, game.b_index(b)] for v, b in candidates])
     c = vertices[:, game.a_index(stack.a_star)]
-    res = _solve_freq_lp(c, pay, np.empty((0, len(c))), stack.v_star, equality=False)
+    res = _solve_block_lp(c, pay, np.empty((0, len(c))), np.ones((1, len(c))), [1.0], stack.v_star)
+    if not res.optimal:
+        raise RuntimeError(_INFEASIBLE)
     starts = np.cumsum([0] + [len(v) for v, _ in candidates[:-1]])
     blocks = np.add.reduceat(res.x[:, None] * vertices, starts, axis=0)
     return _freq_bound(game, res.value, blocks, [b for _, b in candidates], "prop1", tol)

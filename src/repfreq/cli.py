@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps1", type=_unit_open, default=0.01)
     p.add_argument("--reps", type=_int_at_least(simulate.MIN_REPS), default=2000)
     p.add_argument("--z2-variant", choices=["drift", "literal"], default="drift")
-    p.add_argument("--pi", type=_unit_open, default=0.5, help="prior on the commitment type (recorded only)")
     p.add_argument("--out", help="write per-action estimates as CSV to this path")
 
     p = sub.add_parser(
@@ -193,9 +192,7 @@ def _cmd_in_set_a(args) -> dict:
 def _cmd_simulate(args) -> dict:
     game = load_game_file(args.game)
     target = parse_mixed_action(args.target)
-    params = simulate.derive_params(
-        game, target, args.eps1, args.delta, z2_variant=args.z2_variant, pi=args.pi, tol=args.tol
-    )
+    params = simulate.derive_params(game, target, args.eps1, args.delta, z2_variant=args.z2_variant, tol=args.tol)
     outcome = simulate.estimate_frequencies(game, params, args.delta, args.reps, args.seed)
     incentives = simulate.check_incentives(game, params, args.delta)
     if args.out:
@@ -221,7 +218,6 @@ def _cmd_simulate(args) -> dict:
             "alpha_prime": _mixed_to_dict(params.alpha_prime) if params.alpha_prime else None,
             "p": params.p,
             "eps1": params.eps1,
-            "pi": params.pi,
             "c": params.c,
             "t1": params.t1,
             "t2_bar": params.t2_bar,
@@ -245,6 +241,10 @@ def _cmd_concentration(args) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, list):
         raise ValueError("distribution file must be a JSON array of {value, prob}")
+    for entry in doc:
+        numbers = isinstance(entry, dict) and all(type(v) in (int, float) for v in entry.values())  # not bool
+        if not (numbers and set(entry) == {"value", "prob"}):
+            raise ValueError(f"distribution entry {json.dumps(entry)} is not a {{value, prob}} object of numbers")
     dist = concentration.FiniteDist.from_pairs((entry["value"], entry["prob"]) for entry in doc)
     horizon = args.horizon or concentration.min_horizon(dist, args.delta, args.c)
     report = concentration.tail_probability_mc(dist, args.delta, args.c, horizon, args.reps, args.seed)
@@ -319,7 +319,7 @@ def dispatch(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         rendered = _emit(_COMMANDS[args.command](args), args.format)
-    except (ValueError, OSError, KeyError, RuntimeError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(rendered)

@@ -69,12 +69,13 @@ def parse_mixed_action(text: str) -> MixedAction:
         if not part:
             continue
         label, sep, prob = part.rpartition(":")
+        label = label.strip()
         if not sep or not label:
             raise ValueError(f"expected label:prob, got {part!r}")
         if label in weights:
             raise ValueError(f"duplicate label {label!r}")
         try:
-            weights[label.strip()] = float(prob)
+            weights[label] = float(prob)
         except ValueError:
             raise ValueError(f"bad probability in {part!r}") from None
     return MixedAction(weights)
@@ -105,10 +106,10 @@ class StageGame:
         for which, labels in (("actions1", self.actions1), ("actions2", self.actions2)):
             if len(labels) < 2:
                 raise GameFormatError(f"{which} needs at least two actions")
-            if len(set(labels)) != len(labels):
-                raise GameFormatError(f"duplicate labels in {which}")
             if not all(isinstance(lab, str) and lab for lab in labels):
                 raise GameFormatError(f"{which} labels must be nonempty strings")
+            if len(set(labels)) != len(labels):
+                raise GameFormatError(f"duplicate labels in {which}")
         shape = (len(self.actions1), len(self.actions2))
         for which in ("u1", "u2"):
             mat = np.array(getattr(self, which), dtype=float)
@@ -197,8 +198,12 @@ def load_game(text: str) -> StageGame:
             raise GameFormatError(f"{key} must be an array")
     for key in ("u1", "u2"):
         for row in doc[key]:
-            if not isinstance(row, list) or not all(isinstance(v, (int, float)) for v in row):
+            if not isinstance(row, list) or not all(type(v) in (int, float) for v in row):  # not bool
                 raise GameFormatError(f"{key} must be an array of numeric rows")
+    for key in ("order1", "order2"):
+        order = doc.get(key)
+        if order is not None and not (isinstance(order, list) and all(isinstance(v, str) for v in order)):
+            raise GameFormatError(f"{key} must be an array of action labels")
     return StageGame(
         actions1=tuple(doc["actions1"]),
         actions2=tuple(doc["actions2"]),

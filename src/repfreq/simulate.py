@@ -45,7 +45,6 @@ class SimParams:
     b_star: str
     v_star: float
     eps1: float
-    pi: float
     trivial: bool
     a_prime: str | None = None
     b_prime: str | None = None
@@ -143,7 +142,6 @@ def derive_params(
     eps1: float,
     delta: float,
     z2_variant: str = "drift",
-    pi: float = 0.5,
     tol: float = DEFAULT_TOL,
 ) -> SimParams:
     """Derive every constant of the construction for a target distribution.
@@ -171,7 +169,6 @@ def derive_params(
             b_star=stack.b_star,
             v_star=stack.v_star,
             eps1=eps1,
-            pi=pi,
             trivial=True,
         )
 
@@ -265,7 +262,6 @@ def derive_params(
         b_star=stack.b_star,
         v_star=v,
         eps1=eps1,
-        pi=pi,
         trivial=False,
         a_prime=a_prime,
         b_prime=b_prime,

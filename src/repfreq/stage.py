@@ -96,32 +96,6 @@ def br_polytope(game: StageGame, b: str) -> BRPolytope:
     return BRPolytope(b, np.array(cols, dtype=float))
 
 
-def _stacked_reply_blocks(game: StageGame) -> tuple[np.ndarray, np.ndarray]:
-    """Best-reply rows and payoff vector over stacked reply blocks.
-
-    The variable stacks one block x_b = mass_b * alpha_b per reply, in reply
-    order. ``cone @ x <= 0`` holds iff every block lies in the (homogeneous)
-    best-reply cone of its reply, and ``pay @ x`` is player 1's payoff.
-    """
-    n_a = len(game.actions1)
-    n_b = len(game.actions2)
-    cone = np.zeros((n_b * (n_b - 1), n_a * n_b))
-    for j, b in enumerate(game.actions2):
-        rows = slice(j * (n_b - 1), (j + 1) * (n_b - 1))
-        cone[rows, j * n_a : (j + 1) * n_a] = -br_polytope(game, b).halfspaces
-    return cone, game.u1.T.flatten()
-
-
-def _live_blocks(game: StageGame, blocks: np.ndarray) -> list[tuple[int, float, MixedAction]]:
-    """The components of a (k x n_a) block matrix, row j being mass_j * alpha_j:
-    (j, mass_j, alpha_j) for each row whose mass exceeds rounding dust."""
-    masses = blocks.sum(axis=1)
-    return [
-        (int(j), float(masses[j]), MixedAction.from_vector(game.actions1, blocks[j] / masses[j], tol=1e-7))
-        for j in np.flatnonzero(masses > 1e-9)  # below is dust at a degenerate vertex
-    ]
-
-
 def _best(values: np.ndarray, tol: float) -> np.ndarray:
     """Indices of the entries within ``tol`` of the largest: every best-reply tie rule."""
     return np.flatnonzero(values >= values.max() - tol)

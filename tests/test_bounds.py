@@ -426,7 +426,6 @@ def test_block_mass_at_or_below_dust_is_dropped(monkeypatch, product_choice, mas
     # Blocks in reply order (h, then l), each over (H, L); the l block has ``mass``.
     solved = LPResult("optimal", np.array([1.0 - mass, 0.0, 0.0, mass]), 0.5)
     monkeypatch.setattr(bounds, "solve_lp", lambda *args, **kwargs: solved)
-    monkeypatch.setattr(attain, "solve_lp", lambda *args, **kwargs: solved)
     fb = min_stackelberg_freq(product_choice)
     a2, b2 = ("L", "l") if kept else ("H", "h")  # the l block, or the placeholder
     assert (fb.placeholder2, fb.alpha2, fb.b2) == (not kept, MixedAction.delta(a2), b2)

@@ -208,6 +208,7 @@ APP_PRODUCT_CHOICE = ["product-choice", "--gamma", "0.5", "--ch", "0.4", "--cl",
         ["in-set-a", "GAME", "--alpha", "H:1", "--seed", "1"],
         ["concentration", "--dist", str(DIST_FILE), "--delta", "0.9", "--c", "1", "--reps", "1000", "--tol", "1e-6"],
         ["app", "--format", "csv", *APP_PRODUCT_CHOICE],
+        ["simulate", "GAME", "--target", "H:1", "--delta", "0.999", "--pi", "0.5"],
     ],
 )
 def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
@@ -312,6 +313,45 @@ def test_invalid_game_exits_1(capsys, tmp_path):
     bad.write_text('{"actions1": ["a"], "actions2": ["x", "y"], "u1": [[0, 0]], "u2": [[0, 0]]}')
     code, _ = run_cli(capsys, "analyze", str(bad))
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"order1": [1, "H"]}, "order1 must be an array of action labels"),
+        ({"order1": "HL"}, "order1 must be an array of action labels"),
+        ({"u1": [[True, -0.2], [1.0, 0.0]]}, "u1 must be an array of numeric rows"),
+        ({"u1": [[10**400, -0.2], [1.0, 0.0]]}, "int too large to convert to float"),
+    ],
+)
+def test_mistyped_game_file_exits_1_with_one_stderr_line(capsys, tmp_path, change, message):
+    doc = json.loads(fixture_path("product_choice").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, **change}))
+    code = dispatch(["analyze", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "entries, shown",
+    [
+        ([0.5, 0.5], "0.5"),
+        ([{"value": 1.0}], '{"value": 1.0}'),
+        ([{"value": 1.0, "prob": "1"}], '{"value": 1.0, "prob": "1"}'),
+        ([{"value": True, "prob": 1.0}], '{"value": true, "prob": 1.0}'),
+    ],
+)
+def test_malformed_distribution_entries_exit_1_with_one_stderr_line(capsys, tmp_path, entries, shown):
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps(entries))
+    code = dispatch(["concentration", "--dist", str(dist), "--delta", "0.9", "--c", "1", "--reps", "1000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: distribution entry {shown} is not a {{value, prob}} object of numbers"]
 
 
 def test_runtime_error_exits_1_with_one_stderr_line(capsys, monkeypatch):

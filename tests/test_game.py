@@ -14,6 +14,7 @@ from repfreq.game import (
     load_game,
     parse_mixed_action,
 )
+from .conftest import fixture_path
 
 pytestmark = []
 
@@ -56,6 +57,28 @@ def test_malformed_document_rejected():
         load_game("{not json")
     with pytest.raises(GameFormatError, match="unknown keys"):
         load_game('{"actions1": ["a","b"], "actions2": ["x","y"], "u1": [[0,0],[0,0]], "u2": [[0,0],[0,0]], "extra": 1}')
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"order1": [1, "H"]}, "order1 must be an array of action labels"),
+        ({"order2": "hl"}, "order2 must be an array of action labels"),
+        ({"u1": [[True, -0.2], [1.0, 0.0]]}, "u1 must be an array of numeric rows"),
+        ({"u2": [[1.5, 1.0], [-0.5, False]]}, "u2 must be an array of numeric rows"),
+        ({"actions1": [["H"], "L"]}, "labels must be nonempty strings"),
+    ],
+)
+def test_load_game_rejects_mistyped_fields(change, message):
+    with pytest.raises(GameFormatError, match=message):
+        load_game(json.dumps({**json.loads(fixture_path("product_choice").read_text()), **change}))
+
+
+def test_load_game_accepts_integer_payoffs_and_label_orders():
+    doc = {**json.loads(fixture_path("product_choice").read_text()), "u2": [[3, 2], [-1, 0]], "order2": None}
+    game = load_game(json.dumps(doc))
+    assert np.array_equal(game.u2, [[3.0, 2.0], [-1.0, 0.0]])
+    assert (game.order1, game.order2) == (("H", "L"), None)
 
 
 def test_order_must_be_permutation():
@@ -166,5 +189,8 @@ def test_parse_mixed_action():
         parse_mixed_action("H=0.5,L=0.5")
     with pytest.raises(ValueError):
         parse_mixed_action("H:0.5,H:0.5")
+    with pytest.raises(ValueError, match="duplicate label 'H'"):
+        parse_mixed_action("H:1,H :1")  # labels are compared after stripping
+    assert parse_mixed_action(" H :0.375, L:0.625").weights == {"H": 0.375, "L": 0.625}
     with pytest.raises(ValueError):
         parse_mixed_action("H:0.7,L:0.7")
