@@ -17,9 +17,9 @@ import numpy as np
 _ROOT_WIDTH = 1e-13  # bisection stops when the bracket is this narrow
 _EXP_CAP = 700.0  # beyond this, exp overflows; the moment is effectively +inf
 # Monte Carlo stream layout: replications per Philox stream, and steps drawn
-# per live row between prune checks. Both fix which uniform each step uses, so
-# changing either changes every estimate for a given seed. 256 x 64 float64
-# keeps each chunk's working set near 128 KB.
+# per live row between prune checks. Both fix which 32-bit word each step uses,
+# so changing either changes every estimate for a given seed. A 256 x 64 chunk
+# is 64 KB of words plus 128 KB of float64 steps.
 _BATCH = 256
 _CHUNK = 64
 _HORIZON_REL = 1e-6  # most the sum may still gain after the horizon, as a share of max(c, 1)
@@ -40,8 +40,8 @@ class FiniteDist:
             raise ValueError("values and probs must be matching nonempty 1-d arrays")
         if not np.all(np.isfinite(values)):
             raise ValueError("support values must be finite")
-        if np.any(probs <= 0):
-            raise ValueError("probabilities must be positive")
+        if not np.all(np.isfinite(probs) & (probs > 0)):
+            raise ValueError("probabilities must be finite and positive")
         if abs(math.fsum(probs) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {math.fsum(probs)!r}, expected 1")
         if len(np.unique(values)) != len(values):
@@ -118,11 +118,17 @@ def tail_exponent(dist: FiniteDist) -> float:
     return 0.5 * (lo + hi)
 
 
+def _check_delta_c(delta: float, c: float) -> None:
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1)")
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError("c must be finite and nonnegative")
+
+
 def min_horizon(dist: FiniteDist, delta: float, c: float) -> int:
     """Smallest horizon whose post-horizon best case moves the sum by less
     than a millionth (``_HORIZON_REL``) of max(c, 1)."""
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
+    _check_delta_c(delta, c)
     max_pos = max(dist.max_value, 0.0)
     if max_pos == 0.0:
         return 1
@@ -143,6 +149,22 @@ def _check_horizon(dist: FiniteDist, delta: float, c: float, horizon: int) -> No
         )
 
 
+def _word_edges(probs: np.ndarray) -> np.ndarray:
+    """Integer cumulative thresholds: E_k = round(F_k * 2**32), clipped to
+    [0, 2**32 - 1], for each cumulative probability F_k but the last."""
+    return np.clip(np.round(np.cumsum(probs)[:-1] * 2.0**32), 0, 2**32 - 1).astype(np.uint32)
+
+
+def _word_values(words: np.ndarray, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Map each 32-bit word w to values[number of edges <= w]. With the K - 1
+    edges E_1, ..., E_{K-1}, E_0 = 0 and E_K = 2**32, values[k] has
+    probability (E_{k+1} - E_k) / 2**32."""
+    index = np.zeros(words.shape, dtype=np.min_scalar_type(len(edges)))
+    for edge in edges:
+        index += words >= edge
+    return values.take(index)
+
+
 def tail_probability_mc(
     dist: FiniteDist,
     delta: float,
@@ -157,22 +179,23 @@ def tail_probability_mc(
     Replications run in batches of ``_BATCH`` rows. Batch ``k`` (rows
     ``k * _BATCH`` onward; the last batch may be short) draws from one Philox
     stream keyed by ``(seed % 2**64, k)``, so results do not depend on the
-    order in which batches run. Each draw from that stream is a
-    ``(live rows, _CHUNK)`` matrix of uniforms (fewer columns if the horizon
-    ends sooner), mapped to support values by the cumulative probabilities;
-    rows that hit ``c`` or can no longer reach it leave the batch after each
-    chunk. That pruning is exact, while the horizon cut can only lower the
-    estimate.
+    order in which batches run. Each draw from that stream fills a
+    ``(live rows, _CHUNK)`` matrix of steps (fewer columns if the horizon
+    ends sooner): the bit generator's ``random_raw`` gives ceil(steps / 2)
+    64-bit words, viewed as 32-bit halves in memory order (low half first on
+    little-endian machines), and the first halves fill the matrix row by row.
+    A half w becomes ``values[number of edges <= w]``, where the integer edges
+    are the cumulative probabilities times 2**32, rounded, so each support
+    probability is quantised to a multiple of 2**-32. Rows that hit ``c`` or
+    can no longer reach it leave the batch after each chunk. That pruning is
+    exact, while the horizon cut can only lower the estimate.
 
-    So after the first chunk, the uniforms a replication receives depend on
+    So after the first chunk, the words a replication receives depend on
     which rows of its batch are still live, which depends on ``delta``,
     ``c`` and the horizon. Calls that differ in those share draws only within
     the first chunk, and only where their horizons give it the same width.
     """
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
-    if c < 0:
-        raise ValueError("c must be nonnegative")
+    _check_delta_c(delta, c)
     if reps < MIN_REPS:
         raise ValueError(f"reps must be at least {MIN_REPS}")
     if horizon < 1:
@@ -182,23 +205,20 @@ def tail_probability_mc(
     r_star = tail_exponent(dist)
     analytic = math.exp(-r_star * c)
 
-    values = dist.values
-    edges = np.cumsum(dist.probs)[:-1]  # u maps to values[number of edges <= u]
+    edges = _word_edges(dist.probs)
     max_pos = dist.max_value
     disc_all = np.exp(math.log(delta) * np.arange(1, horizon + 1))
 
     hits = 0
     for batch, first in enumerate(range(0, reps, _BATCH)):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, batch], dtype=np.uint64)))
+        bitgen = np.random.Philox(key=np.array([seed % 2**64, batch], dtype=np.uint64))
         carry = np.zeros(min(_BATCH, reps - first))  # live rows' sums so far
         start = 1  # the sum runs over t = 1, 2, ...
         while carry.size and start <= horizon:
             n = min(_CHUNK, horizon - start + 1)
-            u = rng.random((carry.size, n))
-            index = np.zeros(u.shape, dtype=np.intp)
-            for edge in edges:
-                index += u >= edge
-            steps = values[index]
+            m = carry.size * n
+            words = bitgen.random_raw((m + 1) // 2).view(np.uint32)[:m].reshape(carry.size, n)
+            steps = _word_values(words, edges, dist.values)
             steps *= disc_all[start - 1 : start - 1 + n]
             sums = np.cumsum(steps, axis=1, out=steps)
             sums += carry[:, None]

@@ -124,6 +124,8 @@ class StageGame:
             ("order2", self.order2, self.actions2),
         ):
             if order is not None:
+                if not (isinstance(order, (tuple, list)) and all(isinstance(v, str) for v in order)):
+                    raise GameFormatError(f"{which} must be an array of action labels")
                 order = tuple(order)
                 if sorted(order) != sorted(labels):
                     raise GameFormatError(f"{which} must be a permutation of the action labels")
@@ -200,17 +202,13 @@ def load_game(text: str) -> StageGame:
         for row in doc[key]:
             if not isinstance(row, list) or not all(type(v) in (int, float) for v in row):  # not bool
                 raise GameFormatError(f"{key} must be an array of numeric rows")
-    for key in ("order1", "order2"):
-        order = doc.get(key)
-        if order is not None and not (isinstance(order, list) and all(isinstance(v, str) for v in order)):
-            raise GameFormatError(f"{key} must be an array of action labels")
     return StageGame(
         actions1=tuple(doc["actions1"]),
         actions2=tuple(doc["actions2"]),
         u1=np.array(doc["u1"], dtype=float),
         u2=np.array(doc["u2"], dtype=float),
-        order1=tuple(doc["order1"]) if doc.get("order1") is not None else None,
-        order2=tuple(doc["order2"]) if doc.get("order2") is not None else None,
+        order1=doc.get("order1"),
+        order2=doc.get("order2"),
         name=doc.get("name"),
     )
 

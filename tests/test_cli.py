@@ -354,6 +354,16 @@ def test_malformed_distribution_entries_exit_1_with_one_stderr_line(capsys, tmp_
     assert captured.err.splitlines() == [f"error: distribution entry {shown} is not a {{value, prob}} object of numbers"]
 
 
+def test_nan_probability_exits_1_with_one_stderr_line(capsys, tmp_path):
+    dist = tmp_path / "dist.json"
+    dist.write_text('[{"value": 1.0, "prob": NaN}, {"value": -1.0, "prob": 0.5}]')
+    code = dispatch(["concentration", "--dist", str(dist), "--delta", "0.9", "--c", "1", "--reps", "1000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: probabilities must be finite and positive"]
+
+
 def test_runtime_error_exits_1_with_one_stderr_line(capsys, monkeypatch):
     def fail(args):
         raise RuntimeError("block entered compensation with a payoff deficit (-0.1)")

@@ -5,12 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repfreq.concentration import FiniteDist, min_horizon, tail_exponent, tail_probability_mc
+from repfreq.concentration import (
+    FiniteDist,
+    _word_edges,
+    _word_values,
+    min_horizon,
+    tail_exponent,
+    tail_probability_mc,
+)
 
 # Distributions whose exponent solves a factorable polynomial in exp(r).
 DIST_QUARTER = FiniteDist.from_pairs([(1.0, 0.25), (-1.0, 0.75)])
 # 0.2 x^3 - x^2 + 0.8 = 0 factors as (x - 1)(x^2 - 4x - 4) / 5.
 DIST_CUBIC = FiniteDist.from_pairs([(1.0, 0.2), (-2.0, 0.8)])
+# Dyadic values: at delta = 0.5 every discounted partial sum is exact in float64.
+SIX_POINTS = [(1.0, 0.2), (0.5, 0.1), (0.25, 0.1), (-0.25, 0.2), (-0.5, 0.2), (-1.0, 0.2)]
 R_QUARTER = math.log(3.0)
 R_CUBIC = math.log(2.0 + 2.0 * math.sqrt(2.0))
 
@@ -81,6 +90,17 @@ def test_dist_validation():
         FiniteDist.from_pairs([(1.0, 0.5), (1.0, 0.5)])
     with pytest.raises(ValueError, match="finite"):
         FiniteDist.from_pairs([(math.inf, 1.0)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="probabilities must be finite and positive"):
+            FiniteDist.from_pairs([(1.0, bad), (-1.0, 0.5)])
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -1.0])
+def test_c_must_be_finite_and_nonnegative(c):
+    with pytest.raises(ValueError, match="c must be finite and nonnegative"):
+        min_horizon(DIST_QUARTER, 0.9, c)
+    with pytest.raises(ValueError, match="c must be finite and nonnegative"):
+        tail_probability_mc(DIST_QUARTER, 0.9, c, 200, reps=1000, seed=0)
 
 
 def test_zero_threshold_bound_is_one():
@@ -132,6 +152,7 @@ def _exact_tail(dist, delta, c, horizon):
         # A hit needs 70 straight +1 steps, so it spans two chunks of draws;
         # one -100 step puts c out of reach and prunes the sequence.
         ([(1.0, 0.965), (-100.0, 0.035)], 0.99, 49.76),
+        (SIX_POINTS, 0.5, 0.6),  # six-point support, short horizon as the first two
     ],
 )
 def test_estimate_matches_exact_tail(pairs, delta, c):
@@ -144,6 +165,48 @@ def test_estimate_matches_exact_tail(pairs, delta, c):
     assert report.reps == reps
     sigma = math.sqrt(exact * (1 - exact) / reps)
     assert abs(report.empirical - exact) <= 4 * sigma
+
+
+SUPPORT_PROBS = [[0.25, 0.75], [0.2, 0.3, 0.5], [p for _, p in SIX_POINTS]]
+
+
+@pytest.mark.parametrize("probs", SUPPORT_PROBS)
+def test_word_map_counts_the_edges_at_or_below_each_word(probs):
+    edges = _word_edges(np.array(probs))
+    assert edges.dtype == np.uint32 and len(edges) == len(probs) - 1
+    values = 10.0 * np.arange(len(probs)) - 7.0
+    at_edges = edges.astype(np.int64)
+    words = np.unique(np.concatenate([[0, 2**32 - 1], at_edges - 1, at_edges])).astype(np.uint32)
+    expected = values[np.searchsorted(edges, words, side="right")]
+    assert np.array_equal(_word_values(words[None, :], edges, values), expected[None, :])
+
+
+@pytest.mark.parametrize("probs", SUPPORT_PROBS)
+def test_word_edges_quantise_each_probability_within_2_pow_minus_32(probs):
+    bounds = np.concatenate([[0], _word_edges(np.array(probs)).astype(np.int64), [2**32]])
+    assert np.all(np.abs(np.diff(bounds) / 2.0**32 - np.array(probs)) <= 2.0**-32)
+
+
+def test_stream_is_raw_philox_halves_row_major():
+    # With the horizon under one 64-step chunk, every replication ends in its
+    # first chunk, so the hits can be rebuilt from the raw words alone.
+    dist = FiniteDist.from_pairs(SIX_POINTS)
+    delta, c, seed, reps = 0.5, 0.6, 23, 1000
+    horizon = min_horizon(dist, delta, c)
+    assert horizon < 64 and reps > 256
+    edges = np.round(np.cumsum(dist.probs)[:-1] * 2.0**32)
+    disc = delta ** np.arange(1, horizon + 1)
+    hits = 0
+    for batch, first in enumerate(range(0, reps, 256)):
+        rows = min(256, reps - first)
+        words = np.random.Philox(key=[seed, batch]).random_raw(-(-rows * horizon // 2))
+        # Low 32 bits first: the memory order of each word on little-endian machines.
+        halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()[: rows * horizon]
+        steps = dist.values[np.searchsorted(edges, halves, side="right")].reshape(rows, horizon)
+        hits += int(np.count_nonzero((np.cumsum(steps * disc, axis=1) >= c).any(axis=1)))
+    report = tail_probability_mc(dist, delta, c, horizon, reps=reps, seed=seed)
+    assert hits > 0
+    assert report.empirical == hits / reps
 
 
 def test_determinism():

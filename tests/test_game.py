@@ -86,6 +86,12 @@ def test_order_must_be_permutation():
         StageGame(("a", "b"), ("x", "y"), np.zeros((2, 2)), np.zeros((2, 2)), order1=("a", "c"))
 
 
+@pytest.mark.parametrize("order", [(1, "a"), "ab"])
+def test_order_must_be_a_sequence_of_labels(order):
+    with pytest.raises(GameFormatError, match="order1 must be an array of action labels"):
+        StageGame(("a", "b"), ("x", "y"), np.zeros((2, 2)), np.zeros((2, 2)), order1=order)
+
+
 def test_expected_payoffs_pure_profiles(product_choice):
     u1, u2 = expected_payoffs(product_choice, MixedAction.delta("H"), MixedAction.delta("h"))
     assert u1 == pytest.approx(0.6)  # 1 - cost_high
