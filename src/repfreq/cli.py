@@ -226,6 +226,7 @@ def _cmd_simulate(args) -> dict:
             "z2_variant": params.z2_variant,
             "delta_bar": params.delta_bar,
             "delta_bar_theory": params.delta_bar_theory,
+            "in_theory_regime": args.delta >= params.delta_bar_theory,
         },
         "incentives": {
             "deviation_cap": incentives.deviation_cap,

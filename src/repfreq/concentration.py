@@ -92,13 +92,15 @@ def tail_exponent(dist: FiniteDist) -> float:
     if dist.max_value <= 0:
         raise ValueError("distribution must take a positive value with positive probability")
 
-    values, probs = dist.values, dist.probs
+    # Python floats: the support is tiny, so numpy's per-call overhead would
+    # dominate the roughly 45 bisection steps.
+    pairs = list(zip(dist.probs.tolist(), dist.values.tolist()))
     max_pos = dist.max_value
 
     def gap(r: float) -> float:
         if r * max_pos > _EXP_CAP:
             return math.inf
-        return float(probs @ np.exp(r * values)) - 1.0
+        return math.fsum([prob * math.exp(r * value) for prob, value in pairs]) - 1.0
 
     hi = 1.0
     while gap(hi) <= 0.0:
@@ -149,20 +151,44 @@ def _check_horizon(dist: FiniteDist, delta: float, c: float, horizon: int) -> No
         )
 
 
+def _draw_words(bitgen: np.random.Philox, shape: tuple[int, ...]) -> np.ndarray:
+    """The next ``prod(shape)`` 32-bit words of ``bitgen``, filled row-major.
+
+    The words are the halves of ceil(m / 2) raw 64-bit outputs in memory order
+    (low half first on little-endian machines); an odd count drops the last
+    half. Every Monte Carlo in the package draws through this one layout.
+    """
+    m = math.prod(shape)
+    return bitgen.random_raw((m + 1) // 2).view(np.uint32)[:m].reshape(shape)
+
+
+def _cum_edges(cum) -> np.ndarray:
+    """Integer edges E = round(F * 2**32), clipped to [0, 2**32 - 1], of the
+    cumulative probabilities F, elementwise. A word w falls below the edge of F
+    with probability E / 2**32, which is F quantised to a multiple of 2**-32."""
+    scaled = np.rint(np.asarray(cum, dtype=float) * 2.0**32)
+    return np.minimum(np.maximum(scaled, 0.0), 2.0**32 - 1).astype(np.uint32)
+
+
 def _word_edges(probs: np.ndarray) -> np.ndarray:
-    """Integer cumulative thresholds: E_k = round(F_k * 2**32), clipped to
-    [0, 2**32 - 1], for each cumulative probability F_k but the last."""
-    return np.clip(np.round(np.cumsum(probs)[:-1] * 2.0**32), 0, 2**32 - 1).astype(np.uint32)
+    """The edges of a categorical draw: one per cumulative probability F_k of
+    ``probs`` but the last."""
+    return _cum_edges(np.cumsum(probs)[:-1])
 
 
-def _word_values(words: np.ndarray, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Map each 32-bit word w to values[number of edges <= w]. With the K - 1
-    edges E_1, ..., E_{K-1}, E_0 = 0 and E_K = 2**32, values[k] has
-    probability (E_{k+1} - E_k) / 2**32."""
+def _word_index(words: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Map each 32-bit word w to the number of edges <= w. With the K - 1
+    edges E_1, ..., E_{K-1}, E_0 = 0 and E_K = 2**32, index k has probability
+    (E_{k+1} - E_k) / 2**32; with one edge, index 0 is the event w < E_1."""
     index = np.zeros(words.shape, dtype=np.min_scalar_type(len(edges)))
     for edge in edges:
         index += words >= edge
-    return values.take(index)
+    return index
+
+
+def _word_values(words: np.ndarray, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Map each 32-bit word to ``values[_word_index(word)]``."""
+    return values.take(_word_index(words, edges))
 
 
 def tail_probability_mc(
@@ -216,8 +242,7 @@ def tail_probability_mc(
         start = 1  # the sum runs over t = 1, 2, ...
         while carry.size and start <= horizon:
             n = min(_CHUNK, horizon - start + 1)
-            m = carry.size * n
-            words = bitgen.random_raw((m + 1) // 2).view(np.uint32)[:m].reshape(carry.size, n)
+            words = _draw_words(bitgen, (carry.size, n))
             steps = _word_values(words, edges, dist.values)
             steps *= disc_all[start - 1 : start - 1 + n]
             sums = np.cumsum(steps, axis=1, out=steps)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attain import decompose_target
-from .concentration import FiniteDist, tail_exponent
+from .concentration import FiniteDist, _cum_edges, _draw_words, _word_index, tail_exponent
 from .game import MixedAction, StageGame
 from .stage import DEFAULT_TOL, _best, minmax_p1, stackelberg
 
@@ -28,13 +28,17 @@ _RESIDUAL_WEIGHT = 1e-8
 # Backoff applied to the largest mixture weight that keeps the reply strict.
 _MIX_MARGIN = 1e-3
 
-# Normal-phase blocks drawn per chunk. Part of the stream definition: changing
-# it changes the path drawn for a given (seed, stream).
-_CHUNK_BLOCKS = 48
+# Normal-phase blocks in a path's first chunk, and the most any later chunk
+# draws (see _chunk_blocks). Part of the stream definition: changing either
+# changes the path drawn for a given (seed, stream).
+_FIRST_CHUNK_BLOCKS = 48
+_MAX_CHUNK_BLOCKS = 128
 
 MIN_REPS = 100  # fewest replications estimate_frequencies accepts
 
 PHASE_PREP, PHASE_REVIEW, PHASE_ABSORB, PHASE_COMP = 0, 1, 2, 3
+# How a block's absorbing run ended, as _Chunk.breach codes them.
+BREACHES = (None, "low", "high", "cap")
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,11 @@ class SimParams:
     atom_cum: np.ndarray | None = field(default=None, repr=False)
     atom_a: np.ndarray | None = field(default=None, repr=False)
     atom_b: np.ndarray | None = field(default=None, repr=False)
+    # 32-bit word edges (concentration._cum_edges) of p, eps1 and atom_cum[:-1]:
+    # a draw of probability F is the event w < round(F * 2**32).
+    p_edge: int = 0
+    eps1_edge: int = 0
+    atom_edges: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -80,6 +89,17 @@ class BlockRecord:
 
 @dataclass
 class PathStats:
+    """One path's discounted frequency, payoff and phase accounting.
+
+    The block tallies count the completed blocks, those that end inside the
+    horizon; the block cut at the horizon is not one of them. ``max_residual``
+    is the largest |device-expected residual| of a completed block in
+    discounted-average units (see :meth:`_Chunk.records`). ``comp_unending``
+    says the cut block reached a compensation run that no length could end.
+    ``blocks``, ``actions``, ``replies`` and ``phases`` are filled only by
+    ``simulate_path(..., record=True)``.
+    """
+
     freq: np.ndarray
     payoff: float
     prep_periods: int
@@ -87,8 +107,14 @@ class PathStats:
     absorb_periods: int
     comp_periods: int
     absorb_entries: int
-    blocks: list[BlockRecord]
     phase_weights: np.ndarray  # discounted weight of each phase, indexed by PHASE_*
+    block_count: int = 0
+    breach_low: int = 0
+    breach_high: int = 0
+    cap_ends: int = 0
+    max_residual: float = 0.0
+    comp_unending: bool = False
+    blocks: list[BlockRecord] = field(default_factory=list)
     actions: np.ndarray | None = None
     replies: np.ndarray | None = None
     phases: np.ndarray | None = None
@@ -282,6 +308,9 @@ def derive_params(
         atom_cum=atom_cum,
         atom_a=atom_a,
         atom_b=atom_b,
+        p_edge=int(_cum_edges(w)),
+        eps1_edge=int(_cum_edges(eps1)),
+        atom_edges=_cum_edges(atom_cum[:-1]),
     )
 
 
@@ -295,6 +324,14 @@ def _total_weight(delta: float) -> float:
     return -math.expm1((_horizon(delta) + 1) * math.log(delta))
 
 
+def _chunk_blocks(left: int, blocks: int, periods: int) -> int:
+    """Blocks in a path's next chunk: ceil(left * blocks / periods) + 1, at most
+    ``_MAX_CHUNK_BLOCKS``, where ``left`` periods remain to the horizon and the
+    path's completed ``blocks`` took ``periods`` periods. One block more than
+    the path's own rate predicts, so most paths need no further chunk."""
+    return min(_MAX_CHUNK_BLOCKS, -(-left * blocks // periods) + 1)
+
+
 class _Chunk:
     """A chunk of i.i.d. normal-phase blocks, drawn and settled together.
 
@@ -306,14 +343,26 @@ class _Chunk:
     weights. Blocks are drawn untruncated; the caller cuts the one that crosses
     the horizon. Compensation runs are capped at ``max_comp`` periods, which no
     block that fits the horizon reaches.
+
+    Every draw is a 32-bit word from :func:`concentration._draw_words`,
+    compared with integer edges round(F * 2**32) (:func:`concentration._cum_edges`),
+    so each probability is quantised to a multiple of 2**-32. In stream order:
+    a ``(blocks, t1)`` review matrix, tempting where w < edge(p); for the rows
+    whose review was all tempting, a ``(rows, t2_bar)`` device matrix, the
+    mixture where w < edge(eps1), and a ``(rows, t2_bar)`` action matrix,
+    mapped to the witness atom whose index is the number of cumulative atom
+    edges <= w, or under the mixture to the tempting action where w < edge(p);
+    then one compensation coin per block, ending the run one period early
+    where w < edge(phi).
     """
 
     def __init__(
         self,
-        rng: np.random.Generator,
+        bitgen: np.random.Philox,
         game: StageGame,
         params: SimParams,
         delta: float,
+        blocks: int,
         max_comp: int,
     ) -> None:
         self.ia_star, self.ia_prime = game.a_index(params.a_star), game.a_index(params.a_prime)
@@ -321,41 +370,39 @@ class _Chunk:
         n_a, t1, t2, v = len(game.actions1), params.t1, params.t2_bar, params.v_star
         disc = delta ** np.arange(max(t1, t2), dtype=float)
 
-        # Stream order: review matrix, absorbing draws for the all-tempting
-        # rows only, one compensation coin per block.
-        self.prime = rng.random((_CHUNK_BLOCKS, t1)) < params.p
+        self.prime = _draw_words(bitgen, (blocks, t1)) < params.p_edge
         self.rows = rows = np.flatnonzero(self.prime.all(axis=1))
-        device = rng.random((len(rows), t2)) < params.eps1
-        action_u = rng.random((len(rows), t2))
-        coins = rng.random(_CHUNK_BLOCKS)
+        device = _draw_words(bitgen, (len(rows), t2)) < params.eps1_edge
+        action = _draw_words(bitgen, (len(rows), t2))
+        coins = _draw_words(bitgen, (blocks,))
 
         # Review: the commitment reply throughout, so only tempting periods add surplus.
         w_prime = self.prime @ disc[:t1]
-        w_star = ~self.prime @ disc[:t1]
+        w_star = disc[:t1].sum() - w_prime
         u_tempt = float(game.u1[self.ia_prime, self.jb_star])
-        self.freq = np.zeros((_CHUNK_BLOCKS, n_a))
+        self.freq = np.zeros((blocks, n_a))
         self.freq[:, self.ia_prime] = w_prime
         self.freq[:, self.ia_star] = w_star
         self.payoff = u_tempt * w_prime + v * w_star
-        self.phase = np.zeros((_CHUNK_BLOCKS, 4))
+        self.phase = np.zeros((blocks, 4))
         self.phase[:, PHASE_REVIEW] = disc[:t1].sum()
         g = (u_tempt - v) * w_prime
 
         # Absorbing: the device picks the mixture or a witness atom each period;
         # the run ends at its first breach or at the cap.
-        self.absorb_len = np.zeros(_CHUNK_BLOCKS, dtype=np.int64)
-        self.breach: list[str | None] = [None] * _CHUNK_BLOCKS
+        self.absorb_len = np.zeros(blocks, dtype=np.int64)
+        self.breach = np.zeros(blocks, dtype=np.int8)  # index into BREACHES
         if rows.size:
             # Outcomes: the witness atoms, then the mixture's tempting and
-            # commitment actions, both against the commitment reply. An atom's
-            # index is the number of cumulative edges at or below u.
-            out_a = np.append(params.atom_a, [self.ia_prime, self.ia_star])
-            out_b = np.append(params.atom_b, [self.jb_star, self.jb_star])
-            atom = sum((action_u >= edge).view(np.int8) for edge in params.atom_cum[:-1])
-            mix = len(params.atom_cum) + (action_u >= params.p).view(np.int8)
-            outcome = np.where(device, mix, atom)
-            self.a_sub, self.b_sub = out_a.take(outcome), out_b.take(outcome)
-            running = np.cumsum(disc[:t2] * game.u1[out_a, out_b].take(outcome), axis=1)
+            # commitment actions, both against the commitment reply.
+            n_atoms = len(params.atom_a)
+            self.out_a = np.append(params.atom_a, [self.ia_prime, self.ia_star])
+            self.out_b = np.append(params.atom_b, [self.jb_star, self.jb_star])
+            atom = _word_index(action, params.atom_edges)
+            mix = n_atoms + _word_index(action, [params.p_edge])
+            self.outcome = np.where(device, mix, atom)
+            a_sub = self.out_a.take(self.outcome)
+            running = np.cumsum(disc[:t2] * game.u1[self.out_a, self.out_b].take(self.outcome), axis=1)
             weight_sum = np.cumsum(disc[:t2])
             low = running < v * weight_sum - params.c
             breached = low | (running > params.drift_target * weight_sum + params.c)
@@ -364,10 +411,9 @@ class _Chunk:
             hit = breached[r, first]
             sub_len = np.where(hit, first + 1, t2)
             self.absorb_len[rows] = sub_len
-            for k, k_hit, k_low in zip(rows.tolist(), hit.tolist(), low[r, first].tolist()):
-                self.breach[k] = ("low" if k_low else "high") if k_hit else "cap"
+            self.breach[rows] = np.where(hit, np.where(low[r, first], 1, 2), 3)
             kept = np.where(np.arange(t2) < sub_len[:, None], disc[:t2], 0.0)
-            cells = (r[:, None] * n_a + self.a_sub).ravel()
+            cells = (r[:, None] * n_a + a_sub).ravel()
             sub_freq = np.bincount(cells, weights=kept.ravel(), minlength=len(rows) * n_a)
             sub_pay, sub_weight = running[r, sub_len - 1], weight_sum[sub_len - 1]
             scale = delta**t1
@@ -391,6 +437,7 @@ class _Chunk:
         self.burns = g > 1e-12
         y = np.where(self.burns, g / (rate * lead), 0.0)
         reachable = y < 1.0
+        self.unending = self.burns & ~reachable
         n = np.ceil(np.log1p(-np.where(reachable, y, 0.0)) / log_d)
         n = np.where(rate * burned(n - 1) >= g, n - 1, np.where(rate * burned(n) < g, n + 1, n))
         n = np.where(reachable, np.minimum(n, max_comp), max_comp)
@@ -398,8 +445,10 @@ class _Chunk:
         g_after = g - rate * burned(self.n_comp)
         g_before = g - rate * burned(self.n_comp - 1)
         exact = np.abs(g_after) <= 1e-15
-        self.phi = np.where(exact, 0.0, -g_after / np.where(exact, 1.0, g_before - g_after))
-        early = coins < self.phi
+        phi_edge = _cum_edges(np.where(exact, 0.0, -g_after / np.where(exact, 1.0, g_before - g_after)))
+        # The coin's probability as drawn, so the expected residual is exact for it.
+        self.phi = phi_edge / 2.0**32
+        early = coins < phi_edge
         self.comp_len = np.where(self.burns, self.n_comp - early, 0)
         comp_w = burned(self.comp_len)
         self.freq[:, self.ia_prime] += comp_w
@@ -429,11 +478,12 @@ class _Chunk:
         r = np.flatnonzero((self.rows >= first) & (self.rows < first + len(lengths)))
         if r.size:
             j = self.rows[r] - first
-            steps = np.arange(self.a_sub.shape[1])
+            steps = np.arange(self.outcome.shape[1])
             keep = (steps < self.absorb_len[self.rows[r], None]) & (t1 + steps < lengths[j, None])
             at = (offsets[j, None] + t1 + steps)[keep]
-            a[at] = self.a_sub[r][keep]
-            b[at] = self.b_sub[r][keep]
+            outcome = self.outcome[r][keep]
+            a[at] = self.out_a.take(outcome)
+            b[at] = self.out_b.take(outcome)
             phase[at] = PHASE_ABSORB
         return a, b, phase
 
@@ -446,15 +496,15 @@ class _Chunk:
         """
         cols = zip(
             self.length[:n].tolist(),
-            self.breach[:n],
+            self.breach[:n].tolist(),
             self.burns[:n].tolist(),
             self.phi[:n].tolist(),
             ((1.0 - delta) * self.expected_residual[:n]).tolist(),
             ((1.0 - delta) * self.realized_residual[:n]).tolist(),
         )
         return [
-            BlockRecord(length, breach is not None, breach, phi if burns else None, expected, realized)
-            for length, breach, burns, phi, expected, realized in cols
+            BlockRecord(length, code != 0, BREACHES[code], phi if burns else None, expected, realized)
+            for length, code, burns, phi, expected, realized in cols
         ]
 
 
@@ -468,10 +518,15 @@ def simulate_path(
 ) -> PathStats:
     """Simulate one on-path history; deterministic in (seed, stream).
 
-    After preparation the path draws its blocks ``_CHUNK_BLOCKS`` at a time
-    from the same stream (see :class:`_Chunk`), adds every block that ends
-    inside the horizon at once, and cuts the first block that does not at the
-    horizon, as drawn.
+    The path draws every random word from one Philox bit generator keyed by
+    ``(seed % 2**64, stream % 2**64)``. Preparation draws up to 256 words at a
+    time, tempting where w < round(p * 2**32). The normal phase then draws its
+    blocks a chunk at a time (see :class:`_Chunk`): ``_FIRST_CHUNK_BLOCKS``
+    blocks first, then each later chunk as many as :func:`_chunk_blocks`
+    predicts from the blocks and periods of the path so far. Every block that
+    ends inside the horizon is added at once; the first block that does not is
+    cut at the horizon, as drawn. Per-block records are built only with
+    ``record=True``; otherwise the chunks add to the path's block tallies.
     """
     if not params.trivial and not params.delta_bar < delta < 1.0:
         raise ValueError(f"delta must lie in ({params.delta_bar}, 1)")
@@ -493,7 +548,6 @@ def simulate_path(
             absorb_periods=0,
             comp_periods=0,
             absorb_entries=0,
-            blocks=[],
             phase_weights=np.array([total_weight, 0.0, 0.0, 0.0]),
         )
         if record:
@@ -502,8 +556,7 @@ def simulate_path(
             stats.phases = np.full(t_max + 1, PHASE_PREP, dtype=np.uint8)
         return stats
 
-    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    bitgen = np.random.Philox(key=np.array([seed % 2**64, stream % 2**64], dtype=np.uint64))
     ia_star = game.a_index(params.a_star)
     ia_prime = game.a_index(params.a_prime)
     jb_star = game.b_index(params.b_star)
@@ -516,7 +569,10 @@ def simulate_path(
     rec_b = np.empty(t_max + 1, dtype=np.int16) if record else None
     rec_phase = np.empty(t_max + 1, dtype=np.uint8) if record else None
     blocks: list[BlockRecord] = []
+    ends = np.zeros(len(BREACHES), dtype=np.int64)  # completed blocks by breach code
+    max_residual = 0.0
     absorb_entries = 0
+    comp_unending = False
 
     def write(t0: int, a_vec: np.ndarray, b_vec: np.ndarray, phase: np.ndarray) -> None:
         rec_a[t0 : t0 + len(a_vec)] = a_vec
@@ -537,7 +593,7 @@ def simulate_path(
     # Preparation: mix toward the tempting action until it realizes.
     while t <= t_max:
         n = min(256, t_max - t + 1)
-        hits = rng.random(n) < params.p
+        hits = _draw_words(bitgen, (n,)) < params.p_edge
         k = int(np.argmax(hits)) if hits.any() else -1
         stop = k + 1 if k >= 0 else n
         a_vec = np.full(stop, ia_star, dtype=np.int64)
@@ -549,13 +605,15 @@ def simulate_path(
             break
 
     # Normal phase: blocks of review / absorbing / compensation.
+    t_normal = t
+    size = _FIRST_CHUNK_BLOCKS
     while t <= t_max:
-        chunk = _Chunk(rng, game, params, delta, max_comp=t_max + 2)
+        chunk = _Chunk(bitgen, game, params, delta, size, max_comp=t_max + 2)
         starts = t + np.cumsum(chunk.length) - chunk.length
         # A block is kept if its review and absorbing part ends before the
         # horizon and its full compensation run fits by it.
         fits = (starts + chunk.off <= t_max) & (starts + chunk.off + chunk.n_comp <= t_max + 1)
-        n = _CHUNK_BLOCKS if fits.all() else int(fits.argmin())
+        n = size if fits.all() else int(fits.argmin())
         deficit = chunk.g[:n][chunk.g[:n] < -1e-9]
         if deficit.size:
             raise RuntimeError(f"block entered compensation with a payoff deficit ({deficit[0]})")
@@ -567,16 +625,21 @@ def simulate_path(
         periods[PHASE_ABSORB] += chunk.absorb_len[:n].sum()
         periods[PHASE_COMP] += chunk.comp_len[:n].sum()
         absorb_entries += int(np.count_nonzero(chunk.absorb_len[:n]))
-        blocks += chunk.records(n, delta)
+        if n:
+            ends += np.bincount(chunk.breach[:n], minlength=len(BREACHES))
+            max_residual = max(max_residual, float(np.abs(chunk.expected_residual[:n]).max()))
         if record and n:
+            blocks += chunk.records(n, delta)
             write(t, *chunk.periods(0, chunk.length[:n]))
-        if n == _CHUNK_BLOCKS:
+        if n == size:
             t = int(starts[-1] + chunk.length[-1])
+            size = _chunk_blocks(t_max + 1 - t, int(ends.sum()), t - t_normal)
             continue
         # The first block that does not fit is cut at the horizon as drawn;
         # redrawing it would bias the length of the last block.
         t = int(starts[n])
         if t <= t_max:
+            comp_unending = bool(chunk.unending[n]) and t + int(chunk.off[n]) <= t_max
             a_vec, b_vec, phase = chunk.periods(n, np.array([t_max + 1 - t]))
             fill(t, a_vec, b_vec, phase)
             absorb_entries += int(PHASE_ABSORB in phase)
@@ -590,14 +653,35 @@ def simulate_path(
         absorb_periods=int(periods[PHASE_ABSORB]),
         comp_periods=int(periods[PHASE_COMP]),
         absorb_entries=absorb_entries,
-        blocks=blocks,
         phase_weights=(1.0 - delta) * phase_raw,
+        block_count=int(ends.sum()),
+        breach_low=int(ends[1]),
+        breach_high=int(ends[2]),
+        cap_ends=int(ends[3]),
+        max_residual=(1.0 - delta) * max_residual,
+        comp_unending=comp_unending,
+        blocks=blocks,
     )
     if record:
         stats.actions = rec_a
         stats.replies = rec_b
         stats.phases = rec_phase
     return stats
+
+
+# The per-path counts estimate_frequencies averages: phase_stats key, PathStats field.
+_TALLIES = {
+    "prep_periods": "prep_periods",
+    "review_periods": "review_periods",
+    "absorb_periods": "absorb_periods",
+    "comp_periods": "comp_periods",
+    "absorb_entries": "absorb_entries",
+    "blocks": "block_count",
+    "breach_low": "breach_low",
+    "breach_high": "breach_high",
+    "absorb_cap_ends": "cap_ends",
+    "comp_unending": "comp_unending",
+}
 
 
 def estimate_frequencies(
@@ -613,17 +697,7 @@ def estimate_frequencies(
     n_a = len(game.actions1)
     freqs = np.empty((reps, n_a))
     payoffs = np.empty(reps)
-    tallies = {
-        "prep_periods": 0.0,
-        "review_periods": 0.0,
-        "absorb_periods": 0.0,
-        "comp_periods": 0.0,
-        "absorb_entries": 0.0,
-        "blocks": 0.0,
-        "breach_low": 0.0,
-        "breach_high": 0.0,
-        "absorb_cap_ends": 0.0,
-    }
+    tallies = np.zeros(len(_TALLIES))
     max_residual = 0.0
     phase_weights = np.zeros(4)
     for rep in range(reps):
@@ -631,25 +705,13 @@ def estimate_frequencies(
         freqs[rep] = st.freq
         payoffs[rep] = st.payoff
         phase_weights += st.phase_weights
-        tallies["prep_periods"] += st.prep_periods
-        tallies["review_periods"] += st.review_periods
-        tallies["absorb_periods"] += st.absorb_periods
-        tallies["comp_periods"] += st.comp_periods
-        tallies["absorb_entries"] += st.absorb_entries
-        tallies["blocks"] += len(st.blocks)
-        for blk in st.blocks:
-            max_residual = max(max_residual, float(abs(blk.expected_residual)))
-            if blk.breach == "low":
-                tallies["breach_low"] += 1
-            elif blk.breach == "high":
-                tallies["breach_high"] += 1
-            elif blk.breach == "cap":
-                tallies["absorb_cap_ends"] += 1
+        tallies += [getattr(st, name) for name in _TALLIES.values()]
+        max_residual = max(max_residual, st.max_residual)
 
     freq_mean = freqs.mean(axis=0)
     freq_se = freqs.std(axis=0, ddof=1) / math.sqrt(reps)
     payoff_se = float(payoffs.std(ddof=1)) / math.sqrt(reps)
-    phase_stats = {key: val / reps for key, val in tallies.items()}
+    phase_stats = {key: float(val / reps) for key, val in zip(_TALLIES, tallies)}
     phase_stats["max_block_residual"] = max_residual
     # Share of the discounted weight each phase carries, averaged over paths.
     for name, weight in zip(("prep", "review", "absorb", "comp"), phase_weights / reps):

@@ -120,6 +120,27 @@ def test_simulate_reports_phase_shares(capsys):
     assert doc["phase_stats"]["share_absorb"] == 0
 
 
+@pytest.mark.parametrize("delta, unending", [(0.995, 1.0), (0.999, 0.0)])
+def test_simulate_surfaces_the_regime(capsys, delta, unending):
+    # The criterion-7 configuration runs below delta_bar_theory at both
+    # discounts. At 0.995 a review surplus needs y > 1 burn capacity, so every
+    # path ends in a compensation run that cannot end; at 0.999 none does.
+    code, out = run_cli(
+        capsys,
+        "simulate",
+        str(fixture_path("product_choice")),
+        "--target", "H:0.375,L:0.625",
+        "--delta", str(delta),
+        "--eps1", "0.01",
+        "--reps", "100",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    validate(doc, "simulate.schema.json")
+    assert doc["params"]["in_theory_regime"] is False
+    assert doc["phase_stats"]["comp_unending"] == unending
+
+
 def test_concentration_output(capsys):
     code, out = run_cli(
         capsys,

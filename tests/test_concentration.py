@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repfreq.concentration import (
+    _EXP_CAP,
+    _ROOT_WIDTH,
     FiniteDist,
     _word_edges,
     _word_values,
@@ -60,6 +62,37 @@ def test_exponent_is_smallest_positive_root():
 def test_exponent_scaling(k):
     scaled = FiniteDist(values=k * DIST_QUARTER.values, probs=DIST_QUARTER.probs)
     assert tail_exponent(scaled) == pytest.approx(tail_exponent(DIST_QUARTER) / k, abs=1e-9)
+
+
+def numpy_moment_root(dist: FiniteDist) -> float:
+    """The doubling and bisection of tail_exponent, with the moment evaluated by numpy."""
+
+    def gap(r: float) -> float:
+        if r * dist.max_value > _EXP_CAP:
+            return math.inf
+        return float(dist.probs @ np.exp(r * dist.values)) - 1.0
+
+    lo, hi = 0.0, 1.0
+    while gap(hi) <= 0.0:
+        hi *= 2.0
+    while hi - lo > _ROOT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        g = gap(mid)
+        if g == 0.0:
+            return mid
+        lo, hi = (lo, mid) if g > 0.0 else (mid, hi)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [DIST_QUARTER, FiniteDist.from_pairs([(2.0, 0.2), (-0.5, 0.3), (-1.0, 0.5)]), FiniteDist.from_pairs(SIX_POINTS)],
+    ids=["2-point", "3-point", "6-point"],
+)
+def test_exponent_matches_the_numpy_moment(dist):
+    # The two evaluations round differently, so a sign flip next to the root
+    # can move the bracket by one width either way.
+    assert abs(tail_exponent(dist) - numpy_moment_root(dist)) <= 2 * _ROOT_WIDTH
 
 
 @settings(max_examples=60, deadline=None)

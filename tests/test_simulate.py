@@ -7,10 +7,14 @@ import pytest
 from repfreq.apps import ProductChoiceParams, build_stage_game
 from repfreq.bounds import min_stackelberg_freq
 from repfreq.game import MixedAction
+from repfreq import simulate
 from repfreq.simulate import (
+    _MAX_CHUNK_BLOCKS,
     PHASE_ABSORB,
     PHASE_COMP,
     PHASE_REVIEW,
+    _Chunk,
+    _chunk_blocks,
     _horizon,
     check_incentives,
     derive_params,
@@ -299,3 +303,86 @@ def test_phase_shares_split_the_discounted_weight(product_choice, pc_params, con
         assert out.phase_stats["share_absorb"] == 0
     else:
         assert out.phase_stats["share_absorb"] > 0
+
+
+def test_path_tallies_match_the_block_records():
+    delta = 0.999
+    game, params = absorbing_game_params(delta)
+    breaches = 0
+    for stream in range(50):
+        st = simulate_path(game, params, delta, seed=8, stream=stream)
+        rec = simulate_path(game, params, delta, seed=8, stream=stream, record=True)
+        assert st.blocks == []
+        ends = Counter(blk.breach for blk in rec.blocks)
+        tallies = (st.block_count, st.breach_low, st.breach_high, st.cap_ends)
+        assert tallies == (len(rec.blocks), ends["low"], ends["high"], ends["cap"])
+        assert st.max_residual == max(abs(blk.expected_residual) for blk in rec.blocks)
+        breaches += st.breach_low + st.breach_high
+    assert breaches > 0
+
+
+def test_estimates_build_no_block_records(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("block record built without record=True")
+
+    monkeypatch.setattr(simulate, "BlockRecord", refuse)
+    game, params = absorbing_game_params(0.999)
+    out = estimate_frequencies(game, params, 0.999, reps=100, seed=4)
+    assert out.phase_stats["blocks"] > 0
+
+
+def test_chunk_draws_raw_philox_halves_against_integer_edges():
+    delta = 0.999
+    game, params = absorbing_game_params(delta)
+    key = np.array([2**63 + 5, 9], dtype=np.uint64)
+    blocks = 48
+    chunk = _Chunk(np.random.Philox(key=key), game, params, delta, blocks, max_comp=_horizon(delta) + 2)
+    raw = np.random.Philox(key=key).random_raw
+
+    def halves(rows: int, cols: int) -> np.ndarray:
+        m = rows * cols
+        return raw((m + 1) // 2).view(np.uint32)[:m].reshape(rows, cols)
+
+    def edge(prob):
+        return np.round(np.asarray(prob) * 2.0**32)
+
+    review = halves(blocks, params.t1) < edge(params.p)
+    rows = np.flatnonzero(review.all(axis=1))
+    assert rows.size, "the chunk must reach the absorbing subphase"
+    assert np.array_equal(chunk.prime, review)
+    assert np.array_equal(chunk.rows, rows)
+    device = halves(rows.size, params.t2_bar) < edge(params.eps1)
+    action = halves(rows.size, params.t2_bar)
+    atom = np.searchsorted(edge(params.atom_cum[:-1]), action, side="right")
+    mix = len(params.atom_a) + (action >= edge(params.p))
+    assert np.array_equal(chunk.outcome, np.where(device, mix, atom))
+    # The coin's probability is quantised to 2**-32, and a word below its edge
+    # ends the compensation run one period early.
+    coins = halves(1, blocks)[0]
+    phi_edge = chunk.phi * 2.0**32
+    assert np.array_equal(phi_edge, np.round(phi_edge))
+    assert np.array_equal(chunk.comp_len, np.where(chunk.burns, chunk.n_comp - (coins < phi_edge), 0))
+
+
+def test_later_chunks_are_sized_from_the_path_so_far(monkeypatch):
+    # ceil(R * n / L) + 1 blocks, capped.
+    assert _chunk_blocks(1000, 48, 4000) == 13
+    assert _chunk_blocks(1001, 48, 4000) == 14
+    assert _chunk_blocks(18000, 48, 4800) == _MAX_CHUNK_BLOCKS == 128
+    sizes = []
+
+    class Recording(_Chunk):
+        def __init__(self, bitgen, game, params, delta, blocks, max_comp):
+            sizes.append(blocks)
+            super().__init__(bitgen, game, params, delta, blocks, max_comp)
+
+    monkeypatch.setattr(simulate, "_Chunk", Recording)
+    delta = 0.999
+    game, params = absorbing_game_params(delta)
+    st = simulate_path(game, params, delta, seed=3, record=True)
+    assert sizes[0] == 48 and len(sizes) >= 3
+    ends = np.cumsum([blk.length for blk in st.blocks])
+    for k, drawn in enumerate(np.cumsum(sizes[:-1])):
+        periods = int(ends[drawn - 1])
+        left = _horizon(delta) + 1 - st.prep_periods - periods
+        assert sizes[k + 1] == _chunk_blocks(left, int(drawn), periods)
