@@ -170,12 +170,6 @@ def _cum_edges(cum) -> np.ndarray:
     return np.minimum(np.maximum(scaled, 0.0), 2.0**32 - 1).astype(np.uint32)
 
 
-def _word_edges(probs: np.ndarray) -> np.ndarray:
-    """The edges of a categorical draw: one per cumulative probability F_k of
-    ``probs`` but the last."""
-    return _cum_edges(np.cumsum(probs)[:-1])
-
-
 def _word_index(words: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Map each 32-bit word w to the number of edges <= w. With the K - 1
     edges E_1, ..., E_{K-1}, E_0 = 0 and E_K = 2**32, index k has probability
@@ -184,11 +178,6 @@ def _word_index(words: np.ndarray, edges: np.ndarray) -> np.ndarray:
     for edge in edges:
         index += words >= edge
     return index
-
-
-def _word_values(words: np.ndarray, edges: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Map each 32-bit word to ``values[_word_index(word)]``."""
-    return values.take(_word_index(words, edges))
 
 
 def tail_probability_mc(
@@ -231,7 +220,7 @@ def tail_probability_mc(
     r_star = tail_exponent(dist)
     analytic = math.exp(-r_star * c)
 
-    edges = _word_edges(dist.probs)
+    edges = _cum_edges(np.cumsum(dist.probs)[:-1])
     max_pos = dist.max_value
     disc_all = np.exp(math.log(delta) * np.arange(1, horizon + 1))
 
@@ -243,7 +232,7 @@ def tail_probability_mc(
         while carry.size and start <= horizon:
             n = min(_CHUNK, horizon - start + 1)
             words = _draw_words(bitgen, (carry.size, n))
-            steps = _word_values(words, edges, dist.values)
+            steps = dist.values.take(_word_index(words, edges))
             steps *= disc_all[start - 1 : start - 1 + n]
             sums = np.cumsum(steps, axis=1, out=steps)
             sums += carry[:, None]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,11 +71,21 @@ class SimParams:
     atom_cum: np.ndarray | None = field(default=None, repr=False)
     atom_a: np.ndarray | None = field(default=None, repr=False)
     atom_b: np.ndarray | None = field(default=None, repr=False)
+
     # 32-bit word edges (concentration._cum_edges) of p, eps1 and atom_cum[:-1]:
-    # a draw of probability F is the event w < round(F * 2**32).
-    p_edge: int = 0
-    eps1_edge: int = 0
-    atom_edges: np.ndarray | None = field(default=None, repr=False)
+    # a draw of probability F is the event w < round(F * 2**32). Derived on
+    # first use, so they always agree with the fields they come from.
+    @cached_property
+    def p_edge(self) -> int:
+        return int(_cum_edges(self.p))
+
+    @cached_property
+    def eps1_edge(self) -> int:
+        return int(_cum_edges(self.eps1))
+
+    @cached_property
+    def atom_edges(self) -> np.ndarray:
+        return _cum_edges(self.atom_cum[:-1])
 
 
 @dataclass(frozen=True)
@@ -111,7 +122,7 @@ class PathStats:
     block_count: int = 0
     breach_low: int = 0
     breach_high: int = 0
-    cap_ends: int = 0
+    absorb_cap_ends: int = 0
     max_residual: float = 0.0
     comp_unending: bool = False
     blocks: list[BlockRecord] = field(default_factory=list)
@@ -308,9 +319,6 @@ def derive_params(
         atom_cum=atom_cum,
         atom_a=atom_a,
         atom_b=atom_b,
-        p_edge=int(_cum_edges(w)),
-        eps1_edge=int(_cum_edges(eps1)),
-        atom_edges=_cum_edges(atom_cum[:-1]),
     )
 
 
@@ -657,7 +665,7 @@ def simulate_path(
         block_count=int(ends.sum()),
         breach_low=int(ends[1]),
         breach_high=int(ends[2]),
-        cap_ends=int(ends[3]),
+        absorb_cap_ends=int(ends[3]),
         max_residual=(1.0 - delta) * max_residual,
         comp_unending=comp_unending,
         blocks=blocks,
@@ -669,19 +677,20 @@ def simulate_path(
     return stats
 
 
-# The per-path counts estimate_frequencies averages: phase_stats key, PathStats field.
-_TALLIES = {
-    "prep_periods": "prep_periods",
-    "review_periods": "review_periods",
-    "absorb_periods": "absorb_periods",
-    "comp_periods": "comp_periods",
-    "absorb_entries": "absorb_entries",
-    "blocks": "block_count",
-    "breach_low": "breach_low",
-    "breach_high": "breach_high",
-    "absorb_cap_ends": "cap_ends",
-    "comp_unending": "comp_unending",
-}
+# The per-path counts estimate_frequencies averages, by PathStats field;
+# block_count is reported as phase_stats["blocks"].
+_TALLIES = (
+    "prep_periods",
+    "review_periods",
+    "absorb_periods",
+    "comp_periods",
+    "absorb_entries",
+    "block_count",
+    "breach_low",
+    "breach_high",
+    "absorb_cap_ends",
+    "comp_unending",
+)
 
 
 def estimate_frequencies(
@@ -705,13 +714,16 @@ def estimate_frequencies(
         freqs[rep] = st.freq
         payoffs[rep] = st.payoff
         phase_weights += st.phase_weights
-        tallies += [getattr(st, name) for name in _TALLIES.values()]
+        tallies += [getattr(st, name) for name in _TALLIES]
         max_residual = max(max_residual, st.max_residual)
 
     freq_mean = freqs.mean(axis=0)
     freq_se = freqs.std(axis=0, ddof=1) / math.sqrt(reps)
     payoff_se = float(payoffs.std(ddof=1)) / math.sqrt(reps)
-    phase_stats = {key: float(val / reps) for key, val in zip(_TALLIES, tallies)}
+    phase_stats = {
+        ("blocks" if name == "block_count" else name): float(val / reps)
+        for name, val in zip(_TALLIES, tallies)
+    }
     phase_stats["max_block_residual"] = max_residual
     # Share of the discounted weight each phase carries, averaged over paths.
     for name, weight in zip(("prep", "review", "absorb", "comp"), phase_weights / reps):

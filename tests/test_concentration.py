@@ -9,8 +9,8 @@ from repfreq.concentration import (
     _EXP_CAP,
     _ROOT_WIDTH,
     FiniteDist,
-    _word_edges,
-    _word_values,
+    _cum_edges,
+    _word_index,
     min_horizon,
     tail_exponent,
     tail_probability_mc,
@@ -205,18 +205,18 @@ SUPPORT_PROBS = [[0.25, 0.75], [0.2, 0.3, 0.5], [p for _, p in SIX_POINTS]]
 
 @pytest.mark.parametrize("probs", SUPPORT_PROBS)
 def test_word_map_counts_the_edges_at_or_below_each_word(probs):
-    edges = _word_edges(np.array(probs))
+    edges = _cum_edges(np.cumsum(probs)[:-1])
     assert edges.dtype == np.uint32 and len(edges) == len(probs) - 1
     values = 10.0 * np.arange(len(probs)) - 7.0
     at_edges = edges.astype(np.int64)
     words = np.unique(np.concatenate([[0, 2**32 - 1], at_edges - 1, at_edges])).astype(np.uint32)
     expected = values[np.searchsorted(edges, words, side="right")]
-    assert np.array_equal(_word_values(words[None, :], edges, values), expected[None, :])
+    assert np.array_equal(values.take(_word_index(words[None, :], edges)), expected[None, :])
 
 
 @pytest.mark.parametrize("probs", SUPPORT_PROBS)
 def test_word_edges_quantise_each_probability_within_2_pow_minus_32(probs):
-    bounds = np.concatenate([[0], _word_edges(np.array(probs)).astype(np.int64), [2**32]])
+    bounds = np.concatenate([[0], _cum_edges(np.cumsum(probs)[:-1]).astype(np.int64), [2**32]])
     assert np.all(np.abs(np.diff(bounds) / 2.0**32 - np.array(probs)) <= 2.0**-32)
 
 

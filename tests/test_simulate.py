@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -314,7 +315,7 @@ def test_path_tallies_match_the_block_records():
         rec = simulate_path(game, params, delta, seed=8, stream=stream, record=True)
         assert st.blocks == []
         ends = Counter(blk.breach for blk in rec.blocks)
-        tallies = (st.block_count, st.breach_low, st.breach_high, st.cap_ends)
+        tallies = (st.block_count, st.breach_low, st.breach_high, st.absorb_cap_ends)
         assert tallies == (len(rec.blocks), ends["low"], ends["high"], ends["cap"])
         assert st.max_residual == max(abs(blk.expected_residual) for blk in rec.blocks)
         breaches += st.breach_low + st.breach_high
@@ -329,6 +330,16 @@ def test_estimates_build_no_block_records(monkeypatch):
     game, params = absorbing_game_params(0.999)
     out = estimate_frequencies(game, params, 0.999, reps=100, seed=4)
     assert out.phase_stats["blocks"] > 0
+
+
+def test_word_edges_follow_the_probabilities_they_quantise(pc_params):
+    assert pc_params.p_edge == round(pc_params.p * 2**32)
+    assert pc_params.eps1_edge == round(pc_params.eps1 * 2**32)
+    assert np.array_equal(pc_params.atom_edges, np.rint(pc_params.atom_cum[:-1] * 2**32))
+    moved = dataclasses.replace(pc_params, p=0.5, eps1=0.25)
+    assert (moved.p_edge, moved.eps1_edge) == (2**31, 2**30)
+    with pytest.raises(TypeError):
+        dataclasses.replace(pc_params, p_edge=0)
 
 
 def test_chunk_draws_raw_philox_halves_against_integer_edges():
