@@ -6,6 +6,7 @@ matching closed form serves as an independent oracle for the LP value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -68,10 +69,10 @@ class EntryDeterrenceParams:
     def __post_init__(self) -> None:
         _check_open_unit("gamma", self.gamma)
         _check_open_unit("cost_out", self.cost_out)
-        if self.cost_in <= 0:
-            raise ValueError(f"cost_in must be positive, got {self.cost_in}")
-        if self.subsidy < 0:
-            raise ValueError("subsidy must be nonnegative")
+        if not (math.isfinite(self.cost_in) and self.cost_in > 0):
+            raise ValueError(f"cost_in must be finite and positive, got {self.cost_in}")
+        if not (math.isfinite(self.subsidy) and self.subsidy >= 0):
+            raise ValueError(f"subsidy must be finite and nonnegative, got {self.subsidy}")
 
     @property
     def effective_gamma(self) -> float:

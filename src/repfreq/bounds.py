@@ -51,9 +51,7 @@ class FreqBound:
     1-q. Both methods report their nonzero blocks in block order (reply order
     for the exact LP, candidate order for prop1). When only one block has
     mass, q is 1, that block is the first component, and the second is a
-    canonical reply-consistent placeholder with ``placeholder2`` set. The
-    first component always carries weight, so ``placeholder1`` is always
-    false; the field stays for the output schema.
+    canonical reply-consistent placeholder with ``placeholder2`` set.
     """
 
     value: float
@@ -65,7 +63,6 @@ class FreqBound:
     method: str
     epsilon: float = 0.0
     equality: bool = False
-    placeholder1: bool = False
     placeholder2: bool = False
 
 

@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_unit_open, required=True)
     p.add_argument("--eps1", type=_unit_open, default=0.01)
     p.add_argument("--reps", type=_int_at_least(simulate.MIN_REPS), default=2000)
-    p.add_argument("--z2-variant", choices=["drift", "literal"], default="drift")
     p.add_argument("--out", help="write per-action estimates as CSV to this path")
 
     p = sub.add_parser(
@@ -155,7 +154,6 @@ def _freq_bound_to_dict(result: bounds.FreqBound) -> dict:
             "b1": result.b1,
             "alpha2": _mixed_to_dict(result.alpha2),
             "b2": result.b2,
-            "placeholder1": result.placeholder1,
             "placeholder2": result.placeholder2,
         },
     }
@@ -192,7 +190,7 @@ def _cmd_in_set_a(args) -> dict:
 def _cmd_simulate(args) -> dict:
     game = load_game_file(args.game)
     target = parse_mixed_action(args.target)
-    params = simulate.derive_params(game, target, args.eps1, args.delta, z2_variant=args.z2_variant, tol=args.tol)
+    params = simulate.derive_params(game, target, args.eps1, args.delta, tol=args.tol)
     outcome = simulate.estimate_frequencies(game, params, args.delta, args.reps, args.seed)
     incentives = simulate.check_incentives(game, params, args.delta)
     if args.out:
@@ -223,7 +221,6 @@ def _cmd_simulate(args) -> dict:
             "t2_bar": params.t2_bar,
             "r1_star": params.r1_star,
             "r2_star": params.r2_star,
-            "z2_variant": params.z2_variant,
             "delta_bar": params.delta_bar,
             "delta_bar_theory": params.delta_bar_theory,
             "in_theory_regime": args.delta >= params.delta_bar_theory,

@@ -62,11 +62,9 @@ class SimParams:
     r2_star: float | None = None
     z1: FiniteDist | None = None
     z2: FiniteDist | None = None
-    z2_variant: str = "drift"
     drift_target: float = 0.0
     delta_bar: float = 0.0
     delta_bar_theory: float = 0.0
-    m_bar: float = 0.0
     # q-sampling table for the absorbing subphase, flattened to atoms.
     atom_cum: np.ndarray | None = field(default=None, repr=False)
     atom_a: np.ndarray | None = field(default=None, repr=False)
@@ -147,8 +145,6 @@ class IncentiveReport:
     min_continuation: float
     slack: float
     passes: bool
-    minmax: float
-    compensation_dip: float
 
 
 def _strict_unique_reply_weight(game: StageGame, a_star: str, a_prime: str, b_star: str) -> float:
@@ -178,7 +174,6 @@ def derive_params(
     target: MixedAction,
     eps1: float,
     delta: float,
-    z2_variant: str = "drift",
     tol: float = DEFAULT_TOL,
 ) -> SimParams:
     """Derive every constant of the construction for a target distribution.
@@ -192,8 +187,6 @@ def derive_params(
         raise ValueError("eps1 must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if z2_variant not in ("drift", "literal"):
-        raise ValueError(f"unknown z2 variant {z2_variant!r}")
     stack = stackelberg(game, tol)
     if not (stack.unique_action and stack.unique_reply):
         raise ValueError("construction requires a unique commitment action and reply")
@@ -249,7 +242,6 @@ def derive_params(
     atom_cum[-1] = 1.0
 
     drift_target = eps1 * u_prime_mix + (1.0 - eps1) * mean_witness_payoff + eps1
-    z2_base = drift_target if z2_variant == "drift" else eps1
 
     def finite_dist(pairs: list[tuple[float, float]]) -> FiniteDist | None:
         merged: dict[float, float] = {}
@@ -271,13 +263,14 @@ def derive_params(
             raise ValueError("drift variable has nonnegative mean; tail exponent undefined")
         return dist
 
+    # Player 1's per-period payoff law over a block: the mixture's two
+    # actions against b_star, then the witness atoms. z1 is the deficit below
+    # v*, z2 the excess over the drift target.
     v = stack.v_star
-    z1_pairs = [(0.0, eps1 * (1.0 - w)), (v - game.payoff1(a_prime, stack.b_star), eps1 * w)]
-    z1_pairs += [(v - float(pay), (1.0 - eps1) * float(pr)) for pay, pr in zip(atom_pay, atom_probs)]
-    z2_pairs = [(v - z2_base, eps1 * (1.0 - w)), (game.payoff1(a_prime, stack.b_star) - z2_base, eps1 * w)]
-    z2_pairs += [(float(pay) - z2_base, (1.0 - eps1) * float(pr)) for pay, pr in zip(atom_pay, atom_probs)]
-    z1 = finite_dist(z1_pairs)
-    z2 = finite_dist(z2_pairs)
+    law = [(v, eps1 * (1.0 - w)), (game.payoff1(a_prime, stack.b_star), eps1 * w)]
+    law += [(float(pay), (1.0 - eps1) * float(pr)) for pay, pr in zip(atom_pay, atom_probs)]
+    z1 = finite_dist([(v - x, q) for x, q in law])
+    z2 = finite_dist([(x - drift_target, q) for x, q in law])
     r1 = tail_exponent(z1) if z1 is not None else None
     r2 = tail_exponent(z2) if z2 is not None else None
     finite = [r for r in (r1, r2) if r is not None]
@@ -311,11 +304,9 @@ def derive_params(
         r2_star=r2,
         z1=z1,
         z2=z2,
-        z2_variant=z2_variant,
         drift_target=drift_target,
         delta_bar=delta_bar,
         delta_bar_theory=delta_bar_theory,
-        m_bar=m_bar,
         atom_cum=atom_cum,
         atom_a=atom_a,
         atom_b=atom_b,
@@ -747,16 +738,14 @@ def check_incentives(game: StageGame, params: SimParams, delta: float) -> Incent
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    mm = minmax_p1(game)
-    cap = (1.0 - delta) * game.max_payoff1 + delta * mm
+    cap = (1.0 - delta) * game.max_payoff1 + delta * minmax_p1(game)
     if params.trivial:
         min_cont = params.v_star
-        dip = params.v_star
     else:
         u_comp = game.payoff1(params.a_prime, params.b_prime)
         rate = params.v_star - u_comp
         span = params.t1 + params.t2_bar
-        g_max = (params.m_bar - params.v_star) * (1.0 - delta**span) / (1.0 - delta)
+        g_max = (game.max_payoff1 - params.v_star) * (1.0 - delta**span) / (1.0 - delta)
         x = g_max * (1.0 - delta) / (rate * delta**span)
         if x >= 1.0:
             dip = u_comp
@@ -770,6 +759,4 @@ def check_incentives(game: StageGame, params: SimParams, delta: float) -> Incent
         min_continuation=min_cont,
         slack=slack,
         passes=slack > 0,
-        minmax=mm,
-        compensation_dip=dip,
     )

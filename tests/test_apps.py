@@ -151,3 +151,11 @@ def test_parameter_validation():
         EntryDeterrenceParams(0.5, 0.5, -1.0)
     with pytest.raises(ValueError):
         FiscalPolicyParams(0.5, 0.6)  # cost above 1 - tax
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_entry_rejects_non_finite_cost_in_and_subsidy(bad):
+    with pytest.raises(ValueError, match="cost_in must be finite and positive"):
+        EntryDeterrenceParams(0.6, 0.5, bad)
+    with pytest.raises(ValueError, match="subsidy must be finite and nonnegative"):
+        EntryDeterrenceParams(0.6, 0.5, 0.3, subsidy=bad)

@@ -270,6 +270,15 @@ def test_simulate_and_app_read_tol(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("cost_in", ["nan", "inf"])
+def test_entry_non_finite_cost_in_exits_1_with_one_stderr_line(capsys, cost_in):
+    code = dispatch(["app", "entry", "--gamma", "0.6", "--co", "0.5", "--ci", cost_in])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: cost_in must be finite and positive, got {cost_in}"]
+
+
 def test_prop1_outside_its_hypothesis_exits_1(capsys, tmp_path):
     game = tmp_path / "best_reply.json"
     game.write_text(

@@ -24,6 +24,7 @@ from repfreq.simulate import (
 )
 
 from ._reference_sim import simulate_path as reference_simulate_path
+from .conftest import APPLIED_GAMES
 
 TARGET_PC = MixedAction({"H": 0.375, "L": 0.625})
 
@@ -75,13 +76,6 @@ def test_unattainable_target_is_rejected(product_choice):
 def test_delta_below_bound_is_rejected(product_choice):
     with pytest.raises(ValueError, match="below the construction bound"):
         derive_params(product_choice, TARGET_PC, eps1=0.01, delta=0.5)
-
-
-def test_literal_z2_variant_rejected_when_mean_nonnegative(product_choice):
-    # The literal centering subtracts only eps1, leaving the commitment-payoff
-    # mean intact, so the exponent root does not exist.
-    with pytest.raises(ValueError, match="nonnegative mean"):
-        derive_params(product_choice, TARGET_PC, eps1=0.01, delta=0.999, z2_variant="literal")
 
 
 def test_path_determinism(product_choice, pc_params):
@@ -182,6 +176,31 @@ def test_check_incentives_fails_when_minmax_dominates(matching_pennies):
     report = check_incentives(matching_pennies, params, 0.999)
     assert not report.passes
     assert report.slack < 0
+
+
+@pytest.mark.parametrize("k", [1e-3, 1e3])
+@pytest.mark.parametrize("eps1", [0.01, 0.2])
+@pytest.mark.parametrize("name", [*APPLIED_GAMES, "absorbing"])
+def test_rescaling_u2_leaves_the_construction_unchanged(games, name, eps1, k):
+    # Player 2 only best-replies, so u2 -> k*u2 (k > 0) changes no reply, hence
+    # no constant of the construction and no incentive. Beyond 1e+-3 the LP
+    # witness itself drifts by more than 1e-9.
+    if name == "absorbing":
+        game = build_stage_game(ProductChoiceParams(gamma=0.1, cost_high=0.4, cost_low=0.2))
+    else:
+        game = games[name]
+    target = equality_target(game)
+
+    def derived(g):
+        params = derive_params(g, target, eps1=eps1, delta=0.999)
+        slack = check_incentives(g, params, 0.999).slack
+        exact = (params.t1, params.t2_bar, params.a_prime, params.b_prime)
+        return exact, (params.p, params.c, params.r1_star, params.r2_star, slack)
+
+    exact, close = derived(game)
+    moved_exact, moved_close = derived(dataclasses.replace(game, u2=k * game.u2))
+    assert moved_exact == exact
+    assert moved_close == pytest.approx(close, rel=1e-9, abs=0.0)
 
 
 def test_estimate_validates_reps(product_choice, pc_params):
