@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_unit_open, required=True)
     p.add_argument("--c", type=_nonneg, required=True)
     p.add_argument("--reps", type=_int_at_least(concentration.MIN_REPS), required=True)
-    p.add_argument("--horizon", type=_int_at_least(1), default=None)
 
     p = sub.add_parser("app", help="closed-form applications versus the LP value")
     app_sub = p.add_subparsers(dest="variant", required=True)
@@ -244,7 +243,7 @@ def _cmd_concentration(args) -> dict:
         if not (numbers and set(entry) == {"value", "prob"}):
             raise ValueError(f"distribution entry {json.dumps(entry)} is not a {{value, prob}} object of numbers")
     dist = concentration.FiniteDist.from_pairs((entry["value"], entry["prob"]) for entry in doc)
-    horizon = args.horizon or concentration.min_horizon(dist, args.delta, args.c)
+    horizon = concentration.min_horizon(dist, args.delta, args.c)
     report = concentration.tail_probability_mc(dist, args.delta, args.c, horizon, args.reps, args.seed)
     return {
         "r_star": report.r_star,

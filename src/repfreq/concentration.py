@@ -110,6 +110,8 @@ def tail_exponent(dist: FiniteDist) -> float:
     lo = 0.0
     while hi - lo > _ROOT_WIDTH:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # adjacent floats: above 512 they lie more than _ROOT_WIDTH apart
         g = gap(mid)
         if g == 0.0:
             return mid

@@ -29,10 +29,8 @@ _RESIDUAL_WEIGHT = 1e-8
 # Backoff applied to the largest mixture weight that keeps the reply strict.
 _MIX_MARGIN = 1e-3
 
-# Normal-phase blocks in a path's first chunk, and the most any later chunk
-# draws (see _chunk_blocks). Part of the stream definition: changing either
-# changes the path drawn for a given (seed, stream).
-_FIRST_CHUNK_BLOCKS = 48
+# The most normal-phase blocks a chunk draws (see _chunk_blocks). Part of the
+# stream definition: changing it changes the path drawn for a given (seed, stream).
 _MAX_CHUNK_BLOCKS = 128
 
 MIN_REPS = 100  # fewest replications estimate_frequencies accepts
@@ -147,28 +145,6 @@ class IncentiveReport:
     passes: bool
 
 
-def _strict_unique_reply_weight(game: StageGame, a_star: str, a_prime: str, b_star: str) -> float:
-    """Largest weight on ``a_prime`` keeping ``b_star`` the strict unique reply."""
-    i_star, i_prime = game.a_index(a_star), game.a_index(a_prime)
-    j_star = game.b_index(b_star)
-
-    def strict(w: float) -> bool:
-        row = (1.0 - w) * game.u2[i_star] + w * game.u2[i_prime]
-        margin = row[j_star] - np.max(np.delete(row, j_star))
-        return margin > 0.0
-
-    if strict(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if strict(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def derive_params(
     game: StageGame,
     target: MixedAction,
@@ -221,7 +197,14 @@ def derive_params(
     if not u_comp < stack.v_star - tol:
         raise ValueError("no reply to the tempting action pays strictly below the commitment payoff")
 
-    w_max = _strict_unique_reply_weight(game, stack.a_star, a_prime, stack.b_star)
+    # Against each rival reply k, b_star's margin under weight w on a_prime is
+    # linear, (1 - w) * d0[k] + w * d1[k], with d0 > 0 as b_star is the unique
+    # reply to a_star; it vanishes at d0 / (d0 - d1) where d1 < d0.
+    i_star, j_star = game.a_index(stack.a_star), game.b_index(stack.b_star)
+    d0 = game.u2[i_star, j_star] - np.delete(game.u2[i_star], j_star)
+    d1 = game.u2[i_prime, j_star] - np.delete(game.u2[i_prime], j_star)
+    falls = d1 < d0
+    w_max = float(np.min(d0[falls] / (d0 - d1)[falls], initial=1.0))
     w = w_max - _MIX_MARGIN if w_max > 2 * _MIX_MARGIN else 0.5 * w_max
     if w <= 0.0:
         raise ValueError("cannot mix toward the tempting action while keeping the reply strict")
@@ -284,8 +267,8 @@ def derive_params(
         raise ValueError("absorbing subphase cap degenerates to zero periods")
     delta_bar = 1.0 - eps1
     delta_bar_theory = max((1.0 - eps1**3) ** (1.0 / t1), 1.0 - eps1**2)
-    if delta < delta_bar:
-        raise ValueError(f"delta {delta} is below the construction bound {delta_bar} (1 - eps1)")
+    if delta <= delta_bar:
+        raise ValueError(f"delta {delta} is at or below the construction bound {delta_bar} (1 - eps1)")
 
     return SimParams(
         a_star=stack.a_star,
@@ -329,6 +312,26 @@ def _chunk_blocks(left: int, blocks: int, periods: int) -> int:
     path's completed ``blocks`` took ``periods`` periods. One block more than
     the path's own rate predicts, so most paths need no further chunk."""
     return min(_MAX_CHUNK_BLOCKS, -(-left * blocks // periods) + 1)
+
+
+def _burned(n: np.ndarray, lead: np.ndarray, log_d: float) -> np.ndarray:
+    # Weight of the first n periods of a run whose endless tail weighs lead = delta**off / (1 - delta).
+    return lead * -np.expm1(n * log_d)
+
+
+def _comp_length(g: np.ndarray, lead: np.ndarray, rate: float, log_d: float) -> np.ndarray:
+    """Shortest compensation runs, elementwise: the least n whose burn,
+    ``rate * _burned(n, lead, log_d)``, is at least the surplus ``g``. ``inf``
+    where no run is that long: the whole tail's burn, ``rate * lead``, does not
+    exceed ``g`` (as when ``lead`` underflows to 0). The closed form gives n up
+    to rounding; one exact step in each direction fixes it."""
+    reachable = g < rate * lead
+    y = np.divide(g, rate * lead, out=np.zeros_like(lead), where=reachable)
+    n = np.ceil(np.log1p(-y) / log_d)
+    n = np.where(
+        rate * _burned(n - 1, lead, log_d) >= g, n - 1, np.where(rate * _burned(n, lead, log_d) < g, n + 1, n)
+    )
+    return np.where(reachable, n, np.inf)
 
 
 class _Chunk:
@@ -422,34 +425,25 @@ class _Chunk:
             g[rows] += scale * (sub_pay - v * sub_weight)
         self.off = t1 + self.absorb_len
 
-        # Compensation: the shortest run of n periods whose burn,
-        # rate * delta**off * (1 - delta**n) / (1 - delta), covers g. The closed
-        # form gives n up to rounding; one exact step in each direction fixes it.
+        # Compensation: the shortest run that covers g (_comp_length), capped.
         u_comp = float(game.u1[self.ia_prime, self.jb_prime])
         rate = v - u_comp
         log_d = math.log(delta)
         lead = delta**self.off / (1.0 - delta)
-
-        def burned(n: np.ndarray) -> np.ndarray:
-            return lead * -np.expm1(n * log_d)
-
         self.burns = g > 1e-12
-        y = np.where(self.burns, g / (rate * lead), 0.0)
-        reachable = y < 1.0
-        self.unending = self.burns & ~reachable
-        n = np.ceil(np.log1p(-np.where(reachable, y, 0.0)) / log_d)
-        n = np.where(rate * burned(n - 1) >= g, n - 1, np.where(rate * burned(n) < g, n + 1, n))
-        n = np.where(reachable, np.minimum(n, max_comp), max_comp)
-        self.n_comp = np.where(self.burns, n, 0).astype(np.int64)
-        g_after = g - rate * burned(self.n_comp)
-        g_before = g - rate * burned(self.n_comp - 1)
-        exact = np.abs(g_after) <= 1e-15
-        phi_edge = _cum_edges(np.where(exact, 0.0, -g_after / np.where(exact, 1.0, g_before - g_after)))
+        n = _comp_length(g, lead, rate, log_d)
+        self.unending = self.burns & np.isinf(n)
+        self.n_comp = np.where(self.burns, np.minimum(n, max_comp), 0).astype(np.int64)
+        g_after = g - rate * _burned(self.n_comp, lead, log_d)
+        g_before = g - rate * _burned(self.n_comp - 1, lead, log_d)
+        # 0 where the run ends exactly, or where its last period moves g by nothing.
+        moves = (np.abs(g_after) > 1e-15) & (g_before > g_after)
+        phi_edge = _cum_edges(np.divide(-g_after, g_before - g_after, out=np.zeros_like(g), where=moves))
         # The coin's probability as drawn, so the expected residual is exact for it.
         self.phi = phi_edge / 2.0**32
         early = coins < phi_edge
         self.comp_len = np.where(self.burns, self.n_comp - early, 0)
-        comp_w = burned(self.comp_len)
+        comp_w = _burned(self.comp_len, lead, log_d)
         self.freq[:, self.ia_prime] += comp_w
         self.payoff += u_comp * comp_w
         self.phase[:, PHASE_COMP] = comp_w
@@ -520,9 +514,10 @@ def simulate_path(
     The path draws every random word from one Philox bit generator keyed by
     ``(seed % 2**64, stream % 2**64)``. Preparation draws up to 256 words at a
     time, tempting where w < round(p * 2**32). The normal phase then draws its
-    blocks a chunk at a time (see :class:`_Chunk`): ``_FIRST_CHUNK_BLOCKS``
-    blocks first, then each later chunk as many as :func:`_chunk_blocks`
-    predicts from the blocks and periods of the path so far. Every block that
+    blocks a chunk at a time (see :class:`_Chunk`), each chunk as many as
+    :func:`_chunk_blocks` predicts from the blocks and periods of the path so
+    far. The first chunk, before any block, predicts from one block of t1
+    periods, the shortest a block can be. Every block that
     ends inside the horizon is added at once; the first block that does not is
     cut at the horizon, as drawn. Per-block records are built only with
     ``record=True``; otherwise the chunks add to the path's block tallies.
@@ -605,7 +600,9 @@ def simulate_path(
 
     # Normal phase: blocks of review / absorbing / compensation.
     t_normal = t
-    size = _FIRST_CHUNK_BLOCKS
+    # Every block lasts at least t1 periods, so the first chunk is sized as a
+    # later one would be after a block of exactly t1 periods.
+    size = _chunk_blocks(t_max + 1 - t, 1, params.t1)
     while t <= t_max:
         chunk = _Chunk(bitgen, game, params, delta, size, max_comp=t_max + 2)
         starts = t + np.cumsum(chunk.length) - chunk.length
@@ -746,12 +743,9 @@ def check_incentives(game: StageGame, params: SimParams, delta: float) -> Incent
         rate = params.v_star - u_comp
         span = params.t1 + params.t2_bar
         g_max = (game.max_payoff1 - params.v_star) * (1.0 - delta**span) / (1.0 - delta)
-        x = g_max * (1.0 - delta) / (rate * delta**span)
-        if x >= 1.0:
-            dip = u_comp
-        else:
-            n_max = math.ceil(math.log1p(-x) / math.log(delta))
-            dip = (1.0 - delta**n_max) * u_comp + delta**n_max * params.v_star
+        # n_max = inf (no run ends) gives dip = u_comp.
+        n_max = float(_comp_length(g_max, delta**span / (1.0 - delta), rate, math.log(delta)))
+        dip = (1.0 - delta**n_max) * u_comp + delta**n_max * params.v_star
         min_cont = min(params.v_star, dip)
     slack = min_cont - cap
     return IncentiveReport(

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ import pytest
 from repfreq import cli, concentration, linprog, simulate
 from repfreq.cli import dispatch
 from repfreq.game import emit_game
-from .conftest import cycling_game, fixture_path
+from .conftest import cycling_game, fixture_path, random_assumption_games
+from .test_simulate import equality_target
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 DIST_FILE = Path(__file__).resolve().parent.parent / "fixtures" / "tail_dist_quarter.json"
@@ -20,6 +23,16 @@ def run_cli(capsys, *argv) -> tuple[int, str]:
     code = dispatch(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_cli_process(*argv, timeout: float) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter; ``subprocess.TimeoutExpired`` fails
+    the test where a hang would otherwise stall it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "repfreq.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 def validate(doc: dict, schema_name: str) -> None:
@@ -141,6 +154,51 @@ def test_simulate_surfaces_the_regime(capsys, delta, unending):
     assert doc["phase_stats"]["comp_unending"] == unending
 
 
+def test_simulate_at_the_construction_bound_exits_1_with_one_stderr_line(capsys):
+    code = dispatch(
+        [
+            "simulate", str(fixture_path("product_choice")), "--target", "H:0.375,L:0.625",
+            "--eps1", "0.01", "--delta", "0.99",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: delta 0.99 is at or below the construction bound 0.99 (1 - eps1)"]
+
+
+def test_simulate_runs_clean_where_compensation_cannot_start(capsys, tmp_path):
+    # t1 = 193,772 exceeds the 3,674-period horizon at delta = 0.995, so
+    # delta**(t1 + t2_bar) underflows to 0: no compensation run can end.
+    game = random_assumption_games(137, 11, 3)[136]
+    path = tmp_path / "game.json"
+    path.write_text(emit_game(game))
+    target = equality_target(game)
+    spec = ",".join(f"{a}:{target.prob(a)!r}" for a in sorted(target.support()))
+    code = dispatch(["simulate", str(path), "--target", spec, "--eps1", "0.01", "--delta", "0.995", "--reps", "100"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["params"]["t1"] == 193_772
+    assert doc["incentives"]["min_continuation"] == game.payoff1(doc["params"]["a_prime"], doc["params"]["b_prime"])
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    # Every command in README's CLI block exits 0 and prints one JSON document.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", "").splitlines()]
+    assert len(commands) >= 10 and all(argv[0] == "repfreq" for argv in commands)
+    (tmp_path / "fixtures").symlink_to(Path(__file__).resolve().parent.parent / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, out = run_cli(capsys, *argv[1:])
+        assert code == 0, argv
+        assert isinstance(json.loads(out), dict), argv
+    assert (tmp_path / "freq.csv").exists()
+
+
 def test_concentration_output(capsys):
     code, out = run_cli(
         capsys,
@@ -155,6 +213,18 @@ def test_concentration_output(capsys):
     doc = json.loads(out)
     validate(doc, "concentration.schema.json")
     assert doc["empirical"] <= doc["analytic_bound"] + 3 * doc["std_error"]
+
+
+def test_concentration_returns_a_root_above_512(tmp_path):
+    # Above 512 adjacent floats lie more than the bisection's bracket width
+    # apart; the root here is about 690.8.
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps([{"value": 0.01, "prob": 0.001}, {"value": -1, "prob": 0.999}]))
+    argv = ["concentration", "--dist", str(dist), "--delta", "0.9", "--c", "0.001", "--reps", "1000"]
+    proc = run_cli_process(*argv, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    r = json.loads(proc.stdout)["r_star"]
+    assert 0.001 * math.exp(0.01 * r) + 0.999 * math.exp(-r) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_app_output(capsys):
@@ -230,6 +300,7 @@ APP_PRODUCT_CHOICE = ["product-choice", "--gamma", "0.5", "--ch", "0.4", "--cl",
         ["concentration", "--dist", str(DIST_FILE), "--delta", "0.9", "--c", "1", "--reps", "1000", "--tol", "1e-6"],
         ["app", "--format", "csv", *APP_PRODUCT_CHOICE],
         ["simulate", "GAME", "--target", "H:1", "--delta", "0.999", "--pi", "0.5"],
+        ["concentration", "--dist", str(DIST_FILE), "--delta", "0.9", "--c", "1", "--reps", "1000", "--horizon", "200"],
     ],
 )
 def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
@@ -460,17 +531,13 @@ def test_csv_format(capsys):
 def test_shared_parser_keeps_no_state_between_calls(capsys):
     assert cli.build_parser() is cli.build_parser()
     game = str(fixture_path("product_choice"))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
     fresh: dict[tuple[str, ...], str] = {}
 
     def check(*argv) -> str:
         code, out = run_cli(capsys, *argv)
         assert code == 0
         if argv not in fresh:
-            proc = subprocess.run(
-                [sys.executable, "-m", "repfreq.cli", *argv], capture_output=True, text=True, env=env, timeout=120
-            )
+            proc = run_cli_process(*argv, timeout=120)
             assert proc.returncode == 0, proc.stderr
             fresh[argv] = proc.stdout
         assert out == fresh[argv]

@@ -24,7 +24,7 @@ from repfreq.simulate import (
 )
 
 from ._reference_sim import simulate_path as reference_simulate_path
-from .conftest import APPLIED_GAMES
+from .conftest import APPLIED_GAMES, random_assumption_games
 
 TARGET_PC = MixedAction({"H": 0.375, "L": 0.625})
 
@@ -76,6 +76,9 @@ def test_unattainable_target_is_rejected(product_choice):
 def test_delta_below_bound_is_rejected(product_choice):
     with pytest.raises(ValueError, match="below the construction bound"):
         derive_params(product_choice, TARGET_PC, eps1=0.01, delta=0.5)
+    # delta = 1 - eps1 is the bound itself, which simulate_path refuses too.
+    with pytest.raises(ValueError, match="at or below the construction bound"):
+        derive_params(product_choice, TARGET_PC, eps1=0.01, delta=0.99)
 
 
 def test_path_determinism(product_choice, pc_params):
@@ -410,9 +413,21 @@ def test_later_chunks_are_sized_from_the_path_so_far(monkeypatch):
     delta = 0.999
     game, params = absorbing_game_params(delta)
     st = simulate_path(game, params, delta, seed=3, record=True)
-    assert sizes[0] == 48 and len(sizes) >= 3
+    assert sizes[0] == _chunk_blocks(_horizon(delta) + 1 - st.prep_periods, 1, params.t1) and len(sizes) >= 3
     ends = np.cumsum([blk.length for blk in st.blocks])
     for k, drawn in enumerate(np.cumsum(sizes[:-1])):
         periods = int(ends[drawn - 1])
         left = _horizon(delta) + 1 - st.prep_periods - periods
         assert sizes[k + 1] == _chunk_blocks(left, int(drawn), periods)
+
+
+def test_estimates_run_clean_when_no_block_fits_the_horizon():
+    # t1 = 45,880 exceeds the 18,411-period horizon, so every path is cut in
+    # its first block's review, whose compensation run could burn almost
+    # nothing; pytest turns any numpy warning into an error.
+    game = random_assumption_games(20, 103, 3)[5]
+    delta = 0.999
+    params = derive_params(game, equality_target(game), eps1=0.05, delta=delta)
+    assert params.t1 > _horizon(delta)
+    out = estimate_frequencies(game, params, delta, 100, 5)
+    assert out.phase_stats["blocks"] == 0
