@@ -3,8 +3,10 @@
 Every program solved here has a handful of variables and rows, so a plain
 tableau method with Bland's rule is adequate, dependency-free, and
 reproducible across platforms (its ratio test compares within ``_TOL``, so it
-can cycle; see ``_MAX_PIVOTS``). Variables are implicitly nonnegative;
-callers split free variables into positive and negative parts.
+can cycle; see ``_MAX_PIVOTS``). No pivot element is at or below
+``_PIVOT_TOL``: on these programs such entries are round-off of zeros.
+Variables are implicitly nonnegative; callers split free variables into
+positive and negative parts.
 
 The dense tableau is updated with whole-array operations: one broadcast update
 per pivot, reduced costs from all basic rows at once, and a ratio test over
@@ -20,8 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Reduced-cost optimality tolerance; pivot elements below this are treated as 0.
+# Reduced-cost optimality tolerance, and the ratio test's tie tolerance.
 _TOL = 1e-10
+# Pivot elements at or below this are treated as 0: the ratio test takes only
+# rows whose entering-column entry exceeds it, and a leftover artificial is
+# driven out only on a larger entry. Round-off of a zero reaches 1e-9 on the
+# block LPs; a pivot on it blows the tableau up, after which the simplex can
+# stop "optimal" at a point that breaks its constraints.
+_PIVOT_TOL = 1e-8
 # Phase-1 objective above this means the program is infeasible.
 _FEAS_TOL = 1e-8
 # Pivots allowed in one simplex run. The ratio test compares within _TOL, so
@@ -67,7 +75,7 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> st
         if not eligible[entering]:
             return "optimal"
         column = tableau[:, entering]
-        rows = (column > _TOL).nonzero()[0].tolist()
+        rows = (column > _PIVOT_TOL).nonzero()[0].tolist()
         if not rows:
             return "unbounded"
         if pivots == _MAX_PIVOTS:
@@ -158,7 +166,7 @@ def solve_lp(
     for r, var in enumerate(basis.tolist()):
         if var >= k:
             for j in range(k):
-                if abs(tableau[r, j]) > _TOL:
+                if abs(tableau[r, j]) > _PIVOT_TOL:
                     _pivot(tableau, basis, r, j)
                     break
             else:

@@ -33,6 +33,13 @@ _MIX_MARGIN = 1e-3
 # stream definition: changing it changes the path drawn for a given (seed, stream).
 _MAX_CHUNK_BLOCKS = 128
 
+# Cells of random words (one review word, or one device and action word pair)
+# that one round of chunks may draw over the paths a simulate_path call runs at
+# once (see _paths_at_once); the absorbing scan takes slices of a sixteenth of
+# it. It bounds the working memory only: every path, and so every estimate, is
+# bit for bit the same at any value.
+_BATCH_CELLS = 2**18
+
 MIN_REPS = 100  # fewest replications estimate_frequencies accepts
 
 PHASE_PREP, PHASE_REVIEW, PHASE_ABSORB, PHASE_COMP = 0, 1, 2, 3
@@ -306,12 +313,13 @@ def _total_weight(delta: float) -> float:
     return -math.expm1((_horizon(delta) + 1) * math.log(delta))
 
 
-def _chunk_blocks(left: int, blocks: int, periods: int) -> int:
+def _chunk_blocks(left, blocks, periods):
     """Blocks in a path's next chunk: ceil(left * blocks / periods) + 1, at most
     ``_MAX_CHUNK_BLOCKS``, where ``left`` periods remain to the horizon and the
     path's completed ``blocks`` took ``periods`` periods. One block more than
-    the path's own rate predicts, so most paths need no further chunk."""
-    return min(_MAX_CHUNK_BLOCKS, -(-left * blocks // periods) + 1)
+    the path's own rate predicts, so most paths need no further chunk.
+    Elementwise over arrays."""
+    return np.minimum(_MAX_CHUNK_BLOCKS, -(-left * blocks // periods) + 1)
 
 
 def _burned(n: np.ndarray, lead: np.ndarray, log_d: float) -> np.ndarray:
@@ -334,17 +342,35 @@ def _comp_length(g: np.ndarray, lead: np.ndarray, rate: float, log_d: float) -> 
     return np.where(reachable, n, np.inf)
 
 
+def _path_sums(owner: np.ndarray, values: np.ndarray, paths: int) -> np.ndarray:
+    """Sums of the rows of ``values`` by owning path, one row per path. Each
+    path's rows are added one by one in order, so its sums do not depend on
+    the other paths of its batch."""
+    values = values.reshape(len(owner), -1)
+    cols = values.shape[1]
+    bins = (owner[:, None] * cols + np.arange(cols)).ravel()
+    return np.bincount(bins, weights=values.ravel(), minlength=paths * cols).reshape(paths, cols)
+
+
 class _Chunk:
-    """A chunk of i.i.d. normal-phase blocks, drawn and settled together.
+    """A chunk of i.i.d. normal-phase blocks for each path of a batch.
+
+    Path ``i`` draws ``sizes[i]`` blocks from its own bit generator, exactly the
+    words it would draw alone, and lays them back to back from period ``t[i]``
+    on. Only the draws are made path by path; the blocks of all paths are
+    settled together.
 
     Every quantity of a block is local to it: the surplus ``g`` is measured in
     units of the block's first period, the breach test discounts within the
     absorbing run, and the compensation length depends only on ``g`` and the
     offset at which compensation starts. A block that starts at period ``s``
     therefore adds ``delta**s`` times its local frequency, payoff and phase
-    weights. Blocks are drawn untruncated; the caller cuts the one that crosses
-    the horizon. Compensation runs are capped at ``max_comp`` periods, which no
-    block that fits the horizon reaches.
+    weights. A block is completed if its review and absorbing part ends by the
+    horizon ``t_max`` and its full compensation run fits by it. A path keeps
+    its leading completed blocks; its first block that is not completed is cut
+    at the horizon as drawn, since redrawing it would bias the length of the
+    last block, and the blocks after it are discarded. Compensation runs are
+    capped at ``t_max + 2`` periods, which no completed block reaches.
 
     Every draw is a 32-bit word from :func:`concentration._draw_words`,
     compared with integer edges round(F * 2**32) (:func:`concentration._cum_edges`),
@@ -355,85 +381,77 @@ class _Chunk:
     mapped to the witness atom whose index is the number of cumulative atom
     edges <= w, or under the mixture to the tempting action where w < edge(p);
     then one compensation coin per block, ending the run one period early
-    where w < edge(phi).
+    where w < edge(phi). A path with ``left = t_max + 1 - t <= t1`` periods
+    left is surely cut inside its next block's review, so its chunk is that
+    one block, of which it draws only the ``left`` review words it reads.
     """
 
     def __init__(
         self,
-        bitgen: np.random.Philox,
+        bitgens: list[np.random.Philox],
         game: StageGame,
         params: SimParams,
         delta: float,
-        blocks: int,
-        max_comp: int,
+        sizes: np.ndarray,
+        t: np.ndarray,
+        t_max: int,
     ) -> None:
+        self.params, self.t_max = params, t_max
         self.ia_star, self.ia_prime = game.a_index(params.a_star), game.a_index(params.a_prime)
         self.jb_star, self.jb_prime = game.b_index(params.b_star), game.b_index(params.b_prime)
-        n_a, t1, t2, v = len(game.actions1), params.t1, params.t2_bar, params.v_star
-        disc = delta ** np.arange(max(t1, t2), dtype=float)
+        self.n_a, t1, t2, v = len(game.actions1), params.t1, params.t2_bar, params.v_star
+        self.u_tempt = float(game.u1[self.ia_prime, self.jb_star])
+        self.u_comp = float(game.u1[self.ia_prime, self.jb_prime])
+        left = t_max + 1 - t
+        in_review = left <= t1  # paths surely cut inside their next review
+        self.sizes = sizes = np.where(in_review, 1, sizes)
+        self.first = np.cumsum(sizes) - sizes
+        self.end = self.first + sizes
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)
+        blocks = int(sizes.sum())
+        width = min(t1, t_max)  # no path draws a longer review
+        self.disc = delta ** np.arange(max(width, t2), dtype=float)
+        self.cum_disc = np.cumsum(self.disc)
 
-        self.prime = _draw_words(bitgen, (blocks, t1)) < params.p_edge
-        self.rows = rows = np.flatnonzero(self.prime.all(axis=1))
-        device = _draw_words(bitgen, (len(rows), t2)) < params.eps1_edge
-        action = _draw_words(bitgen, (len(rows), t2))
-        coins = _draw_words(bitgen, (blocks,))
-
+        device, action, coins = self._draw(bitgens, np.where(in_review, left, 0), width)
         # Review: the commitment reply throughout, so only tempting periods add surplus.
-        w_prime = self.prime @ disc[:t1]
-        w_star = disc[:t1].sum() - w_prime
-        u_tempt = float(game.u1[self.ia_prime, self.jb_star])
-        self.freq = np.zeros((blocks, n_a))
-        self.freq[:, self.ia_prime] = w_prime
-        self.freq[:, self.ia_star] = w_star
-        self.payoff = u_tempt * w_prime + v * w_star
-        self.phase = np.zeros((blocks, 4))
-        self.phase[:, PHASE_REVIEW] = disc[:t1].sum()
-        g = (u_tempt - v) * w_prime
+        g = (self.u_tempt - v) * self.w_prime
 
-        # Absorbing: the device picks the mixture or a witness atom each period;
-        # the run ends at its first breach or at the cap.
+        # Absorbing: the device picks the mixture or a witness atom each period.
+        rows = self.rows
         self.absorb_len = np.zeros(blocks, dtype=np.int64)
         self.breach = np.zeros(blocks, dtype=np.int8)  # index into BREACHES
+        self.row_of = np.full(blocks, -1)
+        self.row_of[rows] = np.arange(len(rows))
+        self.scale_t1 = delta**t1
         if rows.size:
             # Outcomes: the witness atoms, then the mixture's tempting and
             # commitment actions, both against the commitment reply.
             n_atoms = len(params.atom_a)
-            self.out_a = np.append(params.atom_a, [self.ia_prime, self.ia_star])
-            self.out_b = np.append(params.atom_b, [self.jb_star, self.jb_star])
+            self.out_a = np.append(params.atom_a, [self.ia_prime, self.ia_star]).astype(np.int16)
+            self.out_b = np.append(params.atom_b, [self.jb_star, self.jb_star]).astype(np.int16)
+            self.out_pay = game.u1[self.out_a, self.out_b]
             atom = _word_index(action, params.atom_edges)
-            mix = n_atoms + _word_index(action, [params.p_edge])
-            self.outcome = np.where(device, mix, atom)
-            a_sub = self.out_a.take(self.outcome)
-            running = np.cumsum(disc[:t2] * game.u1[self.out_a, self.out_b].take(self.outcome), axis=1)
-            weight_sum = np.cumsum(disc[:t2])
-            low = running < v * weight_sum - params.c
-            breached = low | (running > params.drift_target * weight_sum + params.c)
-            r = np.arange(len(rows))
-            first = breached.argmax(axis=1)
-            hit = breached[r, first]
-            sub_len = np.where(hit, first + 1, t2)
+            self.outcome = np.where(device, n_atoms + _word_index(action, [params.p_edge]), atom)
+            del device, action, atom
+            # A slice of rows at a time keeps the scan's float arrays to
+            # _BATCH_CELLS // 16 cells.
+            step = max(1, _BATCH_CELLS // 16 // t2)
+            runs = [self._absorb(np.arange(lo, min(lo + step, len(rows))), t2) for lo in range(0, len(rows), step)]
+            sub_len, code, self.sub_freq, self.sub_pay, self.sub_weight = map(np.concatenate, zip(*runs))
             self.absorb_len[rows] = sub_len
-            self.breach[rows] = np.where(hit, np.where(low[r, first], 1, 2), 3)
-            kept = np.where(np.arange(t2) < sub_len[:, None], disc[:t2], 0.0)
-            cells = (r[:, None] * n_a + a_sub).ravel()
-            sub_freq = np.bincount(cells, weights=kept.ravel(), minlength=len(rows) * n_a)
-            sub_pay, sub_weight = running[r, sub_len - 1], weight_sum[sub_len - 1]
-            scale = delta**t1
-            self.freq[rows] += scale * sub_freq.reshape(-1, n_a)
-            self.payoff[rows] += scale * sub_pay
-            self.phase[rows, PHASE_ABSORB] = scale * sub_weight
-            g[rows] += scale * (sub_pay - v * sub_weight)
+            self.breach[rows] = code
+            g[rows] += self.scale_t1 * (self.sub_pay - v * self.sub_weight)
         self.off = t1 + self.absorb_len
 
         # Compensation: the shortest run that covers g (_comp_length), capped.
-        u_comp = float(game.u1[self.ia_prime, self.jb_prime])
-        rate = v - u_comp
-        log_d = math.log(delta)
-        lead = delta**self.off / (1.0 - delta)
+        rate = v - self.u_comp
+        self.log_d = log_d = math.log(delta)
+        self.lead = lead = delta**self.off / (1.0 - delta)
         self.burns = g > 1e-12
         n = _comp_length(g, lead, rate, log_d)
         self.unending = self.burns & np.isinf(n)
-        self.n_comp = np.where(self.burns, np.minimum(n, max_comp), 0).astype(np.int64)
+        self.n_comp = np.where(self.burns, np.minimum(n, t_max + 2), 0).astype(np.int64)
         g_after = g - rate * _burned(self.n_comp, lead, log_d)
         g_before = g - rate * _burned(self.n_comp - 1, lead, log_d)
         # 0 where the run ends exactly, or where its last period moves g by nothing.
@@ -443,57 +461,221 @@ class _Chunk:
         self.phi = phi_edge / 2.0**32
         early = coins < phi_edge
         self.comp_len = np.where(self.burns, self.n_comp - early, 0)
-        comp_w = _burned(self.comp_len, lead, log_d)
-        self.freq[:, self.ia_prime] += comp_w
-        self.payoff += u_comp * comp_w
-        self.phase[:, PHASE_COMP] = comp_w
         self.length = self.off + self.comp_len
         self.g = g
         self.realized_residual = np.where(self.burns, np.where(early, g_before, g_after), g)
         self.expected_residual = np.where(self.burns, self.phi * g_before + (1.0 - self.phi) * g_after, g)
+        self._place(t)
 
-    def periods(self, first: int, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Actions, replies and phases of consecutive blocks from ``first`` on,
-        each cut to its entry of ``lengths``, back to back."""
-        t1 = self.prime.shape[1]
+    def _draw(self, bitgens: list[np.random.Philox], partial: np.ndarray, width: int) -> tuple[np.ndarray, ...]:
+        """Draw every path's words in stream order; ``partial[i]`` > 0 draws
+        only that many words of path i's one review. Keeps the review matrix
+        ``prime`` (rows padded to ``width``), each full review's tempting weight
+        ``w_prime`` and the all-tempting ``rows``; returns the device and action
+        words of those rows and the coins."""
+        params, t1, t2 = self.params, self.params.t1, self.params.t2_bar
+        blocks = len(self.owner)
+        self.prime = np.zeros((blocks, width), dtype=bool)
+        self.w_prime = np.zeros(blocks)
+        firsts, sizes = self.first.tolist(), self.sizes.tolist()
+        for bitgen, lo, n, k in zip(bitgens, firsts, sizes, partial.tolist()):
+            if k:
+                np.less(_draw_words(bitgen, (k,)), params.p_edge, out=self.prime[lo, :k])
+            else:
+                review = self.prime[lo : lo + n]
+                np.less(_draw_words(bitgen, (n, t1)), params.p_edge, out=review)
+                self.w_prime[lo : lo + n] = review @ self.disc[:t1]
+        # The review decides how many device and action words follow.
+        self.rows = np.flatnonzero(self.prime.all(axis=1) & (np.repeat(partial, self.sizes) == 0))
+        device = np.empty((len(self.rows), t2), dtype=bool)
+        action = np.empty((len(self.rows), t2), dtype=np.uint32)
+        coins = np.zeros(blocks, dtype=np.uint32)
+        at = 0
+        counts = np.bincount(self.owner[self.rows], minlength=len(firsts)).tolist()
+        for bitgen, lo, n, k, part in zip(bitgens, firsts, sizes, counts, partial.tolist()):
+            if k:
+                np.less(_draw_words(bitgen, (k, t2)), params.eps1_edge, out=device[at : at + k])
+                action[at : at + k] = _draw_words(bitgen, (k, t2))
+                at += k
+            if not part:
+                coins[lo : lo + n] = _draw_words(bitgen, (n,))
+        return device, action, coins
+
+    def _place(self, t: np.ndarray) -> None:
+        """Lay each path's blocks from its period ``t`` on: ``start`` of each
+        block, ``kept`` for the completed blocks a path keeps, ``stop`` for
+        each path's first block not kept (its end if it kept all), and
+        ``span``, each block's periods inside the horizon: its length if kept,
+        up to the horizon for each path's cut block (listed in ``cut``), else 0."""
+        t_max = self.t_max
+        before = np.cumsum(self.length) - self.length
+        self.start = before + np.repeat(t - before[self.first], self.sizes)
+        fits = (self.start + self.off <= t_max) & (self.start + self.off + self.n_comp <= t_max + 1)
+        unfit = np.append(np.flatnonzero(~fits), len(fits))
+        self.stop = np.minimum(unfit[np.searchsorted(unfit, self.first)], self.end)
+        self.kept = np.arange(len(fits)) < self.stop[self.owner]
+        self.span = np.where(self.kept, self.length, 0)
+        cut = self.stop[self.stop < self.end]
+        self.cut = cut[self.start[cut] <= t_max]
+        self.span[self.cut] = t_max + 1 - self.start[self.cut]
+
+    def _absorb(self, r: np.ndarray, limit) -> tuple[np.ndarray, ...]:
+        """The absorbing runs of absorbing rows ``r``, each ending at its first
+        breach or at the cap: their lengths and breach codes, and their
+        frequency by action, payoff and weight over their first
+        min(length, ``limit``) periods, in units of the run's first period.
+        Every sum adds its row's periods one by one in order."""
+        params, t2 = self.params, self.outcome.shape[1]
+        disc, weight_sum = self.disc[:t2], self.cum_disc[:t2]
+        outcome = self.outcome[r].astype(np.intp)
+        running = self.out_pay.take(outcome)
+        action = self.out_a.take(outcome)
+        del outcome
+        running *= disc
+        np.cumsum(running, axis=1, out=running)
+        low = running < params.v_star * weight_sum - params.c
+        breached = running > params.drift_target * weight_sum + params.c
+        breached |= low
+        i = np.arange(len(r))
+        first = breached.argmax(axis=1)
+        hit = breached[i, first]
+        length = np.where(hit, first + 1, t2)
+        code = np.where(hit, np.where(low[i, first], 1, 2), 3)
+        k = np.minimum(length, limit)
+        pay = running[i, k - 1]
+        del running, low, breached
+        kept = np.arange(t2) < k[:, None]
+        cells = action[kept] + np.repeat(i * self.n_a, k)
+        weights = np.broadcast_to(disc, kept.shape)[kept]
+        freq = np.bincount(cells, weights=weights, minlength=len(r) * self.n_a).reshape(-1, self.n_a)
+        return length, code, freq, pay, weight_sum[k - 1]
+
+    def path_sums(self, delta: float) -> dict[str, np.ndarray]:
+        """Each path's additions from this chunk: the discounted frequency,
+        payoff and phase weights and the phase periods of its blocks inside the
+        horizon, the tallies of its completed blocks, and the payoff deficit
+        of its first completed block that entered compensation with one (NaN if
+        none).
+
+        A block inside the horizon for ``span`` periods spends min(span, t1) of
+        them in review, up to its absorbing run's length in absorbing, and the
+        rest in compensation. Only a cut block stops short of a phase's end; its
+        review and absorbing parts are summed from the prefixes of its rows.
+        """
+        t1, n_a, v, paths = self.params.t1, self.n_a, self.params.v_star, len(self.sizes)
+        kept = np.flatnonzero(self.kept)
+        owed = kept[self.g[kept] < -1e-9]
+        owners, first = np.unique(self.owner[owed], return_index=True)
+        deficit = np.full(paths, np.nan)
+        deficit[owners] = self.g[owed[first]]
+
+        idx = np.flatnonzero(self.span)
+        span = self.span[idx]
+        rev = np.minimum(span, t1)
+        absorb = np.minimum(np.maximum(span - t1, 0), self.absorb_len[idx])
+        comp = np.maximum(span - self.off[idx], 0)
+        # Review weights: tempting, commitment, total.
+        w_prime = self.w_prime[idx]
+        w_review = np.full(len(idx), self.disc[:t1].sum())
+        w_star = w_review - w_prime
+        cut = np.flatnonzero(~self.kept[idx])
+        if cut.size:
+            # Each action's periods summed apart: no cancellation when one dominates.
+            rows, disc, at = self.prime[idx[cut]], self.disc[: self.prime.shape[1]], (np.arange(cut.size), rev[cut] - 1)
+            w_prime[cut] = np.cumsum(np.where(rows, disc, 0.0), axis=1)[at]
+            w_star[cut] = np.cumsum(np.where(rows, 0.0, disc), axis=1)[at]
+            w_review[cut] = self.cum_disc[rev[cut] - 1]
+        local = np.zeros((len(idx), n_a + 5))  # frequency by action, payoff, phase weights
+        freq, phase = local[:, :n_a], local[:, n_a + 1 :]
+        freq[:, self.ia_prime] = w_prime
+        freq[:, self.ia_star] = w_star
+        local[:, n_a] = self.u_tempt * w_prime + v * w_star
+        phase[:, PHASE_REVIEW] = w_review
+        has = np.flatnonzero(absorb)
+        if has.size:
+            r = self.row_of[idx[has]]
+            sub_freq, sub_pay, sub_weight = self.sub_freq[r], self.sub_pay[r], self.sub_weight[r]
+            cut = np.flatnonzero(absorb[has] < self.absorb_len[idx[has]])
+            if cut.size:
+                _, _, sub_freq[cut], sub_pay[cut], sub_weight[cut] = self._absorb(r[cut], absorb[has][cut])
+            freq[has] += self.scale_t1 * sub_freq
+            local[has, n_a] += self.scale_t1 * sub_pay
+            phase[has, PHASE_ABSORB] = self.scale_t1 * sub_weight
+        comp_w = _burned(comp, self.lead[idx], self.log_d)
+        freq[:, self.ia_prime] += comp_w
+        local[:, n_a] += self.u_comp * comp_w
+        phase[:, PHASE_COMP] = comp_w
+
+        owner = self.owner[idx]
+        local *= delta ** self.start[idx].astype(float)[:, None]
+        sums = _path_sums(owner, local, paths)
+        periods = np.column_stack([np.zeros_like(rev), rev, absorb, comp, absorb > 0])
+        counts = _path_sums(owner, periods.astype(float), paths).astype(np.int64)
+        ends = np.bincount(self.owner[kept] * len(BREACHES) + self.breach[kept], minlength=paths * len(BREACHES))
+        max_residual = np.zeros(paths)
+        np.maximum.at(max_residual, self.owner[kept], np.abs(self.expected_residual[kept]))
+        unending = np.zeros(paths, dtype=bool)
+        c = self.cut
+        unending[self.owner[c]] = self.unending[c] & (self.start[c] + self.off[c] <= self.t_max)
+        return {
+            "freq": sums[:, :n_a],
+            "payoff": sums[:, n_a],
+            "phase": sums[:, n_a + 1 :],
+            "periods": counts[:, :4],
+            "absorb_entries": counts[:, 4],
+            "ends": ends.reshape(paths, len(BREACHES)),
+            "max_residual": max_residual,
+            "comp_unending": unending,
+            "deficit": deficit,
+        }
+
+    def next_period(self) -> np.ndarray:
+        """Each path's next period: after its last block if it kept them all,
+        else past the horizon."""
+        last = self.end - 1
+        return np.where(self.stop == self.end, self.start[last] + self.length[last], self.t_max + 1)
+
+    def periods(self, idx: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Actions, replies and phases of the blocks ``idx``, each cut to its
+        entry of ``lengths``, back to back."""
+        t1 = self.params.t1
         offsets = np.cumsum(lengths) - lengths
         total = int(lengths.sum())
         # Every period not in review or absorbing is compensation.
         a = np.full(total, self.ia_prime)
         b = np.full(total, self.jb_prime)
         phase = np.full(total, PHASE_COMP)
-        steps = np.arange(t1)
-        keep = steps < lengths[:, None]
+        steps = np.arange(self.prime.shape[1])
+        keep = steps < np.minimum(lengths, t1)[:, None]
         at = (offsets[:, None] + steps)[keep]
-        a[at] = np.where(self.prime[first : first + len(lengths)], self.ia_prime, self.ia_star)[keep]
+        a[at] = np.where(self.prime[idx], self.ia_prime, self.ia_star)[keep]
         b[at] = self.jb_star
         phase[at] = PHASE_REVIEW
-        r = np.flatnonzero((self.rows >= first) & (self.rows < first + len(lengths)))
-        if r.size:
-            j = self.rows[r] - first
+        j = np.flatnonzero(self.row_of[idx] >= 0)
+        if j.size:
             steps = np.arange(self.outcome.shape[1])
-            keep = (steps < self.absorb_len[self.rows[r], None]) & (t1 + steps < lengths[j, None])
+            keep = (steps < self.absorb_len[idx[j], None]) & (t1 + steps < lengths[j, None])
             at = (offsets[j, None] + t1 + steps)[keep]
-            outcome = self.outcome[r][keep]
+            outcome = self.outcome[self.row_of[idx[j]]][keep]
             a[at] = self.out_a.take(outcome)
             b[at] = self.out_b.take(outcome)
             phase[at] = PHASE_ABSORB
         return a, b, phase
 
-    def records(self, n: int, delta: float) -> list[BlockRecord]:
-        """Block records of the first ``n`` blocks.
+    def records(self, idx: np.ndarray, delta: float) -> list[BlockRecord]:
+        """Block records of the blocks ``idx``.
 
         Residuals are in discounted-average units: the block identity says the
         block-local average payoff equals the commitment payoff, so the
         device-expected residual must vanish.
         """
         cols = zip(
-            self.length[:n].tolist(),
-            self.breach[:n].tolist(),
-            self.burns[:n].tolist(),
-            self.phi[:n].tolist(),
-            ((1.0 - delta) * self.expected_residual[:n]).tolist(),
-            ((1.0 - delta) * self.realized_residual[:n]).tolist(),
+            self.length[idx].tolist(),
+            self.breach[idx].tolist(),
+            self.burns[idx].tolist(),
+            self.phi[idx].tolist(),
+            ((1.0 - delta) * self.expected_residual[idx]).tolist(),
+            ((1.0 - delta) * self.realized_residual[idx]).tolist(),
         )
         return [
             BlockRecord(length, code != 0, BREACHES[code], phi if burns else None, expected, realized)
@@ -506,9 +688,9 @@ def simulate_path(
     params: SimParams,
     delta: float,
     seed: int,
-    stream: int = 0,
+    stream: int | range = 0,
     record: bool = False,
-) -> PathStats:
+) -> PathStats | list[PathStats]:
     """Simulate one on-path history; deterministic in (seed, stream).
 
     The path draws every random word from one Philox bit generator keyed by
@@ -521,148 +703,207 @@ def simulate_path(
     ends inside the horizon is added at once; the first block that does not is
     cut at the horizon, as drawn. Per-block records are built only with
     ``record=True``; otherwise the chunks add to the path's block tallies.
+
+    ``stream`` may also be a range of streams; a list of results then comes
+    back, one per stream. The paths run together, as many at once as
+    ``_BATCH_CELLS`` admits (see :func:`_paths_at_once`), the next stream
+    starting as a path ends. Each round, every running path draws its next
+    chunk, and the chunks are settled in one set of array operations. Each
+    path still reads only its own stream, the same words in the same order,
+    and adds up its own blocks in its own order, so each result equals what
+    ``stream=s`` alone returns, bit for bit.
     """
     if not params.trivial and not params.delta_bar < delta < 1.0:
         raise ValueError(f"delta must lie in ({params.delta_bar}, 1)")
     if params.trivial and not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    streams = stream if isinstance(stream, range) else range(stream, stream + 1)
+    paths = _simulate(game, params, delta, seed, streams, record)
+    return paths if isinstance(stream, range) else paths[0]
 
-    n_a = len(game.actions1)
+
+def _philox(key: np.ndarray, spare: list[np.random.Philox]) -> np.random.Philox:
+    """A Philox bit generator in the state ``Philox(key=key)`` starts in. It
+    re-keys a spare generator if there is one: setting a state costs a sixth of
+    making a generator, which draws entropy for a seed it does not use."""
+    if not spare:
+        return np.random.Philox(key=key)
+    bitgen = spare.pop()
+    fresh = np.zeros(4, dtype=np.uint64)
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": fresh, "key": key},
+        "buffer": fresh,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bitgen
+
+
+def _prepare(bitgen: np.random.Philox, p_edge: int, t_max: int) -> tuple[int, bool]:
+    """A path's preparation periods, and whether the tempting action ended it
+    (rather than the horizon): up to 256 words a draw, each tempting where
+    w < ``p_edge``, until one is."""
+    t = 0
+    while t <= t_max:
+        n = min(256, t_max - t + 1)
+        hits = _draw_words(bitgen, (n,)) < p_edge
+        k = int(hits.argmax())
+        if hits[k]:
+            return t + k + 1, True
+        t += n
+    return t, False
+
+
+def _paths_at_once(params: SimParams, t_max: int) -> int:
+    """How many paths a ``simulate_path`` call simulates at once: as many as
+    keep one round of their chunks within ``_BATCH_CELLS`` cells. A path's
+    first chunk is its largest (see :func:`_chunk_blocks`), and each of its
+    blocks draws at most min(t1, t_max) review words and t2_bar device and
+    action words."""
+    blocks = int(_chunk_blocks(t_max, 1, params.t1))
+    return max(1, _BATCH_CELLS // (blocks * (min(params.t1, t_max) + params.t2_bar)))
+
+
+def _simulate(
+    game: StageGame, params: SimParams, delta: float, seed: int, streams: range, record: bool
+) -> list[PathStats]:
+    n_a, n_paths = len(game.actions1), len(streams)
     t_max = _horizon(delta)
+    ia_star = game.a_index(params.a_star)
+    jb_star = game.b_index(params.b_star)
+    rec_a = np.empty((n_paths, t_max + 1), dtype=np.int16) if record else None
+    rec_b = np.empty((n_paths, t_max + 1), dtype=np.int16) if record else None
+    rec_phase = np.empty((n_paths, t_max + 1), dtype=np.uint8) if record else None
 
     if params.trivial:
         total_weight = _total_weight(delta)
         freq = np.zeros(n_a)
-        freq[game.a_index(params.a_star)] = total_weight
+        freq[ia_star] = total_weight
+        out = []
+        for i in range(n_paths):
+            stats = PathStats(
+                freq=freq.copy(),
+                payoff=params.v_star * total_weight,
+                prep_periods=t_max + 1,
+                review_periods=0,
+                absorb_periods=0,
+                comp_periods=0,
+                absorb_entries=0,
+                phase_weights=np.array([total_weight, 0.0, 0.0, 0.0]),
+            )
+            if record:
+                rec_a[i], rec_b[i], rec_phase[i] = ia_star, jb_star, PHASE_PREP
+                stats.actions, stats.replies, stats.phases = rec_a[i], rec_b[i], rec_phase[i]
+            out.append(stats)
+        return out
+
+    ia_prime, t1 = game.a_index(params.a_prime), params.t1
+    pay_star, pay_hit = game.u1[ia_star, jb_star], game.u1[ia_prime, jb_star]
+    freq_raw = np.zeros((n_paths, n_a))
+    payoff_raw = np.zeros(n_paths)
+    phase_raw = np.zeros((n_paths, 4))
+    periods = np.zeros((n_paths, 4), dtype=np.int64)
+    ends = np.zeros((n_paths, len(BREACHES)), dtype=np.int64)  # completed blocks by breach code
+    absorb_entries = np.zeros(n_paths, dtype=np.int64)
+    max_residual = np.zeros(n_paths)
+    comp_unending = np.zeros(n_paths, dtype=bool)
+    deficit = np.full(n_paths, np.nan)
+    blocks: list[list[BlockRecord]] = [[] for _ in range(n_paths)]
+    t = np.zeros(n_paths, dtype=np.int64)  # each path's next period
+    size = np.zeros(n_paths, dtype=np.int64)  # blocks in its next chunk
+    bitgens: dict[int, np.random.Philox] = {}
+    spare: list[np.random.Philox] = []  # bit generators of finished paths
+    capacity = _paths_at_once(params, t_max)
+    live = np.zeros(0, dtype=np.int64)
+    joined = 0
+    while joined < n_paths or live.size:
+        # Paths join while there is room, each after its preparation: mix
+        # toward the tempting action until it realizes.
+        new = np.arange(joined, min(n_paths, joined + capacity - live.size))
+        joined += new.size
+        hit = np.zeros(new.size, dtype=bool)
+        for j, i in enumerate(new.tolist()):
+            bitgens[i] = _philox(np.array([seed % 2**64, streams[i] % 2**64], dtype=np.uint64), spare)
+            t[i], hit[j] = _prepare(bitgens[i], params.p_edge, t_max)
+        if new.size:
+            prep = t[new]
+            weights = delta ** np.arange(prep.max(), dtype=float)
+            cum = np.cumsum(weights)
+            n_star = prep - hit  # periods of the commitment action
+            w_star = np.where(n_star > 0, cum[n_star - 1], 0.0)
+            w_hit = np.where(hit, weights[prep - 1], 0.0)
+            freq_raw[new, ia_star] = w_star
+            freq_raw[new, ia_prime] = w_hit
+            payoff_raw[new] = pay_star * w_star + pay_hit * w_hit
+            phase_raw[new, PHASE_PREP] = cum[prep - 1]
+            periods[new, PHASE_PREP] = prep
+            if record:
+                rec_a[new] = ia_star
+                rec_a[new[hit], prep[hit] - 1] = ia_prime
+                rec_b[new] = jb_star
+                rec_phase[new] = PHASE_PREP
+            # Every block lasts at least t1 periods, so the first chunk is sized
+            # as a later one would be after a block of exactly t1 periods.
+            size[new] = _chunk_blocks(t_max + 1 - prep, 1, t1)
+            live = np.concatenate([live, new[prep <= t_max]])
+        if not live.size:
+            continue
+
+        # Normal phase: blocks of review / absorbing / compensation, a chunk of each live path at a time.
+        chunk = _Chunk([bitgens[i] for i in live.tolist()], game, params, delta, size[live], t[live], t_max)
+        add = chunk.path_sums(delta)
+        freq_raw[live] += add["freq"]
+        payoff_raw[live] += add["payoff"]
+        phase_raw[live] += add["phase"]
+        periods[live] += add["periods"]
+        absorb_entries[live] += add["absorb_entries"]
+        ends[live] += add["ends"]
+        max_residual[live] = np.maximum(max_residual[live], add["max_residual"])
+        comp_unending[live] |= add["comp_unending"]
+        deficit[live] = np.where(np.isnan(deficit[live]), add["deficit"], deficit[live])
+        if record:
+            for j, i in enumerate(live.tolist()):
+                mine = chunk.owner == j
+                idx = np.flatnonzero(mine & (chunk.span > 0))
+                a, b, phase = chunk.periods(idx, chunk.span[idx])
+                rec_a[i, t[i] : t[i] + len(a)], rec_b[i, t[i] : t[i] + len(a)] = a, b
+                rec_phase[i, t[i] : t[i] + len(a)] = phase
+                blocks[i] += chunk.records(np.flatnonzero(mine & chunk.kept), delta)
+        t[live] = chunk.next_period()
+        spare += [bitgens.pop(i) for i in live[t[live] > t_max].tolist()]
+        del chunk  # before the next round's chunk is built
+        live = live[t[live] <= t_max]
+        size[live] = _chunk_blocks(t_max + 1 - t[live], ends[live].sum(axis=1), t[live] - periods[live, PHASE_PREP])
+    # Raised for the first such path, so a batch fails as its first failing path does alone.
+    failed = np.flatnonzero(~np.isnan(deficit))
+    if failed.size:
+        raise RuntimeError(f"block entered compensation with a payoff deficit ({deficit[failed[0]]})")
+
+    out = []
+    for i in range(n_paths):
         stats = PathStats(
-            freq=freq,
-            payoff=params.v_star * total_weight,
-            prep_periods=t_max + 1,
-            review_periods=0,
-            absorb_periods=0,
-            comp_periods=0,
-            absorb_entries=0,
-            phase_weights=np.array([total_weight, 0.0, 0.0, 0.0]),
+            freq=(1.0 - delta) * freq_raw[i],
+            payoff=float((1.0 - delta) * payoff_raw[i]),
+            prep_periods=int(periods[i, PHASE_PREP]),
+            review_periods=int(periods[i, PHASE_REVIEW]),
+            absorb_periods=int(periods[i, PHASE_ABSORB]),
+            comp_periods=int(periods[i, PHASE_COMP]),
+            absorb_entries=int(absorb_entries[i]),
+            phase_weights=(1.0 - delta) * phase_raw[i],
+            block_count=int(ends[i].sum()),
+            breach_low=int(ends[i, 1]),
+            breach_high=int(ends[i, 2]),
+            absorb_cap_ends=int(ends[i, 3]),
+            max_residual=float((1.0 - delta) * max_residual[i]),
+            comp_unending=bool(comp_unending[i]),
+            blocks=blocks[i],
         )
         if record:
-            stats.actions = np.full(t_max + 1, game.a_index(params.a_star), dtype=np.int16)
-            stats.replies = np.full(t_max + 1, game.b_index(params.b_star), dtype=np.int16)
-            stats.phases = np.full(t_max + 1, PHASE_PREP, dtype=np.uint8)
-        return stats
-
-    bitgen = np.random.Philox(key=np.array([seed % 2**64, stream % 2**64], dtype=np.uint64))
-    ia_star = game.a_index(params.a_star)
-    ia_prime = game.a_index(params.a_prime)
-    jb_star = game.b_index(params.b_star)
-
-    freq_raw = np.zeros(n_a)
-    payoff_raw = 0.0
-    phase_raw = np.zeros(4)
-    periods = np.zeros(4, dtype=np.int64)
-    rec_a = np.empty(t_max + 1, dtype=np.int16) if record else None
-    rec_b = np.empty(t_max + 1, dtype=np.int16) if record else None
-    rec_phase = np.empty(t_max + 1, dtype=np.uint8) if record else None
-    blocks: list[BlockRecord] = []
-    ends = np.zeros(len(BREACHES), dtype=np.int64)  # completed blocks by breach code
-    max_residual = 0.0
-    absorb_entries = 0
-    comp_unending = False
-
-    def write(t0: int, a_vec: np.ndarray, b_vec: np.ndarray, phase: np.ndarray) -> None:
-        rec_a[t0 : t0 + len(a_vec)] = a_vec
-        rec_b[t0 : t0 + len(a_vec)] = b_vec
-        rec_phase[t0 : t0 + len(a_vec)] = phase
-
-    def fill(t0: int, a_vec: np.ndarray, b_vec: np.ndarray, phase: np.ndarray) -> None:
-        nonlocal payoff_raw, freq_raw, phase_raw, periods
-        wts = delta ** np.arange(t0, t0 + len(a_vec), dtype=float)
-        freq_raw += np.bincount(a_vec, weights=wts, minlength=n_a)
-        payoff_raw += float(wts @ game.u1[a_vec, b_vec])
-        phase_raw += np.bincount(phase, weights=wts, minlength=4)
-        periods += np.bincount(phase, minlength=4)
-        if record:
-            write(t0, a_vec, b_vec, phase)
-
-    t = 0
-    # Preparation: mix toward the tempting action until it realizes.
-    while t <= t_max:
-        n = min(256, t_max - t + 1)
-        hits = _draw_words(bitgen, (n,)) < params.p_edge
-        k = int(np.argmax(hits)) if hits.any() else -1
-        stop = k + 1 if k >= 0 else n
-        a_vec = np.full(stop, ia_star, dtype=np.int64)
-        if k >= 0:
-            a_vec[k] = ia_prime
-        fill(t, a_vec, np.full(stop, jb_star, dtype=np.int64), np.full(stop, PHASE_PREP))
-        t += stop
-        if k >= 0:
-            break
-
-    # Normal phase: blocks of review / absorbing / compensation.
-    t_normal = t
-    # Every block lasts at least t1 periods, so the first chunk is sized as a
-    # later one would be after a block of exactly t1 periods.
-    size = _chunk_blocks(t_max + 1 - t, 1, params.t1)
-    while t <= t_max:
-        chunk = _Chunk(bitgen, game, params, delta, size, max_comp=t_max + 2)
-        starts = t + np.cumsum(chunk.length) - chunk.length
-        # A block is kept if its review and absorbing part ends before the
-        # horizon and its full compensation run fits by it.
-        fits = (starts + chunk.off <= t_max) & (starts + chunk.off + chunk.n_comp <= t_max + 1)
-        n = size if fits.all() else int(fits.argmin())
-        deficit = chunk.g[:n][chunk.g[:n] < -1e-9]
-        if deficit.size:
-            raise RuntimeError(f"block entered compensation with a payoff deficit ({deficit[0]})")
-        scale = delta ** starts[:n].astype(float)
-        freq_raw += scale @ chunk.freq[:n]
-        payoff_raw += float(scale @ chunk.payoff[:n])
-        phase_raw += scale @ chunk.phase[:n]
-        periods[PHASE_REVIEW] += n * params.t1
-        periods[PHASE_ABSORB] += chunk.absorb_len[:n].sum()
-        periods[PHASE_COMP] += chunk.comp_len[:n].sum()
-        absorb_entries += int(np.count_nonzero(chunk.absorb_len[:n]))
-        if n:
-            ends += np.bincount(chunk.breach[:n], minlength=len(BREACHES))
-            max_residual = max(max_residual, float(np.abs(chunk.expected_residual[:n]).max()))
-        if record and n:
-            blocks += chunk.records(n, delta)
-            write(t, *chunk.periods(0, chunk.length[:n]))
-        if n == size:
-            t = int(starts[-1] + chunk.length[-1])
-            size = _chunk_blocks(t_max + 1 - t, int(ends.sum()), t - t_normal)
-            continue
-        # The first block that does not fit is cut at the horizon as drawn;
-        # redrawing it would bias the length of the last block.
-        t = int(starts[n])
-        if t <= t_max:
-            comp_unending = bool(chunk.unending[n]) and t + int(chunk.off[n]) <= t_max
-            a_vec, b_vec, phase = chunk.periods(n, np.array([t_max + 1 - t]))
-            fill(t, a_vec, b_vec, phase)
-            absorb_entries += int(PHASE_ABSORB in phase)
-        break
-
-    stats = PathStats(
-        freq=(1.0 - delta) * freq_raw,
-        payoff=(1.0 - delta) * payoff_raw,
-        prep_periods=int(periods[PHASE_PREP]),
-        review_periods=int(periods[PHASE_REVIEW]),
-        absorb_periods=int(periods[PHASE_ABSORB]),
-        comp_periods=int(periods[PHASE_COMP]),
-        absorb_entries=absorb_entries,
-        phase_weights=(1.0 - delta) * phase_raw,
-        block_count=int(ends.sum()),
-        breach_low=int(ends[1]),
-        breach_high=int(ends[2]),
-        absorb_cap_ends=int(ends[3]),
-        max_residual=(1.0 - delta) * max_residual,
-        comp_unending=comp_unending,
-        blocks=blocks,
-    )
-    if record:
-        stats.actions = rec_a
-        stats.replies = rec_b
-        stats.phases = rec_phase
-    return stats
+            stats.actions, stats.replies, stats.phases = rec_a[i], rec_b[i], rec_phase[i]
+        out.append(stats)
+    return out
 
 
 # The per-path counts estimate_frequencies averages, by PathStats field;
@@ -688,7 +929,13 @@ def estimate_frequencies(
     reps: int,
     seed: int,
 ) -> SimOutcome:
-    """Average discounted action frequencies and payoff over independent paths."""
+    """Average discounted action frequencies and payoff over independent paths.
+
+    Path ``k`` is ``simulate_path(..., seed, stream=k)``, and one
+    ``simulate_path`` call with ``stream=range(reps)`` runs them all, as many
+    at once as ``_BATCH_CELLS`` admits. How many run at once bounds the working
+    memory only; the estimate is bit for bit the same at any number.
+    """
     if reps < MIN_REPS:
         raise ValueError(f"reps must be at least {MIN_REPS}")
     n_a = len(game.actions1)
@@ -697,8 +944,7 @@ def estimate_frequencies(
     tallies = np.zeros(len(_TALLIES))
     max_residual = 0.0
     phase_weights = np.zeros(4)
-    for rep in range(reps):
-        st = simulate_path(game, params, delta, seed, stream=rep)
+    for rep, st in enumerate(simulate_path(game, params, delta, seed, stream=range(reps))):
         freqs[rep] = st.freq
         payoffs[rep] = st.payoff
         phase_weights += st.phase_weights

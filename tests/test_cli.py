@@ -184,6 +184,23 @@ def test_simulate_runs_clean_where_compensation_cannot_start(capsys, tmp_path):
     assert doc["incentives"]["min_continuation"] == game.payoff1(doc["params"]["a_prime"], doc["params"]["b_prime"])
 
 
+def test_simulate_draws_no_review_past_the_horizon(tmp_path):
+    # t1 = 9,967,238 against an 18,411-period horizon, so every path is cut
+    # inside its first review. Drawing whole reviews took over a second a path;
+    # drawing only the words before the horizon takes milliseconds.
+    game = random_assumption_games(40, 1305, 5)[1]
+    path = tmp_path / "game.json"
+    path.write_text(emit_game(game))
+    target = equality_target(game)
+    spec = ",".join(f"{a}:{target.prob(a)!r}" for a in sorted(target.support()))
+    argv = ["simulate", str(path), "--target", spec, "--eps1", "0.01", "--delta", "0.999", "--reps", "100"]
+    proc = run_cli_process(*argv, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["params"]["t1"] == 9_967_238
+    assert doc["phase_stats"]["blocks"] == 0
+
+
 def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     # Every command in README's CLI block exits 0 and prints one JSON document.
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

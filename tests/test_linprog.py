@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.optimize
 
-from repfreq import linprog
+from repfreq import attain, bounds, linprog
+from repfreq.game import StageGame, parse_mixed_action
 from repfreq.linprog import solve_lp
-from repfreq.stage import br_polytope
+from repfreq.stage import br_polytope, stackelberg
 
 from . import _reference_linprog
 from .conftest import cycling_game
@@ -219,3 +222,55 @@ def test_a_cycling_run_stops_at_the_pivot_cap(monkeypatch):
     with pytest.raises(RuntimeError, match="10000 pivots"):
         solve_lp(np.zeros(2), a_ub=-rows, b_ub=np.zeros(len(rows)), a_eq=np.ones((1, 2)), b_eq=np.ones(1))
     assert len(pivots) == linprog._MAX_PIVOTS
+
+
+def benchmark_game(seed: int, k: int, n: int, i: int) -> StageGame:
+    """Game ``i`` of size n x n in pass ``k`` of the benchmark's game_files
+    workload at ``seed``: each pass draws 40 3x3, then 3 4x4, then 1 5x5 games
+    from ``default_rng([seed, k])``, u1 then u2 uniform in [-1, 1]."""
+    rng = np.random.default_rng([seed, k])
+    for size, count in ((3, 40), (4, 3), (5, 1)):
+        for j in range(count):
+            u1 = rng.uniform(-1.0, 1.0, (size, size))
+            u2 = rng.uniform(-1.0, 1.0, (size, size))
+            if (size, j) == (n, i):
+                return StageGame(tuple(f"a{r}" for r in range(n)), tuple(f"b{c}" for c in range(n)), u1, u2)
+    raise ValueError("no such game")
+
+
+@pytest.mark.parametrize("seed, k, n, i", [(53, 6, 4, 2), (57, 1, 3, 5), (68, 1, 4, 2), (102, 9, 5, 0)])
+def test_round_off_is_never_a_pivot(monkeypatch, seed, k, n, i):
+    # Each of these games' block LPs once pivoted on an entry of 1e-10 to 1e-9,
+    # round-off of a zero. The simplex then said "optimal" at points breaking
+    # their rows by up to 8.95, or called the membership LP of the equality
+    # witness infeasible.
+    game = benchmark_game(seed, k, n, i)
+    solved = []
+
+    def recording(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+        result = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+        solved.append((result, a_ub, b_ub, a_eq, b_eq))
+        return result
+
+    monkeypatch.setattr(bounds, "solve_lp", recording)
+    fb = bounds.min_stackelberg_freq(game, equality=True)
+    payoff = sum(
+        weight * (alpha.as_vector(game.actions1) @ game.u1[:, game.b_index(b)])
+        for weight, alpha, b in ((fb.q, fb.alpha1, fb.b1), (1.0 - fb.q, fb.alpha2, fb.b2))
+    )
+    assert abs(payoff - stackelberg(game).v_star) <= 1e-9
+    # The witness's marginal, written as the benchmark passes it to in-set-a.
+    mix: dict[str, float] = {}
+    for weight, alpha in ((fb.q, fb.alpha1), (1.0 - fb.q, fb.alpha2)):
+        for label in alpha.support():
+            mix[label] = mix.get(label, 0.0) + weight * alpha.prob(label)
+    total = math.fsum(mix.values())
+    target = parse_mixed_action(",".join(f"{label}:{prob / total!r}" for label, prob in mix.items() if prob > 0.0))
+    assert attain.decompose_target(game, target) is not None
+    assert solved
+    for result, a_ub, b_ub, a_eq, b_eq in solved:
+        if result.optimal:
+            assert result.x.min() >= 0.0
+            if a_ub is not None:
+                assert (np.asarray(a_ub) @ result.x - b_ub).max() <= 1e-9
+            assert np.abs(np.asarray(a_eq) @ result.x - b_eq).max() <= 1e-9

@@ -369,7 +369,7 @@ def test_chunk_draws_raw_philox_halves_against_integer_edges():
     game, params = absorbing_game_params(delta)
     key = np.array([2**63 + 5, 9], dtype=np.uint64)
     blocks = 48
-    chunk = _Chunk(np.random.Philox(key=key), game, params, delta, blocks, max_comp=_horizon(delta) + 2)
+    chunk = _Chunk([np.random.Philox(key=key)], game, params, delta, np.array([blocks]), np.array([0]), _horizon(delta))
     raw = np.random.Philox(key=key).random_raw
 
     def halves(rows: int, cols: int) -> np.ndarray:
@@ -405,9 +405,9 @@ def test_later_chunks_are_sized_from_the_path_so_far(monkeypatch):
     sizes = []
 
     class Recording(_Chunk):
-        def __init__(self, bitgen, game, params, delta, blocks, max_comp):
-            sizes.append(blocks)
-            super().__init__(bitgen, game, params, delta, blocks, max_comp)
+        def __init__(self, bitgens, game, params, delta, blocks, t, t_max):
+            sizes.append(int(blocks[0]))
+            super().__init__(bitgens, game, params, delta, blocks, t, t_max)
 
     monkeypatch.setattr(simulate, "_Chunk", Recording)
     delta = 0.999
@@ -431,3 +431,99 @@ def test_estimates_run_clean_when_no_block_fits_the_horizon():
     assert params.t1 > _horizon(delta)
     out = estimate_frequencies(game, params, delta, 100, 5)
     assert out.phase_stats["blocks"] == 0
+
+
+def same_paths(a, b) -> bool:
+    """Every field of two PathStats equal, bit for bit."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if x is None or y is None or x.dtype != y.dtype or not np.array_equal(x, y):
+                return False
+        elif x != y or type(x) is not type(y):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("config", ["criterion7", "absorbing", "beyond_horizon"])
+def test_a_batch_gives_each_stream_what_it_gives_alone(product_choice, pc_params, config, record):
+    delta = 0.999
+    if config == "criterion7":
+        game, params = product_choice, pc_params
+    elif config == "absorbing":
+        game, params = absorbing_game_params(delta)
+    else:
+        game = random_assumption_games(40, 1305, 5)[1]
+        params = derive_params(game, equality_target(game), eps1=0.01, delta=delta)
+    batch = simulate_path(game, params, delta, seed=5, stream=range(3, 28), record=record)
+    assert len(batch) == 25
+    for stream, st in enumerate(batch, 3):
+        assert same_paths(st, simulate_path(game, params, delta, seed=5, stream=stream, record=record)), stream
+
+
+@pytest.mark.parametrize("config", ["criterion7", "absorbing"])
+def test_estimates_do_not_depend_on_how_many_paths_run_at_once(product_choice, pc_params, monkeypatch, config):
+    delta = 0.999
+    game, params = (product_choice, pc_params) if config == "criterion7" else absorbing_game_params(delta)
+    monkeypatch.setattr(simulate, "_BATCH_CELLS", 1)
+    assert simulate._paths_at_once(params, _horizon(delta)) == 1
+    one = estimate_frequencies(game, params, delta, reps=120, seed=9)
+    monkeypatch.setattr(simulate, "_BATCH_CELLS", 2**40)
+    assert simulate._paths_at_once(params, _horizon(delta)) >= 120
+    every = estimate_frequencies(game, params, delta, reps=120, seed=9)
+    assert one == every
+
+
+def test_a_batch_fails_as_its_first_failing_stream_does_alone():
+    # At eps1 = 0.2 some blocks of this game enter compensation with a payoff
+    # deficit. A batch keeps running its other paths, then raises for its first
+    # failing stream, with the message that stream raises alone.
+    game = random_assumption_games(40, 1302, 2)[2]
+    delta = 0.999
+    params = derive_params(game, equality_target(game), eps1=0.2, delta=delta)
+    with pytest.raises(RuntimeError, match="payoff deficit") as batch:
+        simulate_path(game, params, delta, seed=7, stream=range(3, 43))
+    for stream in range(3, 43):
+        try:
+            simulate_path(game, params, delta, seed=7, stream=stream)
+        except RuntimeError as alone:
+            assert str(alone) == str(batch.value)
+            break
+    else:
+        pytest.fail("no stream fails alone")
+
+
+def test_paths_cut_in_their_first_review_read_only_the_words_before_the_horizon():
+    # t1 = 9,967,238 against an 18,411-period horizon: a path prepares, then is
+    # cut inside its first review. Rebuild it from the raw Philox words: 256
+    # preparation words a draw until one is tempting, then the review's words
+    # up to the horizon, tempting where w < round(p * 2**32).
+    game = random_assumption_games(40, 1305, 5)[1]
+    delta = 0.999
+    params = derive_params(game, equality_target(game), eps1=0.01, delta=delta)
+    t_max = _horizon(delta)
+    assert params.t1 > t_max
+    ia_star, ia_prime, jb_star = game.a_index(params.a_star), game.a_index(params.a_prime), game.b_index(params.b_star)
+    weights = (1 - delta) * delta ** np.arange(t_max + 1)
+    edge = round(params.p * 2**32)
+    for stream in range(4):
+        raw = np.random.Philox(key=np.array([7, stream], dtype=np.uint64)).random_raw(t_max + 256)
+        words = raw.view(np.uint32)
+        t = used = 0  # periods prepared, raw words read
+        while t <= t_max:
+            n = min(256, t_max - t + 1)
+            hits = np.flatnonzero(words[2 * used : 2 * used + n] < edge)
+            used += (n + 1) // 2
+            t += hits[0] + 1 if hits.size else n
+            if hits.size:
+                break
+        actions = np.full(t_max + 1, ia_star)
+        if hits.size:
+            actions[t - 1] = ia_prime
+        review = words[2 * used : 2 * used + t_max + 1 - t] < edge
+        actions[t:] = np.where(review, ia_prime, ia_star)
+        st = simulate_path(game, params, delta, seed=7, stream=stream)
+        assert (st.prep_periods, st.review_periods, st.block_count) == (t, t_max + 1 - t, 0)
+        assert np.abs(st.freq - np.bincount(actions, weights=weights, minlength=len(game.actions1))).max() <= 1e-12
+        assert abs(st.payoff - weights @ game.u1[actions, jb_star]) <= 1e-12
