@@ -8,12 +8,13 @@ can cycle; see ``_MAX_PIVOTS``). No pivot element is at or below
 Variables are implicitly nonnegative; callers split free variables into
 positive and negative parts.
 
-The dense tableau is updated with whole-array operations: one broadcast update
-per pivot, reduced costs from all basic rows at once, and a ratio test over
-only the rows with a positive entry in the entering column. Bland's rule is
-unchanged, and every entry rounds as in a row-by-row update, so the kernel
-takes the same pivots and returns bitwise the same results as that loop
-(kept as the test reference in ``tests/_reference_linprog.py``).
+A ``<=`` row with a nonnegative right-hand side starts with its slack basic;
+only flipped ``<=`` rows and equality rows get an artificial, and phase 1 runs
+only when one does. The tableau's last row holds the reduced costs: each phase
+sets it once, and each pivot's one broadcast update carries it with the basic
+rows. The ratio test looks only at the rows with a positive entry in the
+entering column. At the optimum, the square basic system of the rows not found
+redundant is solved again against the original data.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ _PIVOT_TOL = 1e-8
 # Phase-1 objective above this means the program is infeasible.
 _FEAS_TOL = 1e-8
 # Pivots allowed in one simplex run. The ratio test compares within _TOL, so
-# Bland's rule no longer rules out cycling: some random 10x10 games reach this
-# cap, while no run on the tests' or benchmark's games (6x6 at most) takes 86.
+# Bland's rule no longer rules out cycling. The most pivots measured in one
+# run: 36 in the tests, 100 in the benchmark's workloads (6x6 games at most)
+# and 220 on random 16x16 games; no random 10x10 to 16x16 game tried
+# (default_rng(4)) reached this cap.
 _MAX_PIVOTS = 10_000
 
 
@@ -51,9 +54,7 @@ class LPResult:
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     pivot_row = tableau[row] / tableau[row, col]
-    factor = tableau[:, col, None]
-    # Rows with a zero factor are left untouched, as in a row-by-row update.
-    np.subtract(tableau, factor * pivot_row, out=tableau, where=factor != 0.0)
+    tableau -= tableau[:, col, None] * pivot_row
     tableau[row] = pivot_row
     basis[row] = col
 
@@ -61,26 +62,25 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> str:
     """Minimize cost over the tableau in place. Returns "optimal" or "unbounded".
 
+    The last row is set once to the reduced costs ``cost - cost[basis] @ T``
+    (minus the objective in its last entry); each pivot then carries it along
+    with the basic rows.
+
     Raises ``RuntimeError`` when the run would take more than ``_MAX_PIVOTS`` pivots.
     """
-    terms = np.empty((tableau.shape[0] + 1, tableau.shape[1] - 1))
-    terms[0] = cost  # the accumulation below leaves this row as it is
+    tableau[-1] = cost - cost[basis] @ tableau[:-1]
     for pivots in range(_MAX_PIVOTS + 1):
-        # Reduced costs of the current basis. The rows are subtracted in order,
-        # so every entry rounds exactly as in a row-by-row update.
-        np.multiply(cost[basis][:, None], tableau[:, :-1], out=terms[1:])
-        z = np.subtract.accumulate(terms, out=terms)[-1]
-        eligible = z < -_TOL
+        eligible = tableau[-1, :-1] < -_TOL
         entering = int(eligible.argmax())  # Bland: smallest eligible index
         if not eligible[entering]:
             return "optimal"
-        column = tableau[:, entering]
+        column = tableau[:-1, entering]
         rows = (column > _PIVOT_TOL).nonzero()[0].tolist()
         if not rows:
             return "unbounded"
         if pivots == _MAX_PIVOTS:
             break
-        col, rhs, var = column.tolist(), tableau[:, -1].tolist(), basis.tolist()
+        col, rhs, var = column.tolist(), tableau[:-1, -1].tolist(), basis.tolist()
         ratio = np.inf
         leaving = -1
         for r in rows:
@@ -128,14 +128,21 @@ def solve_lp(
     n_ub = a_ub.shape[0]
     m = n_ub + a_eq.shape[0]
     k = n + n_ub  # structural and slack columns; the artificials follow
+    # A <= row with b >= 0 starts with its slack basic; every other row (a
+    # flipped <= row or an equality) starts with an artificial.
+    needs_art = np.ones(m, dtype=bool)
+    needs_art[:n_ub] = b_ub < 0
+    art_rows = needs_art.nonzero()[0]
+    n_art = len(art_rows)
 
-    # Standard form: slacks for the <= rows, then one artificial per row.
-    width = k + m + 1
-    tableau = np.zeros((m, width))
+    # Rows 0..m-1 are the constraints in standard form; the last row holds the
+    # reduced costs.
+    width = k + n_art + 1
+    tableau = np.zeros((m + 1, width))
     tableau[:n_ub, :n] = a_ub
-    tableau[n_ub:, :n] = a_eq
+    tableau[n_ub:m, :n] = a_eq
     tableau[:n_ub, -1] = b_ub
-    tableau[n_ub:, -1] = b_eq
+    tableau[n_ub:m, -1] = b_eq
     if not (np.isfinite(c).all() and np.isfinite(tableau).all()):
         raise ValueError("LP data must be finite")
     if m == 0:
@@ -144,67 +151,68 @@ def solve_lp(
             return LPResult("unbounded")
         return LPResult("optimal", np.zeros(n), 0.0)
     # Entry (i, j + i) of the tableau is entry j + i * (width + 1) of its flat view.
-    flat = tableau.reshape(-1)
-    flat[n : n_ub * (width + 1) : width + 1] = 1.0  # slack i in row i
-    np.negative(tableau, out=tableau, where=tableau[:, -1:] < 0)  # make b >= 0
-    flat[k :: width + 1] = 1.0  # artificial i in row i
+    tableau.reshape(-1)[n : n_ub * (width + 1) : width + 1] = 1.0  # slack i in row i
+    body = tableau[:m]
+    np.negative(body, out=body, where=body[:, -1:] < 0)  # make b >= 0
+    a_std = body[:, :k].copy()  # pre-pivot copy for the refinement step
+    b_std = body[:, -1].copy()
+    basis = np.arange(n, n + m)
+    basis[art_rows] = np.arange(k, k + n_art)
+    tableau[art_rows, basis[art_rows]] = 1.0
 
-    a_std = tableau[:, :k].copy()  # pre-pivot copy for the refinement step
-    b_std = tableau[:, -1].copy()
-    basis = np.arange(k, k + m)
+    kept = slice(None)  # the original rows not found redundant in phase 1
+    cost = np.zeros(width)
+    if n_art:
+        # Phase 1 minimizes the sum of the artificials.
+        cost[k:-1] = 1.0
+        status = _run_simplex(tableau, basis, cost)
+        if status != "optimal":
+            raise RuntimeError(f"phase-1 LP returned {status!r}; it is always bounded below by 0")
+        if tableau[:-1, -1][basis >= k].sum() > _FEAS_TOL:
+            return LPResult("infeasible")
 
-    phase1 = np.zeros(k + m)
-    phase1[k:] = 1.0
-    status = _run_simplex(tableau, basis, phase1)
-    if status != "optimal":
-        raise RuntimeError(f"phase-1 LP returned {status!r}; it is always bounded below by 0")
-    if float(phase1[basis] @ tableau[:, -1]) > _FEAS_TOL:
-        return LPResult("infeasible")
-
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    redundant = []
-    for r, var in enumerate(basis.tolist()):
-        if var >= k:
-            for j in range(k):
-                if abs(tableau[r, j]) > _PIVOT_TOL:
-                    _pivot(tableau, basis, r, j)
-                    break
+        # Drive leftover artificials out of the basis; drop redundant rows.
+        redundant = []
+        for r in (basis >= k).nonzero()[0].tolist():
+            movable = np.abs(tableau[r, :k]) > _PIVOT_TOL
+            j = int(movable.argmax())
+            if movable[j]:
+                _pivot(tableau, basis, r, j)
             else:
                 redundant.append(r)
-    if redundant:
-        tableau = np.delete(tableau, redundant, axis=0)
-        basis = np.delete(basis, redundant)
-    tableau[:, k:-1] = 0.0  # artificials are dead from here on
+        if redundant:
+            # A row's leftover artificial names the original row it made redundant.
+            kept = np.delete(np.arange(m), art_rows[basis[redundant] - k])
+            tableau = np.delete(tableau, redundant, axis=0)
+            basis = np.delete(basis, redundant)
+        tableau[:, k:-1] = 0.0  # artificials are dead from here on
+        cost[k:-1] = 0.0
 
-    cost = np.zeros(k + m)
     cost[:n] = c
-    status = _run_simplex(tableau, basis, cost)
-    if status == "unbounded":
+    if _run_simplex(tableau, basis, cost) == "unbounded":
         return LPResult("unbounded")
 
     x = np.zeros(k)
-    x[basis] = tableau[:, -1]
-
-    x = _refine(x, basis, a_std, b_std)
+    x[basis] = _refine(tableau[:-1, -1], basis, a_std, b_std, kept)
     sol = np.maximum(x[:n], 0.0)
     return LPResult("optimal", sol, float(c @ sol))
 
 
-def _refine(x: np.ndarray, basis: np.ndarray, a_std: np.ndarray, b_std: np.ndarray) -> np.ndarray:
+def _refine(
+    xb: np.ndarray, basis: np.ndarray, a_std: np.ndarray, b_std: np.ndarray, kept: slice | np.ndarray
+) -> np.ndarray:
     """Re-solve the final basic system against the original data.
 
-    Kills the rounding accumulated by tableau pivots; on failure the tableau
-    solution is returned unchanged.
+    The basis columns of the ``kept`` rows form a square system. Solving it
+    kills the rounding accumulated by tableau pivots; the solution must still
+    meet every original row, or the tableau's basic values ``xb`` are returned
+    unchanged.
     """
     cols = a_std[:, basis]
     try:
-        xb, residual, rank, _ = np.linalg.lstsq(cols, b_std, rcond=None)
+        refined = np.linalg.solve(cols[kept], b_std[kept])
     except np.linalg.LinAlgError:
-        return x
-    if rank < len(basis):
-        return x
-    if np.any(xb < -1e-7) or np.max(np.abs(cols @ xb - b_std)) > 1e-7:
-        return x
-    out = np.zeros_like(x)
-    out[basis] = np.maximum(xb, 0.0)
-    return out
+        return xb
+    if refined.min(initial=0.0) < -1e-7 or abs(cols @ refined - b_std).max(initial=0.0) > 1e-7:
+        return xb
+    return refined

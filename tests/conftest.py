@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repfreq.apps import EntryDeterrenceParams, FiscalPolicyParams, ProductChoiceParams, ThreeProductParams
 from repfreq.game import StageGame, load_game_file
 from repfreq.stage import check_assumptions
 
@@ -32,9 +33,34 @@ TWO_BY_TWO = [
     "chicken",
 ]
 
+GRID9 = [round(0.1 * k, 1) for k in range(1, 10)]
+GAMMA_PAIRS = [
+    (0.1, 0.2), (0.1, 0.5), (0.2, 0.4), (0.3, 0.6), (0.3, 0.9),
+    (0.4, 0.5), (0.5, 0.7), (0.6, 0.8), (0.7, 0.9),
+]
 
-# With u2 mapped to 1e6 * u2 + 0.37, the simplex cycles on this game's LP for
-# an alpha to which b1 and b2 are both best replies (there is none).
+
+def criterion_1_params():
+    """The 2,268 parameter points of the applied games' closed-form grid."""
+    for gamma in GRID9:
+        for ch in GRID9:
+            for cl in GRID9:
+                yield ProductChoiceParams(gamma, ch, cl)
+    for g_lo, g_hi in GAMMA_PAIRS:
+        for p in GRID9:
+            for c in GRID9:
+                yield ThreeProductParams(g_hi, g_lo, p, c)
+    for gamma in GRID9:
+        for co in GRID9:
+            for ci in GRID9:
+                yield EntryDeterrenceParams(gamma, co, ci)
+    for tau in GRID9:
+        for frac in GRID9:  # the investment cost lives in (0, 1 - tax)
+            yield FiscalPolicyParams(tau, round(frac * (1.0 - tau), 6))
+
+
+# With u2 mapped to 1e6 * u2 + 0.37, the simplex once cycled on this game's LP
+# for an alpha to which b1 and b2 are both best replies (there is none).
 CYCLING_U1 = np.array([[1.0, 0.0, 1.0, -2.0], [1.0, -2.0, -1.0, -1.0]])
 CYCLING_U2 = np.array([[-1.0, -2.0, 2.0, 1.0], [2.0, 1.0, -1.0, -2.0]])
 

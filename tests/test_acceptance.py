@@ -10,26 +10,21 @@ import time
 import numpy as np
 import pytest
 
-from repfreq.apps import (
-    EntryDeterrenceParams,
-    FiscalPolicyParams,
-    ProductChoiceParams,
-    ThreeProductParams,
-    build_stage_game,
-    closed_form_min_freq,
-)
+from repfreq.apps import EntryDeterrenceParams, ProductChoiceParams, build_stage_game, closed_form_min_freq
 from repfreq.bounds import min_freq_curve, min_freq_grid, min_stackelberg_freq
 from repfreq.concentration import FiniteDist, min_horizon, tail_exponent, tail_probability_mc
 from repfreq.game import MixedAction
 from repfreq.simulate import derive_params, estimate_frequencies, simulate_path
 from repfreq.stage import check_assumptions, stackelberg
-from .conftest import APPLIED_GAMES, GAME_FILES, TWO_BY_TWO, load_fixture, random_assumption_games
-
-GRID9 = [round(0.1 * k, 1) for k in range(1, 10)]
-GAMMA_PAIRS = [
-    (0.1, 0.2), (0.1, 0.5), (0.2, 0.4), (0.3, 0.6), (0.3, 0.9),
-    (0.4, 0.5), (0.5, 0.7), (0.6, 0.8), (0.7, 0.9),
-]
+from .conftest import (
+    APPLIED_GAMES,
+    GAME_FILES,
+    GRID9,
+    TWO_BY_TWO,
+    criterion_1_params,
+    load_fixture,
+    random_assumption_games,
+)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -48,29 +43,10 @@ def test_criterion_1_closed_form_agreement():
     worst = 0.0
     count = 0
 
-    def check(params):
-        nonlocal worst, count
-        gap = abs(
-            min_stackelberg_freq(build_stage_game(params)).value - closed_form_min_freq(params)
-        )
+    for params in criterion_1_params():
+        gap = abs(min_stackelberg_freq(build_stage_game(params)).value - closed_form_min_freq(params))
         worst = max(worst, gap)
         count += 1
-
-    for gamma in GRID9:
-        for ch in GRID9:
-            for cl in GRID9:
-                check(ProductChoiceParams(gamma, ch, cl))
-    for g_lo, g_hi in GAMMA_PAIRS:
-        for p in GRID9:
-            for c in GRID9:
-                check(ThreeProductParams(g_hi, g_lo, p, c))
-    for gamma in GRID9:
-        for co in GRID9:
-            for ci in GRID9:
-                check(EntryDeterrenceParams(gamma, co, ci))
-    for tau in GRID9:
-        for frac in GRID9:  # the investment cost lives in (0, 1 - tax)
-            check(FiscalPolicyParams(tau, round(frac * (1.0 - tau), 6)))
     elapsed = time.time() - t0
     report(
         1,

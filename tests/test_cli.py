@@ -185,7 +185,7 @@ def test_simulate_runs_clean_where_compensation_cannot_start(capsys, tmp_path):
 
 
 def test_simulate_draws_no_review_past_the_horizon(tmp_path):
-    # t1 = 9,967,238 against an 18,411-period horizon, so every path is cut
+    # t1 = 1,688,517 against an 18,411-period horizon, so every path is cut
     # inside its first review. Drawing whole reviews took over a second a path;
     # drawing only the words before the horizon takes milliseconds.
     game = random_assumption_games(40, 1305, 5)[1]
@@ -197,7 +197,7 @@ def test_simulate_draws_no_review_past_the_horizon(tmp_path):
     proc = run_cli_process(*argv, timeout=60)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["params"]["t1"] == 9_967_238
+    assert doc["params"]["t1"] == 1_688_517
     assert doc["phase_stats"]["blocks"] == 0
 
 
@@ -504,8 +504,8 @@ def test_simplex_past_its_pivot_cap_exits_1_with_one_stderr_line(capsys, monkeyp
 
 
 def test_analyze_bounds_ignore_a_large_u2_scale(capsys, tmp_path):
-    # At this scale the simplex cycles on the LP that asks whether b1 and b2
-    # can both be best replies (see test_linprog); the bounds must not need it.
+    # At this scale the simplex once cycled on the LP that asks whether b1 and
+    # b2 can both be best replies (see test_linprog); the bounds must not need it.
     docs = {}
     for name, game in (("plain", cycling_game(1.0, 0.0)), ("scaled", cycling_game())):
         path = tmp_path / f"{name}.json"

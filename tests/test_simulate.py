@@ -422,10 +422,10 @@ def test_later_chunks_are_sized_from_the_path_so_far(monkeypatch):
 
 
 def test_estimates_run_clean_when_no_block_fits_the_horizon():
-    # t1 = 45,880 exceeds the 18,411-period horizon, so every path is cut in
-    # its first block's review, whose compensation run could burn almost
+    # t1 = 6,608,367 exceeds the 18,411-period horizon, so every path is cut
+    # in its first block's review, whose compensation run could burn almost
     # nothing; pytest turns any numpy warning into an error.
-    game = random_assumption_games(20, 103, 3)[5]
+    game = random_assumption_games(1, 1301, 3)[0]
     delta = 0.999
     params = derive_params(game, equality_target(game), eps1=0.05, delta=delta)
     assert params.t1 > _horizon(delta)
