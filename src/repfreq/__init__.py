@@ -31,7 +31,6 @@ from .game import (
     parse_mixed_action,
 )
 from .simulate import (
-    BlockRecord,
     IncentiveReport,
     PathStats,
     SimOutcome,

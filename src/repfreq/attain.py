@@ -28,11 +28,10 @@ class TargetDecomposition:
 
     ``weights`` maps each reply to its mass and the conditional mixture
     played against it; masses sum to one and the mass-weighted mixtures
-    average to ``target``.
+    average to the target.
     """
 
     weights: dict[str, tuple[float, MixedAction]]
-    target: MixedAction
     payoff: float
 
     def marginal(self, game: StageGame) -> MixedAction:
@@ -79,4 +78,4 @@ def decompose_target(
     for j, mass, alpha in live:
         weights[game.actions2[j]] = (mass / total_mass, alpha)
         total_pay += float(blocks[j] @ game.u1[:, j]) / total_mass
-    return TargetDecomposition(weights=weights, target=target, payoff=total_pay)
+    return TargetDecomposition(weights=weights, payoff=total_pay)

@@ -91,16 +91,6 @@ class SimParams:
         return _cum_edges(self.atom_cum[:-1])
 
 
-@dataclass(frozen=True)
-class BlockRecord:
-    length: int
-    absorbed: bool
-    breach: str | None  # "low" | "high" | "cap" | None
-    phi: float | None
-    expected_residual: float
-    realized_residual: float
-
-
 @dataclass
 class PathStats:
     """One path's discounted frequency, payoff and phase accounting.
@@ -108,10 +98,11 @@ class PathStats:
     The block tallies count the completed blocks, those that end inside the
     horizon; the block cut at the horizon is not one of them. ``max_residual``
     is the largest |device-expected residual| of a completed block in
-    discounted-average units (see :meth:`_Chunk.records`). ``comp_unending``
-    says the cut block reached a compensation run that no length could end.
-    ``blocks``, ``actions``, ``replies`` and ``phases`` are filled only by
-    ``simulate_path(..., record=True)``.
+    discounted-average units: (1 - delta) times the block's payoff surplus over
+    the commitment payoff, discounted to its first period, that is left in
+    expectation over the compensation coin. The block identity says it
+    vanishes, up to rounding. ``comp_unending`` says the cut block reached a
+    compensation run that no length could end.
     """
 
     freq: np.ndarray
@@ -128,10 +119,6 @@ class PathStats:
     absorb_cap_ends: int = 0
     max_residual: float = 0.0
     comp_unending: bool = False
-    blocks: list[BlockRecord] = field(default_factory=list)
-    actions: np.ndarray | None = None
-    replies: np.ndarray | None = None
-    phases: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -429,8 +416,8 @@ class _Chunk:
             # commitment actions, both against the commitment reply.
             n_atoms = len(params.atom_a)
             self.out_a = np.append(params.atom_a, [self.ia_prime, self.ia_star]).astype(np.int16)
-            self.out_b = np.append(params.atom_b, [self.jb_star, self.jb_star]).astype(np.int16)
-            self.out_pay = game.u1[self.out_a, self.out_b]
+            out_b = np.append(params.atom_b, [self.jb_star, self.jb_star])
+            self.out_pay = game.u1[self.out_a, out_b]
             atom = _word_index(action, params.atom_edges)
             self.outcome = np.where(device, n_atoms + _word_index(action, [params.p_edge]), atom)
             del device, action, atom
@@ -635,53 +622,6 @@ class _Chunk:
         last = self.end - 1
         return np.where(self.stop == self.end, self.start[last] + self.length[last], self.t_max + 1)
 
-    def periods(self, idx: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Actions, replies and phases of the blocks ``idx``, each cut to its
-        entry of ``lengths``, back to back."""
-        t1 = self.params.t1
-        offsets = np.cumsum(lengths) - lengths
-        total = int(lengths.sum())
-        # Every period not in review or absorbing is compensation.
-        a = np.full(total, self.ia_prime)
-        b = np.full(total, self.jb_prime)
-        phase = np.full(total, PHASE_COMP)
-        steps = np.arange(self.prime.shape[1])
-        keep = steps < np.minimum(lengths, t1)[:, None]
-        at = (offsets[:, None] + steps)[keep]
-        a[at] = np.where(self.prime[idx], self.ia_prime, self.ia_star)[keep]
-        b[at] = self.jb_star
-        phase[at] = PHASE_REVIEW
-        j = np.flatnonzero(self.row_of[idx] >= 0)
-        if j.size:
-            steps = np.arange(self.outcome.shape[1])
-            keep = (steps < self.absorb_len[idx[j], None]) & (t1 + steps < lengths[j, None])
-            at = (offsets[j, None] + t1 + steps)[keep]
-            outcome = self.outcome[self.row_of[idx[j]]][keep]
-            a[at] = self.out_a.take(outcome)
-            b[at] = self.out_b.take(outcome)
-            phase[at] = PHASE_ABSORB
-        return a, b, phase
-
-    def records(self, idx: np.ndarray, delta: float) -> list[BlockRecord]:
-        """Block records of the blocks ``idx``.
-
-        Residuals are in discounted-average units: the block identity says the
-        block-local average payoff equals the commitment payoff, so the
-        device-expected residual must vanish.
-        """
-        cols = zip(
-            self.length[idx].tolist(),
-            self.breach[idx].tolist(),
-            self.burns[idx].tolist(),
-            self.phi[idx].tolist(),
-            ((1.0 - delta) * self.expected_residual[idx]).tolist(),
-            ((1.0 - delta) * self.realized_residual[idx]).tolist(),
-        )
-        return [
-            BlockRecord(length, code != 0, BREACHES[code], phi if burns else None, expected, realized)
-            for length, code, burns, phi, expected, realized in cols
-        ]
-
 
 def simulate_path(
     game: StageGame,
@@ -689,7 +629,6 @@ def simulate_path(
     delta: float,
     seed: int,
     stream: int | range = 0,
-    record: bool = False,
 ) -> PathStats | list[PathStats]:
     """Simulate one on-path history; deterministic in (seed, stream).
 
@@ -701,8 +640,8 @@ def simulate_path(
     far. The first chunk, before any block, predicts from one block of t1
     periods, the shortest a block can be. Every block that
     ends inside the horizon is added at once; the first block that does not is
-    cut at the horizon, as drawn. Per-block records are built only with
-    ``record=True``; otherwise the chunks add to the path's block tallies.
+    cut at the horizon, as drawn. The chunks add only to the path's sums and
+    block tallies; no per-period history is kept.
 
     ``stream`` may also be a range of streams; a list of results then comes
     back, one per stream. The paths run together, as many at once as
@@ -718,7 +657,7 @@ def simulate_path(
     if params.trivial and not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     streams = stream if isinstance(stream, range) else range(stream, stream + 1)
-    paths = _simulate(game, params, delta, seed, streams, record)
+    paths = _simulate(game, params, delta, seed, streams)
     return paths if isinstance(stream, range) else paths[0]
 
 
@@ -766,24 +705,18 @@ def _paths_at_once(params: SimParams, t_max: int) -> int:
     return max(1, _BATCH_CELLS // (blocks * (min(params.t1, t_max) + params.t2_bar)))
 
 
-def _simulate(
-    game: StageGame, params: SimParams, delta: float, seed: int, streams: range, record: bool
-) -> list[PathStats]:
+def _simulate(game: StageGame, params: SimParams, delta: float, seed: int, streams: range) -> list[PathStats]:
     n_a, n_paths = len(game.actions1), len(streams)
     t_max = _horizon(delta)
     ia_star = game.a_index(params.a_star)
     jb_star = game.b_index(params.b_star)
-    rec_a = np.empty((n_paths, t_max + 1), dtype=np.int16) if record else None
-    rec_b = np.empty((n_paths, t_max + 1), dtype=np.int16) if record else None
-    rec_phase = np.empty((n_paths, t_max + 1), dtype=np.uint8) if record else None
 
     if params.trivial:
         total_weight = _total_weight(delta)
         freq = np.zeros(n_a)
         freq[ia_star] = total_weight
-        out = []
-        for i in range(n_paths):
-            stats = PathStats(
+        return [
+            PathStats(
                 freq=freq.copy(),
                 payoff=params.v_star * total_weight,
                 prep_periods=t_max + 1,
@@ -793,11 +726,8 @@ def _simulate(
                 absorb_entries=0,
                 phase_weights=np.array([total_weight, 0.0, 0.0, 0.0]),
             )
-            if record:
-                rec_a[i], rec_b[i], rec_phase[i] = ia_star, jb_star, PHASE_PREP
-                stats.actions, stats.replies, stats.phases = rec_a[i], rec_b[i], rec_phase[i]
-            out.append(stats)
-        return out
+            for _ in range(n_paths)
+        ]
 
     ia_prime, t1 = game.a_index(params.a_prime), params.t1
     pay_star, pay_hit = game.u1[ia_star, jb_star], game.u1[ia_prime, jb_star]
@@ -810,7 +740,6 @@ def _simulate(
     max_residual = np.zeros(n_paths)
     comp_unending = np.zeros(n_paths, dtype=bool)
     deficit = np.full(n_paths, np.nan)
-    blocks: list[list[BlockRecord]] = [[] for _ in range(n_paths)]
     t = np.zeros(n_paths, dtype=np.int64)  # each path's next period
     size = np.zeros(n_paths, dtype=np.int64)  # blocks in its next chunk
     bitgens: dict[int, np.random.Philox] = {}
@@ -839,11 +768,6 @@ def _simulate(
             payoff_raw[new] = pay_star * w_star + pay_hit * w_hit
             phase_raw[new, PHASE_PREP] = cum[prep - 1]
             periods[new, PHASE_PREP] = prep
-            if record:
-                rec_a[new] = ia_star
-                rec_a[new[hit], prep[hit] - 1] = ia_prime
-                rec_b[new] = jb_star
-                rec_phase[new] = PHASE_PREP
             # Every block lasts at least t1 periods, so the first chunk is sized
             # as a later one would be after a block of exactly t1 periods.
             size[new] = _chunk_blocks(t_max + 1 - prep, 1, t1)
@@ -863,14 +787,6 @@ def _simulate(
         max_residual[live] = np.maximum(max_residual[live], add["max_residual"])
         comp_unending[live] |= add["comp_unending"]
         deficit[live] = np.where(np.isnan(deficit[live]), add["deficit"], deficit[live])
-        if record:
-            for j, i in enumerate(live.tolist()):
-                mine = chunk.owner == j
-                idx = np.flatnonzero(mine & (chunk.span > 0))
-                a, b, phase = chunk.periods(idx, chunk.span[idx])
-                rec_a[i, t[i] : t[i] + len(a)], rec_b[i, t[i] : t[i] + len(a)] = a, b
-                rec_phase[i, t[i] : t[i] + len(a)] = phase
-                blocks[i] += chunk.records(np.flatnonzero(mine & chunk.kept), delta)
         t[live] = chunk.next_period()
         spare += [bitgens.pop(i) for i in live[t[live] > t_max].tolist()]
         del chunk  # before the next round's chunk is built
@@ -881,9 +797,8 @@ def _simulate(
     if failed.size:
         raise RuntimeError(f"block entered compensation with a payoff deficit ({deficit[failed[0]]})")
 
-    out = []
-    for i in range(n_paths):
-        stats = PathStats(
+    return [
+        PathStats(
             freq=(1.0 - delta) * freq_raw[i],
             payoff=float((1.0 - delta) * payoff_raw[i]),
             prep_periods=int(periods[i, PHASE_PREP]),
@@ -898,12 +813,9 @@ def _simulate(
             absorb_cap_ends=int(ends[i, 3]),
             max_residual=float((1.0 - delta) * max_residual[i]),
             comp_unending=bool(comp_unending[i]),
-            blocks=blocks[i],
         )
-        if record:
-            stats.actions, stats.replies, stats.phases = rec_a[i], rec_b[i], rec_phase[i]
-        out.append(stats)
-    return out
+        for i in range(n_paths)
+    ]
 
 
 # The per-path counts estimate_frequencies averages, by PathStats field;

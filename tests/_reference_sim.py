@@ -4,7 +4,8 @@ This is the simulator as it was before paths were drawn a chunk of blocks at a
 time: every block is stepped in Python, drawing only the periods it uses. It
 shares no sampling code with :mod:`repfreq.simulate`, so the two agree only in
 distribution, not path by path. ``PathStats`` is its own result type, without
-the phase weights the current simulator reports.
+the phase weights the current simulator reports; ``BlockRecord`` is the record
+of one completed block, which :func:`tests._trace.traced_path` also builds.
 """
 
 from __future__ import annotations
@@ -20,10 +21,19 @@ from repfreq.simulate import (
     PHASE_COMP,
     PHASE_PREP,
     PHASE_REVIEW,
-    BlockRecord,
     SimParams,
     _horizon,
 )
+
+
+@dataclass(frozen=True)
+class BlockRecord:
+    length: int
+    absorbed: bool
+    breach: str | None  # "low" | "high" | "cap" | None
+    phi: float | None
+    expected_residual: float
+    realized_residual: float
 
 
 @dataclass

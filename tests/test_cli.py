@@ -25,14 +25,18 @@ def run_cli(capsys, *argv) -> tuple[int, str]:
     return code, out
 
 
-def run_cli_process(*argv, timeout: float) -> subprocess.CompletedProcess:
-    """Run the CLI in a fresh interpreter; ``subprocess.TimeoutExpired`` fails
-    the test where a hang would otherwise stall it."""
+def run_python(*args, timeout: float) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this ``repfreq``;
+    ``subprocess.TimeoutExpired`` fails the test where a hang would otherwise
+    stall it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
-    return subprocess.run(
-        [sys.executable, "-m", "repfreq.cli", *argv], capture_output=True, text=True, env=env, timeout=timeout
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def run_cli_process(*argv, timeout: float) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter."""
+    return run_python("-m", "repfreq.cli", *argv, timeout=timeout)
 
 
 def validate(doc: dict, schema_name: str) -> None:
@@ -214,6 +218,28 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
         assert code == 0, argv
         assert isinstance(json.loads(out), dict), argv
     assert (tmp_path / "freq.csv").exists()
+
+
+# Prints, on stderr, the top-level packages outside the standard library that
+# importing repfreq and running one command load. Modules the interpreter's
+# own start-up loaded (site hooks of the installation) are not counted.
+THIRD_PARTY_LOADED = """
+import json, sys
+before = set(sys.modules)
+import repfreq, repfreq.cli
+code = repfreq.cli.dispatch(["fstar", sys.argv[1]])
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(loaded - set(sys.stdlib_module_names))), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_runtime_dependency_is_numpy_only():
+    # scipy, jsonschema and hypothesis are installed for the tests; the
+    # package itself must run on numpy alone.
+    proc = run_python("-c", THIRD_PARTY_LOADED, str(fixture_path("product_choice")), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stderr.splitlines()[-1])) == {"numpy", "repfreq"}
 
 
 def test_concentration_output(capsys):

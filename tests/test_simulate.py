@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from collections import Counter
 
@@ -24,6 +25,7 @@ from repfreq.simulate import (
 )
 
 from ._reference_sim import simulate_path as reference_simulate_path
+from ._trace import traced_path
 from .conftest import APPLIED_GAMES, random_assumption_games
 
 TARGET_PC = MixedAction({"H": 0.375, "L": 0.625})
@@ -82,8 +84,8 @@ def test_delta_below_bound_is_rejected(product_choice):
 
 
 def test_path_determinism(product_choice, pc_params):
-    a = simulate_path(product_choice, pc_params, 0.999, seed=11, stream=3, record=True)
-    b = simulate_path(product_choice, pc_params, 0.999, seed=11, stream=3, record=True)
+    a = traced_path(product_choice, pc_params, 0.999, seed=11, stream=3)
+    b = traced_path(product_choice, pc_params, 0.999, seed=11, stream=3)
     assert np.array_equal(a.actions, b.actions)
     assert np.array_equal(a.phases, b.phases)
     assert a.payoff == b.payoff
@@ -94,7 +96,7 @@ def test_path_determinism(product_choice, pc_params):
 
 def test_block_payoff_identity(product_choice, pc_params):
     delta = 0.999
-    st = simulate_path(product_choice, pc_params, delta, seed=5, record=True)
+    st = traced_path(product_choice, pc_params, delta, seed=5)
     assert st.blocks, "path should complete at least one block"
     burn_per_period = (1 - delta) * (pc_params.v_star - 0.0)  # compensation pays 0 here
     for blk in st.blocks:
@@ -105,7 +107,7 @@ def test_block_payoff_identity(product_choice, pc_params):
 
 def test_block_accounting_matches_record(product_choice, pc_params):
     delta = 0.999
-    st = simulate_path(product_choice, pc_params, delta, seed=5, record=True)
+    st = traced_path(product_choice, pc_params, delta, seed=5)
     pay = product_choice.u1[st.actions, st.replies]
     v_star = pc_params.v_star
     # Recompute each completed block's residual from the per-period record.
@@ -233,14 +235,14 @@ def path_ending(st, horizon: int) -> str:
     return {PHASE_REVIEW: "review", PHASE_ABSORB: "absorb", PHASE_COMP: "comp"}[int(st.phases[-1])]
 
 
-def test_bookkeeping_of_the_clipped_final_block():
-    delta = 0.995
-    game, params = absorbing_game_params(delta)
+def clipped_final_block_endings(game, params, delta) -> Counter:
+    """Check 500 paths' sums, counts and phase weights against their traces;
+    count how they meet the horizon."""
     horizon = _horizon(delta) + 1
     weights = (1 - delta) * delta ** np.arange(horizon)
     endings = Counter()
     for stream in range(500):
-        st = simulate_path(game, params, delta, seed=3, stream=stream, record=True)
+        st = traced_path(game, params, delta, seed=3, stream=stream)
         assert len(st.actions) == horizon
         rebuilt = np.bincount(st.actions, weights=weights, minlength=len(game.actions1))
         assert np.abs(rebuilt - st.freq).max() <= 1e-12
@@ -254,14 +256,43 @@ def test_bookkeeping_of_the_clipped_final_block():
         in_absorb = np.concatenate(([False], st.phases == PHASE_ABSORB))
         assert st.absorb_entries == np.count_nonzero(in_absorb[1:] & ~in_absorb[:-1])
         endings[path_ending(st, horizon)] += 1
+    return endings
+
+
+def test_bookkeeping_of_the_clipped_final_block():
+    delta = 0.995
+    game, params = absorbing_game_params(delta)
+    endings = clipped_final_block_endings(game, params, delta)
     assert set(endings) == {"review", "absorb", "comp", "exact"}, endings
+
+
+@pytest.mark.parametrize(
+    "config, expected",
+    [("trivial", {"exact"}), ("criterion7", {"comp"}), ("beyond_horizon", {"review"})],
+    ids=["trivial", "criterion7", "beyond_horizon"],
+)
+def test_bookkeeping_of_the_clipped_final_block_in_other_configurations(product_choice, config, expected):
+    # The trivial target never leaves preparation. At this delta no criterion-7
+    # block burns its surplus before the horizon, so every path is cut in its
+    # first compensation run; t1 beyond the horizon cuts every path in its
+    # first review.
+    delta = 0.995
+    if config == "trivial":
+        game, params = product_choice, derive_params(product_choice, MixedAction.delta("H"), eps1=0.01, delta=delta)
+    elif config == "criterion7":
+        game, params = product_choice, derive_params(product_choice, TARGET_PC, eps1=0.01, delta=delta)
+    else:
+        game = random_assumption_games(40, 1305, 5)[1]
+        params = derive_params(game, equality_target(game), eps1=0.01, delta=delta)
+    endings = clipped_final_block_endings(game, params, delta)
+    assert set(endings) == expected, endings
 
 
 def path_summaries(simulate, game, params, delta, paths: int, seed: int) -> dict[str, np.ndarray]:
     i_star = game.a_index(params.a_star)
     rows = []
     for stream in range(paths):
-        st = simulate(game, params, delta, seed, stream=stream, record=True)
+        st = simulate(game, params, delta, seed, stream=stream)
         breaches = sum(blk.breach in ("low", "high") for blk in st.blocks)
         # Periods after the last recorded block: the cut final block.
         tail = np.bincount(st.phases[st.prep_periods + sum(blk.length for blk in st.blocks) :], minlength=4)
@@ -294,8 +325,9 @@ def test_chunked_paths_match_the_per_period_reference(product_choice, config, de
         game, params = product_choice, derive_params(product_choice, TARGET_PC, eps1=0.01, delta=delta)
     else:
         game, params = absorbing_game_params(delta)
-    new = path_summaries(simulate_path, game, params, delta, paths=400, seed=41)
-    old = path_summaries(reference_simulate_path, game, params, delta, paths=400, seed=43)
+    new = path_summaries(traced_path, game, params, delta, paths=400, seed=41)
+    reference = functools.partial(reference_simulate_path, record=True)
+    old = path_summaries(reference, game, params, delta, paths=400, seed=43)
     for name in (name for name in new if name != "breaches"):
         z = two_sample_z(new[name], old[name])
         assert abs(z) <= 4, f"{name}: z = {z:.2f}"
@@ -334,24 +366,13 @@ def test_path_tallies_match_the_block_records():
     breaches = 0
     for stream in range(50):
         st = simulate_path(game, params, delta, seed=8, stream=stream)
-        rec = simulate_path(game, params, delta, seed=8, stream=stream, record=True)
-        assert st.blocks == []
+        rec = traced_path(game, params, delta, seed=8, stream=stream)
         ends = Counter(blk.breach for blk in rec.blocks)
         tallies = (st.block_count, st.breach_low, st.breach_high, st.absorb_cap_ends)
         assert tallies == (len(rec.blocks), ends["low"], ends["high"], ends["cap"])
         assert st.max_residual == max(abs(blk.expected_residual) for blk in rec.blocks)
         breaches += st.breach_low + st.breach_high
     assert breaches > 0
-
-
-def test_estimates_build_no_block_records(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("block record built without record=True")
-
-    monkeypatch.setattr(simulate, "BlockRecord", refuse)
-    game, params = absorbing_game_params(0.999)
-    out = estimate_frequencies(game, params, 0.999, reps=100, seed=4)
-    assert out.phase_stats["blocks"] > 0
 
 
 def test_word_edges_follow_the_probabilities_they_quantise(pc_params):
@@ -412,7 +433,7 @@ def test_later_chunks_are_sized_from_the_path_so_far(monkeypatch):
     monkeypatch.setattr(simulate, "_Chunk", Recording)
     delta = 0.999
     game, params = absorbing_game_params(delta)
-    st = simulate_path(game, params, delta, seed=3, record=True)
+    st = traced_path(game, params, delta, seed=3)
     assert sizes[0] == _chunk_blocks(_horizon(delta) + 1 - st.prep_periods, 1, params.t1) and len(sizes) >= 3
     ends = np.cumsum([blk.length for blk in st.blocks])
     for k, drawn in enumerate(np.cumsum(sizes[:-1])):
@@ -438,16 +459,15 @@ def same_paths(a, b) -> bool:
     for f in dataclasses.fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-            if x is None or y is None or x.dtype != y.dtype or not np.array_equal(x, y):
+            if x.dtype != y.dtype or not np.array_equal(x, y):
                 return False
         elif x != y or type(x) is not type(y):
             return False
     return True
 
 
-@pytest.mark.parametrize("record", [False, True])
 @pytest.mark.parametrize("config", ["criterion7", "absorbing", "beyond_horizon"])
-def test_a_batch_gives_each_stream_what_it_gives_alone(product_choice, pc_params, config, record):
+def test_a_batch_gives_each_stream_what_it_gives_alone(product_choice, pc_params, config):
     delta = 0.999
     if config == "criterion7":
         game, params = product_choice, pc_params
@@ -456,10 +476,10 @@ def test_a_batch_gives_each_stream_what_it_gives_alone(product_choice, pc_params
     else:
         game = random_assumption_games(40, 1305, 5)[1]
         params = derive_params(game, equality_target(game), eps1=0.01, delta=delta)
-    batch = simulate_path(game, params, delta, seed=5, stream=range(3, 28), record=record)
+    batch = simulate_path(game, params, delta, seed=5, stream=range(3, 28))
     assert len(batch) == 25
     for stream, st in enumerate(batch, 3):
-        assert same_paths(st, simulate_path(game, params, delta, seed=5, stream=stream, record=record)), stream
+        assert same_paths(st, simulate_path(game, params, delta, seed=5, stream=stream)), stream
 
 
 @pytest.mark.parametrize("config", ["criterion7", "absorbing"])
