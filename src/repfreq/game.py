@@ -42,6 +42,8 @@ class MixedAction:
     def from_vector(cls, labels, vec, tol: float = 1e-9) -> "MixedAction":
         """Build from a numeric vector, absorbing LP-sized rounding noise."""
         vec = np.asarray(vec, dtype=float)
+        if vec.shape != (len(labels),):
+            raise ValueError(f"vector has shape {vec.shape}, expected one weight for each of {len(labels)} labels")
         if np.any(vec < -tol):
             raise ValueError(f"negative weight beyond tolerance: {vec.min()}")
         vec = np.clip(vec, 0.0, None)
@@ -202,6 +204,10 @@ def load_game(text: str) -> StageGame:
         for row in doc[key]:
             if not isinstance(row, list) or not all(type(v) in (int, float) for v in row):  # not bool
                 raise GameFormatError(f"{key} must be an array of numeric rows")
+        if len({len(row) for row in doc[key]}) > 1:
+            raise GameFormatError(f"{key} has rows of different lengths")
+    if not isinstance(doc.get("name", ""), str):
+        raise GameFormatError("name must be a string")
     return StageGame(
         actions1=tuple(doc["actions1"]),
         actions2=tuple(doc["actions2"]),

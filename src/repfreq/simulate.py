@@ -33,12 +33,14 @@ _MIX_MARGIN = 1e-3
 # stream definition: changing it changes the path drawn for a given (seed, stream).
 _MAX_CHUNK_BLOCKS = 128
 
-# Cells of random words (one review word, or one device and action word pair)
-# that one round of chunks may draw over the paths a simulate_path call runs at
-# once (see _paths_at_once); the absorbing scan takes slices of a sixteenth of
-# it. It bounds the working memory only: every path, and so every estimate, is
-# bit for bit the same at any value.
-_BATCH_CELLS = 2**18
+# Cells (review periods, and absorbing periods under the device) that one round
+# of chunks may draw over the paths a simulate_path call runs at once (see
+# _paths_at_once). A round keeps a review cell as one bit and an absorbing cell
+# as a one-byte outcome code, so its draws take at most _BATCH_CELLS bytes; the
+# absorbing scan takes slices of a 64th of it, 2**14 cells, or one row where
+# t2_bar is longer. It bounds the working memory only: every path, and so every
+# estimate, is bit for bit the same at any value.
+_BATCH_CELLS = 2**20
 
 MIN_REPS = 100  # fewest replications estimate_frequencies accepts
 
@@ -371,6 +373,12 @@ class _Chunk:
     where w < edge(phi). A path with ``left = t_max + 1 - t <= t1`` periods
     left is surely cut inside its next block's review, so its chunk is that
     one block, of which it draws only the ``left`` review words it reads.
+
+    Each path turns its words into what the chunk keeps as it draws them:
+    its reviews packed to bits (see :meth:`review`), each review's tempting
+    weight, and one ``outcome`` code per absorbing period, a witness atom's
+    index or after them the mixture's tempting or commitment action. So a
+    block keeps a bit per review period and a byte per absorbing period.
     """
 
     def __init__(
@@ -396,11 +404,11 @@ class _Chunk:
         self.end = self.first + sizes
         self.owner = np.repeat(np.arange(len(sizes)), sizes)
         blocks = int(sizes.sum())
-        width = min(t1, t_max)  # no path draws a longer review
+        self.width = width = min(t1, t_max)  # no path draws a longer review
         self.disc = delta ** np.arange(max(width, t2), dtype=float)
         self.cum_disc = np.cumsum(self.disc)
 
-        device, action, coins = self._draw(bitgens, np.where(in_review, left, 0), width)
+        coins = self._draw(bitgens, np.where(in_review, left, 0))
         # Review: the commitment reply throughout, so only tempting periods add surplus.
         g = (self.u_tempt - v) * self.w_prime
 
@@ -412,18 +420,13 @@ class _Chunk:
         self.row_of[rows] = np.arange(len(rows))
         self.scale_t1 = delta**t1
         if rows.size:
-            # Outcomes: the witness atoms, then the mixture's tempting and
-            # commitment actions, both against the commitment reply.
-            n_atoms = len(params.atom_a)
+            # Each outcome code's action and payoff; the mixture plays against the commitment reply.
             self.out_a = np.append(params.atom_a, [self.ia_prime, self.ia_star]).astype(np.int16)
             out_b = np.append(params.atom_b, [self.jb_star, self.jb_star])
             self.out_pay = game.u1[self.out_a, out_b]
-            atom = _word_index(action, params.atom_edges)
-            self.outcome = np.where(device, n_atoms + _word_index(action, [params.p_edge]), atom)
-            del device, action, atom
             # A slice of rows at a time keeps the scan's float arrays to
-            # _BATCH_CELLS // 16 cells.
-            step = max(1, _BATCH_CELLS // 16 // t2)
+            # _BATCH_CELLS // 64 cells.
+            step = max(1, _BATCH_CELLS // 64 // t2)
             runs = [self._absorb(np.arange(lo, min(lo + step, len(rows))), t2) for lo in range(0, len(rows), step)]
             sub_len, code, self.sub_freq, self.sub_pay, self.sub_weight = map(np.concatenate, zip(*runs))
             self.absorb_len[rows] = sub_len
@@ -454,39 +457,46 @@ class _Chunk:
         self.expected_residual = np.where(self.burns, self.phi * g_before + (1.0 - self.phi) * g_after, g)
         self._place(t)
 
-    def _draw(self, bitgens: list[np.random.Philox], partial: np.ndarray, width: int) -> tuple[np.ndarray, ...]:
+    def _draw(self, bitgens: list[np.random.Philox], partial: np.ndarray) -> np.ndarray:
         """Draw every path's words in stream order; ``partial[i]`` > 0 draws
-        only that many words of path i's one review. Keeps the review matrix
-        ``prime`` (rows padded to ``width``), each full review's tempting weight
-        ``w_prime`` and the all-tempting ``rows``; returns the device and action
-        words of those rows and the coins."""
+        only that many words of path i's one review. Keeps the reviews
+        ``packed``, each full review's tempting weight ``w_prime``, the
+        all-tempting ``rows`` and their ``outcome`` codes; returns the coins."""
         params, t1, t2 = self.params, self.params.t1, self.params.t2_bar
         blocks = len(self.owner)
-        self.prime = np.zeros((blocks, width), dtype=bool)
+        self.packed = np.zeros((blocks, -(-self.width // 8)), dtype=np.uint8)
         self.w_prime = np.zeros(blocks)
+        tempting = np.zeros(blocks, dtype=bool)  # full reviews, all tempting
         firsts, sizes = self.first.tolist(), self.sizes.tolist()
         for bitgen, lo, n, k in zip(bitgens, firsts, sizes, partial.tolist()):
-            if k:
-                np.less(_draw_words(bitgen, (k,)), params.p_edge, out=self.prime[lo, :k])
-            else:
-                review = self.prime[lo : lo + n]
-                np.less(_draw_words(bitgen, (n, t1)), params.p_edge, out=review)
+            review = _draw_words(bitgen, (n, k or t1)) < params.p_edge
+            if not k:
                 self.w_prime[lo : lo + n] = review @ self.disc[:t1]
+                tempting[lo : lo + n] = review.all(axis=1)
+            bits = np.packbits(review, axis=1)
+            self.packed[lo : lo + n, : bits.shape[1]] = bits
         # The review decides how many device and action words follow.
-        self.rows = np.flatnonzero(self.prime.all(axis=1) & (np.repeat(partial, self.sizes) == 0))
-        device = np.empty((len(self.rows), t2), dtype=bool)
-        action = np.empty((len(self.rows), t2), dtype=np.uint32)
+        self.rows = np.flatnonzero(tempting)
+        n_atoms = len(params.atom_a)
+        self.outcome = np.empty((len(self.rows), t2), dtype=np.min_scalar_type(n_atoms + 1))
         coins = np.zeros(blocks, dtype=np.uint32)
         at = 0
         counts = np.bincount(self.owner[self.rows], minlength=len(firsts)).tolist()
         for bitgen, lo, n, k, part in zip(bitgens, firsts, sizes, counts, partial.tolist()):
             if k:
-                np.less(_draw_words(bitgen, (k, t2)), params.eps1_edge, out=device[at : at + k])
-                action[at : at + k] = _draw_words(bitgen, (k, t2))
+                device = _draw_words(bitgen, (k, t2)) < params.eps1_edge
+                action = _draw_words(bitgen, (k, t2))
+                mix = n_atoms + _word_index(action, [params.p_edge])
+                self.outcome[at : at + k] = np.where(device, mix, _word_index(action, params.atom_edges))
                 at += k
             if not part:
                 coins[lo : lo + n] = _draw_words(bitgen, (n,))
-        return device, action, coins
+        return coins
+
+    def review(self, idx) -> np.ndarray:
+        """The reviews of blocks ``idx`` as a bool matrix, tempting where True,
+        each row padded with False to ``width`` periods."""
+        return np.unpackbits(self.packed[idx], axis=1, count=self.width).view(bool)
 
     def _place(self, t: np.ndarray) -> None:
         """Lay each path's blocks from its period ``t`` on: ``start`` of each
@@ -568,7 +578,7 @@ class _Chunk:
         cut = np.flatnonzero(~self.kept[idx])
         if cut.size:
             # Each action's periods summed apart: no cancellation when one dominates.
-            rows, disc, at = self.prime[idx[cut]], self.disc[: self.prime.shape[1]], (np.arange(cut.size), rev[cut] - 1)
+            rows, disc, at = self.review(idx[cut]), self.disc[: self.width], (np.arange(cut.size), rev[cut] - 1)
             w_prime[cut] = np.cumsum(np.where(rows, disc, 0.0), axis=1)[at]
             w_star[cut] = np.cumsum(np.where(rows, 0.0, disc), axis=1)[at]
             w_review[cut] = self.cum_disc[rev[cut] - 1]
@@ -699,8 +709,8 @@ def _paths_at_once(params: SimParams, t_max: int) -> int:
     """How many paths a ``simulate_path`` call simulates at once: as many as
     keep one round of their chunks within ``_BATCH_CELLS`` cells. A path's
     first chunk is its largest (see :func:`_chunk_blocks`), and each of its
-    blocks draws at most min(t1, t_max) review words and t2_bar device and
-    action words."""
+    blocks has at most min(t1, t_max) review cells, kept as a bit each, and
+    t2_bar absorbing cells, kept as a byte each (see :class:`_Chunk`)."""
     blocks = int(_chunk_blocks(t_max, 1, params.t1))
     return max(1, _BATCH_CELLS // (blocks * (min(params.t1, t_max) + params.t2_bar)))
 
@@ -845,8 +855,10 @@ def estimate_frequencies(
 
     Path ``k`` is ``simulate_path(..., seed, stream=k)``, and one
     ``simulate_path`` call with ``stream=range(reps)`` runs them all, as many
-    at once as ``_BATCH_CELLS`` admits. How many run at once bounds the working
-    memory only; the estimate is bit for bit the same at any number.
+    at once as keep a round's draws within ``_BATCH_CELLS`` = 2**20 cells, a
+    bit per review period and a byte per absorbing period. How many run at
+    once bounds the working memory only; the estimate is bit for bit the same
+    at any number.
     """
     if reps < MIN_REPS:
         raise ValueError(f"reps must be at least {MIN_REPS}")

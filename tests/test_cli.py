@@ -466,6 +466,8 @@ def test_invalid_game_exits_1(capsys, tmp_path):
         ({"order1": "HL"}, "order1 must be an array of action labels"),
         ({"u1": [[True, -0.2], [1.0, 0.0]]}, "u1 must be an array of numeric rows"),
         ({"u1": [[10**400, -0.2], [1.0, 0.0]]}, "int too large to convert to float"),
+        ({"u1": [[1, 2], [3]]}, "u1 has rows of different lengths"),
+        ({"name": 5}, "name must be a string"),
     ],
 )
 def test_mistyped_game_file_exits_1_with_one_stderr_line(capsys, tmp_path, change, message):

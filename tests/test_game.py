@@ -187,6 +187,13 @@ def test_mixed_action_validation():
     assert act.support() == ("a", "b")
 
 
+def test_from_vector_needs_one_weight_per_label():
+    assert MixedAction.from_vector(("a", "b"), [0.5, 0.5]).weights == {"a": 0.5, "b": 0.5}
+    for vec in ([0.5, 0.5, 0.0], [1.0], [[0.5, 0.5]]):
+        with pytest.raises(ValueError, match="one weight for each of 2 labels"):
+            MixedAction.from_vector(("a", "b"), vec)
+
+
 def test_parse_mixed_action():
     act = parse_mixed_action("H:0.375,L:0.625")
     assert act.prob("H") == pytest.approx(0.375)

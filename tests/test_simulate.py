@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -403,7 +404,7 @@ def test_chunk_draws_raw_philox_halves_against_integer_edges():
     review = halves(blocks, params.t1) < edge(params.p)
     rows = np.flatnonzero(review.all(axis=1))
     assert rows.size, "the chunk must reach the absorbing subphase"
-    assert np.array_equal(chunk.prime, review)
+    assert np.array_equal(chunk.review(slice(None)), review)
     assert np.array_equal(chunk.rows, rows)
     device = halves(rows.size, params.t2_bar) < edge(params.eps1)
     action = halves(rows.size, params.t2_bar)
@@ -466,26 +467,34 @@ def same_paths(a, b) -> bool:
     return True
 
 
-@pytest.mark.parametrize("config", ["criterion7", "absorbing", "beyond_horizon"])
-def test_a_batch_gives_each_stream_what_it_gives_alone(product_choice, pc_params, config):
+def config_game_params(config, games, pc_params):
+    """A named configuration's game and parameters at delta = 0.999."""
     delta = 0.999
     if config == "criterion7":
-        game, params = product_choice, pc_params
-    elif config == "absorbing":
-        game, params = absorbing_game_params(delta)
-    else:
-        game = random_assumption_games(40, 1305, 5)[1]
-        params = derive_params(game, equality_target(game), eps1=0.01, delta=delta)
+        return games["product_choice"], pc_params
+    if config == "absorbing":
+        return absorbing_game_params(delta)
+    # fiscal_witness: the first chunk is the largest a path draws, at the cap
+    # of _MAX_CHUNK_BLOCKS. beyond_horizon: t1 exceeds the horizon, so every
+    # review is cut short and packed to fewer bits than t1.
+    game = games["fiscal_policy"] if config == "fiscal_witness" else random_assumption_games(40, 1305, 5)[1]
+    return game, derive_params(game, equality_target(game), eps1=0.01, delta=delta)
+
+
+@pytest.mark.parametrize("config", ["criterion7", "absorbing", "beyond_horizon"])
+def test_a_batch_gives_each_stream_what_it_gives_alone(games, pc_params, config):
+    delta = 0.999
+    game, params = config_game_params(config, games, pc_params)
     batch = simulate_path(game, params, delta, seed=5, stream=range(3, 28))
     assert len(batch) == 25
     for stream, st in enumerate(batch, 3):
         assert same_paths(st, simulate_path(game, params, delta, seed=5, stream=stream)), stream
 
 
-@pytest.mark.parametrize("config", ["criterion7", "absorbing"])
-def test_estimates_do_not_depend_on_how_many_paths_run_at_once(product_choice, pc_params, monkeypatch, config):
+@pytest.mark.parametrize("config", ["criterion7", "absorbing", "fiscal_witness", "beyond_horizon"])
+def test_estimates_do_not_depend_on_how_many_paths_run_at_once(games, pc_params, monkeypatch, config):
     delta = 0.999
-    game, params = (product_choice, pc_params) if config == "criterion7" else absorbing_game_params(delta)
+    game, params = config_game_params(config, games, pc_params)
     monkeypatch.setattr(simulate, "_BATCH_CELLS", 1)
     assert simulate._paths_at_once(params, _horizon(delta)) == 1
     one = estimate_frequencies(game, params, delta, reps=120, seed=9)
@@ -493,6 +502,23 @@ def test_estimates_do_not_depend_on_how_many_paths_run_at_once(product_choice, p
     assert simulate._paths_at_once(params, _horizon(delta)) >= 120
     every = estimate_frequencies(game, params, delta, reps=120, seed=9)
     assert one == every
+
+
+@pytest.mark.parametrize("config, floor", [("criterion7", 48), ("fiscal_witness", 48), ("absorbing", 32)])
+def test_an_estimate_runs_many_paths_at_once_in_a_small_working_set(games, pc_params, config, floor):
+    # A round keeps a bit per review period and a byte per absorbing period,
+    # so at least `floor` paths fit in one round, and the traced allocations
+    # of a whole estimate still peak below 3 MiB.
+    delta = 0.999
+    game, params = config_game_params(config, games, pc_params)
+    assert simulate._paths_at_once(params, _horizon(delta)) >= floor
+    tracemalloc.start()
+    try:
+        estimate_frequencies(game, params, delta, 100, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_a_batch_fails_as_its_first_failing_stream_does_alone():
