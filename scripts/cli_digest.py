@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Print one line per CLI call on a fixed set of calls: the exit code, a hash of
+stdout and stderr, and the argv with fixture names in place of their paths.
+
+Two checkouts whose CLIs answer byte for byte alike print the same lines:
+
+    PYTHONPATH=src python3 scripts/cli_digest.py > new.txt
+    PYTHONPATH=/path/to/other/checkout/src python3 scripts/cli_digest.py > old.txt
+    diff old.txt new.txt
+
+Every call runs in this one process. The targets of ``in-set-a`` and
+``simulate`` are the marginals of the ``fstar --equality`` witnesses that the
+same run has just printed, so the script needs nothing but the CLI.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import shlex
+from pathlib import Path
+
+from repfreq.cli import dispatch
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GAMES = (
+    "product_choice", "product_choice_three", "entry_deterrence", "fiscal_policy",
+    "matching_pennies_tilted", "nash_overlap_3x2", "battle_of_sexes", "chicken",
+)
+FORMATS = ("json", "csv", "human")
+GAME_CALLS = (
+    ("analyze",),
+    ("fstar",),
+    ("fstar", "--equality"),
+    ("fstar", "--epsilon", "0.05"),
+    ("fstar", "--method", "prop1"),
+    ("fstar", "--method", "grid", "--resolution", "20"),
+)
+SIMULATE = ("--delta", "0.999", "--reps", "100")
+
+
+def fixture(name: str) -> str:
+    return str(FIXTURES / f"{name}.json")
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """Run one call, print its line and return its exit code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = dispatch(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    digest = hashlib.sha256(f"{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()[:16]
+    shown = [Path(arg).stem if arg.startswith(str(FIXTURES)) else arg for arg in argv]
+    print(f"{code} {digest} {shlex.join(shown)}")
+    return code, out.getvalue()
+
+
+def witness_marginal(doc: str) -> str:
+    """``label:prob`` text for the player-1 marginal of an ``fstar --equality`` witness."""
+    witness = json.loads(doc)["witness"]
+    mix: dict[str, float] = {}
+    for weight, alpha in ((witness["q"], witness["alpha1"]), (1.0 - witness["q"], witness["alpha2"])):
+        for label, prob in alpha.items():
+            mix[label] = mix.get(label, 0.0) + weight * prob
+    total = math.fsum(mix.values())
+    return ",".join(f"{label}:{prob / total!r}" for label, prob in mix.items() if prob > 0.0)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--games", nargs="+", choices=GAMES, default=GAMES, help="game fixtures to run (default all)")
+    args = parser.parse_args()
+
+    for name in args.games:
+        equality = None
+        for call in GAME_CALLS:
+            for fmt in FORMATS:
+                code, out = run([call[0], fixture(name), *call[1:], "--format", fmt])
+                if call == ("fstar", "--equality") and fmt == "json" and code == 0:
+                    equality = out
+        if equality is None:
+            continue
+        target = witness_marginal(equality)
+        for fmt in FORMATS[:2]:
+            run(["in-set-a", fixture(name), "--alpha", target, "--format", fmt])
+        for eps1 in ("0.01", "0.2"):
+            for fmt in FORMATS[:2]:
+                run(["simulate", fixture(name), "--target", target, *SIMULATE, "--eps1", eps1, "--format", fmt])
+
+    for fmt in FORMATS:
+        run(["concentration", "--dist", fixture("tail_dist_quarter"), "--delta", "0.99", "--c", "2",
+             "--reps", "1000", "--format", fmt])
+        run(["app", "fiscal", "--tau", "0.3", "--c", "0.2", "--format", fmt])
+        run(["simulate", fixture("product_choice"), "--target", "H:1", *SIMULATE, "--format", fmt])
+
+
+if __name__ == "__main__":
+    main()

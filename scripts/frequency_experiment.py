@@ -6,17 +6,11 @@ import argparse
 from pathlib import Path
 
 from repfreq.bounds import min_stackelberg_freq
-from repfreq.game import MixedAction, load_game_file
+from repfreq.game import load_game_file
 from repfreq.simulate import check_incentives, derive_params, estimate_frequencies
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GAMES = ["product_choice", "product_choice_three", "entry_deterrence", "fiscal_policy"]
-
-
-def witness_target(game) -> MixedAction:
-    fb = min_stackelberg_freq(game, equality=True)
-    vec = fb.q * fb.alpha1.as_vector(game.actions1) + (1 - fb.q) * fb.alpha2.as_vector(game.actions1)
-    return MixedAction.from_vector(game.actions1, vec, tol=1e-7)
 
 
 def main():
@@ -30,7 +24,7 @@ def main():
     for name in GAMES:
         game = load_game_file(FIXTURES / f"{name}.json")
         bound = min_stackelberg_freq(game).value
-        target = witness_target(game)
+        target = min_stackelberg_freq(game, equality=True).marginal(game)
         params = derive_params(game, target, args.eps1, args.delta)
         out = estimate_frequencies(game, params, args.delta, args.reps, args.seed)
         inc = check_incentives(game, params, args.delta)

@@ -57,8 +57,6 @@ def decompose_target(
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    for label in target.support():
-        game.a_index(label)
     stack = stackelberg(game, tol)
     n_a = len(game.actions1)
     cone, pay = _stacked_reply_blocks(game)

@@ -65,6 +65,11 @@ class FreqBound:
     equality: bool = False
     placeholder2: bool = False
 
+    def marginal(self, game: StageGame) -> MixedAction:
+        """Player 1's action distribution under the witness."""
+        vec = self.q * self.alpha1.as_vector(game.actions1) + (1 - self.q) * self.alpha2.as_vector(game.actions1)
+        return MixedAction.from_vector(game.actions1, vec, tol=1e-7)
+
 
 @dataclass(frozen=True)
 class IndifferencePiece:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
+import io
 import json
 import math
 import sys
@@ -45,6 +47,10 @@ def _nonneg(text: str) -> float:
     return value
 
 
+# The method-specific options that each fstar method reads.
+_FSTAR_READS = {"lp": ("epsilon", "equality"), "prop1": (), "grid": ("resolution",)}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
@@ -67,10 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fstar", parents=[fmt, tol], help="minimal commitment-action frequency")
     p.add_argument("game")
-    p.add_argument("--epsilon", type=_nonneg, default=0.0)
-    p.add_argument("--equality", action="store_true")
-    p.add_argument("--method", choices=["lp", "prop1", "grid"], default="lp")
-    p.add_argument("--resolution", type=_int_at_least(1), default=50)
+    # Left unset unless given, so that a method refuses the options it does not read.
+    p.add_argument("--epsilon", type=_nonneg, help="lp only (default 0)")
+    p.add_argument("--equality", action="store_const", const=True, help="lp only")
+    p.add_argument("--method", choices=list(_FSTAR_READS), default="lp")
+    p.add_argument("--resolution", type=_int_at_least(1), help="grid only (default 50)")
 
     p = sub.add_parser("in-set-a", parents=[fmt, tol], help="attainability of a target action distribution")
     p.add_argument("game")
@@ -159,14 +166,17 @@ def _freq_bound_to_dict(result: bounds.FreqBound) -> dict:
 
 
 def _cmd_fstar(args) -> dict:
+    for opt in ("epsilon", "equality", "resolution"):
+        if getattr(args, opt) is not None and opt not in _FSTAR_READS[args.method]:
+            build_parser().error(f"fstar --method {args.method} does not take --{opt}")
     game = load_game_file(args.game)
     if args.method == "lp":
-        result = bounds.min_stackelberg_freq(game, args.epsilon, args.equality, args.tol)
+        result = bounds.min_stackelberg_freq(game, args.epsilon or 0.0, bool(args.equality), args.tol)
     elif args.method == "prop1":
         result = bounds.min_stackelberg_freq_finite(game, args.tol)
     else:
-        value = bounds.min_freq_grid(game, args.resolution, args.tol)
-        return {"value": value, "method": "grid", "resolution": args.resolution}
+        resolution = args.resolution or 50
+        return {"value": bounds.min_freq_grid(game, resolution, args.tol), "method": "grid", "resolution": resolution}
     return _freq_bound_to_dict(result)
 
 
@@ -199,12 +209,7 @@ def _cmd_simulate(args) -> dict:
             for action in game.actions1:
                 writer.writerow([action, f"{outcome.freq[action]:.10f}", f"{outcome.ci_radius:.10f}"])
     return {
-        "freq": {a: outcome.freq[a] for a in game.actions1},
-        "payoff": outcome.payoff,
-        "reps": outcome.reps,
-        "ci_radius": outcome.ci_radius,
-        "payoff_ci": outcome.payoff_ci,
-        "phase_stats": outcome.phase_stats,
+        **dataclasses.asdict(outcome),
         "params": {
             "trivial": params.trivial,
             "a_star": params.a_star,
@@ -224,12 +229,7 @@ def _cmd_simulate(args) -> dict:
             "delta_bar_theory": params.delta_bar_theory,
             "in_theory_regime": args.delta >= params.delta_bar_theory,
         },
-        "incentives": {
-            "deviation_cap": incentives.deviation_cap,
-            "min_continuation": incentives.min_continuation,
-            "slack": incentives.slack,
-            "passes": incentives.passes,
-        },
+        "incentives": dataclasses.asdict(incentives),
     }
 
 
@@ -245,16 +245,7 @@ def _cmd_concentration(args) -> dict:
     dist = concentration.FiniteDist.from_pairs((entry["value"], entry["prob"]) for entry in doc)
     horizon = concentration.min_horizon(dist, args.delta, args.c)
     report = concentration.tail_probability_mc(dist, args.delta, args.c, horizon, args.reps, args.seed)
-    return {
-        "r_star": report.r_star,
-        "analytic_bound": report.analytic_bound,
-        "empirical": report.empirical,
-        "std_error": report.std_error,
-        "reps": report.reps,
-        "horizon": report.horizon,
-        "c": report.c,
-        "delta": report.delta,
-    }
+    return dataclasses.asdict(report)
 
 
 def _cmd_app(args) -> dict:
@@ -294,10 +285,11 @@ def _emit(doc: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if fmt == "csv":
-        flat = _flatten(doc)
-        lines = ["key,value"]
-        lines += [f"{k},{v}" for k, v in flat]
-        return "\n".join(lines)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["key", "value"])
+        writer.writerows((k, str(v)) for k, v in _flatten(doc))
+        return buf.getvalue().removesuffix("\n")
     return "\n".join(f"{k} = {v}" for k, v in _flatten(doc))
 
 

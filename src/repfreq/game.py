@@ -60,6 +60,10 @@ class MixedAction:
         return tuple(lab for lab, w in self.weights.items() if w > 0.0)
 
     def as_vector(self, labels) -> np.ndarray:
+        """Weights in the order of ``labels``; a label not among them is refused at any weight."""
+        for label in self.weights:
+            if label not in labels:
+                raise ValueError(f"unknown action {label!r}, expected one of {list(labels)}")
         return np.array([self.weights.get(lab, 0.0) for lab in labels], dtype=float)
 
 
@@ -172,10 +176,6 @@ class StageGame:
 
 def expected_payoffs(game: StageGame, alpha: MixedAction, beta: MixedAction) -> tuple[float, float]:
     """Expected (u1, u2) when players mix according to ``alpha`` and ``beta``."""
-    for label in alpha.support():
-        game.a_index(label)
-    for label in beta.support():
-        game.b_index(label)
     av = alpha.as_vector(game.actions1)
     bv = beta.as_vector(game.actions2)
     return float(av @ game.u1 @ bv), float(av @ game.u2 @ bv)

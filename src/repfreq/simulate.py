@@ -162,10 +162,8 @@ def derive_params(
     stack = stackelberg(game, tol)
     if not (stack.unique_action and stack.unique_reply):
         raise ValueError("construction requires a unique commitment action and reply")
-    for label in target.support():
-        game.a_index(label)
 
-    if target.prob(stack.a_star) >= 1.0 - 1e-12:
+    if target.as_vector(game.actions1)[game.a_index(stack.a_star)] >= 1.0 - 1e-12:
         return SimParams(
             a_star=stack.a_star,
             b_star=stack.b_star,

@@ -103,8 +103,6 @@ def _best(values: np.ndarray, tol: float) -> np.ndarray:
 
 def best_replies_p2(game: StageGame, alpha: MixedAction, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
     """All player-2 actions within ``tol`` of the best payoff against ``alpha``."""
-    for label in alpha.support():
-        game.a_index(label)
     return tuple(game.actions2[j] for j in _best(alpha.as_vector(game.actions1) @ game.u2, tol))
 
 

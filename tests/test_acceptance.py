@@ -32,12 +32,6 @@ def report(number: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
-def equality_witness_target(game) -> MixedAction:
-    fb = min_stackelberg_freq(game, equality=True)
-    vec = fb.q * fb.alpha1.as_vector(game.actions1) + (1 - fb.q) * fb.alpha2.as_vector(game.actions1)
-    return MixedAction.from_vector(game.actions1, vec, tol=1e-7)
-
-
 def test_criterion_1_closed_form_agreement():
     t0 = time.time()
     worst = 0.0
@@ -177,7 +171,7 @@ def test_criterion_8_frequency_endpoints():
     for name in APPLIED_GAMES:
         game = load_fixture(name)
         lp = min_stackelberg_freq(game).value
-        target = equality_witness_target(game)
+        target = min_stackelberg_freq(game, equality=True).marginal(game)
         params = derive_params(game, target, eps1=0.01, delta=0.999)
         out = estimate_frequencies(game, params, 0.999, reps=500, seed=7)
         freq_star = out.freq[params.a_star]

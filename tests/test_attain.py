@@ -54,9 +54,7 @@ def test_witness_invariants(games):
 @pytest.mark.parametrize("name", UNIQUE_GAMES)
 def test_equality_bound_witness_marginal_is_member(games, name):
     game = games[name]
-    fb = min_stackelberg_freq(game, equality=True)
-    vec = fb.q * fb.alpha1.as_vector(game.actions1) + (1 - fb.q) * fb.alpha2.as_vector(game.actions1)
-    marginal = MixedAction.from_vector(game.actions1, vec, tol=1e-7)
+    marginal = min_stackelberg_freq(game, equality=True).marginal(game)
     assert decompose_target(game, marginal) is not None, name
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -344,6 +345,9 @@ APP_PRODUCT_CHOICE = ["product-choice", "--gamma", "0.5", "--ch", "0.4", "--cl",
         ["app", "--format", "csv", *APP_PRODUCT_CHOICE],
         ["simulate", "GAME", "--target", "H:1", "--delta", "0.999", "--pi", "0.5"],
         ["concentration", "--dist", str(DIST_FILE), "--delta", "0.9", "--c", "1", "--reps", "1000", "--horizon", "200"],
+        ["fstar", "GAME", "--method", "prop1", "--equality"],
+        ["fstar", "GAME", "--method", "grid", "--epsilon", "0.1"],
+        ["fstar", "GAME", "--resolution", "20"],
     ],
 )
 def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
@@ -573,6 +577,41 @@ def test_csv_format(capsys):
     assert any(line.startswith("minmax,") for line in lines)
 
 
+def test_csv_quotes_labels_with_commas_and_quotes(capsys, tmp_path):
+    path = tmp_path / "quoted.json"
+    doc = {
+        "actions1": ["High, premium", "L"],
+        "actions2": ['buy "h"', "l"],
+        "u1": [[0.6, -0.2], [1.0, 0.0]],
+        "u2": [[1.5, 1.0], [-0.5, 0.0]],
+    }
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "fstar", str(path), "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    keys = {key for key, _ in rows}
+    assert "witness.alpha1.High, premium" in keys
+    assert ["witness.b1", 'buy "h"'] in rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["in-set-a", "GAME", "--alpha", "H:0.375,L:0.625,Typo:0"],
+        ["simulate", "GAME", "--target", "H:1,Typo:0", "--delta", "0.999", "--reps", "100"],
+    ],
+)
+def test_unknown_label_at_zero_weight_exits_1_with_one_stderr_line(capsys, argv):
+    argv = [str(fixture_path("product_choice")) if arg == "GAME" else arg for arg in argv]
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: unknown action 'Typo', expected one of ['H', 'L']"]
+
+
 def test_shared_parser_keeps_no_state_between_calls(capsys):
     assert cli.build_parser() is cli.build_parser()
     game = str(fixture_path("product_choice"))
@@ -588,7 +627,7 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
         assert out == fresh[argv]
         return out
 
-    check("fstar", game, "--equality", "--tol", "1e-6", "--format", "human", "--method", "prop1")
+    check("fstar", game, "--tol", "1e-6", "--format", "human", "--method", "prop1")
     check("fstar", game, "--equality")
     doc = json.loads(check("fstar", game))
     assert doc["equality"] is False

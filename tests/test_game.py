@@ -14,6 +14,7 @@ from repfreq.game import (
     load_game,
     parse_mixed_action,
 )
+from repfreq.stage import best_replies_p2
 from .conftest import fixture_path
 
 pytestmark = []
@@ -112,6 +113,27 @@ def test_expected_payoffs_hand_expansion(product_choice):
 def test_expected_payoffs_unknown_label(product_choice):
     with pytest.raises(ValueError, match="unknown"):
         expected_payoffs(product_choice, MixedAction.delta("Z"), MixedAction.delta("h"))
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.5])
+def test_unknown_label_is_refused_at_any_weight(product_choice, weight):
+    alpha = MixedAction({"H": 0.5, "L": 0.5 - weight, "Typo": weight})
+    beta = MixedAction({"h": 1.0 - weight, "Typo": weight})
+    game = product_choice
+    with pytest.raises(ValueError, match="unknown action 'Typo'"):
+        alpha.as_vector(game.actions1)
+    with pytest.raises(ValueError, match="unknown action 'Typo'"):
+        expected_payoffs(game, alpha, MixedAction.delta("h"))
+    with pytest.raises(ValueError, match="unknown action 'Typo'"):
+        expected_payoffs(game, MixedAction.delta("H"), beta)
+    with pytest.raises(ValueError, match="unknown action 'Typo'"):
+        best_replies_p2(game, alpha)
+
+
+def test_as_vector_names_the_first_unknown_label_in_the_actions_order(product_choice):
+    alpha = MixedAction({"Zeta": 0.0, "H": 1.0, "Alpha": 0.0})
+    with pytest.raises(ValueError, match="unknown action 'Zeta'"):
+        alpha.as_vector(product_choice.actions1)
 
 
 games_strategy = st.integers(2, 4).flatmap(

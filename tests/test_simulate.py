@@ -38,9 +38,7 @@ def pc_params(product_choice):
 
 
 def equality_target(game) -> MixedAction:
-    fb = min_stackelberg_freq(game, equality=True)
-    vec = fb.q * fb.alpha1.as_vector(game.actions1) + (1 - fb.q) * fb.alpha2.as_vector(game.actions1)
-    return MixedAction.from_vector(game.actions1, vec, tol=1e-7)
+    return min_stackelberg_freq(game, equality=True).marginal(game)
 
 
 def test_derived_structure(product_choice, pc_params):
