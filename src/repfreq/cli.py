@@ -204,7 +204,7 @@ def _cmd_simulate(args) -> dict:
     incentives = simulate.check_incentives(game, params, args.delta)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["action", "freq_estimate", "ci_radius"])
             for action in game.actions1:
                 writer.writerow([action, f"{outcome.freq[action]:.10f}", f"{outcome.ci_radius:.10f}"])

@@ -178,7 +178,7 @@ def _word_index(words: np.ndarray, edges: np.ndarray) -> np.ndarray:
     (E_{k+1} - E_k) / 2**32; with one edge, index 0 is the event w < E_1."""
     index = np.zeros(words.shape, dtype=np.min_scalar_type(len(edges)))
     for edge in edges:
-        index += words >= edge
+        index += (words >= edge).view(np.uint8)
     return index
 
 

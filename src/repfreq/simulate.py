@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,9 +37,10 @@ _MAX_CHUNK_BLOCKS = 128
 # Cells (review periods, and absorbing periods under the device) that one round
 # of chunks may draw over the paths a simulate_path call runs at once (see
 # _paths_at_once). A round keeps a review cell as one bit and an absorbing cell
-# as a one-byte outcome code, so its draws take at most _BATCH_CELLS bytes; the
-# absorbing scan takes slices of a 64th of it, 2**14 cells, or one row where
-# t2_bar is longer. It bounds the working memory only: every path, and so every
+# as a one-byte outcome code, so its draws take at most _BATCH_CELLS bytes. The
+# absorbing words are turned into codes, and the absorbing scan run, in groups
+# of rows of about a 64th of it, 2**14 cells, or one row where t2_bar is
+# longer. It bounds the working memory only: every path, and so every
 # estimate, is bit for bit the same at any value.
 _BATCH_CELLS = 2**20
 
@@ -329,14 +331,27 @@ def _comp_length(g: np.ndarray, lead: np.ndarray, rate: float, log_d: float) -> 
     return np.where(reachable, n, np.inf)
 
 
+def _block_length(game: StageGame, params: SimParams, delta: float) -> float:
+    """An estimated block length: t1 plus the compensation run that burns a
+    review's mean surplus, ``inf`` where no run does. The run length is convex
+    in the surplus, and absorbing runs are left out, so the estimate errs
+    toward blocks shorter than the mean, and a chunk sized from it toward
+    being large enough."""
+    t1, v, log_d = params.t1, params.v_star, math.log(delta)
+    tempt = game.payoff1(params.a_prime, params.b_star) - v
+    surplus = tempt * params.p_edge / 2.0**32 * _burned(t1, 1.0 / (1.0 - delta), log_d)
+    rate = v - game.payoff1(params.a_prime, params.b_prime)
+    return t1 + float(_comp_length(surplus, delta**t1 / (1.0 - delta), rate, log_d))
+
+
 def _path_sums(owner: np.ndarray, values: np.ndarray, paths: int) -> np.ndarray:
-    """Sums of the rows of ``values`` by owning path, one row per path. Each
-    path's rows are added one by one in order, so its sums do not depend on
-    the other paths of its batch."""
-    values = values.reshape(len(owner), -1)
-    cols = values.shape[1]
-    bins = (owner[:, None] * cols + np.arange(cols)).ravel()
-    return np.bincount(bins, weights=values.ravel(), minlength=paths * cols).reshape(paths, cols)
+    """Sums of the rows of ``values`` by owning path, one row per path, for a
+    nondecreasing ``owner``. Each path's rows are summed on their own, so its
+    sums do not depend on the other paths of its batch."""
+    starts = np.searchsorted(owner, np.arange(paths))
+    sums = np.add.reduceat(values, np.minimum(starts, len(owner) - 1), axis=0)
+    sums[np.diff(starts, append=len(owner)) == 0] = 0
+    return sums
 
 
 class _Chunk:
@@ -372,11 +387,13 @@ class _Chunk:
     left is surely cut inside its next block's review, so its chunk is that
     one block, of which it draws only the ``left`` review words it reads.
 
-    Each path turns its words into what the chunk keeps as it draws them:
-    its reviews packed to bits (see :meth:`review`), each review's tempting
-    weight, and one ``outcome`` code per absorbing period, a witness atom's
-    index or after them the mixture's tempting or commitment action. So a
-    block keeps a bit per review period and a byte per absorbing period.
+    Each path turns its review words into what the chunk keeps as it draws
+    them: its reviews packed to bits (see :meth:`review`) and each review's
+    tempting weight. The absorbing words of consecutive paths are turned into
+    one ``outcome`` code per absorbing period a group of rows at a time (see
+    :meth:`_codes`): a witness atom's index or after them the mixture's
+    tempting or commitment action. So a block keeps a bit per review period
+    and a byte per absorbing period.
     """
 
     def __init__(
@@ -422,10 +439,11 @@ class _Chunk:
             self.out_a = np.append(params.atom_a, [self.ia_prime, self.ia_star]).astype(np.int16)
             out_b = np.append(params.atom_b, [self.jb_star, self.jb_star])
             self.out_pay = game.u1[self.out_a, out_b]
+            self.absorb_actions = np.unique(self.out_a).tolist()
             # A slice of rows at a time keeps the scan's float arrays to
             # _BATCH_CELLS // 64 cells.
             step = max(1, _BATCH_CELLS // 64 // t2)
-            runs = [self._absorb(np.arange(lo, min(lo + step, len(rows))), t2) for lo in range(0, len(rows), step)]
+            runs = [self._absorb(self.outcome[lo : lo + step], t2) for lo in range(0, len(rows), step)]
             sub_len, code, self.sub_freq, self.sub_pay, self.sub_weight = map(np.concatenate, zip(*runs))
             self.absorb_len[rows] = sub_len
             self.breach[rows] = code
@@ -475,21 +493,35 @@ class _Chunk:
             self.packed[lo : lo + n, : bits.shape[1]] = bits
         # The review decides how many device and action words follow.
         self.rows = np.flatnonzero(tempting)
-        n_atoms = len(params.atom_a)
-        self.outcome = np.empty((len(self.rows), t2), dtype=np.min_scalar_type(n_atoms + 1))
+        self.outcome = np.empty((len(self.rows), t2), dtype=np.min_scalar_type(len(params.atom_a) + 1))
         coins = np.zeros(blocks, dtype=np.uint32)
-        at = 0
+        words = []  # device and action words of the rows drawn but not yet converted
+        done = drawn = 0  # rows converted, rows drawn
         counts = np.bincount(self.owner[self.rows], minlength=len(firsts)).tolist()
         for bitgen, lo, n, k, part in zip(bitgens, firsts, sizes, counts, partial.tolist()):
             if k:
-                device = _draw_words(bitgen, (k, t2)) < params.eps1_edge
-                action = _draw_words(bitgen, (k, t2))
-                mix = n_atoms + _word_index(action, [params.p_edge])
-                self.outcome[at : at + k] = np.where(device, mix, _word_index(action, params.atom_edges))
-                at += k
+                words.append((_draw_words(bitgen, (k, t2)), _draw_words(bitgen, (k, t2))))
+                drawn += k
+                if (drawn - done) * t2 >= _BATCH_CELLS // 64:
+                    self._codes(words, done)
+                    words, done = [], drawn
             if not part:
                 coins[lo : lo + n] = _draw_words(bitgen, (n,))
+        if words:
+            self._codes(words, done)
         return coins
+
+    def _codes(self, words: list[tuple[np.ndarray, np.ndarray]], at: int) -> None:
+        """Turn device and action word matrices, in stream order, into the
+        ``outcome`` codes of the rows from ``at`` on."""
+        params, n_atoms = self.params, len(self.params.atom_a)
+        device, action = (np.concatenate(w) for w in zip(*words))
+        code = self.outcome[at : at + len(action)]
+        code[...] = _word_index(action, params.atom_edges)
+        # The mixture's code where the device picks it, by wraparound
+        # arithmetic: code + device * (mix - code).
+        mix = n_atoms + (action >= params.p_edge).view(np.uint8)
+        code += (device < params.eps1_edge).view(np.uint8) * (mix - code)
 
     def review(self, idx) -> np.ndarray:
         """The reviews of blocks ``idx`` as a bool matrix, tempting where True,
@@ -514,15 +546,17 @@ class _Chunk:
         self.cut = cut[self.start[cut] <= t_max]
         self.span[self.cut] = t_max + 1 - self.start[self.cut]
 
-    def _absorb(self, r: np.ndarray, limit) -> tuple[np.ndarray, ...]:
-        """The absorbing runs of absorbing rows ``r``, each ending at its first
-        breach or at the cap: their lengths and breach codes, and their
-        frequency by action, payoff and weight over their first
+    def _absorb(self, outcome: np.ndarray, limit) -> tuple[np.ndarray, ...]:
+        """The absorbing runs coded by the rows of ``outcome``, each ending at
+        its first breach or at the cap: their lengths and breach codes, and
+        their frequency by action, payoff and weight over their first
         min(length, ``limit``) periods, in units of the run's first period.
-        Every sum adds its row's periods one by one in order."""
-        params, t2 = self.params, self.outcome.shape[1]
+        Every sum is its row's own: the payoff adds the row's periods one by
+        one in order, and each action's frequency is a row-local einsum, so no
+        sum depends on the other rows of ``outcome``."""
+        params, t2 = self.params, outcome.shape[1]
         disc, weight_sum = self.disc[:t2], self.cum_disc[:t2]
-        outcome = self.outcome[r].astype(np.intp)
+        outcome = outcome.astype(np.intp)
         running = self.out_pay.take(outcome)
         action = self.out_a.take(outcome)
         del outcome
@@ -531,7 +565,7 @@ class _Chunk:
         low = running < params.v_star * weight_sum - params.c
         breached = running > params.drift_target * weight_sum + params.c
         breached |= low
-        i = np.arange(len(r))
+        i = np.arange(len(action))
         first = breached.argmax(axis=1)
         hit = breached[i, first]
         length = np.where(hit, first + 1, t2)
@@ -539,10 +573,12 @@ class _Chunk:
         k = np.minimum(length, limit)
         pay = running[i, k - 1]
         del running, low, breached
-        kept = np.arange(t2) < k[:, None]
-        cells = action[kept] + np.repeat(i * self.n_a, k)
-        weights = np.broadcast_to(disc, kept.shape)[kept]
-        freq = np.bincount(cells, weights=weights, minlength=len(r) * self.n_a).reshape(-1, self.n_a)
+        steps = np.arange(t2, dtype=np.min_scalar_type(t2))  # a narrow type compares faster
+        kept = steps < k.astype(steps.dtype)[:, None]
+        freq = np.zeros((len(action), self.n_a))
+        for a in self.absorb_actions:
+            # einsum without optimize sums each row apart, without BLAS.
+            freq[:, a] = np.einsum("ij,j->i", ((action == a) & kept).astype(float), disc)
         return length, code, freq, pay, weight_sum[k - 1]
 
     def path_sums(self, delta: float) -> dict[str, np.ndarray]:
@@ -592,7 +628,8 @@ class _Chunk:
             sub_freq, sub_pay, sub_weight = self.sub_freq[r], self.sub_pay[r], self.sub_weight[r]
             cut = np.flatnonzero(absorb[has] < self.absorb_len[idx[has]])
             if cut.size:
-                _, _, sub_freq[cut], sub_pay[cut], sub_weight[cut] = self._absorb(r[cut], absorb[has][cut])
+                runs = self._absorb(self.outcome[r[cut]], absorb[has][cut])
+                _, _, sub_freq[cut], sub_pay[cut], sub_weight[cut] = runs
             freq[has] += self.scale_t1 * sub_freq
             local[has, n_a] += self.scale_t1 * sub_pay
             phase[has, PHASE_ABSORB] = self.scale_t1 * sub_weight
@@ -605,7 +642,7 @@ class _Chunk:
         local *= delta ** self.start[idx].astype(float)[:, None]
         sums = _path_sums(owner, local, paths)
         periods = np.column_stack([np.zeros_like(rev), rev, absorb, comp, absorb > 0])
-        counts = _path_sums(owner, periods.astype(float), paths).astype(np.int64)
+        counts = _path_sums(owner, periods, paths)
         ends = np.bincount(self.owner[kept] * len(BREACHES) + self.breach[kept], minlength=paths * len(BREACHES))
         max_residual = np.zeros(paths)
         np.maximum.at(max_residual, self.owner[kept], np.abs(self.expected_residual[kept]))
@@ -645,11 +682,13 @@ def simulate_path(
     time, tempting where w < round(p * 2**32). The normal phase then draws its
     blocks a chunk at a time (see :class:`_Chunk`), each chunk as many as
     :func:`_chunk_blocks` predicts from the blocks and periods of the path so
-    far. The first chunk, before any block, predicts from one block of t1
-    periods, the shortest a block can be. Every block that
-    ends inside the horizon is added at once; the first block that does not is
-    cut at the horizon, as drawn. The chunks add only to the path's sums and
-    block tallies; no per-period history is kept.
+    far, but never more than the path's first chunk. The first chunk, before
+    any block, predicts from one block of the length :func:`_block_length`
+    estimates, t1 periods and the compensation run that burns a review's mean
+    surplus; where no run burns it, the first chunk is one block. Every block
+    that ends inside the horizon is added at once; the first block that does
+    not is cut at the horizon, as drawn. The chunks add only to the path's
+    sums and block tallies; no per-period history is kept.
 
     ``stream`` may also be a range of streams; a list of results then comes
     back, one per stream. The paths run together, as many at once as
@@ -706,8 +745,10 @@ def _prepare(bitgen: np.random.Philox, p_edge: int, t_max: int) -> tuple[int, bo
 def _paths_at_once(params: SimParams, t_max: int) -> int:
     """How many paths a ``simulate_path`` call simulates at once: as many as
     keep one round of their chunks within ``_BATCH_CELLS`` cells. A path's
-    first chunk is its largest (see :func:`_chunk_blocks`), and each of its
-    blocks has at most min(t1, t_max) review cells, kept as a bit each, and
+    first chunk is its largest, since it caps the later ones, and it has at
+    most ``_chunk_blocks(t_max, 1, t1)`` blocks, since the estimated block
+    length it is sized from is at least t1 (see :func:`simulate_path`). Each
+    block has at most min(t1, t_max) review cells, kept as a bit each, and
     t2_bar absorbing cells, kept as a byte each (see :class:`_Chunk`)."""
     blocks = int(_chunk_blocks(t_max, 1, params.t1))
     return max(1, _BATCH_CELLS // (blocks * (min(params.t1, t_max) + params.t2_bar)))
@@ -737,7 +778,7 @@ def _simulate(game: StageGame, params: SimParams, delta: float, seed: int, strea
             for _ in range(n_paths)
         ]
 
-    ia_prime, t1 = game.a_index(params.a_prime), params.t1
+    ia_prime = game.a_index(params.a_prime)
     pay_star, pay_hit = game.u1[ia_star, jb_star], game.u1[ia_prime, jb_star]
     freq_raw = np.zeros((n_paths, n_a))
     payoff_raw = np.zeros(n_paths)
@@ -750,6 +791,8 @@ def _simulate(game: StageGame, params: SimParams, delta: float, seed: int, strea
     deficit = np.full(n_paths, np.nan)
     t = np.zeros(n_paths, dtype=np.int64)  # each path's next period
     size = np.zeros(n_paths, dtype=np.int64)  # blocks in its next chunk
+    cap = np.zeros(n_paths, dtype=np.int64)  # blocks in its first chunk, the most any chunk takes
+    length = _block_length(game, params, delta)
     bitgens: dict[int, np.random.Philox] = {}
     spare: list[np.random.Philox] = []  # bit generators of finished paths
     capacity = _paths_at_once(params, t_max)
@@ -776,9 +819,10 @@ def _simulate(game: StageGame, params: SimParams, delta: float, seed: int, strea
             payoff_raw[new] = pay_star * w_star + pay_hit * w_hit
             phase_raw[new, PHASE_PREP] = cum[prep - 1]
             periods[new, PHASE_PREP] = prep
-            # Every block lasts at least t1 periods, so the first chunk is sized
-            # as a later one would be after a block of exactly t1 periods.
-            size[new] = _chunk_blocks(t_max + 1 - prep, 1, t1)
+            # The first chunk is sized as a later one would be after one block
+            # of the estimated length, or is one block where that length is
+            # endless; it caps every later chunk of the path.
+            size[new] = cap[new] = _chunk_blocks(t_max + 1 - prep, 1, length) if math.isfinite(length) else 1
             live = np.concatenate([live, new[prep <= t_max]])
         if not live.size:
             continue
@@ -799,30 +843,28 @@ def _simulate(game: StageGame, params: SimParams, delta: float, seed: int, strea
         spare += [bitgens.pop(i) for i in live[t[live] > t_max].tolist()]
         del chunk  # before the next round's chunk is built
         live = live[t[live] <= t_max]
-        size[live] = _chunk_blocks(t_max + 1 - t[live], ends[live].sum(axis=1), t[live] - periods[live, PHASE_PREP])
+        later = _chunk_blocks(t_max + 1 - t[live], ends[live].sum(axis=1), t[live] - periods[live, PHASE_PREP])
+        size[live] = np.minimum(later, cap[live])
     # Raised for the first such path, so a batch fails as its first failing path does alone.
     failed = np.flatnonzero(~np.isnan(deficit))
     if failed.size:
         raise RuntimeError(f"block entered compensation with a payoff deficit ({deficit[failed[0]]})")
 
+    scale = 1.0 - delta
+    rows = zip(
+        scale * freq_raw,
+        (scale * payoff_raw).tolist(),
+        periods.tolist(),
+        absorb_entries.tolist(),
+        scale * phase_raw,
+        ends.tolist(),
+        (scale * max_residual).tolist(),
+        comp_unending.tolist(),
+    )
+    # Each path's fields in PathStats order; ends holds the blocks by breach code.
     return [
-        PathStats(
-            freq=(1.0 - delta) * freq_raw[i],
-            payoff=float((1.0 - delta) * payoff_raw[i]),
-            prep_periods=int(periods[i, PHASE_PREP]),
-            review_periods=int(periods[i, PHASE_REVIEW]),
-            absorb_periods=int(periods[i, PHASE_ABSORB]),
-            comp_periods=int(periods[i, PHASE_COMP]),
-            absorb_entries=int(absorb_entries[i]),
-            phase_weights=(1.0 - delta) * phase_raw[i],
-            block_count=int(ends[i].sum()),
-            breach_low=int(ends[i, 1]),
-            breach_high=int(ends[i, 2]),
-            absorb_cap_ends=int(ends[i, 3]),
-            max_residual=float((1.0 - delta) * max_residual[i]),
-            comp_unending=bool(comp_unending[i]),
-        )
-        for i in range(n_paths)
+        PathStats(freq, payoff, *counts, entries, phase, sum(ends), *ends[1:], residual, unending)
+        for freq, payoff, counts, entries, phase, ends, residual, unending in rows
     ]
 
 
@@ -860,18 +902,12 @@ def estimate_frequencies(
     """
     if reps < MIN_REPS:
         raise ValueError(f"reps must be at least {MIN_REPS}")
-    n_a = len(game.actions1)
-    freqs = np.empty((reps, n_a))
-    payoffs = np.empty(reps)
-    tallies = np.zeros(len(_TALLIES))
-    max_residual = 0.0
-    phase_weights = np.zeros(4)
-    for rep, st in enumerate(simulate_path(game, params, delta, seed, stream=range(reps))):
-        freqs[rep] = st.freq
-        payoffs[rep] = st.payoff
-        phase_weights += st.phase_weights
-        tallies += [getattr(st, name) for name in _TALLIES]
-        max_residual = max(max_residual, st.max_residual)
+    paths = simulate_path(game, params, delta, seed, stream=range(reps))
+    freqs = np.array([st.freq for st in paths])
+    payoffs = np.array([st.payoff for st in paths])
+    tallies = np.array(list(map(attrgetter(*_TALLIES), paths))).sum(axis=0)
+    max_residual = max(st.max_residual for st in paths)
+    phase_weights = np.array([st.phase_weights for st in paths]).sum(axis=0)
 
     freq_mean = freqs.mean(axis=0)
     freq_se = freqs.std(axis=0, ddof=1) / math.sqrt(reps)

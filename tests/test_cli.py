@@ -120,6 +120,18 @@ def test_simulate_output_and_csv(capsys, tmp_path):
     assert len(lines) == 3
 
 
+def test_simulate_out_file_ends_lines_as_format_csv_does(capsys, tmp_path):
+    out_csv = tmp_path / "freq.csv"
+    argv = ["simulate", str(fixture_path("product_choice")), "--target", "H:1", "--delta", "0.999", "--reps", "100"]
+    code, _ = run_cli(capsys, *argv, "--out", str(out_csv))
+    assert code == 0
+    written = out_csv.read_bytes()
+    assert b"\r" not in written
+    assert [line.split(",")[0] for line in written.decode().split("\n")] == ["action", "H", "L", ""]
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and "\r" not in out
+
+
 def test_simulate_reports_phase_shares(capsys):
     code, out = run_cli(
         capsys,

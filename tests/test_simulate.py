@@ -417,11 +417,18 @@ def test_chunk_draws_raw_philox_halves_against_integer_edges():
     assert np.array_equal(chunk.comp_len, np.where(chunk.burns, chunk.n_comp - (coins < phi_edge), 0))
 
 
-def test_later_chunks_are_sized_from_the_path_so_far(monkeypatch):
-    # ceil(R * n / L) + 1 blocks, capped.
-    assert _chunk_blocks(1000, 48, 4000) == 13
-    assert _chunk_blocks(1001, 48, 4000) == 14
-    assert _chunk_blocks(18000, 48, 4800) == _MAX_CHUNK_BLOCKS == 128
+def block_length_estimate(game, params, delta) -> int:
+    """t1 plus the fewest compensation periods whose burn covers a review's
+    mean surplus, found by summing the periods one by one."""
+    v, t1 = params.v_star, params.t1
+    tempt = (game.payoff1(params.a_prime, params.b_star) - v) * round(params.p * 2**32) / 2**32
+    surplus = tempt * (delta ** np.arange(t1)).sum()
+    burn = np.cumsum((v - game.payoff1(params.a_prime, params.b_prime)) * delta ** (t1 + np.arange(_horizon(delta))))
+    return t1 + 1 + int(np.argmax(burn >= surplus))
+
+
+def record_chunk_sizes(monkeypatch) -> list[int]:
+    """The blocks of every chunk the next single-path simulations draw, in order."""
     sizes = []
 
     class Recording(_Chunk):
@@ -430,15 +437,71 @@ def test_later_chunks_are_sized_from_the_path_so_far(monkeypatch):
             super().__init__(bitgens, game, params, delta, blocks, t, t_max)
 
     monkeypatch.setattr(simulate, "_Chunk", Recording)
-    delta = 0.999
-    game, params = absorbing_game_params(delta)
-    st = traced_path(game, params, delta, seed=3)
-    assert sizes[0] == _chunk_blocks(_horizon(delta) + 1 - st.prep_periods, 1, params.t1) and len(sizes) >= 3
+    return sizes
+
+
+def assert_later_chunks_follow_the_path(st, sizes, delta):
     ends = np.cumsum([blk.length for blk in st.blocks])
     for k, drawn in enumerate(np.cumsum(sizes[:-1])):
         periods = int(ends[drawn - 1])
         left = _horizon(delta) + 1 - st.prep_periods - periods
-        assert sizes[k + 1] == _chunk_blocks(left, int(drawn), periods)
+        assert sizes[k + 1] == min(sizes[0], _chunk_blocks(left, int(drawn), periods))
+
+
+def test_later_chunks_are_sized_from_the_path_so_far(games, pc_params, monkeypatch):
+    # ceil(R * n / L) + 1 blocks, capped.
+    assert _chunk_blocks(1000, 48, 4000) == 13
+    assert _chunk_blocks(1001, 48, 4000) == 14
+    assert _chunk_blocks(18000, 48, 4800) == _MAX_CHUNK_BLOCKS == 128
+    sizes = record_chunk_sizes(monkeypatch)
+    delta = 0.999
+    # The first chunk is sized from t1 plus the compensation run that burns a
+    # review's mean surplus; sized from t1 alone, these two would take 44 and
+    # 128 blocks.
+    for config, first in [("criterion7", 31), ("fiscal_witness", 50)]:
+        game, params = config_game_params(config, games, pc_params)
+        sizes.clear()
+        st = traced_path(game, params, delta, seed=3)
+        left = _horizon(delta) + 1 - st.prep_periods
+        assert sizes[0] == _chunk_blocks(left, 1, block_length_estimate(game, params, delta)) == first
+    game, params = absorbing_game_params(delta)
+    sizes.clear()
+    st = traced_path(game, params, delta, seed=3)
+    left = _horizon(delta) + 1 - st.prep_periods
+    assert sizes[0] == _chunk_blocks(left, 1, block_length_estimate(game, params, delta)) and len(sizes) >= 3
+    assert_later_chunks_follow_the_path(st, sizes, delta)
+
+
+def test_no_later_chunk_is_larger_than_the_first(monkeypatch):
+    # A block length estimated at the horizon makes the first chunk two
+    # blocks, so the cap binds on every later chunk but the last, which the
+    # horizon may cut to one block.
+    delta = 0.999
+    game, params = absorbing_game_params(delta)
+    monkeypatch.setattr(simulate, "_block_length", lambda *args: float(_horizon(delta)))
+    sizes = record_chunk_sizes(monkeypatch)
+    st = traced_path(game, params, delta, seed=3)
+    assert sizes[0] == 2 and set(sizes[1:-1]) == {2} and len(sizes) > 50
+    assert_later_chunks_follow_the_path(st, sizes, delta)
+
+
+@pytest.mark.parametrize("config", ["criterion7", "fiscal_witness"])
+def test_chunks_draw_few_blocks_past_the_ones_a_path_uses(games, pc_params, monkeypatch, config):
+    # A path uses its completed blocks and the one cut at the horizon; the
+    # first chunk, sized from the estimated block length, overdraws by little.
+    delta = 0.999
+    game, params = config_game_params(config, games, pc_params)
+    drawn = []
+
+    class Counting(_Chunk):
+        def __init__(self, *args):
+            super().__init__(*args)
+            drawn.append(int(self.sizes.sum()))
+
+    monkeypatch.setattr(simulate, "_Chunk", Counting)
+    paths = simulate_path(game, params, delta, seed=3, stream=range(100))
+    used = sum(st.block_count for st in paths) + len(paths)
+    assert sum(drawn) <= 1.15 * used
 
 
 def test_estimates_run_clean_when_no_block_fits_the_horizon():
@@ -479,7 +542,7 @@ def config_game_params(config, games, pc_params):
     return game, derive_params(game, equality_target(game), eps1=0.01, delta=delta)
 
 
-@pytest.mark.parametrize("config", ["criterion7", "absorbing", "beyond_horizon"])
+@pytest.mark.parametrize("config", ["criterion7", "absorbing", "fiscal_witness", "beyond_horizon"])
 def test_a_batch_gives_each_stream_what_it_gives_alone(games, pc_params, config):
     delta = 0.999
     game, params = config_game_params(config, games, pc_params)
