@@ -94,6 +94,9 @@ def main():
     for fmt in FORMATS:
         run(["concentration", "--dist", fixture("tail_dist_quarter"), "--delta", "0.99", "--c", "2",
              "--reps", "1000", "--format", fmt])
+        # At delta 0.5 and c 250000 the shortest horizon's residual lies on the guard's limit.
+        run(["concentration", "--dist", fixture("tail_dist_quarter"), "--delta", "0.5", "--c", "250000",
+             "--reps", "1000", "--format", fmt])
         run(["app", "fiscal", "--tau", "0.3", "--c", "0.2", "--format", fmt])
         run(["simulate", fixture("product_choice"), "--target", "H:1", *SIMULATE, "--format", fmt])
 

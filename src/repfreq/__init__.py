@@ -42,10 +42,8 @@ from .simulate import (
 )
 from .stage import (
     AssumptionReport,
-    BRPolytope,
     StackelbergResult,
     best_replies_p2,
-    br_polytope,
     check_assumptions,
     is_monotone_supermodular,
     lowest_pair,

@@ -34,7 +34,6 @@ from .stage import (
     _best,
     _pure_best_replies_p1,
     _simplex_vertices,
-    br_polytope,
     is_monotone_supermodular,
     lowest_pair,
     stackelberg,
@@ -108,12 +107,13 @@ def _stacked_reply_blocks(game: StageGame) -> tuple[np.ndarray, np.ndarray]:
     order. ``cone @ x <= 0`` holds iff every block lies in the (homogeneous)
     best-reply cone of its reply, and ``pay @ x`` is player 1's payoff.
     """
-    n_a = len(game.actions1)
-    n_b = len(game.actions2)
-    cone = np.zeros((n_b * (n_b - 1), n_a * n_b))
-    for j, b in enumerate(game.actions2):
+    n_a, n_b = game.u2.shape
+    gaps = game.u2.T[None] - game.u2.T[:, None]  # gaps[j, k] = u2(., b_k) - u2(., b_j)
+    rivals = gaps[~np.eye(n_b, dtype=bool)]  # block j's rows, its rivals k != j, block after block
+    cone = np.zeros((len(rivals), n_a * n_b))
+    for j in range(n_b):
         rows = slice(j * (n_b - 1), (j + 1) * (n_b - 1))
-        cone[rows, j * n_a : (j + 1) * n_a] = -br_polytope(game, b).halfspaces
+        cone[rows, j * n_a : (j + 1) * n_a] = rivals[rows]
     return cone, game.u1.T.flatten()
 
 
@@ -180,8 +180,8 @@ def min_stackelberg_freq(
 ) -> FreqBound:
     """Exact minimal discounted frequency of the Stackelberg action.
 
-    ``epsilon`` relaxes the payoff floor; ``equality`` pins the payoff to the
-    commitment payoff exactly instead of bounding it below.
+    ``epsilon`` lowers the payoff floor to v* - epsilon; ``equality`` pins the
+    payoff at that floor, v* - epsilon, instead of bounding it below.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")

@@ -129,6 +129,11 @@ def _check_delta_c(delta: float, c: float) -> None:
         raise ValueError("c must be finite and nonnegative")
 
 
+def _post_horizon(dist: FiniteDist, delta: float, horizon: int) -> float:
+    """The most the discounted sum can still gain after ``horizon``."""
+    return delta ** (horizon + 1) * max(dist.max_value, 0.0) / (1.0 - delta)
+
+
 def min_horizon(dist: FiniteDist, delta: float, c: float) -> int:
     """Smallest horizon whose post-horizon best case moves the sum by less
     than a millionth (``_HORIZON_REL``) of max(c, 1)."""
@@ -136,15 +141,15 @@ def min_horizon(dist: FiniteDist, delta: float, c: float) -> int:
     max_pos = max(dist.max_value, 0.0)
     if max_pos == 0.0:
         return 1
-    # delta^(h+1) * max_pos / (1 - delta) < _HORIZON_REL * max(c, 1)
-    bound = _HORIZON_REL * max(c, 1.0) * (1.0 - delta) / max_pos
-    h = math.ceil(math.log(bound) / math.log(delta)) - 1
-    return max(int(h), 1)
+    # delta^(h+1) * max_pos / (1 - delta) < limit, solved in closed form; where
+    # rounding puts h on the boundary, the guard's own test moves it up one.
+    limit = _HORIZON_REL * max(c, 1.0)
+    h = max(math.ceil(math.log(limit * (1.0 - delta) / max_pos) / math.log(delta)) - 1, 1)
+    return h + 1 if _post_horizon(dist, delta, h) >= limit else h
 
 
 def _check_horizon(dist: FiniteDist, delta: float, c: float, horizon: int) -> None:
-    max_pos = max(dist.max_value, 0.0)
-    residual = delta ** (horizon + 1) * max_pos / (1.0 - delta)
+    residual = _post_horizon(dist, delta, horizon)
     limit = _HORIZON_REL * max(c, 1.0)
     if residual >= limit:
         raise ValueError(

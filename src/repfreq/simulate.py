@@ -23,7 +23,7 @@ import numpy as np
 from .attain import decompose_target
 from .concentration import FiniteDist, _cum_edges, _draw_words, _word_index, tail_exponent
 from .game import MixedAction, StageGame
-from .stage import DEFAULT_TOL, _best, minmax_p1, stackelberg
+from .stage import DEFAULT_TOL, _worst_reply, minmax_p1, stackelberg
 
 # Path simulation stops once the remaining discounted weight is below this.
 _RESIDUAL_WEIGHT = 1e-8
@@ -187,8 +187,7 @@ def derive_params(
         )
     i_prime = max(candidates, key=lambda i: (col[i], -i))
     a_prime = game.actions1[i_prime]
-    j_prime = min(_best(game.u2[i_prime], tol), key=lambda j: (game.u1[i_prime, j], j))
-    b_prime = game.actions2[j_prime]
+    b_prime = game.actions2[_worst_reply(game, i_prime, tol)]
     u_comp = game.payoff1(a_prime, b_prime)
     if not u_comp < stack.v_star - tol:
         raise ValueError("no reply to the tempting action pays strictly below the commitment payoff")
@@ -581,11 +580,15 @@ class _Chunk:
             freq[:, a] = np.einsum("ij,j->i", ((action == a) & kept).astype(float), disc)
         return length, code, freq, pay, weight_sum[k - 1]
 
-    def path_sums(self, delta: float) -> dict[str, np.ndarray]:
-        """Each path's additions from this chunk: the discounted frequency,
-        payoff and phase weights and the phase periods of its blocks inside the
-        horizon, the tallies of its completed blocks, and the payoff deficit
-        of its first completed block that entered compensation with one (NaN if
+    def path_sums(self, delta: float) -> tuple[np.ndarray, ...]:
+        """Each path's additions from this chunk, one row per path, in the
+        column layouts of :func:`_simulate`'s ``sums`` and ``counts``: the
+        discounted frequency, payoff and phase weights of its blocks inside
+        the horizon, and their phase periods and absorbing entries with its
+        completed blocks by breach code. Then three vectors: the largest
+        |expected residual| of its completed blocks, whether its cut block
+        reached a compensation run that cannot end, and the payoff deficit of
+        its first completed block that entered compensation with one (NaN if
         none).
 
         A block inside the horizon for ``span`` periods spends min(span, t1) of
@@ -640,26 +643,14 @@ class _Chunk:
 
         owner = self.owner[idx]
         local *= delta ** self.start[idx].astype(float)[:, None]
-        sums = _path_sums(owner, local, paths)
-        periods = np.column_stack([np.zeros_like(rev), rev, absorb, comp, absorb > 0])
-        counts = _path_sums(owner, periods, paths)
-        ends = np.bincount(self.owner[kept] * len(BREACHES) + self.breach[kept], minlength=paths * len(BREACHES))
+        ends = self.kept[idx, None] & (self.breach[idx, None] == np.arange(len(BREACHES)))
+        periods = np.column_stack([np.zeros_like(rev), rev, absorb, comp, absorb > 0, ends])
         max_residual = np.zeros(paths)
         np.maximum.at(max_residual, self.owner[kept], np.abs(self.expected_residual[kept]))
         unending = np.zeros(paths, dtype=bool)
         c = self.cut
         unending[self.owner[c]] = self.unending[c] & (self.start[c] + self.off[c] <= self.t_max)
-        return {
-            "freq": sums[:, :n_a],
-            "payoff": sums[:, n_a],
-            "phase": sums[:, n_a + 1 :],
-            "periods": counts[:, :4],
-            "absorb_entries": counts[:, 4],
-            "ends": ends.reshape(paths, len(BREACHES)),
-            "max_residual": max_residual,
-            "comp_unending": unending,
-            "deficit": deficit,
-        }
+        return _path_sums(owner, local, paths), _path_sums(owner, periods, paths), max_residual, unending, deficit
 
     def next_period(self) -> np.ndarray:
         """Each path's next period: after its last block if it kept them all,
@@ -780,12 +771,11 @@ def _simulate(game: StageGame, params: SimParams, delta: float, seed: int, strea
 
     ia_prime = game.a_index(params.a_prime)
     pay_star, pay_hit = game.u1[ia_star, jb_star], game.u1[ia_prime, jb_star]
-    freq_raw = np.zeros((n_paths, n_a))
-    payoff_raw = np.zeros(n_paths)
-    phase_raw = np.zeros((n_paths, 4))
-    periods = np.zeros((n_paths, 4), dtype=np.int64)
-    ends = np.zeros((n_paths, len(BREACHES)), dtype=np.int64)  # completed blocks by breach code
-    absorb_entries = np.zeros(n_paths, dtype=np.int64)
+    # One row per path. sums: the discounted frequency by action, payoff, then
+    # the phase weights by PHASE_*. counts: the phase periods by PHASE_*, the
+    # absorbing entries, then the completed blocks by breach code (BREACHES).
+    sums = np.zeros((n_paths, n_a + 5))
+    counts = np.zeros((n_paths, 5 + len(BREACHES)), dtype=np.int64)
     max_residual = np.zeros(n_paths)
     comp_unending = np.zeros(n_paths, dtype=bool)
     deficit = np.full(n_paths, np.nan)
@@ -814,11 +804,11 @@ def _simulate(game: StageGame, params: SimParams, delta: float, seed: int, strea
             n_star = prep - hit  # periods of the commitment action
             w_star = np.where(n_star > 0, cum[n_star - 1], 0.0)
             w_hit = np.where(hit, weights[prep - 1], 0.0)
-            freq_raw[new, ia_star] = w_star
-            freq_raw[new, ia_prime] = w_hit
-            payoff_raw[new] = pay_star * w_star + pay_hit * w_hit
-            phase_raw[new, PHASE_PREP] = cum[prep - 1]
-            periods[new, PHASE_PREP] = prep
+            sums[new, ia_star] = w_star
+            sums[new, ia_prime] = w_hit
+            sums[new, n_a] = pay_star * w_star + pay_hit * w_hit
+            sums[new, n_a + 1 + PHASE_PREP] = cum[prep - 1]
+            counts[new, PHASE_PREP] = prep
             # The first chunk is sized as a later one would be after one block
             # of the estimated length, or is one block where that length is
             # endless; it caps every later chunk of the path.
@@ -829,21 +819,17 @@ def _simulate(game: StageGame, params: SimParams, delta: float, seed: int, strea
 
         # Normal phase: blocks of review / absorbing / compensation, a chunk of each live path at a time.
         chunk = _Chunk([bitgens[i] for i in live.tolist()], game, params, delta, size[live], t[live], t_max)
-        add = chunk.path_sums(delta)
-        freq_raw[live] += add["freq"]
-        payoff_raw[live] += add["payoff"]
-        phase_raw[live] += add["phase"]
-        periods[live] += add["periods"]
-        absorb_entries[live] += add["absorb_entries"]
-        ends[live] += add["ends"]
-        max_residual[live] = np.maximum(max_residual[live], add["max_residual"])
-        comp_unending[live] |= add["comp_unending"]
-        deficit[live] = np.where(np.isnan(deficit[live]), add["deficit"], deficit[live])
+        add, tally, residual, unending, owed = chunk.path_sums(delta)
+        sums[live] += add
+        counts[live] += tally
+        max_residual[live] = np.maximum(max_residual[live], residual)
+        comp_unending[live] |= unending
+        deficit[live] = np.where(np.isnan(deficit[live]), owed, deficit[live])
         t[live] = chunk.next_period()
         spare += [bitgens.pop(i) for i in live[t[live] > t_max].tolist()]
         del chunk  # before the next round's chunk is built
         live = live[t[live] <= t_max]
-        later = _chunk_blocks(t_max + 1 - t[live], ends[live].sum(axis=1), t[live] - periods[live, PHASE_PREP])
+        later = _chunk_blocks(t_max + 1 - t[live], counts[live, 5:].sum(axis=1), t[live] - counts[live, PHASE_PREP])
         size[live] = np.minimum(later, cap[live])
     # Raised for the first such path, so a batch fails as its first failing path does alone.
     failed = np.flatnonzero(~np.isnan(deficit))
@@ -851,20 +837,11 @@ def _simulate(game: StageGame, params: SimParams, delta: float, seed: int, strea
         raise RuntimeError(f"block entered compensation with a payoff deficit ({deficit[failed[0]]})")
 
     scale = 1.0 - delta
-    rows = zip(
-        scale * freq_raw,
-        (scale * payoff_raw).tolist(),
-        periods.tolist(),
-        absorb_entries.tolist(),
-        scale * phase_raw,
-        ends.tolist(),
-        (scale * max_residual).tolist(),
-        comp_unending.tolist(),
-    )
-    # Each path's fields in PathStats order; ends holds the blocks by breach code.
+    rows = zip(scale * sums, counts.tolist(), (scale * max_residual).tolist(), comp_unending.tolist())
+    # PathStats fields in order, from the columns of sums and counts.
     return [
-        PathStats(freq, payoff, *counts, entries, phase, sum(ends), *ends[1:], residual, unending)
-        for freq, payoff, counts, entries, phase, ends, residual, unending in rows
+        PathStats(s[:n_a], float(s[n_a]), *c[:5], s[n_a + 1 :], sum(c[5:]), *c[6:], residual, unending)
+        for s, c, residual, unending in rows
     ]
 
 

@@ -72,30 +72,6 @@ class AssumptionReport:
         )
 
 
-@dataclass(frozen=True)
-class BRPolytope:
-    """Halfspace description of the mixed actions to which ``b`` best-replies.
-
-    Rows of ``halfspaces`` are u2(.,b) - u2(.,b') for b' != b; alpha is in the
-    polytope iff all rows dot alpha are nonnegative (and alpha is a simplex
-    point, which the caller guarantees).
-    """
-
-    b: str
-    halfspaces: np.ndarray
-
-    def contains(self, alpha_vec: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        if self.halfspaces.size == 0:
-            return True
-        return bool(np.all(self.halfspaces @ alpha_vec >= -tol))
-
-
-def br_polytope(game: StageGame, b: str) -> BRPolytope:
-    j = game.b_index(b)
-    cols = [game.u2[:, j] - game.u2[:, k] for k in range(len(game.actions2)) if k != j]
-    return BRPolytope(b, np.array(cols, dtype=float))
-
-
 def _best(values: np.ndarray, tol: float) -> np.ndarray:
     """Indices of the entries within ``tol`` of the largest: every best-reply tie rule."""
     return np.flatnonzero(values >= values.max() - tol)
@@ -110,19 +86,23 @@ def _pure_best_replies_p1(game: StageGame, b: str, tol: float) -> tuple[str, ...
     return tuple(game.actions1[i] for i in _best(game.u1[:, game.b_index(b)], tol))
 
 
+def _worst_reply(game: StageGame, i: int, tol: float) -> int:
+    """Player 1's worst best reply to its pure action ``i``, the lowest index on ties."""
+    return min(_best(game.u2[i], tol).tolist(), key=lambda j: (game.u1[i, j], j))
+
+
 def stackelberg(game: StageGame, tol: float = DEFAULT_TOL) -> StackelbergResult:
     """Enumerate pure commitments; ties are reported, never broken silently."""
-    replies = [_best(row, tol) for row in game.u2]
-    worst = np.array([game.u1[i, js].min() for i, js in enumerate(replies)])
-    candidates = _best(worst, tol)
+    worst_replies = [_worst_reply(game, i, tol) for i in range(len(game.actions1))]
+    candidates = _best(game.u1[range(len(game.actions1)), worst_replies], tol)
     i_star = int(candidates[0])
-    j_star = min(replies[i_star].tolist(), key=lambda j: (game.u1[i_star, j], j))
+    j_star = worst_replies[i_star]
     return StackelbergResult(
         a_star=game.actions1[i_star],
         b_star=game.actions2[j_star],
         v_star=float(game.u1[i_star, j_star]),
         unique_action=len(candidates) == 1,
-        unique_reply=len(replies[i_star]) == 1,
+        unique_reply=len(_best(game.u2[i_star], tol)) == 1,
     )
 
 

@@ -69,6 +69,13 @@ def cycling_game(u2_scale: float = 1e6, u2_shift: float = 0.37) -> StageGame:
     return StageGame(("a0", "a1"), ("b0", "b1", "b2", "b3"), CYCLING_U1, u2_scale * CYCLING_U2 + u2_shift)
 
 
+def reply_halfspaces(game: StageGame, j: int) -> np.ndarray:
+    """Rows u2(., b_j) - u2(., b_k), one per rival reply k != j: b_j is a best
+    reply to alpha iff every row dotted with alpha is nonnegative."""
+    rows = [game.u2[:, j] - game.u2[:, k] for k in range(len(game.actions2)) if k != j]
+    return np.array(rows).reshape(-1, len(game.actions1))
+
+
 def fixture_path(name: str) -> Path:
     return FIXTURES / GAME_FILES[name]
 

@@ -14,7 +14,7 @@ from repfreq.bounds import (
 from repfreq.game import MixedAction, StageGame, expected_payoffs
 from repfreq.linprog import LPResult, solve_lp
 from repfreq.stage import best_replies_p2, check_assumptions, is_monotone_supermodular, stackelberg
-from .conftest import TWO_BY_TWO, UNIQUE_GAMES, load_fixture, random_assumption_games
+from .conftest import TWO_BY_TWO, UNIQUE_GAMES, load_fixture, random_assumption_games, reply_halfspaces
 
 
 def _witness_payoff(game, fb):
@@ -313,8 +313,6 @@ def _min_freq_scipy(game, equality=False):
     # Same pair programs, solved by an external LP engine.
     import scipy.optimize
 
-    from repfreq.stage import br_polytope
-
     stack = stackelberg(game)
     n = len(game.actions1)
     i_star = game.a_index(stack.a_star)
@@ -324,8 +322,8 @@ def _min_freq_scipy(game, equality=False):
     best = np.inf
     for j1 in range(len(game.actions2)):
         for j2 in range(len(game.actions2)):
-            h1 = br_polytope(game, game.actions2[j1]).halfspaces
-            h2 = br_polytope(game, game.actions2[j2]).halfspaces
+            h1 = reply_halfspaces(game, j1)
+            h2 = reply_halfspaces(game, j2)
             pay = np.concatenate([game.u1[:, j1], game.u1[:, j2]])
             cones = [np.hstack([-h1, np.zeros_like(h1)]), np.hstack([np.zeros_like(h2), -h2])]
             if equality:

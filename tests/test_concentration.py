@@ -269,10 +269,12 @@ def test_domain_guards():
 
 
 def test_min_horizon_satisfies_guard():
-    for delta in (0.9, 0.99, 0.999):
-        for c in (0.5, 1.0, 2.0, 4.0):
-            h = min_horizon(DIST_QUARTER, delta, c)
-            residual = delta ** (h + 1) * DIST_QUARTER.max_value / (1 - delta)
-            assert residual < 1e-6 * max(c, 1.0)
-            shorter = delta**h * DIST_QUARTER.max_value / (1 - delta)
-            assert shorter >= 1e-6 * max(c, 1.0) or h == 1
+    cases = [(delta, c) for delta in (0.9, 0.99, 0.999) for c in (0.5, 1.0, 2.0, 4.0)]
+    # At delta 0.5 these c put the residual of the closed form's horizon on the limit itself.
+    cases += [(0.5, c) for c in (125000.0, 250000.0, 500000.0)]
+    for delta, c in cases:
+        h = min_horizon(DIST_QUARTER, delta, c)
+        residual = delta ** (h + 1) * DIST_QUARTER.max_value / (1 - delta)
+        assert residual < 1e-6 * max(c, 1.0)
+        shorter = delta**h * DIST_QUARTER.max_value / (1 - delta)
+        assert shorter >= 1e-6 * max(c, 1.0) or h == 1

@@ -8,9 +8,9 @@ from repfreq import attain, bounds, linprog
 from repfreq.apps import build_stage_game
 from repfreq.game import StageGame, parse_mixed_action
 from repfreq.linprog import solve_lp
-from repfreq.stage import br_polytope, stackelberg
+from repfreq.stage import stackelberg
 
-from .conftest import criterion_1_params, cycling_game
+from .conftest import criterion_1_params, cycling_game, reply_halfspaces
 
 
 def test_simple_bounded():
@@ -238,7 +238,7 @@ def test_the_cycling_games_lp_is_infeasible():
     # b1 and b2 cannot both be best replies. With rows of size 1e6 this LP made
     # the tolerance ratio test cycle while every row started with an artificial.
     game = cycling_game()
-    rows = np.vstack([br_polytope(game, "b1").halfspaces, br_polytope(game, "b2").halfspaces])
+    rows = np.vstack([reply_halfspaces(game, game.b_index("b1")), reply_halfspaces(game, game.b_index("b2"))])
     res = solve_lp(np.zeros(2), a_ub=-rows, b_ub=np.zeros(len(rows)), a_eq=np.ones((1, 2)), b_eq=np.ones(1))
     assert res.status == "infeasible"
 

@@ -8,7 +8,6 @@ from repfreq import bounds, stage
 from repfreq.game import MixedAction, StageGame
 from repfreq.stage import (
     best_replies_p2,
-    br_polytope,
     check_assumptions,
     is_monotone_supermodular,
     lowest_pair,
@@ -17,7 +16,7 @@ from repfreq.stage import (
     vbar_p1,
 )
 from . import _reference_stage
-from .conftest import UNIQUE_GAMES
+from .conftest import UNIQUE_GAMES, cycling_game, reply_halfspaces
 
 
 def _random_game(rng, n_a: int, n_b: int, integer: bool) -> StageGame:
@@ -49,16 +48,33 @@ def test_best_replies_match_bruteforce_on_pure_actions(games):
             assert replies == expected
 
 
+def _cone_blocks(game: StageGame) -> list[np.ndarray]:
+    """Block j of the block LP's cone: its rows in block j's columns. Checks
+    that the cone has nothing outside its blocks."""
+    n_a, n_b = game.u2.shape
+    cone, _ = bounds._stacked_reply_blocks(game)
+    blocks = [cone[j * (n_b - 1) : (j + 1) * (n_b - 1), j * n_a : (j + 1) * n_a] for j in range(n_b)]
+    assert np.count_nonzero(cone) == sum(np.count_nonzero(block) for block in blocks)
+    return blocks
+
+
 def test_polytope_membership_agrees_with_best_replies(games):
+    # Block j of the cone holds the alphas to which b_j is a best reply.
     rng = np.random.default_rng(7)
     for game in games.values():
-        polys = {b: br_polytope(game, b) for b in game.actions2}
+        blocks = _cone_blocks(game)
         for _ in range(1000):
             vec = rng.dirichlet(np.ones(len(game.actions1)))
-            alpha = MixedAction.from_vector(game.actions1, vec)
-            replies = set(best_replies_p2(game, alpha))
-            for b, poly in polys.items():
-                assert poly.contains(vec) == (b in replies)
+            replies = set(best_replies_p2(game, MixedAction.from_vector(game.actions1, vec)))
+            for block, b in zip(blocks, game.actions2):
+                assert bool(np.all(block @ vec <= stage.DEFAULT_TOL)) == (b in replies)
+    # Its rows are the rival replies' halfspaces, negated, entry for entry.
+    cases = list(games.values()) + [cycling_game()]
+    shapes = [(2, 2), (3, 5), (5, 3), (4, 4)]
+    cases += [_random_game(rng, *shape, integer) for shape in shapes for integer in (False, True)]
+    for game in cases:
+        for j, block in enumerate(_cone_blocks(game)):
+            assert np.array_equal(block, -reply_halfspaces(game, j))
 
 
 def test_stackelberg_product_choice(product_choice):
@@ -243,7 +259,7 @@ def test_vertex_table_answers_support_feasibility_as_highs_does(games):
     for game in cases:
         supports, replies = stage._reply_table(game)
         n_a, n_b = game.u1.shape
-        halfspaces = [br_polytope(game, b).halfspaces for b in game.actions2]
+        halfspaces = [reply_halfspaces(game, j) for j in range(n_b)]
         for t in _subsets(n_a):
             for s in _subsets(n_b):
                 rows = np.vstack([halfspaces[j][:, t] for j in s])
