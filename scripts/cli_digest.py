@@ -39,6 +39,13 @@ GAME_CALLS = (
     ("fstar", "--method", "grid", "--resolution", "20"),
 )
 SIMULATE = ("--delta", "0.999", "--reps", "100")
+# One call per applied game: the four block LPs of the comparative statics.
+APPS = (
+    ("product-choice", "--gamma", "0.5", "--ch", "0.4", "--cl", "0.2"),
+    ("product3", "--g1", "0.7", "--g2", "0.3", "--p", "0.5", "--c", "0.4"),
+    ("entry", "--gamma", "0.6", "--co", "0.5", "--ci", "0.3", "--subsidy", "0.2"),
+    ("fiscal", "--tau", "0.3", "--c", "0.2"),
+)
 
 
 def fixture(name: str) -> str:
@@ -97,7 +104,8 @@ def main():
         # At delta 0.5 and c 250000 the shortest horizon's residual lies on the guard's limit.
         run(["concentration", "--dist", fixture("tail_dist_quarter"), "--delta", "0.5", "--c", "250000",
              "--reps", "1000", "--format", fmt])
-        run(["app", "fiscal", "--tau", "0.3", "--c", "0.2", "--format", fmt])
+        for app in APPS:
+            run(["app", *app, "--format", fmt])
         run(["simulate", fixture("product_choice"), "--target", "H:1", *SIMULATE, "--format", fmt])
 
 

@@ -135,10 +135,11 @@ def _solve_block_lp(c, pay, cone, a_eq, b_eq, lo: float, hi: float = np.inf):
 def _live_blocks(game: StageGame, blocks: np.ndarray) -> list[tuple[int, float, MixedAction]]:
     """The components of a (k x n_a) block matrix, row j being mass_j * alpha_j:
     (j, mass_j, alpha_j) for each row whose mass exceeds rounding dust."""
-    masses = blocks.sum(axis=1)
+    masses = blocks.sum(axis=1).tolist()
     return [
-        (int(j), float(masses[j]), MixedAction.from_vector(game.actions1, blocks[j] / masses[j], tol=1e-7))
-        for j in np.flatnonzero(masses > 1e-9)  # below is dust at a degenerate vertex
+        (j, mass, MixedAction.from_vector(game.actions1, blocks[j] / mass, tol=1e-7))
+        for j, mass in enumerate(masses)
+        if mass > 1e-9  # below is dust at a degenerate vertex
     ]
 
 

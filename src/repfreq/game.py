@@ -44,14 +44,18 @@ class MixedAction:
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (len(labels),):
             raise ValueError(f"vector has shape {vec.shape}, expected one weight for each of {len(labels)} labels")
-        if np.any(vec < -tol):
-            raise ValueError(f"negative weight beyond tolerance: {vec.min()}")
-        vec = np.clip(vec, 0.0, None)
+        weights = vec.tolist()
+        for label, w in zip(labels, weights):
+            if not math.isfinite(w):
+                raise ValueError(f"weight for {label!r} must be finite, got {w}")
+        low = min(weights, default=0.0)
+        if low < -tol:
+            raise ValueError(f"negative weight beyond tolerance: {low}")
+        vec = np.maximum(vec, 0.0)
         total = vec.sum()
         if abs(total - 1.0) > tol:
             raise ValueError(f"weights sum to {total}, expected 1 within {tol}")
-        vec = vec / total
-        return cls({lab: float(w) for lab, w in zip(labels, vec) if w > 0.0})
+        return cls({lab: w for lab, w in zip(labels, (vec / total).tolist()) if w > 0.0})
 
     def prob(self, label: str) -> float:
         return self.weights.get(label, 0.0)
@@ -107,21 +111,23 @@ class StageGame:
     _idx2: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "actions1", tuple(self.actions1))
-        object.__setattr__(self, "actions2", tuple(self.actions2))
-        for which, labels in (("actions1", self.actions1), ("actions2", self.actions2)):
+        for which, index in (("actions1", "_idx1"), ("actions2", "_idx2")):
+            labels = tuple(getattr(self, which))
             if len(labels) < 2:
                 raise GameFormatError(f"{which} needs at least two actions")
             if not all(isinstance(lab, str) and lab for lab in labels):
                 raise GameFormatError(f"{which} labels must be nonempty strings")
-            if len(set(labels)) != len(labels):
+            positions = {lab: i for i, lab in enumerate(labels)}
+            if len(positions) != len(labels):
                 raise GameFormatError(f"duplicate labels in {which}")
+            object.__setattr__(self, which, labels)
+            object.__setattr__(self, index, positions)
         shape = (len(self.actions1), len(self.actions2))
         for which in ("u1", "u2"):
             mat = np.array(getattr(self, which), dtype=float)
             if mat.shape != shape:
                 raise GameFormatError(f"{which} has shape {mat.shape}, expected {shape}")
-            if not np.all(np.isfinite(mat)):
+            if not np.isfinite(mat).all():
                 raise GameFormatError(f"{which} contains a non-finite payoff")
             mat.setflags(write=False)
             object.__setattr__(self, which, mat)
@@ -136,8 +142,6 @@ class StageGame:
                 if sorted(order) != sorted(labels):
                     raise GameFormatError(f"{which} must be a permutation of the action labels")
                 object.__setattr__(self, which, order)
-        object.__setattr__(self, "_idx1", {a: i for i, a in enumerate(self.actions1)})
-        object.__setattr__(self, "_idx2", {b: j for j, b in enumerate(self.actions2)})
 
     def a_index(self, label: str) -> int:
         try:

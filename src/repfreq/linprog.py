@@ -12,9 +12,13 @@ A ``<=`` row with a nonnegative right-hand side starts with its slack basic;
 only flipped ``<=`` rows and equality rows get an artificial, and phase 1 runs
 only when one does. The tableau's last row holds the reduced costs: each phase
 sets it once, and each pivot's one broadcast update carries it with the basic
-rows. The ratio test looks only at the rows with a positive entry in the
-entering column. At the optimum, the square basic system of the rows not found
-redundant is solved again against the original data.
+rows. The programs are small enough that NumPy's per-call cost outweighs the
+arithmetic, so the basis is a list of column indices, and each pivot reads the
+reduced costs, the entering column and the right-hand side once each as lists:
+the entering scan and the ratio test run on those lists, the latter only over
+the rows with a positive entry in the entering column. At the optimum, the
+square basic system of the rows not found redundant is solved again against
+the original data.
 """
 
 from __future__ import annotations
@@ -52,40 +56,43 @@ class LPResult:
         return self.status == "optimal"
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     pivot_row = tableau[row] / tableau[row, col]
     tableau -= tableau[:, col, None] * pivot_row
     tableau[row] = pivot_row
     basis[row] = col
 
 
-def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> str:
+def _run_simplex(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> str:
     """Minimize cost over the tableau in place. Returns "optimal" or "unbounded".
 
     The last row is set once to the reduced costs ``cost - cost[basis] @ T``
     (minus the objective in its last entry); each pivot then carries it along
-    with the basic rows.
+    with the basic rows. ``basis`` lists the basic variable of each row and is
+    updated in place.
 
     Raises ``RuntimeError`` when the run would take more than ``_MAX_PIVOTS`` pivots.
     """
-    tableau[-1] = cost - cost[basis] @ tableau[:-1]
+    body, reduced, rhs = tableau[:-1], tableau[-1, :-1], tableau[:-1, -1]
+    tableau[-1] = cost - cost[basis] @ body
     for pivots in range(_MAX_PIVOTS + 1):
-        eligible = tableau[-1, :-1] < -_TOL
-        entering = int(eligible.argmax())  # Bland: smallest eligible index
-        if not eligible[entering]:
+        for entering, d in enumerate(reduced.tolist()):  # Bland: smallest eligible index
+            if d < -_TOL:
+                break
+        else:
             return "optimal"
-        column = tableau[:-1, entering]
-        rows = (column > _PIVOT_TOL).nonzero()[0].tolist()
+        col = body[:, entering].tolist()
+        rows = [r for r, v in enumerate(col) if v > _PIVOT_TOL]
         if not rows:
             return "unbounded"
         if pivots == _MAX_PIVOTS:
             break
-        col, rhs, var = column.tolist(), tableau[:-1, -1].tolist(), basis.tolist()
+        b = rhs.tolist()
         ratio = np.inf
         leaving = -1
         for r in rows:
-            t = rhs[r] / col[r]
-            if t < ratio - _TOL or (t < ratio + _TOL and (leaving < 0 or var[r] < var[leaving])):
+            t = b[r] / col[r]
+            if t < ratio - _TOL or (t < ratio + _TOL and (leaving < 0 or basis[r] < basis[leaving])):
                 ratio = t
                 leaving = r
         _pivot(tableau, basis, leaving, entering)
@@ -98,8 +105,8 @@ def _constraints(a, b, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
         return np.empty((0, n)), np.empty(0)
     if a is None or b is None:
         raise ValueError(f"a_{kind} and b_{kind} must be given together")
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a = np.array(a, dtype=float, copy=None, ndmin=2)
+    b = np.array(b, dtype=float, copy=None, ndmin=1)
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError(f"a_{kind} must have rows of length {n}, got shape {a.shape}")
     if b.shape != (a.shape[0],):
@@ -128,22 +135,23 @@ def solve_lp(
     n_ub = a_ub.shape[0]
     m = n_ub + a_eq.shape[0]
     k = n + n_ub  # structural and slack columns; the artificials follow
-    # A <= row with b >= 0 starts with its slack basic; every other row (a
-    # flipped <= row or an equality) starts with an artificial.
-    needs_art = np.ones(m, dtype=bool)
-    needs_art[:n_ub] = b_ub < 0
-    art_rows = needs_art.nonzero()[0]
+    # A row with b < 0 is flipped. A <= row with b >= 0 starts with its slack
+    # basic; every other row (a flipped <= row or an equality) starts with an
+    # artificial.
+    flipped = [i for i, b in enumerate(b_ub.tolist() + b_eq.tolist()) if b < 0]
+    art_rows = [i for i in flipped if i < n_ub] + list(range(n_ub, m))
     n_art = len(art_rows)
 
     # Rows 0..m-1 are the constraints in standard form; the last row holds the
-    # reduced costs.
+    # reduced costs, and holds c until the first phase sets them.
     width = k + n_art + 1
     tableau = np.zeros((m + 1, width))
     tableau[:n_ub, :n] = a_ub
     tableau[n_ub:m, :n] = a_eq
     tableau[:n_ub, -1] = b_ub
     tableau[n_ub:m, -1] = b_eq
-    if not (np.isfinite(c).all() and np.isfinite(tableau).all()):
+    tableau[m, :n] = c
+    if not np.isfinite(tableau).all():
         raise ValueError("LP data must be finite")
     if m == 0:
         # Unconstrained over the nonnegative orthant.
@@ -153,12 +161,14 @@ def solve_lp(
     # Entry (i, j + i) of the tableau is entry j + i * (width + 1) of its flat view.
     tableau.reshape(-1)[n : n_ub * (width + 1) : width + 1] = 1.0  # slack i in row i
     body = tableau[:m]
-    np.negative(body, out=body, where=body[:, -1:] < 0)  # make b >= 0
+    for r in flipped:  # make b >= 0
+        np.negative(body[r], out=body[r])
     a_std = body[:, :k].copy()  # pre-pivot copy for the refinement step
     b_std = body[:, -1].copy()
-    basis = np.arange(n, n + m)
-    basis[art_rows] = np.arange(k, k + n_art)
-    tableau[art_rows, basis[art_rows]] = 1.0
+    basis = list(range(n, n + m))
+    for a, r in enumerate(art_rows, start=k):
+        basis[r] = a
+        tableau[r, a] = 1.0
 
     kept = slice(None)  # the original rows not found redundant in phase 1
     cost = np.zeros(width)
@@ -168,12 +178,13 @@ def solve_lp(
         status = _run_simplex(tableau, basis, cost)
         if status != "optimal":
             raise RuntimeError(f"phase-1 LP returned {status!r}; it is always bounded below by 0")
-        if tableau[:-1, -1][basis >= k].sum() > _FEAS_TOL:
+        left = [r for r, v in enumerate(basis) if v >= k]  # rows whose artificial is still basic
+        if left and tableau[left, -1].sum() > _FEAS_TOL:
             return LPResult("infeasible")
 
         # Drive leftover artificials out of the basis; drop redundant rows.
         redundant = []
-        for r in (basis >= k).nonzero()[0].tolist():
+        for r in left:
             movable = np.abs(tableau[r, :k]) > _PIVOT_TOL
             j = int(movable.argmax())
             if movable[j]:
@@ -182,9 +193,10 @@ def solve_lp(
                 redundant.append(r)
         if redundant:
             # A row's leftover artificial names the original row it made redundant.
-            kept = np.delete(np.arange(m), art_rows[basis[redundant] - k])
+            dropped = {art_rows[basis[r] - k] for r in redundant}
+            kept = [i for i in range(m) if i not in dropped]
             tableau = np.delete(tableau, redundant, axis=0)
-            basis = np.delete(basis, redundant)
+            basis = [v for r, v in enumerate(basis) if r not in redundant]
         tableau[:, k:-1] = 0.0  # artificials are dead from here on
         cost[k:-1] = 0.0
 
@@ -199,7 +211,7 @@ def solve_lp(
 
 
 def _refine(
-    xb: np.ndarray, basis: np.ndarray, a_std: np.ndarray, b_std: np.ndarray, kept: slice | np.ndarray
+    xb: np.ndarray, basis: list[int], a_std: np.ndarray, b_std: np.ndarray, kept: slice | list[int]
 ) -> np.ndarray:
     """Re-solve the final basic system against the original data.
 

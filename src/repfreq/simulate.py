@@ -23,7 +23,7 @@ import numpy as np
 from .attain import decompose_target
 from .concentration import FiniteDist, _cum_edges, _draw_words, _word_index, tail_exponent
 from .game import MixedAction, StageGame
-from .stage import DEFAULT_TOL, _worst_reply, minmax_p1, stackelberg
+from .stage import DEFAULT_TOL, _worst_replies, minmax_p1, stackelberg
 
 # Path simulation stops once the remaining discounted weight is below this.
 _RESIDUAL_WEIGHT = 1e-8
@@ -187,7 +187,7 @@ def derive_params(
         )
     i_prime = max(candidates, key=lambda i: (col[i], -i))
     a_prime = game.actions1[i_prime]
-    b_prime = game.actions2[_worst_reply(game, i_prime, tol)]
+    b_prime = game.actions2[_worst_replies(game, tol)[i_prime]]
     u_comp = game.payoff1(a_prime, b_prime)
     if not u_comp < stack.v_star - tol:
         raise ValueError("no reply to the tempting action pays strictly below the commitment payoff")

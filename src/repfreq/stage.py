@@ -72,9 +72,20 @@ class AssumptionReport:
         )
 
 
+def _tied(values: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the entries within ``tol`` of the largest in their row: every best-reply tie rule.
+
+    Raises ``ValueError`` when ``tol`` is negative or NaN, which would leave a
+    row with no best entry.
+    """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
+    return values >= values.max(axis=-1, keepdims=True) - tol
+
+
 def _best(values: np.ndarray, tol: float) -> np.ndarray:
-    """Indices of the entries within ``tol`` of the largest: every best-reply tie rule."""
-    return np.flatnonzero(values >= values.max() - tol)
+    """Indices of the best entries of a vector, by the :func:`_tied` rule."""
+    return _tied(values, tol).nonzero()[0]
 
 
 def best_replies_p2(game: StageGame, alpha: MixedAction, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
@@ -86,17 +97,24 @@ def _pure_best_replies_p1(game: StageGame, b: str, tol: float) -> tuple[str, ...
     return tuple(game.actions1[i] for i in _best(game.u1[:, game.b_index(b)], tol))
 
 
-def _worst_reply(game: StageGame, i: int, tol: float) -> int:
-    """Player 1's worst best reply to its pure action ``i``, the lowest index on ties."""
-    return min(_best(game.u2[i], tol).tolist(), key=lambda j: (game.u1[i, j], j))
+def _worst_replies(game: StageGame, tol: float) -> np.ndarray:
+    """Player 1's worst best reply to each of its pure actions, the lowest index on ties.
+
+    Row i's best replies are its :func:`_tied` entries of u2; of those, the
+    first with the least u1 is taken.
+    """
+    return np.where(_tied(game.u2, tol), game.u1, np.inf).argmin(axis=1)
 
 
 def stackelberg(game: StageGame, tol: float = DEFAULT_TOL) -> StackelbergResult:
-    """Enumerate pure commitments; ties are reported, never broken silently."""
-    worst_replies = [_worst_reply(game, i, tol) for i in range(len(game.actions1))]
-    candidates = _best(game.u1[range(len(game.actions1)), worst_replies], tol)
+    """Enumerate pure commitments; ties are reported, never broken silently.
+
+    Each pure action is valued at its worst best reply (:func:`_worst_replies`).
+    """
+    worst = _worst_replies(game, tol)
+    candidates = _best(game.u1[np.arange(len(worst)), worst], tol)
     i_star = int(candidates[0])
-    j_star = worst_replies[i_star]
+    j_star = int(worst[i_star])
     return StackelbergResult(
         a_star=game.actions1[i_star],
         b_star=game.actions2[j_star],

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +216,22 @@ def test_from_vector_needs_one_weight_per_label():
     for vec in ([0.5, 0.5, 0.0], [1.0], [[0.5, 0.5]]):
         with pytest.raises(ValueError, match="one weight for each of 2 labels"):
             MixedAction.from_vector(("a", "b"), vec)
+
+
+@pytest.mark.parametrize(
+    "vec, message",
+    [
+        ([0.5, math.nan], "weight for 'b' must be finite, got nan"),
+        ([0.5, math.inf], "weight for 'b' must be finite, got inf"),
+        ([-math.inf, 0.5], "weight for 'a' must be finite, got -inf"),
+        ([-0.1, 1.1], "negative weight beyond tolerance: -0.1"),
+        ([0.4, 0.5], "weights sum to 0.9, expected 1 within 1e-09"),
+    ],
+    ids=["nan", "inf", "-inf", "negative", "sum"],
+)
+def test_from_vector_says_which_check_failed(vec, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MixedAction.from_vector(("a", "b"), vec)
 
 
 def test_parse_mixed_action():

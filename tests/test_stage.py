@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from repfreq import bounds, stage
+from repfreq import bounds, simulate, stage
 from repfreq.game import MixedAction, StageGame
 from repfreq.stage import (
     best_replies_p2,
@@ -103,6 +103,58 @@ def test_stackelberg_value_dominates_every_pure_commitment(games):
             replies = best_replies_p2(game, MixedAction.delta(a))
             worst = min(game.u1[i, game.b_index(b)] for b in replies)
             assert res.v_star >= worst - 1e-9
+
+
+def _replies_by_loop(game: StageGame, i: int, tol: float = stage.DEFAULT_TOL) -> list[int]:
+    """Player 2's best replies to player 1's pure action i, row by row: the
+    entries within tol of the row's largest u2."""
+    row = game.u2[i]
+    return [j for j in range(len(row)) if row[j] >= max(row) - tol]
+
+
+def _tie_heavy_games(count: int, seed: int) -> list[StageGame]:
+    """Games of 2 to 5 actions a side with payoffs in {-1, 0, 1}."""
+    rng = np.random.default_rng(seed)
+    games = []
+    for _ in range(count):
+        n_a, n_b = (int(n) for n in rng.integers(2, 6, size=2))
+        u1, u2 = (rng.integers(-1, 2, (n_a, n_b)).astype(float) for _ in range(2))
+        games.append(StageGame(tuple(f"a{i}" for i in range(n_a)), tuple(f"b{j}" for j in range(n_b)), u1, u2))
+    return games
+
+
+def test_worst_replies_agree_with_a_per_row_loop(games):
+    tol = stage.DEFAULT_TOL
+    cases = list(games.values()) + _tie_heavy_games(300, seed=28)
+    tied_rows = b_primes = 0
+    for game in cases:
+        replies = [_replies_by_loop(game, i) for i in range(len(game.actions1))]
+        # Player 1's worst best reply to each action, the lowest index on ties.
+        worst = [min(r, key=lambda j: (game.u1[i, j], j)) for i, r in enumerate(replies)]
+        values = [game.u1[i, j] for i, j in enumerate(worst)]
+        candidates = [i for i, v in enumerate(values) if v >= max(values) - tol]
+        i_star = candidates[0]
+        res = stackelberg(game)
+        assert (res.a_star, res.b_star, res.v_star, res.unique_action, res.unique_reply) == (
+            game.actions1[i_star],
+            game.actions2[worst[i_star]],
+            values[i_star],
+            len(candidates) == 1,
+            len(replies[i_star]) == 1,
+        )
+        # Rows where several best replies tie on u1 too, so the index rule decides.
+        tied_rows += sum(sum(game.u1[i, j] == v for j in r) > 1 for i, (r, v) in enumerate(zip(replies, values)))
+        try:
+            target = bounds.min_stackelberg_freq(game, equality=True).marginal(game)
+            params = simulate.derive_params(game, target, eps1=0.01, delta=0.999)
+        except ValueError:  # no unique commitment point, or no construction
+            continue
+        if not params.trivial:
+            assert params.b_prime == game.actions2[worst[game.a_index(params.a_prime)]]
+            b_primes += 1
+    assert tied_rows >= 100, tied_rows
+    # Most tie-heavy games have no unique commitment point or no tempting action.
+    assert b_primes >= 10, b_primes
 
 
 def test_minmax_values(product_choice, entry_deterrence, matching_pennies):
@@ -229,6 +281,14 @@ def test_reply_tolerance_keeps_a_reply_exactly_tol_below_the_best():
     assert (stack.a_star, stack.b_star, stack.v_star, stack.unique_reply) == ("T", "x", 0.5, False)
     assert lowest_pair(game, tol) == ("B", "y")
     assert bounds._placeholder_component(game, tol) == (MixedAction.delta("T"), "x")
+
+
+@pytest.mark.parametrize("tol", [-1e-3, float("nan")])
+def test_a_negative_or_nan_reply_tolerance_is_refused(product_choice, tol):
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        stackelberg(product_choice, tol)
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        best_replies_p2(product_choice, MixedAction.delta("H"), tol)
 
 
 def test_bounds_match_the_exhaustive_reference(games):
