@@ -182,7 +182,8 @@ def min_stackelberg_freq(
     """Exact minimal discounted frequency of the Stackelberg action.
 
     ``epsilon`` lowers the payoff floor to v* - epsilon; ``equality`` pins the
-    payoff at that floor, v* - epsilon, instead of bounding it below.
+    payoff at that floor, v* - epsilon, instead of bounding it below, and a
+    pinned payoff that no reply-consistent profile pays raises ``ValueError``.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -194,14 +195,17 @@ def min_stackelberg_freq(
     floor = stack.v_star - epsilon
     res = _solve_block_lp(c, pay, cone, np.ones((1, len(c))), [1.0], floor, floor if equality else np.inf)
     if not res.optimal:
+        if equality:
+            raise ValueError(f"no reply-consistent profile pays the pinned payoff v* - epsilon = {floor}")
         raise RuntimeError(_INFEASIBLE)
     return _freq_bound(game, res.value, res.x.reshape(-1, n_a), game.actions2, "lp", tol, epsilon, equality)
 
 
-def indifference_pieces(game: StageGame, tol: float = DEFAULT_TOL) -> list[IndifferencePiece]:
+def indifference_pieces(game: StageGame) -> list[IndifferencePiece]:
     """Regions where the opponent has two or more tied best replies, split by
     which tied reply maximizes player 1's payoff; empty when some reply is
-    strictly dominant everywhere."""
+    strictly dominant everywhere. The vertices are found under the vertex
+    enumerator's fixed tolerance on unit-length rows."""
     n_b = len(game.actions2)
     pieces: list[IndifferencePiece] = []
     for size in range(2, n_b + 1):
@@ -235,7 +239,7 @@ def min_stackelberg_freq_finite(game: StageGame, tol: float = DEFAULT_TOL) -> Fr
         raise ValueError("the finite-candidate program needs a commitment action that is not a best reply to its reply")
 
     a_low, b_low = lowest_pair(game, tol)
-    candidates = [(piece.vertices, piece.b) for piece in indifference_pieces(game, tol)]
+    candidates = [(piece.vertices, piece.b) for piece in indifference_pieces(game)]
     candidates.append((MixedAction.delta(a_low).as_vector(game.actions1)[None, :], b_low))
     vertices = np.vstack([v for v, _ in candidates])
     pay = np.concatenate([v @ game.u1[:, game.b_index(b)] for v, b in candidates])

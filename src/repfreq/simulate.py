@@ -14,9 +14,8 @@ reached on-path; it enters only through the deviation cap in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
-from operator import attrgetter
 
 import numpy as np
 
@@ -162,7 +161,7 @@ def derive_params(
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     stack = stackelberg(game, tol)
-    if not (stack.unique_action and stack.unique_reply):
+    if not stack.unique:
         raise ValueError("construction requires a unique commitment action and reply")
 
     if target.as_vector(game.actions1)[game.a_index(stack.a_star)] >= 1.0 - 1e-12:
@@ -188,7 +187,7 @@ def derive_params(
     i_prime = max(candidates, key=lambda i: (col[i], -i))
     a_prime = game.actions1[i_prime]
     b_prime = game.actions2[_worst_replies(game, tol)[i_prime]]
-    u_comp = game.payoff1(a_prime, b_prime)
+    u_tempt, u_comp = game.payoff1(a_prime, stack.b_star), game.payoff1(a_prime, b_prime)
     if not u_comp < stack.v_star - tol:
         raise ValueError("no reply to the tempting action pays strictly below the commitment payoff")
 
@@ -204,7 +203,7 @@ def derive_params(
     if w <= 0.0:
         raise ValueError("cannot mix toward the tempting action while keeping the reply strict")
     alpha_prime = MixedAction({stack.a_star: 1.0 - w, a_prime: w})
-    u_prime_mix = (1.0 - w) * stack.v_star + w * game.payoff1(a_prime, stack.b_star)
+    u_prime_mix = (1.0 - w) * stack.v_star + w * u_tempt
 
     atoms: list[tuple[float, int, int]] = []
     for b, (mass, alpha) in witness.weights.items():
@@ -245,7 +244,7 @@ def derive_params(
     # actions against b_star, then the witness atoms. z1 is the deficit below
     # v*, z2 the excess over the drift target.
     v = stack.v_star
-    law = [(v, eps1 * (1.0 - w)), (game.payoff1(a_prime, stack.b_star), eps1 * w)]
+    law = [(v, eps1 * (1.0 - w)), (u_tempt, eps1 * w)]
     law += [(float(pay), (1.0 - eps1) * float(pr)) for pay, pr in zip(atom_pay, atom_probs)]
     z1 = finite_dist([(v - x, q) for x, q in law])
     z2 = finite_dist([(x - drift_target, q) for x, q in law])
@@ -254,7 +253,7 @@ def derive_params(
     finite = [r for r in (r1, r2) if r is not None]
     c = -math.log(eps1) / min(finite) if finite else 1.0
 
-    gap = game.payoff1(a_prime, stack.b_star) - v
+    gap = u_tempt - v
     m_bar = game.max_payoff1
     t1 = max(1, math.ceil((m_bar + c) / gap))
     t2_bar = math.ceil(math.log(1.0 - eps1) / math.log(delta))
@@ -584,10 +583,10 @@ class _Chunk:
         """Each path's additions from this chunk, one row per path, in the
         column layouts of :func:`_simulate`'s ``sums`` and ``counts``: the
         discounted frequency, payoff and phase weights of its blocks inside
-        the horizon, and their phase periods and absorbing entries with its
-        completed blocks by breach code. Then three vectors: the largest
-        |expected residual| of its completed blocks, whether its cut block
-        reached a compensation run that cannot end, and the payoff deficit of
+        the horizon, and their phase periods and absorbing entries, its
+        completed blocks by breach code and, last, whether its cut block reached
+        a compensation run that cannot end. Then two vectors: the largest
+        |expected residual| of its completed blocks, and the payoff deficit of
         its first completed block that entered compensation with one (NaN if
         none).
 
@@ -644,13 +643,11 @@ class _Chunk:
         owner = self.owner[idx]
         local *= delta ** self.start[idx].astype(float)[:, None]
         ends = self.kept[idx, None] & (self.breach[idx, None] == np.arange(len(BREACHES)))
-        periods = np.column_stack([np.zeros_like(rev), rev, absorb, comp, absorb > 0, ends])
+        unending = ~self.kept[idx] & self.unending[idx] & (self.start[idx] + self.off[idx] <= self.t_max)
+        periods = np.column_stack([np.zeros_like(rev), rev, absorb, comp, absorb > 0, ends, unending])
         max_residual = np.zeros(paths)
         np.maximum.at(max_residual, self.owner[kept], np.abs(self.expected_residual[kept]))
-        unending = np.zeros(paths, dtype=bool)
-        c = self.cut
-        unending[self.owner[c]] = self.unending[c] & (self.start[c] + self.off[c] <= self.t_max)
-        return _path_sums(owner, local, paths), _path_sums(owner, periods, paths), max_residual, unending, deficit
+        return _path_sums(owner, local, paths), _path_sums(owner, periods, paths), max_residual, deficit
 
     def next_period(self) -> np.ndarray:
         """Each path's next period: after its last block if it kept them all,
@@ -690,10 +687,8 @@ def simulate_path(
     and adds up its own blocks in its own order, so each result equals what
     ``stream=s`` alone returns, bit for bit.
     """
-    if not params.trivial and not params.delta_bar < delta < 1.0:
+    if not params.delta_bar < delta < 1.0:
         raise ValueError(f"delta must lie in ({params.delta_bar}, 1)")
-    if params.trivial and not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
     streams = stream if isinstance(stream, range) else range(stream, stream + 1)
     paths = _simulate(game, params, delta, seed, streams)
     return paths if isinstance(stream, range) else paths[0]
@@ -740,7 +735,10 @@ def _paths_at_once(params: SimParams, t_max: int) -> int:
     most ``_chunk_blocks(t_max, 1, t1)`` blocks, since the estimated block
     length it is sized from is at least t1 (see :func:`simulate_path`). Each
     block has at most min(t1, t_max) review cells, kept as a bit each, and
-    t2_bar absorbing cells, kept as a byte each (see :class:`_Chunk`)."""
+    t2_bar absorbing cells, kept as a byte each (see :class:`_Chunk`). An
+    always-commit path draws no blocks; it is counted as one cell."""
+    if params.trivial:
+        return _BATCH_CELLS
     blocks = int(_chunk_blocks(t_max, 1, params.t1))
     return max(1, _BATCH_CELLS // (blocks * (min(params.t1, t_max) + params.t2_bar)))
 
@@ -750,115 +748,88 @@ def _simulate(game: StageGame, params: SimParams, delta: float, seed: int, strea
     t_max = _horizon(delta)
     ia_star = game.a_index(params.a_star)
     jb_star = game.b_index(params.b_star)
-
-    if params.trivial:
-        total_weight = _total_weight(delta)
-        freq = np.zeros(n_a)
-        freq[ia_star] = total_weight
-        return [
-            PathStats(
-                freq=freq.copy(),
-                payoff=params.v_star * total_weight,
-                prep_periods=t_max + 1,
-                review_periods=0,
-                absorb_periods=0,
-                comp_periods=0,
-                absorb_entries=0,
-                phase_weights=np.array([total_weight, 0.0, 0.0, 0.0]),
-            )
-            for _ in range(n_paths)
-        ]
-
-    ia_prime = game.a_index(params.a_prime)
-    pay_star, pay_hit = game.u1[ia_star, jb_star], game.u1[ia_prime, jb_star]
     # One row per path. sums: the discounted frequency by action, payoff, then
     # the phase weights by PHASE_*. counts: the phase periods by PHASE_*, the
-    # absorbing entries, then the completed blocks by breach code (BREACHES).
+    # absorbing entries, the completed blocks by breach code (BREACHES), then
+    # whether the cut block reached a compensation run that no length could end.
     sums = np.zeros((n_paths, n_a + 5))
-    counts = np.zeros((n_paths, 5 + len(BREACHES)), dtype=np.int64)
+    counts = np.zeros((n_paths, 6 + len(BREACHES)), dtype=np.int64)
     max_residual = np.zeros(n_paths)
-    comp_unending = np.zeros(n_paths, dtype=bool)
-    deficit = np.full(n_paths, np.nan)
-    t = np.zeros(n_paths, dtype=np.int64)  # each path's next period
-    size = np.zeros(n_paths, dtype=np.int64)  # blocks in its next chunk
-    cap = np.zeros(n_paths, dtype=np.int64)  # blocks in its first chunk, the most any chunk takes
-    length = _block_length(game, params, delta)
-    bitgens: dict[int, np.random.Philox] = {}
-    spare: list[np.random.Philox] = []  # bit generators of finished paths
-    capacity = _paths_at_once(params, t_max)
-    live = np.zeros(0, dtype=np.int64)
-    joined = 0
-    while joined < n_paths or live.size:
-        # Paths join while there is room, each after its preparation: mix
-        # toward the tempting action until it realizes.
-        new = np.arange(joined, min(n_paths, joined + capacity - live.size))
-        joined += new.size
-        hit = np.zeros(new.size, dtype=bool)
-        for j, i in enumerate(new.tolist()):
-            bitgens[i] = _philox(np.array([seed % 2**64, streams[i] % 2**64], dtype=np.uint64), spare)
-            t[i], hit[j] = _prepare(bitgens[i], params.p_edge, t_max)
-        if new.size:
-            prep = t[new]
-            weights = delta ** np.arange(prep.max(), dtype=float)
-            cum = np.cumsum(weights)
-            n_star = prep - hit  # periods of the commitment action
-            w_star = np.where(n_star > 0, cum[n_star - 1], 0.0)
-            w_hit = np.where(hit, weights[prep - 1], 0.0)
-            sums[new, ia_star] = w_star
-            sums[new, ia_prime] = w_hit
-            sums[new, n_a] = pay_star * w_star + pay_hit * w_hit
-            sums[new, n_a + 1 + PHASE_PREP] = cum[prep - 1]
-            counts[new, PHASE_PREP] = prep
-            # The first chunk is sized as a later one would be after one block
-            # of the estimated length, or is one block where that length is
-            # endless; it caps every later chunk of the path.
-            size[new] = cap[new] = _chunk_blocks(t_max + 1 - prep, 1, length) if math.isfinite(length) else 1
-            live = np.concatenate([live, new[prep <= t_max]])
-        if not live.size:
-            continue
 
-        # Normal phase: blocks of review / absorbing / compensation, a chunk of each live path at a time.
-        chunk = _Chunk([bitgens[i] for i in live.tolist()], game, params, delta, size[live], t[live], t_max)
-        add, tally, residual, unending, owed = chunk.path_sums(delta)
-        sums[live] += add
-        counts[live] += tally
-        max_residual[live] = np.maximum(max_residual[live], residual)
-        comp_unending[live] |= unending
-        deficit[live] = np.where(np.isnan(deficit[live]), owed, deficit[live])
-        t[live] = chunk.next_period()
-        spare += [bitgens.pop(i) for i in live[t[live] > t_max].tolist()]
-        del chunk  # before the next round's chunk is built
-        live = live[t[live] <= t_max]
-        later = _chunk_blocks(t_max + 1 - t[live], counts[live, 5:].sum(axis=1), t[live] - counts[live, PHASE_PREP])
-        size[live] = np.minimum(later, cap[live])
-    # Raised for the first such path, so a batch fails as its first failing path does alone.
-    failed = np.flatnonzero(~np.isnan(deficit))
-    if failed.size:
-        raise RuntimeError(f"block entered compensation with a payoff deficit ({deficit[failed[0]]})")
+    if params.trivial:
+        # Always commit: preparation to the horizon. Its weight, frequency and
+        # payoff are written in discounted-average units, so they are not scaled.
+        w = _total_weight(delta)
+        sums[:, [ia_star, n_a, n_a + 1 + PHASE_PREP]] = w, params.v_star * w, w
+        counts[:, PHASE_PREP] = t_max + 1
+    else:
+        ia_prime = game.a_index(params.a_prime)
+        pay_star, pay_hit = game.u1[ia_star, jb_star], game.u1[ia_prime, jb_star]
+        deficit = np.full(n_paths, np.nan)
+        t = np.zeros(n_paths, dtype=np.int64)  # each path's next period
+        size = np.zeros(n_paths, dtype=np.int64)  # blocks in its next chunk
+        cap = np.zeros(n_paths, dtype=np.int64)  # blocks in its first chunk, the most any chunk takes
+        length = _block_length(game, params, delta)
+        bitgens: dict[int, np.random.Philox] = {}
+        spare: list[np.random.Philox] = []  # bit generators of finished paths
+        capacity = _paths_at_once(params, t_max)
+        live = np.zeros(0, dtype=np.int64)
+        joined = 0
+        while joined < n_paths or live.size:
+            # Paths join while there is room, each after its preparation: mix
+            # toward the tempting action until it realizes.
+            new = np.arange(joined, min(n_paths, joined + capacity - live.size))
+            joined += new.size
+            hit = np.zeros(new.size, dtype=bool)
+            for j, i in enumerate(new.tolist()):
+                bitgens[i] = _philox(np.array([seed % 2**64, streams[i] % 2**64], dtype=np.uint64), spare)
+                t[i], hit[j] = _prepare(bitgens[i], params.p_edge, t_max)
+            if new.size:
+                prep = t[new]
+                weights = delta ** np.arange(prep.max(), dtype=float)
+                cum = np.cumsum(weights)
+                n_star = prep - hit  # periods of the commitment action
+                w_star = np.where(n_star > 0, cum[n_star - 1], 0.0)
+                w_hit = np.where(hit, weights[prep - 1], 0.0)
+                sums[new, ia_star] = w_star
+                sums[new, ia_prime] = w_hit
+                sums[new, n_a] = pay_star * w_star + pay_hit * w_hit
+                sums[new, n_a + 1 + PHASE_PREP] = cum[prep - 1]
+                counts[new, PHASE_PREP] = prep
+                # The first chunk is sized as a later one would be after one block
+                # of the estimated length, or is one block where that length is
+                # endless; it caps every later chunk of the path.
+                size[new] = cap[new] = _chunk_blocks(t_max + 1 - prep, 1, length) if math.isfinite(length) else 1
+                live = np.concatenate([live, new[prep <= t_max]])
+            if not live.size:
+                continue
 
-    scale = 1.0 - delta
-    rows = zip(scale * sums, counts.tolist(), (scale * max_residual).tolist(), comp_unending.tolist())
+            # Normal phase: blocks of review / absorbing / compensation, a chunk of each live path at a time.
+            chunk = _Chunk([bitgens[i] for i in live.tolist()], game, params, delta, size[live], t[live], t_max)
+            add, tally, residual, owed = chunk.path_sums(delta)
+            sums[live] += add
+            counts[live] += tally
+            max_residual[live] = np.maximum(max_residual[live], residual)
+            deficit[live] = np.where(np.isnan(deficit[live]), owed, deficit[live])
+            t[live] = chunk.next_period()
+            spare += [bitgens.pop(i) for i in live[t[live] > t_max].tolist()]
+            del chunk  # before the next round's chunk is built
+            live = live[t[live] <= t_max]
+            done = counts[live, 5:-1].sum(axis=1)  # completed blocks, from the breach columns
+            later = _chunk_blocks(t_max + 1 - t[live], done, t[live] - counts[live, PHASE_PREP])
+            size[live] = np.minimum(later, cap[live])
+        # Raised for the first such path, so a batch fails as its first failing path does alone.
+        failed = np.flatnonzero(~np.isnan(deficit))
+        if failed.size:
+            raise RuntimeError(f"block entered compensation with a payoff deficit ({deficit[failed[0]]})")
+
+        sums *= 1.0 - delta
+        max_residual *= 1.0 - delta
     # PathStats fields in order, from the columns of sums and counts.
     return [
-        PathStats(s[:n_a], float(s[n_a]), *c[:5], s[n_a + 1 :], sum(c[5:]), *c[6:], residual, unending)
-        for s, c, residual, unending in rows
+        PathStats(s[:n_a], float(s[n_a]), *c[:5], s[n_a + 1 :], sum(c[5:-1]), *c[6:-1], residual, bool(c[-1]))
+        for s, c, residual in zip(sums, counts.tolist(), max_residual.tolist())
     ]
-
-
-# The per-path counts estimate_frequencies averages, by PathStats field;
-# block_count is reported as phase_stats["blocks"].
-_TALLIES = (
-    "prep_periods",
-    "review_periods",
-    "absorb_periods",
-    "comp_periods",
-    "absorb_entries",
-    "block_count",
-    "breach_low",
-    "breach_high",
-    "absorb_cap_ends",
-    "comp_unending",
-)
 
 
 def estimate_frequencies(
@@ -880,22 +851,22 @@ def estimate_frequencies(
     if reps < MIN_REPS:
         raise ValueError(f"reps must be at least {MIN_REPS}")
     paths = simulate_path(game, params, delta, seed, stream=range(reps))
-    freqs = np.array([st.freq for st in paths])
-    payoffs = np.array([st.payoff for st in paths])
-    tallies = np.array(list(map(attrgetter(*_TALLIES), paths))).sum(axis=0)
-    max_residual = max(st.max_residual for st in paths)
-    phase_weights = np.array([st.phase_weights for st in paths]).sum(axis=0)
+    # One array per PathStats field, a row per path.
+    col = {f.name: np.array([getattr(st, f.name) for st in paths]) for f in fields(PathStats)}
+    freqs, payoffs = col["freq"], col["payoff"]
 
     freq_mean = freqs.mean(axis=0)
     freq_se = freqs.std(axis=0, ddof=1) / math.sqrt(reps)
     payoff_se = float(payoffs.std(ddof=1)) / math.sqrt(reps)
+    # Every count and flag, averaged over paths; block_count is reported as "blocks".
     phase_stats = {
-        ("blocks" if name == "block_count" else name): float(val / reps)
-        for name, val in zip(_TALLIES, tallies)
+        ("blocks" if name == "block_count" else name): float(val.sum() / reps)
+        for name, val in col.items()
+        if val.dtype.kind in "bi"
     }
-    phase_stats["max_block_residual"] = max_residual
+    phase_stats["max_block_residual"] = float(col["max_residual"].max())
     # Share of the discounted weight each phase carries, averaged over paths.
-    for name, weight in zip(("prep", "review", "absorb", "comp"), phase_weights / reps):
+    for name, weight in zip(("prep", "review", "absorb", "comp"), col["phase_weights"].sum(axis=0) / reps):
         phase_stats[f"share_{name}"] = float(weight / _total_weight(delta))
     return SimOutcome(
         freq={a: float(freq_mean[i]) for i, a in enumerate(game.actions1)},

@@ -80,6 +80,15 @@ def test_fstar_prop1_method(capsys):
     assert doc["value"] == pytest.approx(0.3 / 0.7, abs=1e-8)
 
 
+def test_fstar_unattainable_pinned_payoff_exits_1_with_one_stderr_line(capsys):
+    # --equality pins the payoff at v* - epsilon = 0.6 - 2, below every payoff of the game.
+    code = dispatch(["fstar", str(fixture_path("product_choice")), "--equality", "--epsilon", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: no reply-consistent profile pays the pinned payoff v* - epsilon = -1.4"]
+
+
 def test_in_set_a_member(capsys):
     code, out = run_cli(
         capsys, "in-set-a", str(fixture_path("product_choice")), "--alpha", "H:0.375,L:0.625"

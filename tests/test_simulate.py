@@ -142,6 +142,23 @@ def test_trivial_target_runs_pure_commitment(product_choice):
     assert out.payoff == pytest.approx(0.6, abs=1e-6)
 
 
+@pytest.mark.parametrize("delta", [0.5, 0.995, 0.999])
+def test_always_commit_paths_prepare_to_the_horizon(product_choice, delta):
+    # The weight of periods 0 .. t_max, already in discounted-average units.
+    w = simulate._total_weight(delta)
+    params = derive_params(product_choice, MixedAction.delta("H"), eps1=0.01, delta=delta)
+    ia = product_choice.a_index("H")
+    idle = ["review_periods", "absorb_periods", "comp_periods", "absorb_entries", "block_count"]
+    idle += ["breach_low", "breach_high", "absorb_cap_ends"]
+    for st in simulate_path(product_choice, params, delta, seed=3, stream=range(4)):
+        assert st.freq[ia] == w and not np.delete(st.freq, ia).any()
+        assert st.payoff == params.v_star * w
+        assert st.phase_weights.tolist() == [w, 0.0, 0.0, 0.0]
+        assert st.prep_periods == _horizon(delta) + 1
+        assert [getattr(st, name) for name in idle] == [0] * len(idle)
+        assert st.max_residual == 0.0 and st.comp_unending is False
+
+
 def test_absorbing_subphase_breach_rate():
     # A low buyer threshold lets the mixture lean hard on the tempting
     # action, so reviews pass often and the absorbing subphase is exercised.
@@ -535,6 +552,8 @@ def config_game_params(config, games, pc_params):
         return games["product_choice"], pc_params
     if config == "absorbing":
         return absorbing_game_params(delta)
+    if config == "trivial":
+        return games["product_choice"], derive_params(games["product_choice"], MixedAction.delta("H"), 0.01, delta)
     # fiscal_witness: the first chunk is the largest a path draws, at the cap
     # of _MAX_CHUNK_BLOCKS. beyond_horizon: t1 exceeds the horizon, so every
     # review is cut short and packed to fewer bits than t1.
@@ -542,7 +561,7 @@ def config_game_params(config, games, pc_params):
     return game, derive_params(game, equality_target(game), eps1=0.01, delta=delta)
 
 
-@pytest.mark.parametrize("config", ["criterion7", "absorbing", "fiscal_witness", "beyond_horizon"])
+@pytest.mark.parametrize("config", ["criterion7", "absorbing", "fiscal_witness", "beyond_horizon", "trivial"])
 def test_a_batch_gives_each_stream_what_it_gives_alone(games, pc_params, config):
     delta = 0.999
     game, params = config_game_params(config, games, pc_params)
@@ -552,7 +571,7 @@ def test_a_batch_gives_each_stream_what_it_gives_alone(games, pc_params, config)
         assert same_paths(st, simulate_path(game, params, delta, seed=5, stream=stream)), stream
 
 
-@pytest.mark.parametrize("config", ["criterion7", "absorbing", "fiscal_witness", "beyond_horizon"])
+@pytest.mark.parametrize("config", ["criterion7", "absorbing", "fiscal_witness", "beyond_horizon", "trivial"])
 def test_estimates_do_not_depend_on_how_many_paths_run_at_once(games, pc_params, monkeypatch, config):
     delta = 0.999
     game, params = config_game_params(config, games, pc_params)
