@@ -101,6 +101,9 @@ def main():
     for fmt in FORMATS:
         run(["concentration", "--dist", fixture("tail_dist_quarter"), "--delta", "0.99", "--c", "2",
              "--reps", "1000", "--format", fmt])
+        # At delta 0.999 a replication runs over many chunks, most of them too far below c to hit.
+        run(["concentration", "--dist", fixture("tail_dist_quarter"), "--delta", "0.999", "--c", "1",
+             "--reps", "1000", "--format", fmt])
         # At delta 0.5 and c 250000 the shortest horizon's residual lies on the guard's limit.
         run(["concentration", "--dist", fixture("tail_dist_quarter"), "--delta", "0.5", "--c", "250000",
              "--reps", "1000", "--format", fmt])

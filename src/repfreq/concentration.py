@@ -86,40 +86,47 @@ def tail_exponent(dist: FiniteDist) -> float:
     The moment function is convex with value 1 and negative slope at r = 0,
     and diverges because some support value is positive, so the positive root
     exists, is unique, and is found by doubling then bisection.
+
+    The search runs on the support divided by s = 2**floor(log2 max(Z)), which
+    is exact and puts the largest value in [1, 2), so the result does not
+    depend on the support's scale; the root found is then divided by s. The
+    bracket on the scaled root stops below ``_ROOT_WIDTH * min(1, s)``, so the
+    root's own bracket is never wider than ``_ROOT_WIDTH``.
     """
     if dist.mean >= 0:
         raise ValueError("distribution mean must be negative")
     if dist.max_value <= 0:
         raise ValueError("distribution must take a positive value with positive probability")
 
+    scale = math.ldexp(1.0, math.frexp(dist.max_value)[1] - 1)
     # Python floats: the support is tiny, so numpy's per-call overhead would
     # dominate the roughly 45 bisection steps.
-    pairs = list(zip(dist.probs.tolist(), dist.values.tolist()))
-    max_pos = dist.max_value
+    pairs = [(prob, value / scale) for prob, value in zip(dist.probs.tolist(), dist.values.tolist())]
+    max_pos = dist.max_value / scale
 
     def gap(r: float) -> float:
         if r * max_pos > _EXP_CAP:
             return math.inf
         return math.fsum([prob * math.exp(r * value) for prob, value in pairs]) - 1.0
 
+    # Ends by hi = 1024: there r * max_pos >= 1024 > _EXP_CAP, so the gap is inf.
     hi = 1.0
     while gap(hi) <= 0.0:
         hi *= 2.0
-        if hi > 1e18:  # pragma: no cover - unreachable given the preconditions
-            raise RuntimeError("failed to bracket the tail exponent")
     lo = 0.0
-    while hi - lo > _ROOT_WIDTH:
+    width = _ROOT_WIDTH * min(1.0, scale)
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            break  # adjacent floats: above 512 they lie more than _ROOT_WIDTH apart
+            break  # adjacent floats: above 512, or where width is below their spacing
         g = gap(mid)
         if g == 0.0:
-            return mid
+            return mid / scale
         if g > 0.0:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi) / scale
 
 
 def _check_delta_c(delta: float, c: float) -> None:
@@ -169,6 +176,25 @@ def _draw_words(bitgen: np.random.Philox, shape: tuple[int, ...]) -> np.ndarray:
     return bitgen.random_raw((m + 1) // 2).view(np.uint32)[:m].reshape(shape)
 
 
+def _philox(key: np.ndarray, spare: list[np.random.Philox]) -> np.random.Philox:
+    """A Philox bit generator in the state ``Philox(key=key)`` starts in. It
+    re-keys a spare generator if there is one: setting a state costs a sixth of
+    making a generator, which draws entropy for a seed it does not use."""
+    if not spare:
+        return np.random.Philox(key=key)
+    bitgen = spare.pop()
+    fresh = np.zeros(4, dtype=np.uint64)
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": fresh, "key": key},
+        "buffer": fresh,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bitgen
+
+
 def _cum_edges(cum) -> np.ndarray:
     """Integer edges E = round(F * 2**32), clipped to [0, 2**32 - 1], of the
     cumulative probabilities F, elementwise. A word w falls below the edge of F
@@ -212,6 +238,15 @@ def tail_probability_mc(
     can no longer reach it leave the batch after each chunk. That pruning is
     exact, while the horizon cut can only lower the estimate.
 
+    Within a chunk, only a near row can hit ``c``: one whose sum so far (its
+    carry) plus ``max(values) * sum(delta**t)`` over the chunk's steps, the
+    most the chunk can add, is at least ``c``. Only near rows form prefix sums
+    and test them against ``c``; a near row's carry becomes its last prefix
+    sum, as a sequential sum would give. A far row skips the test, which is
+    exact as the pruning is, and its carry advances by its chunk total, a
+    pairwise sum of its own steps, so its rounding may differ from the
+    sequential sum's in the last bits.
+
     So after the first chunk, the words a replication receives depend on
     which rows of its batch are still live, which depends on ``delta``,
     ``c`` and the horizon. Calls that differ in those share draws only within
@@ -230,10 +265,13 @@ def tail_probability_mc(
     edges = _cum_edges(np.cumsum(dist.probs)[:-1])
     max_pos = dist.max_value
     disc_all = np.exp(math.log(delta) * np.arange(1, horizon + 1))
+    # The most each chunk's steps can add; max_pos > 0, as tail_exponent checked.
+    reach = max_pos * np.add.reduceat(disc_all, np.arange(0, horizon, _CHUNK))
 
     hits = 0
+    spare: list[np.random.Philox] = []
     for batch, first in enumerate(range(0, reps, _BATCH)):
-        bitgen = np.random.Philox(key=np.array([seed % 2**64, batch], dtype=np.uint64))
+        bitgen = _philox(np.array([seed % 2**64, batch], dtype=np.uint64), spare)
         carry = np.zeros(min(_BATCH, reps - first))  # live rows' sums so far
         start = 1  # the sum runs over t = 1, 2, ...
         while carry.size and start <= horizon:
@@ -241,14 +279,28 @@ def tail_probability_mc(
             words = _draw_words(bitgen, (carry.size, n))
             steps = dist.values.take(_word_index(words, edges))
             steps *= disc_all[start - 1 : start - 1 + n]
-            sums = np.cumsum(steps, axis=1, out=steps)
-            sums += carry[:, None]
-            hit = (sums >= c).any(axis=1)
-            hits += int(np.count_nonzero(hit))
-            carry = sums[:, -1]
+            # Only a near row, one whose carry plus the chunk's reach is at
+            # least c, can hit in the chunk, so only near rows form prefix
+            # sums. A far row's carry advances by its row total; a near row's
+            # becomes its last prefix sum.
+            near = np.flatnonzero(carry + reach[(start - 1) // _CHUNK] >= c)
+            sums, near_carry = steps, carry
+            if near.size < carry.size:
+                sums, near_carry = steps[near], carry[near]
+                carry += np.add.reduce(steps, axis=1)
+            hit = near[:0]
+            if near.size:
+                np.cumsum(sums, axis=1, out=sums)
+                sums += near_carry[:, None]
+                hit = near[(sums >= c).any(axis=1)]
+                carry[near] = sums[:, -1]
+            hits += hit.size
             start += n
             # Keep rows that have not hit and whose best future can still reach c.
-            carry = carry[~hit & (carry + delta**start * max_pos / (1.0 - delta) >= c)]
+            keep = carry + delta**start * max_pos / (1.0 - delta) >= c
+            keep[hit] = False
+            carry = carry[keep]
+        spare.append(bitgen)
     empirical = hits / reps
     std_error = math.sqrt(empirical * (1.0 - empirical) / reps)
     return TailReport(

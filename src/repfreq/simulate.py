@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .attain import decompose_target
-from .concentration import FiniteDist, _cum_edges, _draw_words, _word_index, tail_exponent
+from .concentration import FiniteDist, _cum_edges, _draw_words, _philox, _word_index, tail_exponent
 from .game import MixedAction, StageGame
 from .stage import DEFAULT_TOL, _worst_replies, minmax_p1, stackelberg
 
@@ -692,25 +692,6 @@ def simulate_path(
     streams = stream if isinstance(stream, range) else range(stream, stream + 1)
     paths = _simulate(game, params, delta, seed, streams)
     return paths if isinstance(stream, range) else paths[0]
-
-
-def _philox(key: np.ndarray, spare: list[np.random.Philox]) -> np.random.Philox:
-    """A Philox bit generator in the state ``Philox(key=key)`` starts in. It
-    re-keys a spare generator if there is one: setting a state costs a sixth of
-    making a generator, which draws entropy for a seed it does not use."""
-    if not spare:
-        return np.random.Philox(key=key)
-    bitgen = spare.pop()
-    fresh = np.zeros(4, dtype=np.uint64)
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": fresh, "key": key},
-        "buffer": fresh,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return bitgen
 
 
 def _prepare(bitgen: np.random.Philox, p_edge: int, t_max: int) -> tuple[int, bool]:

@@ -292,6 +292,17 @@ def test_concentration_returns_a_root_above_512(tmp_path):
     assert 0.001 * math.exp(0.01 * r) + 0.999 * math.exp(-r) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_concentration_solves_a_support_of_order_1e_minus_300(tmp_path):
+    # The root, about 1.386e300, lies far above any fixed doubling limit.
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps([{"value": 1e-300, "prob": 0.25}, {"value": -1e-299, "prob": 0.75}]))
+    argv = ["concentration", "--dist", str(dist), "--delta", "0.9", "--c", "1", "--reps", "1000"]
+    proc = run_cli_process(*argv, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    r = json.loads(proc.stdout)["r_star"]
+    assert 0.25 * math.exp(r * 1e-300) + 0.75 * math.exp(-r * 1e-299) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_app_output(capsys):
     code, out = run_cli(
         capsys, "app", "product-choice", "--gamma", "0.5", "--ch", "0.4", "--cl", "0.2"

@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repfreq.concentration import (
+    _BATCH,
+    _CHUNK,
     _EXP_CAP,
     _ROOT_WIDTH,
     FiniteDist,
     _cum_edges,
+    _draw_words,
+    _philox,
     _word_index,
     min_horizon,
     tail_exponent,
@@ -58,10 +62,12 @@ def test_exponent_is_smallest_positive_root():
         assert moment < 1.0
 
 
-@pytest.mark.parametrize("k", [0.5, 2.0])
+@pytest.mark.parametrize("k", [0.5, 2.0, 1e-300, 1e-9, 1e9, 1e306])
 def test_exponent_scaling(k):
-    scaled = FiniteDist(values=k * DIST_QUARTER.values, probs=DIST_QUARTER.probs)
-    assert tail_exponent(scaled) == pytest.approx(tail_exponent(DIST_QUARTER) / k, abs=1e-9)
+    # Scaling the support by k divides the root by k, at any magnitude.
+    for dist in (DIST_QUARTER, FiniteDist.from_pairs([(1.0, 0.25), (-10.0, 0.75)])):
+        scaled = FiniteDist(values=k * dist.values, probs=dist.probs)
+        assert tail_exponent(scaled) == pytest.approx(tail_exponent(dist) / k, rel=1e-12, abs=0.0)
 
 
 def numpy_moment_root(dist: FiniteDist) -> float:
@@ -240,6 +246,72 @@ def test_stream_is_raw_philox_halves_row_major():
     report = tail_probability_mc(dist, delta, c, horizon, reps=reps, seed=seed)
     assert hits > 0
     assert report.empirical == hits / reps
+
+
+def reference_tail_hits(dist, delta, c, horizon, reps, seed):
+    """tail_probability_mc's hit count with every live row's prefix sums
+    formed in every chunk and its carry taken from the last one, plus the
+    number of near and far (row, chunk) pairs: those whose carry plus the most
+    the chunk can add is at least c, and the others."""
+    edges = _cum_edges(np.cumsum(dist.probs)[:-1])
+    disc_all = np.exp(math.log(delta) * np.arange(1, horizon + 1))
+    hits = near = far = 0
+    for batch, first in enumerate(range(0, reps, _BATCH)):
+        bitgen = np.random.Philox(key=np.array([seed, batch], dtype=np.uint64))
+        carry = np.zeros(min(_BATCH, reps - first))
+        start = 1
+        while carry.size and start <= horizon:
+            n = min(_CHUNK, horizon - start + 1)
+            disc = disc_all[start - 1 : start - 1 + n]
+            steps = dist.values.take(_word_index(_draw_words(bitgen, (carry.size, n)), edges)) * disc
+            row_near = int(np.count_nonzero(carry + dist.max_value * disc.sum() >= c))
+            near, far = near + row_near, far + carry.size - row_near
+            sums = np.cumsum(steps, axis=1) + carry[:, None]
+            hit = (sums >= c).any(axis=1)
+            hits += int(np.count_nonzero(hit))
+            carry = sums[:, -1]
+            start += n
+            carry = carry[~hit & (carry + delta**start * dist.max_value / (1.0 - delta) >= c)]
+    return hits, near, far
+
+
+GRID = ((0.9, 0.99, 0.999), (0.5, 2.0, 4.0))
+
+
+@pytest.mark.parametrize(
+    "dist, deltas, cs",
+    [
+        (DIST_QUARTER, *GRID),
+        (DIST_CUBIC, *GRID),
+        (FiniteDist.from_pairs(SIX_POINTS), *GRID),
+        # Mostly +1 steps with a rare fall of 150: a row can stay far below c
+        # for whole chunks and then climb back to hit it.
+        (FiniteDist.from_pairs([(1.0, 0.99), (-150.0, 0.01)]), (0.999,), (40.0, 100.0)),
+    ],
+    ids=["quarter", "cubic", "6-point", "climb"],
+)
+def test_estimate_matches_the_full_prefix_sum_reference(dist, deltas, cs):
+    # 1300 replications leave the last batch partial.
+    reps, near, far = 1300, 0, 0
+    for delta in deltas:
+        for c in cs:
+            horizon = min_horizon(dist, delta, c)
+            for seed in (3, 8):
+                hits, n_near, n_far = reference_tail_hits(dist, delta, c, horizon, reps, seed)
+                assert tail_probability_mc(dist, delta, c, horizon, reps, seed).empirical == hits / reps
+                near, far = near + n_near, far + n_far
+    assert near > 0 and far > 0
+
+
+def test_a_rekeyed_spare_draws_what_a_fresh_generator_draws():
+    spare = np.random.Philox(key=np.array([3, 0], dtype=np.uint64))
+    _draw_words(spare, (7,))
+    # Three 32-bit draws leave a half of the 64-bit buffer unread.
+    np.random.Generator(spare).integers(2**32, size=3, dtype=np.uint32)
+    key = np.array([11, 5], dtype=np.uint64)
+    bitgen = _philox(key, [spare])
+    assert bitgen is spare
+    assert np.array_equal(_draw_words(bitgen, (5, 9)), _draw_words(np.random.Philox(key=key), (5, 9)))
 
 
 def test_determinism():

@@ -38,5 +38,5 @@ def test_cli_digest_script_prints_the_same_lines_on_every_run():
     first = run_script("cli_digest.py", "--games", "product_choice")
     assert run_script("cli_digest.py", "--games", "product_choice") == first
     lines = first.splitlines()
-    assert len(lines) == 18 + 6 + 21  # game calls, witness-target calls, trailing calls
+    assert len(lines) == 18 + 6 + 24  # game calls, witness-target calls, trailing calls
     assert all(line.startswith("0 ") for line in lines)
