@@ -11,6 +11,12 @@ Two checkouts whose CLIs answer byte for byte alike print the same lines:
 Every call runs in this one process. The targets of ``in-set-a`` and
 ``simulate`` are the marginals of the ``fstar --equality`` witnesses that the
 same run has just printed, so the script needs nothing but the CLI.
+
+After the fixtures come seeded random games of 2 to 6 actions a side, half
+with uniform payoffs in [-1, 1] and half with integers in {-2, ..., 2}, written
+to a temporary directory: ``analyze``, ``fstar``, ``fstar --equality`` and
+``in-set-a`` run on each in JSON, so the digest covers the stage bounds'
+vertex table beyond the fixtures.
 """
 
 import argparse
@@ -20,7 +26,10 @@ import io
 import json
 import math
 import shlex
+import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from repfreq.cli import dispatch
 
@@ -29,6 +38,8 @@ GAMES = (
     "product_choice", "product_choice_three", "entry_deterrence", "fiscal_policy",
     "matching_pennies_tilted", "nash_overlap_3x2", "battle_of_sexes", "chicken",
 )
+RANDOM = "random"  # the --games choice for the seeded random games
+RANDOM_GAMES = 40
 FORMATS = ("json", "csv", "human")
 GAME_CALLS = (
     ("analyze",),
@@ -61,7 +72,7 @@ def run(argv: list[str]) -> tuple[int, str]:
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     digest = hashlib.sha256(f"{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()[:16]
-    shown = [Path(arg).stem if arg.startswith(str(FIXTURES)) else arg for arg in argv]
+    shown = [Path(arg).stem if arg.endswith(".json") else arg for arg in argv]
     print(f"{code} {digest} {shlex.join(shown)}")
     return code, out.getvalue()
 
@@ -77,12 +88,42 @@ def witness_marginal(doc: str) -> str:
     return ",".join(f"{label}:{prob / total!r}" for label, prob in mix.items() if prob > 0.0)
 
 
+def write_random_games(directory: Path) -> list[str]:
+    """Write the seeded random games into ``directory`` and return their paths."""
+    rng = np.random.default_rng(31)
+    paths = []
+    for i in range(RANDOM_GAMES):
+        n_a, n_b = (int(n) for n in rng.integers(2, 7, 2))
+        kind = ("uniform", "integer")[i % 2]
+        u1, u2 = (
+            rng.uniform(-1.0, 1.0, (n_a, n_b)) if kind == "uniform" else rng.integers(-2, 3, (n_a, n_b)).astype(float)
+            for _ in range(2)
+        )
+        name = f"random_{i:02d}_{n_a}x{n_b}_{kind}"
+        doc = {
+            "name": name,
+            "actions1": [f"a{k}" for k in range(n_a)],
+            "actions2": [f"b{k}" for k in range(n_b)],
+            "u1": u1.tolist(),
+            "u2": u2.tolist(),
+        }
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--games", nargs="+", choices=GAMES, default=GAMES, help="game fixtures to run (default all)")
+    parser.add_argument(
+        "--games", nargs="+", choices=(*GAMES, RANDOM), default=(*GAMES, RANDOM),
+        help=f"game fixtures to run, and '{RANDOM}' for the random games (default all)",
+    )
     args = parser.parse_args()
 
     for name in args.games:
+        if name == RANDOM:
+            continue
         equality = None
         for call in GAME_CALLS:
             for fmt in FORMATS:
@@ -110,6 +151,15 @@ def main():
         for app in APPS:
             run(["app", *app, "--format", fmt])
         run(["simulate", fixture("product_choice"), "--target", "H:1", *SIMULATE, "--format", fmt])
+
+    if RANDOM in args.games:
+        with tempfile.TemporaryDirectory() as directory:
+            for path in write_random_games(Path(directory)):
+                run(["analyze", path, "--format", "json"])
+                run(["fstar", path, "--format", "json"])
+                code, out = run(["fstar", path, "--equality", "--format", "json"])
+                if code == 0:
+                    run(["in-set-a", path, "--alpha", witness_marginal(out), "--format", "json"])
 
 
 if __name__ == "__main__":

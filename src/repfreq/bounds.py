@@ -39,6 +39,10 @@ from .stage import (
     stackelberg,
 )
 
+# The most (q, point) pairs min_freq_grid sorts at once; it bounds the working
+# memory only.
+_GRID_CELLS = 2**16
+
 _INFEASIBLE = "frequency program infeasible; the Stackelberg point always qualifies"
 
 
@@ -212,10 +216,14 @@ def indifference_pieces(game: StageGame) -> list[IndifferencePiece]:
         for subset in combinations(range(n_b), size):
             gap = game.u2[:, subset[0], None] - game.u2  # column j: u2(., b_j0) - u2(., b_j)
             others = [j for j in range(n_b) if j not in subset]
-            for j_best in subset:
-                ahead = game.u1[:, j_best, None] - game.u1[:, [j for j in subset if j != j_best]]
+            # One system per j_best in the subset, each of n_b - 1 rows: the
+            # other replies' gaps, then j_best's lead over the rest of the subset.
+            leads = [game.u1[:, j, None] - game.u1[:, [k for k in subset if k != j]] for j in subset]
+            ineq = np.stack([np.hstack([gap[:, others], ahead]).T for ahead in leads])
+            points, owner = _simplex_vertices(gap[:, list(subset[1:])].T, ineq)
+            for i, j_best in enumerate(subset):
                 found: list[np.ndarray] = []
-                for x in _simplex_vertices(gap[:, list(subset[1:])].T, np.hstack([gap[:, others], ahead]).T):
+                for x in points[owner == i]:
                     if not any(np.allclose(x, v, atol=1e-8) for v in found):
                         found.append(x)
                 if found:
@@ -278,21 +286,25 @@ def min_freq_grid(game: StageGame, resolution: int, br_tol: float = DEFAULT_TOL)
     freq = np.array(freq_list)
     pay = np.array(pay_list)
 
+    # For each q, the cheapest second point paying at least v* - q * pay:
+    # the first sorted second-point payoff at or above it, and the least
+    # frequency from there on. All q of a group, at most _GRID_CELLS pairs of
+    # them, are sorted at once.
     best = np.inf
-    for k in range(resolution + 1):
-        q = k / resolution
-        u_first = q * pay
-        f_first = q * freq
+    qs = np.arange(resolution + 1) / resolution
+    step = max(1, _GRID_CELLS // len(pay))
+    for lo in range(0, len(qs), step):
+        q = qs[lo : lo + step, None]
         u_second = (1.0 - q) * pay
-        f_second = (1.0 - q) * freq
-        order = np.argsort(u_second)
-        u_sorted = u_second[order]
-        suffix_min = np.minimum.accumulate(f_second[order][::-1])[::-1]
-        needed = stack.v_star - u_first
-        pos = np.searchsorted(u_sorted, needed, side="left")
-        ok = pos < len(u_sorted)
+        order = np.argsort(u_second, axis=1)
+        u_sorted = np.take_along_axis(u_second, order, axis=1)
+        f_sorted = np.take_along_axis((1.0 - q) * freq, order, axis=1)
+        suffix_min = np.minimum.accumulate(f_sorted[:, ::-1], axis=1)[:, ::-1]
+        needed = stack.v_star - q * pay
+        pos = np.array([np.searchsorted(row, need, side="left") for row, need in zip(u_sorted, needed)])
+        ok = pos < len(pay)
         if np.any(ok):
-            cand = f_first[ok] + suffix_min[pos[ok]]
+            cand = (q * freq)[ok] + suffix_min[ok.nonzero()[0], pos[ok]]
             best = min(best, float(cand.min()))
     return best
 

@@ -121,12 +121,18 @@ def tail_exponent(dist: FiniteDist) -> float:
             break  # adjacent floats: above 512, or where width is below their spacing
         g = gap(mid)
         if g == 0.0:
-            return mid / scale
+            lo = hi = mid
+            break
         if g > 0.0:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi) / scale
+    root = 0.5 * (lo + hi) / scale
+    if root == math.inf:  # a subnormal largest value puts the root beyond the float range
+        raise ValueError(
+            f"the tail exponent's root is not a finite float: the largest value {dist.max_value:.3g} is too small"
+        )
+    return root
 
 
 def _check_delta_c(delta: float, c: float) -> None:
@@ -151,7 +157,10 @@ def min_horizon(dist: FiniteDist, delta: float, c: float) -> int:
     # delta^(h+1) * max_pos / (1 - delta) < limit, solved in closed form; where
     # rounding puts h on the boundary, the guard's own test moves it up one.
     limit = _HORIZON_REL * max(c, 1.0)
-    h = max(math.ceil(math.log(limit * (1.0 - delta) / max_pos) / math.log(delta)) - 1, 1)
+    root = math.log(limit * (1.0 - delta) / max_pos) / math.log(delta)
+    if root == -math.inf:  # a subnormal max_pos: limit * (1 - delta) / max_pos overflows
+        raise ValueError(f"the horizon's root is not a finite float: the largest value {max_pos:.3g} is too small")
+    h = max(math.ceil(root) - 1, 1)
     return h + 1 if _post_horizon(dist, delta, h) >= limit else h
 
 

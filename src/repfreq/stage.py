@@ -19,17 +19,25 @@ P_b has supp(v) in T and S in BR(v), the replies tied at v.
   rationalizable supports are the subsets of the sets BR(v), so the maximal
   BR(v) attain it.
 
-The table holds the undominated pairs, from every vertex of every P_b; one
-max-min LP per pair gives the value, and none is solved where a pure saddle
-point or a pure bound settles it. The vertex count is exponential in the
-number of actions, which is fine at desk scale (six or fewer per side).
+The table holds the undominated pairs, from every vertex of every P_b. One
+batched solve finds the vertices of all the P_b at once: P_b's system holds
+its rival rows u2(., b) - u2(., b') only, and a row that is zero (a rival
+that ties b everywhere) stays in place, since every choice that uses it is
+singular and dropped. The batch is cut, by whole replies, into groups of at
+most ``_VERTEX_CELLS`` matrix cells. The bound of a pair, the least over T of
+the largest u1 over S, is found for every pair at once; pairs are scanned in
+falling order of it, and one max-min LP per pair gives the value, none
+solved where a pure saddle point or a bound settles it. The vertex count is
+exponential in the number of actions, which is fine at desk scale (six or
+fewer per side).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 
@@ -37,6 +45,9 @@ from .game import MixedAction, StageGame
 from .linprog import solve_lp
 
 DEFAULT_TOL = 1e-9
+# The most matrix cells (systems x n x n) one batch of _simplex_vertices
+# solves: 8 MB of systems. It bounds the working memory only.
+_VERTEX_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -124,49 +135,83 @@ def stackelberg(game: StageGame, tol: float = DEFAULT_TOL) -> StackelbergResult:
     )
 
 
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    """``rows`` scaled to unit length, rows of zeros dropped."""
-    norms = np.linalg.norm(rows, axis=1)
-    keep = norms > 0.0
-    return rows[keep] / norms[keep, None]
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean lengths along the last axis, the squares summed in coordinate
+    order at every width (``np.linalg.norm`` sums pairwise along a contiguous
+    axis from 8 coordinates on)."""
+    return np.sqrt(np.add.reduce(np.square(rows.T, order="C"), axis=0)).T
 
 
-def _simplex_vertices(eq: np.ndarray, ineq: np.ndarray) -> np.ndarray:
-    """Vertices of {alpha in the simplex : eq @ alpha = 0, ineq @ alpha >= 0}, one per row.
+def _simplex_vertices(eq: np.ndarray, ineq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of {alpha in the simplex : eq @ alpha = 0, ineq[i] @ alpha >= 0}
+    for each system i of ``ineq``, one per row, and the system each came from.
 
-    A vertex is where n independent constraints bind: the simplex sum, a basis
-    of the ``eq`` rows, and as many inequalities (``alpha >= 0`` among them) as
-    are still needed. Every choice of those inequalities is solved in one
-    batch. Rows have unit length, so the tolerances do not depend on the
-    payoff scale.
+    The systems share ``eq`` and have the same number of rows. A vertex is
+    where n independent constraints bind: the simplex sum, a basis of the
+    ``eq`` rows, and as many inequalities (``alpha >= 0`` among them) as are
+    still needed. Every choice of those inequalities, for every system, is
+    solved in batches of whole systems of at most ``_VERTEX_CELLS`` matrix
+    cells, or of one system where its choices alone hold more. Rows are
+    scaled to unit length, so the tolerances do not depend on the payoff
+    scale. A row of zero length stays in place, unscaled: every choice that
+    uses it is singular and dropped, and every point meets it. So each
+    system's vertices come in the order of its choices, as a call on that
+    system alone gives them.
     """
-    n = eq.shape[1]
-    eq = _unit_rows(eq)
+    m, rows, n = ineq.shape
+    if len(eq):
+        norms = _norms(eq)
+        eq = eq[norms > 0.0] / norms[norms > 0.0, None]
     if len(eq) > 1:  # an orthonormal basis in place of rows that may be dependent
         _, sing, vt = np.linalg.svd(eq)
         eq = vt[: np.count_nonzero(sing > DEFAULT_TOL)]
     need = n - 1 - len(eq)
     if need < 0:
-        return np.empty((0, n))
-    ineq = np.vstack([_unit_rows(ineq), np.eye(n)])
-    choices = list(combinations(range(len(ineq)), need))
-    systems = np.empty((len(choices), n, n))
-    systems[:, 0] = n**-0.5
-    systems[:, 1 : n - need] = eq
-    systems[:, n - need :] = ineq[np.array(choices, dtype=np.intp).reshape(len(choices), need)]
-    systems = systems[np.abs(np.linalg.det(systems)) > 1e-12]  # drop choices of dependent rows
-    rhs = np.zeros((len(systems), n, 1))
-    rhs[:, 0] = n**-0.5
-    points = np.linalg.solve(systems, rhs)[..., 0]
-    return points[np.all(points @ ineq.T >= -DEFAULT_TOL, axis=1)]
+        return np.empty((0, n)), np.empty(0, np.intp)
+    norms = _norms(ineq)[..., None]
+    ineq = np.concatenate([ineq / np.where(norms > 0.0, norms, 1.0), np.zeros((m, n, n))], axis=1)
+    ineq[:, rows:] = np.eye(n)  # alpha >= 0
+    choices = combinations(range(rows + n), need)
+    choices = np.fromiter(chain.from_iterable(choices), np.intp).reshape(comb(rows + n, need), need)
+    step = max(1, _VERTEX_CELLS // (len(choices) * n * n))
+    points, owners = [], []
+    for lo in range(0, m, step):
+        group = ineq[lo : lo + step]
+        systems = np.empty((len(group), len(choices), n, n))
+        systems[:, :, 0] = n**-0.5
+        systems[:, :, 1 : n - need] = eq
+        systems[:, :, n - need :] = group[:, choices]
+        systems = systems.reshape(-1, n, n)
+        keep = np.abs(np.linalg.det(systems)) > 1e-12  # drop choices of dependent rows
+        owner = np.repeat(np.arange(lo, lo + len(group)), len(choices))[keep]
+        rhs = np.zeros((len(owner), n, 1))
+        rhs[:, 0] = n**-0.5
+        point = np.linalg.solve(systems[keep], rhs)[..., 0]
+        feasible = np.all(np.einsum("pn,prn->pr", point, ineq[owner]) >= -DEFAULT_TOL, axis=1)
+        points.append(point[feasible])
+        owners.append(owner[feasible])
+    return np.concatenate(points), np.concatenate(owners)
 
 
 def _maximal(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a boolean matrix that no other row contains."""
-    rows = np.unique(rows, axis=0)
-    contains = (rows[:, None] >= rows).all(axis=2)
-    np.fill_diagonal(contains, False)
-    return rows[~contains.any(axis=0)]
+    """The distinct rows of a boolean matrix that no other row contains, in
+    lexicographic order.
+
+    Each row is packed into 64-bit words, its first column the most
+    significant bit, so the words sort as the rows do, and a row contains
+    another exactly when their AND is the other.
+    """
+    width = rows.shape[1]
+    packed = np.zeros((len(rows), -(-width // 64) * 8), np.uint8)
+    packed[:, : -(-width // 8)] = np.packbits(rows, axis=1)
+    words = packed.view(">u8").astype(np.uint64)
+    words = words[np.lexsort(words.T[::-1])]
+    distinct = np.ones(len(words), bool)
+    distinct[1:] = (words[1:] != words[:-1]).any(axis=1)
+    words = words[distinct]
+    contained = ((words[:, None] & words) == words).all(axis=2).sum(axis=0) > 1  # by itself and another
+    kept = words[~contained].astype(">u8").view(np.uint8)
+    return np.unpackbits(kept, axis=1, count=width).view(bool)
 
 
 def _reply_table(game: StageGame) -> tuple[np.ndarray, np.ndarray]:
@@ -178,16 +223,14 @@ def _reply_table(game: StageGame) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=16)
 def _reply_table_of(data: bytes, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     u2 = np.frombuffer(data).reshape(shape)
-    n_a = shape[0]
-    pairs = []
-    for j in range(shape[1]):
-        diff = u2[:, j, None] - u2  # column k: u2(., b_j) - u2(., b_k)
-        vertices = _simplex_vertices(np.empty((0, n_a)), diff.T)
-        replies = vertices @ diff <= DEFAULT_TOL * np.linalg.norm(diff, axis=0)
-        pairs.append(np.hstack([vertices <= DEFAULT_TOL, replies]))
+    n_a, n_b = shape
+    diff = u2.T[:, None] - u2.T  # diff[j, k] = u2(., b_j) - u2(., b_k)
+    rivals = diff[~np.eye(n_b, dtype=bool)].reshape(n_b, n_b - 1, n_a)  # P_b_j's rows, k != j
+    vertices, owner = _simplex_vertices(np.empty((0, n_a)), rivals)
+    replies = np.einsum("va,vka->vk", vertices, diff[owner]) <= DEFAULT_TOL * _norms(diff)[owner]
     # A pair dominates another when its row (actions off the support, then
     # replies) contains the other's.
-    pairs = _maximal(np.vstack(pairs))
+    pairs = _maximal(np.hstack([vertices <= DEFAULT_TOL, replies]))
     table = ~pairs[:, :n_a], pairs[:, n_a:]
     for part in table:
         part.setflags(write=False)  # shared by every caller of the cache
@@ -211,15 +254,19 @@ def _maxmin(pay: np.ndarray) -> float:
     return -res.value
 
 
-def _largest_maxmin(blocks: list[np.ndarray]) -> float:
-    """The largest ``_maxmin`` over ``blocks``. A block's value is at most its
-    least row maximum, so blocks are taken in falling order of that bound and
-    the scan stops once the bound cannot beat the best value found."""
+def _largest_maxmin(u: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+    """The largest ``_maxmin`` of the blocks u[T, S], one per pair of boolean
+    masks (T, S) = (rows[p], cols[p]). A block's value is at most its bound,
+    the least over T of the largest entry over S, so blocks are taken in
+    falling order of that bound (the first pair first on ties) and the scan
+    stops once the bound cannot beat the best value found. Only the blocks it
+    solves are cut out."""
+    bound = np.where(rows, np.where(cols[:, None], u, -np.inf).max(axis=2), np.inf).min(axis=1)
     best = -np.inf
-    for block in sorted(blocks, key=lambda block: block.max(axis=1).min(), reverse=True):
-        if block.max(axis=1).min() <= best:
+    for p in np.argsort(-bound, kind="stable").tolist():
+        if bound[p] <= best:
             break
-        best = max(best, _maxmin(block))
+        best = max(best, _maxmin(u[np.ix_(rows[p], cols[p])]))
     return best
 
 
@@ -229,7 +276,8 @@ def minmax_p1(game: StageGame) -> float:
     The least, over the maximal reply sets S of the vertex table, of the min
     over beta on S of max over a of u1(a, beta).
     """
-    return -_largest_maxmin([-game.u1[:, s] for s in _maximal(_reply_table(game)[1])])
+    replies = _maximal(_reply_table(game)[1])
+    return -_largest_maxmin(-game.u1, np.ones((len(replies), len(game.actions1)), bool), replies)
 
 
 def vbar_p1(game: StageGame) -> float:
@@ -240,7 +288,7 @@ def vbar_p1(game: StageGame) -> float:
     those pairs suffice.
     """
     supports, replies = _reply_table(game)
-    return _largest_maxmin([game.u1[np.ix_(t, s)] for t, s in zip(supports, replies)])
+    return _largest_maxmin(game.u1, supports, replies)
 
 
 def check_assumptions(game: StageGame, tol: float = DEFAULT_TOL) -> AssumptionReport:

@@ -271,6 +271,14 @@ def test_grid_oracle_gap_shrinks_with_resolution(games):
         assert fine <= coarse + 1e-9
 
 
+def test_grid_oracle_does_not_depend_on_its_group_budget(games, monkeypatch):
+    # Below one q's worth of pairs, each q is sorted on its own.
+    names = [*TWO_BY_TWO, "nash_overlap_3x2", "product_choice_three"]
+    values = [min_freq_grid(games[name], 20) for name in names]
+    monkeypatch.setattr(bounds, "_GRID_CELLS", 1)
+    assert [min_freq_grid(games[name], 20) for name in names] == values
+
+
 def test_grid_oracle_nash_overlap(nash_overlap):
     assert min_freq_grid(nash_overlap, 10) == pytest.approx(0.0, abs=1e-12)
 

@@ -8,11 +8,13 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from repfreq import cli, concentration, linprog, simulate
 from repfreq.cli import dispatch
-from repfreq.game import emit_game
+from repfreq.game import StageGame, emit_game
+from . import _reference_stage
 from .conftest import cycling_game, fixture_path, random_assumption_games
 from .test_simulate import equality_target
 
@@ -670,3 +672,37 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     capsys.readouterr()
     assert check("fstar", game) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     json.loads(check("analyze", game))
+
+
+def test_a_two_by_63_game_reaches_analyze_with_the_reference_bounds(capsys, tmp_path):
+    # A table row has 2 + 63 = 65 columns, so the packed rows take two words.
+    # Columns 0 to 59 pay player 2 at most -3 and are never best replies, so
+    # no support the reference enumerates holds one: its bounds are those of
+    # the 2 x 3 game of columns 60 to 62. Columns 61 and 62 tie for player 2
+    # everywhere and straddle the word boundary.
+    rng = np.random.default_rng(34)
+    u1 = rng.uniform(-1.0, 1.0, (2, 63))
+    u2 = np.hstack([rng.uniform(-5.0, -3.0, (2, 60)), [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]])
+    game = StageGame(("a0", "a1"), tuple(f"b{j}" for j in range(63)), u1, u2)
+    path = tmp_path / "wide.json"
+    path.write_text(emit_game(game))
+    code, out = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    live = StageGame(game.actions1, game.actions2[60:], u1[:, 60:], u2[:, 60:])
+    assert doc["minmax"] == pytest.approx(_reference_stage.minmax_p1(live), abs=1e-12)
+    assert doc["vbar"] == pytest.approx(_reference_stage.vbar_p1(live), abs=1e-12)
+
+
+def test_concentration_refuses_a_root_past_the_float_range(capsys, tmp_path):
+    # The largest value is subnormal, so the horizon's closed form, and the
+    # tail exponent's root (about 1e323), overflow.
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps([{"value": 5e-324, "prob": 0.25}, {"value": -1e-300, "prob": 0.75}]))
+    code = dispatch(["concentration", "--dist", str(dist), "--delta", "0.9", "--c", "1", "--reps", "1000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the horizon's root is not a finite float: the largest value 4.94e-324 is too small"
+    ]

@@ -54,6 +54,15 @@ def test_exponent_requires_negative_mean():
         tail_exponent(FiniteDist.from_pairs([(1.0, 0.5), (-1.0, 0.5)]))
 
 
+def test_a_subnormal_largest_value_is_refused_not_returned_as_inf():
+    # The root is about 1.39 / 5e-324, beyond the float range.
+    dist = FiniteDist.from_pairs([(5e-324, 0.25), (-1e-300, 0.75)])
+    with pytest.raises(ValueError, match="is not a finite float"):
+        tail_exponent(dist)
+    with pytest.raises(ValueError, match="is not a finite float"):
+        min_horizon(dist, 0.9, 1.0)
+
+
 def test_exponent_is_smallest_positive_root():
     r_star = tail_exponent(DIST_QUARTER)
     for frac in (0.1, 0.3, 0.5, 0.7, 0.9):

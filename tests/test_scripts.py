@@ -35,8 +35,13 @@ def test_frequency_experiment_script():
 
 
 def test_cli_digest_script_prints_the_same_lines_on_every_run():
-    first = run_script("cli_digest.py", "--games", "product_choice")
-    assert run_script("cli_digest.py", "--games", "product_choice") == first
+    first = run_script("cli_digest.py", "--games", "product_choice", "random")
+    assert run_script("cli_digest.py", "--games", "product_choice", "random") == first
     lines = first.splitlines()
-    assert len(lines) == 18 + 6 + 24  # game calls, witness-target calls, trailing calls
-    assert all(line.startswith("0 ") for line in lines)
+    fixture_lines = [line for line in lines if " random_" not in line]
+    assert len(fixture_lines) == 18 + 6 + 24  # game calls, witness-target calls, trailing calls
+    assert all(line.startswith("0 ") for line in fixture_lines)
+    # analyze, fstar and fstar --equality on each of the 40 random games, and
+    # in-set-a wherever the equality witness exists
+    assert 3 * 40 < len(lines) - len(fixture_lines) <= 4 * 40
+    assert sum(line.startswith("0 ") and " analyze random_" in line for line in lines) == 40

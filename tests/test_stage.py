@@ -384,3 +384,121 @@ def test_bounds_and_assumptions_are_invariant():
         assert moved_rep.minmax == pytest.approx(rep.minmax, abs=1e-10)
         assert vbar_p1(moved) == pytest.approx(vb, abs=1e-10)
         assert _flags(moved_rep) == _flags(rep)
+
+
+def _one_system_vertices(eq: np.ndarray, ineq: np.ndarray) -> np.ndarray:
+    """The vertex enumerator as it was before it took a batch of systems: one
+    system, its zero rows dropped before the choices are formed."""
+
+    def unit(rows):
+        norms = np.linalg.norm(rows, axis=1)
+        keep = norms > 0.0
+        return rows[keep] / norms[keep, None]
+
+    n = eq.shape[1]
+    eq = unit(eq)
+    if len(eq) > 1:
+        _, sing, vt = np.linalg.svd(eq)
+        eq = vt[: np.count_nonzero(sing > stage.DEFAULT_TOL)]
+    need = n - 1 - len(eq)
+    if need < 0:
+        return np.empty((0, n))
+    ineq = np.vstack([unit(ineq), np.eye(n)])
+    choices = list(combinations(range(len(ineq)), need))
+    systems = np.empty((len(choices), n, n))
+    systems[:, 0] = n**-0.5
+    systems[:, 1 : n - need] = eq
+    systems[:, n - need :] = ineq[np.array(choices, dtype=np.intp).reshape(len(choices), need)]
+    systems = systems[np.abs(np.linalg.det(systems)) > 1e-12]
+    rhs = np.zeros((len(systems), n, 1))
+    rhs[:, 0] = n**-0.5
+    points = np.linalg.solve(systems, rhs)[..., 0]
+    return points[np.all(points @ ineq.T >= -stage.DEFAULT_TOL, axis=1)]
+
+
+def _maximal_by_definition(rows: np.ndarray) -> np.ndarray:
+    rows = np.unique(rows, axis=0)
+    contains = (rows[:, None] >= rows).all(axis=2)
+    np.fill_diagonal(contains, False)
+    return rows[~contains.any(axis=0)]
+
+
+def _table_by_loop(game: StageGame) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex table as it was built reply by reply, each reply's system
+    holding all of its rows, the zero row of the reply itself among them."""
+    n_a, n_b = game.u2.shape
+    pairs = []
+    for j in range(n_b):
+        diff = game.u2[:, j, None] - game.u2
+        vertices = _one_system_vertices(np.empty((0, n_a)), diff.T)
+        replies = vertices @ diff <= stage.DEFAULT_TOL * np.linalg.norm(diff, axis=0)
+        pairs.append(np.hstack([vertices <= stage.DEFAULT_TOL, replies]))
+    pairs = _maximal_by_definition(np.vstack(pairs))
+    return ~pairs[:, :n_a], pairs[:, n_a:]
+
+
+def _tie_heavy_integer_games(count: int, seed: int) -> list[StageGame]:
+    """Games of 2 to 6 actions a side with payoffs in {-1, 0, 1} or {-2, ..., 2}."""
+    rng = np.random.default_rng(seed)
+    games = []
+    for i in range(count):
+        n_a, n_b = (int(n) for n in rng.integers(2, 7, size=2))
+        top = 1 + i % 2
+        u1, u2 = (rng.integers(-top, top + 1, (n_a, n_b)).astype(float) for _ in range(2))
+        games.append(StageGame(tuple(f"a{i}" for i in range(n_a)), tuple(f"b{j}" for j in range(n_b)), u1, u2))
+    return games
+
+
+def test_one_batch_table_matches_the_per_reply_loop_row_for_row(games):
+    cases = list(games.values()) + _tie_heavy_integer_games(240, seed=31)
+    for game in cases:
+        for part, expected in zip(stage._reply_table(game), _table_by_loop(game)):
+            assert np.array_equal(part, expected), game
+
+
+def test_table_does_not_depend_on_the_batch_budget(games, monkeypatch):
+    # At one cell per batch, every reply's system is solved on its own.
+    cases = list(games.values()) + _tie_heavy_integer_games(40, seed=32)
+    stage._reply_table_of.cache_clear()
+    tables = [stage._reply_table(game) for game in cases]
+    monkeypatch.setattr(stage, "_VERTEX_CELLS", 1)
+    stage._reply_table_of.cache_clear()
+    try:
+        for game, table in zip(cases, tables):
+            for part, expected in zip(stage._reply_table(game), table):
+                assert np.array_equal(part, expected), game
+    finally:
+        stage._reply_table_of.cache_clear()
+
+
+def test_maximal_matches_its_definition_at_every_width():
+    # Widths past 64 and 128 pack each row into two and three words.
+    rng = np.random.default_rng(33)
+    for width in range(1, 131):
+        for density in (0.2, 0.5, 0.8):
+            rows = rng.random((int(rng.integers(1, 30)), width)) < density
+            rows = np.vstack([rows, rows[rng.integers(0, len(rows), 5)]])  # duplicates
+            assert np.array_equal(stage._maximal(rows), _maximal_by_definition(rows)), (width, density)
+
+
+def test_batched_vertices_match_one_system_calls_on_the_indifference_pieces(games, monkeypatch):
+    calls = []
+
+    def spy(eq, ineq):
+        calls.append((eq, ineq))
+        return stage._simplex_vertices(eq, ineq)
+
+    monkeypatch.setattr(bounds, "_simplex_vertices", spy)
+    for game in games.values():
+        bounds.indifference_pieces(game)
+    assert len(calls) >= 10
+    batched = 0
+    for eq, ineq in calls:
+        points, owner = stage._simplex_vertices(eq, ineq)
+        for i in range(len(ineq)):
+            alone, alone_owner = stage._simplex_vertices(eq, ineq[i : i + 1])
+            assert np.array_equal(points[owner == i], alone)
+            assert np.array_equal(alone, _one_system_vertices(eq, ineq[i]))
+            assert not alone_owner.any()
+        batched += len(ineq) > 1
+    assert batched == len(calls)
