@@ -17,6 +17,12 @@ with uniform payoffs in [-1, 1] and half with integers in {-2, ..., 2}, written
 to a temporary directory: ``analyze``, ``fstar``, ``fstar --equality`` and
 ``in-set-a`` run on each in JSON, so the digest covers the stage bounds'
 vertex table beyond the fixtures.
+
+Last before the random games, ``concentration`` runs in JSON on the two laws
+of the acceptance suite's tail grid, ``tail_dist_quarter`` and the one-two law
+((1, 0.2), (-2, 0.8)), written to the same directory, at every delta in
+{0.9, 0.99, 0.999} and c in {0.5, 4}: at delta 0.999 most replications spend
+most chunks too far below c to hit in them.
 """
 
 import argparse
@@ -50,6 +56,9 @@ GAME_CALLS = (
     ("fstar", "--method", "grid", "--resolution", "20"),
 )
 SIMULATE = ("--delta", "0.999", "--reps", "100")
+ONE_TWO = [{"value": 1.0, "prob": 0.2}, {"value": -2.0, "prob": 0.8}]
+TAIL_DELTAS = ("0.9", "0.99", "0.999")
+TAIL_CS = ("0.5", "4")
 # One call per applied game: the four block LPs of the comparative statics.
 APPS = (
     ("product-choice", "--gamma", "0.5", "--ch", "0.4", "--cl", "0.2"),
@@ -152,8 +161,14 @@ def main():
             run(["app", *app, "--format", fmt])
         run(["simulate", fixture("product_choice"), "--target", "H:1", *SIMULATE, "--format", fmt])
 
-    if RANDOM in args.games:
-        with tempfile.TemporaryDirectory() as directory:
+    with tempfile.TemporaryDirectory() as directory:
+        one_two = Path(directory) / "tail_dist_one_two.json"
+        one_two.write_text(json.dumps(ONE_TWO), encoding="utf-8")
+        for dist in (fixture("tail_dist_quarter"), str(one_two)):
+            for delta in TAIL_DELTAS:
+                for c in TAIL_CS:
+                    run(["concentration", "--dist", dist, "--delta", delta, "--c", c, "--reps", "1000", "--format", "json"])
+        if RANDOM in args.games:
             for path in write_random_games(Path(directory)):
                 run(["analyze", path, "--format", "json"])
                 run(["fstar", path, "--format", "json"])

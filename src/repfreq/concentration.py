@@ -19,11 +19,12 @@ _EXP_CAP = 700.0  # beyond this, exp overflows; the moment is effectively +inf
 # Monte Carlo stream layout: replications per Philox stream, and steps drawn
 # per live row between prune checks. Both fix which 32-bit word each step uses,
 # so changing either changes every estimate for a given seed. A 256 x 64 chunk
-# is 64 KB of words plus 128 KB of float64 steps.
+# is 64 KB of words, plus 128 KB of float64 steps when every row is near.
 _BATCH = 256
 _CHUNK = 64
 _HORIZON_REL = 1e-6  # most the sum may still gain after the horizon, as a share of max(c, 1)
 MIN_REPS = 1000  # fewest replications tail_probability_mc accepts
+MAX_HORIZON = 10**7  # most steps tail_probability_mc accepts: 80 MB of discounts
 
 
 @dataclass(frozen=True)
@@ -154,12 +155,15 @@ def min_horizon(dist: FiniteDist, delta: float, c: float) -> int:
     max_pos = max(dist.max_value, 0.0)
     if max_pos == 0.0:
         return 1
-    # delta^(h+1) * max_pos / (1 - delta) < limit, solved in closed form; where
-    # rounding puts h on the boundary, the guard's own test moves it up one.
+    # Below 2**-1024, 1 / max_pos, the scale of tail_exponent's root, overflows.
+    if 1.0 / max_pos == math.inf:
+        raise ValueError(f"the largest value {max_pos:.3g} is too small: its reciprocal is not a finite float")
+    # delta^(h+1) * max_pos / (1 - delta) < limit, solved in closed form as a
+    # sum of logarithms, each finite where the product of their arguments may
+    # underflow; where rounding puts h on the boundary, the guard's own test
+    # moves it up one.
     limit = _HORIZON_REL * max(c, 1.0)
-    root = math.log(limit * (1.0 - delta) / max_pos) / math.log(delta)
-    if root == -math.inf:  # a subnormal max_pos: limit * (1 - delta) / max_pos overflows
-        raise ValueError(f"the horizon's root is not a finite float: the largest value {max_pos:.3g} is too small")
+    root = (math.log(limit) + math.log(1.0 - delta) - math.log(max_pos)) / math.log(delta)
     h = max(math.ceil(root) - 1, 1)
     return h + 1 if _post_horizon(dist, delta, h) >= limit else h
 
@@ -237,11 +241,12 @@ def tail_probability_mc(
     ``k * _BATCH`` onward; the last batch may be short) draws from one Philox
     stream keyed by ``(seed % 2**64, k)``, so results do not depend on the
     order in which batches run. Each draw from that stream fills a
-    ``(live rows, _CHUNK)`` matrix of steps (fewer columns if the horizon
-    ends sooner): the bit generator's ``random_raw`` gives ceil(steps / 2)
-    64-bit words, viewed as 32-bit halves in memory order (low half first on
-    little-endian machines), and the first halves fill the matrix row by row.
-    A half w becomes ``values[number of edges <= w]``, where the integer edges
+    ``(live rows, _CHUNK)`` matrix of steps' words (fewer columns if the
+    horizon ends sooner): the bit generator's ``random_raw`` gives
+    ceil(steps / 2) 64-bit words, viewed as 32-bit halves in memory order (low
+    half first on little-endian machines), and the first halves fill the
+    matrix row by row. A half w stands for the step
+    ``values[number of edges <= w]``, where the integer edges
     are the cumulative probabilities times 2**32, rounded, so each support
     probability is quantised to a multiple of 2**-32. Rows that hit ``c`` or
     can no longer reach it leave the batch after each chunk. That pruning is
@@ -249,12 +254,19 @@ def tail_probability_mc(
 
     Within a chunk, only a near row can hit ``c``: one whose sum so far (its
     carry) plus ``max(values) * sum(delta**t)`` over the chunk's steps, the
-    most the chunk can add, is at least ``c``. Only near rows form prefix sums
-    and test them against ``c``; a near row's carry becomes its last prefix
-    sum, as a sequential sum would give. A far row skips the test, which is
-    exact as the pruning is, and its carry advances by its chunk total, a
-    pairwise sum of its own steps, so its rounding may differ from the
-    sequential sum's in the last bits.
+    most the chunk can add, is at least ``c``. Only near rows map their words
+    to steps, form prefix sums and test them against ``c``; a near row's carry
+    becomes its last prefix sum, as a sequential sum would give. A far row
+    skips the test, which is exact as the pruning is, and its carry advances
+    by its pairwise row total ``sum_k values[k] * (A_k - A_{k+1})``: A_k is
+    the sum of ``delta**t`` over the row's words at or above edge k (a
+    row-local ``einsum``, no BLAS), A_0 the chunk's whole weight and A_K = 0.
+    Its rounding may differ from the sequential sum's in the last bits.
+
+    The horizon may be at most ``MAX_HORIZON`` (10**7) steps, whose discounts
+    take 80 MB, and the largest ``|value| / (1 - delta)`` must be a finite
+    float, or the discounted sums could overflow; both are refused with a
+    ``ValueError``.
 
     So after the first chunk, the words a replication receives depend on
     which rows of its batch are still live, which depends on ``delta``,
@@ -262,10 +274,18 @@ def tail_probability_mc(
     the first chunk, and only where their horizons give it the same width.
     """
     _check_delta_c(delta, c)
+    values = dist.values.tolist()
+    largest = max(map(abs, values))
+    if largest / (1.0 - delta) == math.inf:
+        raise ValueError(
+            f"the largest |value| {largest:.3g} / (1 - delta) is not a finite float, so the discounted sums can overflow"
+        )
     if reps < MIN_REPS:
         raise ValueError(f"reps must be at least {MIN_REPS}")
     if horizon < 1:
         raise ValueError("horizon must be positive")
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"horizon {horizon} is above the cap of {MAX_HORIZON} steps")
     _check_horizon(dist, delta, c, horizon)
 
     r_star = tail_exponent(dist)
@@ -274,8 +294,9 @@ def tail_probability_mc(
     edges = _cum_edges(np.cumsum(dist.probs)[:-1])
     max_pos = dist.max_value
     disc_all = np.exp(math.log(delta) * np.arange(1, horizon + 1))
+    chunk_disc = np.add.reduceat(disc_all, np.arange(0, horizon, _CHUNK))
     # The most each chunk's steps can add; max_pos > 0, as tail_exponent checked.
-    reach = max_pos * np.add.reduceat(disc_all, np.arange(0, horizon, _CHUNK))
+    reach = max_pos * chunk_disc
 
     hits = 0
     spare: list[np.random.Philox] = []
@@ -285,20 +306,29 @@ def tail_probability_mc(
         start = 1  # the sum runs over t = 1, 2, ...
         while carry.size and start <= horizon:
             n = min(_CHUNK, horizon - start + 1)
+            disc = disc_all[start - 1 : start - 1 + n]
             words = _draw_words(bitgen, (carry.size, n))
-            steps = dist.values.take(_word_index(words, edges))
-            steps *= disc_all[start - 1 : start - 1 + n]
             # Only a near row, one whose carry plus the chunk's reach is at
             # least c, can hit in the chunk, so only near rows form prefix
-            # sums. A far row's carry advances by its row total; a near row's
-            # becomes its last prefix sum.
-            near = np.flatnonzero(carry + reach[(start - 1) // _CHUNK] >= c)
-            sums, near_carry = steps, carry
+            # sums; a near row's carry becomes its last prefix sum. A far
+            # row's carry advances by its row total sum_k values[k] * (A_k -
+            # A_{k+1}), where A_k is the discounted weight of its words at or
+            # above edge k, A_0 the chunk's whole weight and A_K = 0.
+            chunk = (start - 1) // _CHUNK
+            near = np.flatnonzero(carry + reach[chunk] >= c)
+            near_words, near_carry = words, carry
             if near.size < carry.size:
-                sums, near_carry = steps[near], carry[near]
-                carry += np.add.reduce(steps, axis=1)
+                near_words, near_carry = words[near], carry[near]
+                weights = [chunk_disc[chunk]]
+                weights += [np.einsum("ij,j->i", (words >= edge).astype(float), disc) for edge in edges]
+                total = values[-1] * weights[-1]
+                for k, value in enumerate(values[:-1]):
+                    total += value * (weights[k] - weights[k + 1])
+                carry += total
             hit = near[:0]
             if near.size:
+                sums = dist.values.take(_word_index(near_words, edges))
+                sums *= disc
                 np.cumsum(sums, axis=1, out=sums)
                 sums += near_carry[:, None]
                 hit = near[(sums >= c).any(axis=1)]

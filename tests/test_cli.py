@@ -548,6 +548,34 @@ def test_nan_probability_exits_1_with_one_stderr_line(capsys, tmp_path):
     assert captured.err.splitlines() == ["error: probabilities must be finite and positive"]
 
 
+HUGE = [{"value": 1e308, "prob": 0.25}, {"value": -1e308, "prob": 0.75}]
+OVERFLOW = "error: the largest |value| 1e+308 / (1 - delta) is not a finite float, so the discounted sums can overflow"
+
+
+@pytest.mark.parametrize(
+    "entries, delta, message",
+    [
+        # The shortest horizon, about 4.6e17 steps, would need exabytes of discounts.
+        (None, "0.9999999999999999", "error: horizon 455334739114326143 is above the cap of 10000000 steps"),
+        # limit * (1 - delta) / max(Z) underflows to 0, so the horizon is solved in logarithms.
+        (HUGE, "0.9999999999999999", OVERFLOW),
+        # The chunk reach and the prefix sums would overflow, and numpy would warn on a success.
+        (HUGE, "0.9", OVERFLOW),
+    ],
+    ids=["past-the-horizon-cap", "horizon-ratio-underflows", "sums-overflow"],
+)
+def test_concentration_refusals_exit_1_with_one_stderr_line(capsys, tmp_path, entries, delta, message):
+    dist = DIST_FILE
+    if entries is not None:
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps(entries))
+    code = dispatch(["concentration", "--dist", str(dist), "--delta", delta, "--c", "1", "--reps", "1000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
 def test_runtime_error_exits_1_with_one_stderr_line(capsys, monkeypatch):
     def fail(args):
         raise RuntimeError("block entered compensation with a payoff deficit (-0.1)")
@@ -695,8 +723,8 @@ def test_a_two_by_63_game_reaches_analyze_with_the_reference_bounds(capsys, tmp_
 
 
 def test_concentration_refuses_a_root_past_the_float_range(capsys, tmp_path):
-    # The largest value is subnormal, so the horizon's closed form, and the
-    # tail exponent's root (about 1e323), overflow.
+    # The largest value is subnormal: its reciprocal, and the tail exponent's
+    # root (about 1e323), overflow.
     dist = tmp_path / "dist.json"
     dist.write_text(json.dumps([{"value": 5e-324, "prob": 0.25}, {"value": -1e-300, "prob": 0.75}]))
     code = dispatch(["concentration", "--dist", str(dist), "--delta", "0.9", "--c", "1", "--reps", "1000"])
@@ -704,5 +732,5 @@ def test_concentration_refuses_a_root_past_the_float_range(capsys, tmp_path):
     assert code == 1
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: the horizon's root is not a finite float: the largest value 4.94e-324 is too small"
+        "error: the largest value 4.94e-324 is too small: its reciprocal is not a finite float"
     ]

@@ -9,6 +9,7 @@ from repfreq.concentration import (
     _BATCH,
     _CHUNK,
     _EXP_CAP,
+    MAX_HORIZON,
     _ROOT_WIDTH,
     FiniteDist,
     _cum_edges,
@@ -296,8 +297,13 @@ GRID = ((0.9, 0.99, 0.999), (0.5, 2.0, 4.0))
         # Mostly +1 steps with a rare fall of 150: a row can stay far below c
         # for whole chunks and then climb back to hit it.
         (FiniteDist.from_pairs([(1.0, 0.99), (-150.0, 0.01)]), (0.999,), (40.0, 100.0)),
+        # Values out of order along the edges, and the large value first: a
+        # far row's total that paired a value with the wrong edge's weight
+        # would move its carry. The first climbs back as "climb" does.
+        (FiniteDist.from_pairs([(1.0, 0.6), (-150.0, 0.01), (0.5, 0.39)]), (0.999,), (20.0, 40.0)),
+        (FiniteDist.from_pairs([(5.0, 0.1), (-1.0, 0.9)]), *GRID),
     ],
-    ids=["quarter", "cubic", "6-point", "climb"],
+    ids=["quarter", "cubic", "6-point", "climb", "unsorted", "large-first"],
 )
 def test_estimate_matches_the_full_prefix_sum_reference(dist, deltas, cs):
     # 1300 replications leave the last batch partial.
@@ -347,6 +353,32 @@ def test_domain_guards():
     with pytest.raises(ValueError, match="horizon"):
         # A horizon this short leaves a reachable tail above the guard.
         tail_probability_mc(DIST_QUARTER, 0.999, 1.0, 50, reps=2000, seed=0)
+
+
+def test_a_horizon_above_the_cap_is_refused_before_its_discounts_are_allocated():
+    # About 4.6e17 steps: 3.16 EiB of float64 discounts.
+    horizon = min_horizon(DIST_QUARTER, 0.9999999999999999, 1.0)
+    assert horizon > MAX_HORIZON
+    with pytest.raises(ValueError, match=f"horizon {horizon} is above the cap of {MAX_HORIZON} steps"):
+        tail_probability_mc(DIST_QUARTER, 0.9999999999999999, 1.0, horizon, reps=1000, seed=0)
+
+
+HUGE = FiniteDist.from_pairs([(1e308, 0.25), (-1e308, 0.75)])
+
+
+def test_min_horizon_is_finite_where_its_ratio_underflows():
+    # limit * (1 - delta) / 1e308 underflows to 0; the sum of logarithms does not.
+    delta = 0.9999999999999999
+    horizon = min_horizon(HUGE, delta, 1.0)
+    # delta**horizon underflows too, so the residual is checked in logarithms.
+    log_residual = (horizon + 1) * math.log(delta) + math.log(1e308) - math.log(1 - delta)
+    assert log_residual == pytest.approx(math.log(1e-6), abs=1e-9)
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.9, 0.9999999999999999])
+def test_sums_that_can_overflow_are_refused(delta):
+    with pytest.raises(ValueError, match=r"1e\+308 / \(1 - delta\) is not a finite float"):
+        tail_probability_mc(HUGE, delta, 1.0, min_horizon(HUGE, delta, 1.0), reps=1000, seed=0)
 
 
 def test_min_horizon_satisfies_guard():
