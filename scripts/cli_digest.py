@@ -22,7 +22,9 @@ Last before the random games, ``concentration`` runs in JSON on the two laws
 of the acceptance suite's tail grid, ``tail_dist_quarter`` and the one-two law
 ((1, 0.2), (-2, 0.8)), written to the same directory, at every delta in
 {0.9, 0.99, 0.999} and c in {0.5, 4}: at delta 0.999 most replications spend
-most chunks too far below c to hit in them.
+most chunks too far below c to hit in them. Then ``fstar --equality`` and
+``simulate`` at eps1 0.2 run in JSON on a product-choice game whose paths
+often reach the absorbing subphase, written to the same directory.
 """
 
 import argparse
@@ -57,6 +59,16 @@ GAME_CALLS = (
 )
 SIMULATE = ("--delta", "0.999", "--reps", "100")
 ONE_TWO = [{"value": 1.0, "prob": 0.2}, {"value": -2.0, "prob": 0.8}]
+# The product-choice game at buyer threshold gamma 0.1 and costs 0.4 and 0.2
+# (apps.ProductChoiceParams), as literal payoffs: its reviews pass often, so
+# simulate at eps1 0.2 spends many periods in the absorbing subphase.
+ABSORBING = {
+    "name": "absorbing_product_choice",
+    "actions1": ["H", "L"],
+    "actions2": ["h", "l"],
+    "u1": [[0.6, -0.2], [1.0, 0.0]],
+    "u2": [[1.9, 1.0], [-0.1, 0.0]],
+}
 TAIL_DELTAS = ("0.9", "0.99", "0.999")
 TAIL_CS = ("0.5", "4")
 # One call per applied game: the four block LPs of the comparative statics.
@@ -168,6 +180,12 @@ def main():
             for delta in TAIL_DELTAS:
                 for c in TAIL_CS:
                     run(["concentration", "--dist", dist, "--delta", delta, "--c", c, "--reps", "1000", "--format", "json"])
+        absorbing = Path(directory) / f"{ABSORBING['name']}.json"
+        absorbing.write_text(json.dumps(ABSORBING), encoding="utf-8")
+        code, out = run(["fstar", str(absorbing), "--equality", "--format", "json"])
+        if code == 0:
+            run(["simulate", str(absorbing), "--target", witness_marginal(out), *SIMULATE, "--eps1", "0.2",
+                 "--format", "json"])
         if RANDOM in args.games:
             for path in write_random_games(Path(directory)):
                 run(["analyze", path, "--format", "json"])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,9 @@ _BATCH = 256
 _CHUNK = 64
 _HORIZON_REL = 1e-6  # most the sum may still gain after the horizon, as a share of max(c, 1)
 MIN_REPS = 1000  # fewest replications tail_probability_mc accepts
-MAX_HORIZON = 10**7  # most steps tail_probability_mc accepts: 80 MB of discounts
+# Most steps tail_probability_mc accepts, and most entries of simulate_path's
+# discount vector: 80 MB of float64 discounts.
+MAX_HORIZON = 10**7
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,52 @@ class FiniteDist:
     def max_value(self) -> float:
         return float(self.values.max())
 
+    @cached_property
+    def tail_exponent(self) -> float:
+        """The root :func:`tail_exponent` returns, solved on first use. The
+        support arrays are read-only, so it never goes stale; an error is not
+        cached, so it raises on every call."""
+        if self.mean >= 0:
+            raise ValueError("distribution mean must be negative")
+        if self.max_value <= 0:
+            raise ValueError("distribution must take a positive value with positive probability")
+
+        scale = math.ldexp(1.0, math.frexp(self.max_value)[1] - 1)
+        # Python floats: the support is tiny, so numpy's per-call overhead would
+        # dominate the roughly 45 bisection steps.
+        pairs = [(prob, value / scale) for prob, value in zip(self.probs.tolist(), self.values.tolist())]
+        max_pos = self.max_value / scale
+
+        def gap(r: float) -> float:
+            if r * max_pos > _EXP_CAP:
+                return math.inf
+            return math.fsum([prob * math.exp(r * value) for prob, value in pairs]) - 1.0
+
+        # Ends by hi = 1024: there r * max_pos >= 1024 > _EXP_CAP, so the gap is inf.
+        hi = 1.0
+        while gap(hi) <= 0.0:
+            hi *= 2.0
+        lo = 0.0
+        width = _ROOT_WIDTH * min(1.0, scale)
+        while hi - lo > width:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break  # adjacent floats: above 512, or where width is below their spacing
+            g = gap(mid)
+            if g == 0.0:
+                lo = hi = mid
+                break
+            if g > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        root = 0.5 * (lo + hi) / scale
+        if root == math.inf:  # a subnormal largest value puts the root beyond the float range
+            raise ValueError(
+                f"the tail exponent's root is not a finite float: the largest value {self.max_value:.3g} is too small"
+            )
+        return root
+
 
 @dataclass(frozen=True)
 class TailReport:
@@ -93,47 +142,11 @@ def tail_exponent(dist: FiniteDist) -> float:
     depend on the support's scale; the root found is then divided by s. The
     bracket on the scaled root stops below ``_ROOT_WIDTH * min(1, s)``, so the
     root's own bracket is never wider than ``_ROOT_WIDTH``.
+
+    The root is solved once per distribution and kept on it
+    (``FiniteDist.tail_exponent``); later calls return that same float.
     """
-    if dist.mean >= 0:
-        raise ValueError("distribution mean must be negative")
-    if dist.max_value <= 0:
-        raise ValueError("distribution must take a positive value with positive probability")
-
-    scale = math.ldexp(1.0, math.frexp(dist.max_value)[1] - 1)
-    # Python floats: the support is tiny, so numpy's per-call overhead would
-    # dominate the roughly 45 bisection steps.
-    pairs = [(prob, value / scale) for prob, value in zip(dist.probs.tolist(), dist.values.tolist())]
-    max_pos = dist.max_value / scale
-
-    def gap(r: float) -> float:
-        if r * max_pos > _EXP_CAP:
-            return math.inf
-        return math.fsum([prob * math.exp(r * value) for prob, value in pairs]) - 1.0
-
-    # Ends by hi = 1024: there r * max_pos >= 1024 > _EXP_CAP, so the gap is inf.
-    hi = 1.0
-    while gap(hi) <= 0.0:
-        hi *= 2.0
-    lo = 0.0
-    width = _ROOT_WIDTH * min(1.0, scale)
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # adjacent floats: above 512, or where width is below their spacing
-        g = gap(mid)
-        if g == 0.0:
-            lo = hi = mid
-            break
-        if g > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    root = 0.5 * (lo + hi) / scale
-    if root == math.inf:  # a subnormal largest value puts the root beyond the float range
-        raise ValueError(
-            f"the tail exponent's root is not a finite float: the largest value {dist.max_value:.3g} is too small"
-        )
-    return root
+    return dist.tail_exponent
 
 
 def _check_delta_c(delta: float, c: float) -> None:

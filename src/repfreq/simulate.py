@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .attain import decompose_target
-from .concentration import FiniteDist, _cum_edges, _draw_words, _philox, _word_index, tail_exponent
+from .concentration import MAX_HORIZON, FiniteDist, _cum_edges, _draw_words, _philox, _word_index, tail_exponent
 from .game import MixedAction, StageGame
 from .stage import DEFAULT_TOL, _worst_replies, minmax_p1, stackelberg
 
@@ -78,20 +78,18 @@ class SimParams:
     atom_a: np.ndarray | None = field(default=None, repr=False)
     atom_b: np.ndarray | None = field(default=None, repr=False)
 
-    # 32-bit word edges (concentration._cum_edges) of p, eps1 and atom_cum[:-1]:
-    # a draw of probability F is the event w < round(F * 2**32). Derived on
-    # first use, so they always agree with the fields they come from.
+    # 32-bit word edges (concentration._cum_edges): a draw of probability F is
+    # the event w < round(F * 2**32). p_edge is the mixture's tempting action;
+    # joint_edges split an absorbing period's word into its outcome codes (see
+    # _Chunk). Derived on first use, so they always agree with the fields they
+    # come from.
     @cached_property
     def p_edge(self) -> int:
         return int(_cum_edges(self.p))
 
     @cached_property
-    def eps1_edge(self) -> int:
-        return int(_cum_edges(self.eps1))
-
-    @cached_property
-    def atom_edges(self) -> np.ndarray:
-        return _cum_edges(self.atom_cum[:-1])
+    def joint_edges(self) -> np.ndarray:
+        return _cum_edges(np.append((1.0 - self.eps1) * self.atom_cum, 1.0 - self.eps1 + self.eps1 * self.p))
 
 
 @dataclass
@@ -376,22 +374,23 @@ class _Chunk:
     compared with integer edges round(F * 2**32) (:func:`concentration._cum_edges`),
     so each probability is quantised to a multiple of 2**-32. In stream order:
     a ``(blocks, t1)`` review matrix, tempting where w < edge(p); for the rows
-    whose review was all tempting, a ``(rows, t2_bar)`` device matrix, the
-    mixture where w < edge(eps1), and a ``(rows, t2_bar)`` action matrix,
-    mapped to the witness atom whose index is the number of cumulative atom
-    edges <= w, or under the mixture to the tempting action where w < edge(p);
-    then one compensation coin per block, ending the run one period early
-    where w < edge(phi). A path with ``left = t_max + 1 - t <= t1`` periods
-    left is surely cut inside its next block's review, so its chunk is that
-    one block, of which it draws only the ``left`` review words it reads.
+    whose review was all tempting, one ``(rows, t2_bar)`` absorbing matrix, a
+    word per period drawn from the joint law of the device and the action:
+    its outcome code is the number of ``SimParams.joint_edges`` <= w, a
+    witness atom k where w < edge((1 - eps1) * atom_cum[k]), else the
+    mixture's tempting action where w < edge(1 - eps1 + eps1 * p), else its
+    commitment action; then one compensation coin per block, ending the run
+    one period early where w < edge(phi). A path with ``left = t_max + 1 - t
+    <= t1`` periods left is surely cut inside its next block's review, so its
+    chunk is that one block, of which it draws only the ``left`` review words
+    it reads.
 
     Each path turns its review words into what the chunk keeps as it draws
     them: its reviews packed to bits (see :meth:`review`) and each review's
     tempting weight. The absorbing words of consecutive paths are turned into
     one ``outcome`` code per absorbing period a group of rows at a time (see
-    :meth:`_codes`): a witness atom's index or after them the mixture's
-    tempting or commitment action. So a block keeps a bit per review period
-    and a byte per absorbing period.
+    :meth:`_codes`). So a block keeps a bit per review period and a byte per
+    absorbing period.
     """
 
     def __init__(
@@ -489,16 +488,16 @@ class _Chunk:
                 tempting[lo : lo + n] = review.all(axis=1)
             bits = np.packbits(review, axis=1)
             self.packed[lo : lo + n, : bits.shape[1]] = bits
-        # The review decides how many device and action words follow.
+        # The review decides how many absorbing words follow.
         self.rows = np.flatnonzero(tempting)
-        self.outcome = np.empty((len(self.rows), t2), dtype=np.min_scalar_type(len(params.atom_a) + 1))
+        self.outcome = np.empty((len(self.rows), t2), dtype=np.min_scalar_type(len(params.joint_edges)))
         coins = np.zeros(blocks, dtype=np.uint32)
-        words = []  # device and action words of the rows drawn but not yet converted
+        words = []  # absorbing words of the rows drawn but not yet converted
         done = drawn = 0  # rows converted, rows drawn
         counts = np.bincount(self.owner[self.rows], minlength=len(firsts)).tolist()
         for bitgen, lo, n, k, part in zip(bitgens, firsts, sizes, counts, partial.tolist()):
             if k:
-                words.append((_draw_words(bitgen, (k, t2)), _draw_words(bitgen, (k, t2))))
+                words.append(_draw_words(bitgen, (k, t2)))
                 drawn += k
                 if (drawn - done) * t2 >= _BATCH_CELLS // 64:
                     self._codes(words, done)
@@ -509,17 +508,11 @@ class _Chunk:
             self._codes(words, done)
         return coins
 
-    def _codes(self, words: list[tuple[np.ndarray, np.ndarray]], at: int) -> None:
-        """Turn device and action word matrices, in stream order, into the
-        ``outcome`` codes of the rows from ``at`` on."""
-        params, n_atoms = self.params, len(self.params.atom_a)
-        device, action = (np.concatenate(w) for w in zip(*words))
-        code = self.outcome[at : at + len(action)]
-        code[...] = _word_index(action, params.atom_edges)
-        # The mixture's code where the device picks it, by wraparound
-        # arithmetic: code + device * (mix - code).
-        mix = n_atoms + (action >= params.p_edge).view(np.uint8)
-        code += (device < params.eps1_edge).view(np.uint8) * (mix - code)
+    def _codes(self, words: list[np.ndarray], at: int) -> None:
+        """Turn absorbing word matrices, in stream order, into the ``outcome``
+        codes of the rows from ``at`` on."""
+        words = np.concatenate(words)
+        self.outcome[at : at + len(words)] = _word_index(words, self.params.joint_edges)
 
     def review(self, idx) -> np.ndarray:
         """The reviews of blocks ``idx`` as a bool matrix, tempting where True,
@@ -686,9 +679,17 @@ def simulate_path(
     path still reads only its own stream, the same words in the same order,
     and adds up its own blocks in its own order, so each result equals what
     ``stream=s`` alone returns, bit for bit.
+
+    A path holds min(t1, t_max) or t2_bar discounts, whichever is more; past
+    ``concentration.MAX_HORIZON`` entries it is refused with a ``ValueError``
+    before anything is drawn. Always-commit parameters hold none.
     """
     if not params.delta_bar < delta < 1.0:
         raise ValueError(f"delta must lie in ({params.delta_bar}, 1)")
+    if not params.trivial:
+        length = max(min(params.t1, _horizon(delta)), params.t2_bar)
+        if length > MAX_HORIZON:
+            raise ValueError(f"the path's discount vector would take {length} entries, above the cap of {MAX_HORIZON}")
     streams = stream if isinstance(stream, range) else range(stream, stream + 1)
     paths = _simulate(game, params, delta, seed, streams)
     return paths if isinstance(stream, range) else paths[0]
@@ -711,12 +712,13 @@ def _prepare(bitgen: np.random.Philox, p_edge: int, t_max: int) -> tuple[int, bo
 
 def _paths_at_once(params: SimParams, t_max: int) -> int:
     """How many paths a ``simulate_path`` call simulates at once: as many as
-    keep one round of their chunks within ``_BATCH_CELLS`` cells. A path's
-    first chunk is its largest, since it caps the later ones, and it has at
-    most ``_chunk_blocks(t_max, 1, t1)`` blocks, since the estimated block
-    length it is sized from is at least t1 (see :func:`simulate_path`). Each
-    block has at most min(t1, t_max) review cells, kept as a bit each, and
-    t2_bar absorbing cells, kept as a byte each (see :class:`_Chunk`). An
+    keep one round of their chunks within ``_BATCH_CELLS`` cells, but at least
+    one, so a path whose first chunk alone exceeds the budget runs alone. A
+    path's first chunk is its largest, since it caps the later ones, and it
+    has at most ``_chunk_blocks(t_max, 1, t1)`` blocks, since the estimated
+    block length it is sized from is at least t1 (see :func:`simulate_path`).
+    Each block has at most min(t1, t_max) review cells, kept as a bit each,
+    and t2_bar absorbing cells, kept as a byte each (see :class:`_Chunk`). An
     always-commit path draws no blocks; it is counted as one cell."""
     if params.trivial:
         return _BATCH_CELLS

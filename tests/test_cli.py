@@ -195,6 +195,24 @@ def test_simulate_at_the_construction_bound_exits_1_with_one_stderr_line(capsys)
     assert captured.err.splitlines() == ["error: delta 0.99 is at or below the construction bound 0.99 (1 - eps1)"]
 
 
+def test_simulate_near_delta_one_exits_1_with_one_stderr_line():
+    # t2_bar = ceil(log(0.5) / log(delta)) is about 6.9e12 periods: the path's
+    # discount vector is refused before anything is drawn, in place of an
+    # allocation of tebibytes. An always-commit path allocates nothing per
+    # period, so it still runs at this delta.
+    fixture, delta = str(fixture_path("product_choice")), "0.9999999999999"
+    argv = ["simulate", fixture, "--target", "H:0.375,L:0.625", "--delta", delta, "--reps", "100", "--eps1", "0.5"]
+    proc = run_cli_process(*argv, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: the path's discount vector would take ")
+    assert line.endswith(f" entries, above the cap of {concentration.MAX_HORIZON}")
+    proc = run_cli_process("simulate", fixture, "--target", "H:1", "--delta", delta, "--reps", "100", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["freq"]["H"] > 0.99
+
+
 def test_simulate_runs_clean_where_compensation_cannot_start(capsys, tmp_path):
     # t1 = 193,772 exceeds the 3,674-period horizon at delta = 0.995, so
     # delta**(t1 + t2_bar) underflows to 0: no compensation run can end.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repfreq import concentration
 from repfreq.concentration import (
     _BATCH,
     _CHUNK,
@@ -62,6 +63,21 @@ def test_a_subnormal_largest_value_is_refused_not_returned_as_inf():
         tail_exponent(dist)
     with pytest.raises(ValueError, match="is not a finite float"):
         min_horizon(dist, 0.9, 1.0)
+
+
+def test_exponent_is_solved_once_per_distribution(monkeypatch):
+    dist = FiniteDist.from_pairs([(1.0, 0.25), (-1.0, 0.75)])
+    first = tail_exponent(dist)
+    # The second call reads the root kept on the distribution: with the math
+    # module gone, a second solve would fail.
+    monkeypatch.setattr(concentration, "math", None)
+    assert tail_exponent(dist).hex() == first.hex()
+    monkeypatch.undo()
+    # An error is not kept: it raises on every call.
+    fair = FiniteDist.from_pairs([(1.0, 0.5), (-1.0, 0.5)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="mean must be negative"):
+            tail_exponent(fair)
 
 
 def test_exponent_is_smallest_positive_root():

@@ -39,7 +39,8 @@ def test_cli_digest_script_prints_the_same_lines_on_every_run():
     assert run_script("cli_digest.py", "--games", "product_choice", "random") == first
     lines = first.splitlines()
     fixture_lines = [line for line in lines if " random_" not in line]
-    assert len(fixture_lines) == 18 + 6 + 24 + 12  # game calls, witness-target calls, trailing calls, tail grid
+    # game calls, witness-target calls, trailing calls, tail grid, absorbing game
+    assert len(fixture_lines) == 18 + 6 + 24 + 12 + 2
     assert all(line.startswith("0 ") for line in fixture_lines)
     # analyze, fstar and fstar --equality on each of the 40 random games, and
     # in-set-a wherever the equality witness exists

@@ -391,12 +391,19 @@ def test_path_tallies_match_the_block_records():
     assert breaches > 0
 
 
+def joint_law(params) -> np.ndarray:
+    """The cumulative law of an absorbing period's outcome codes but the last:
+    each witness atom k at (1 - eps1) * q_k, then the mixture's tempting action
+    at eps1 * p; its commitment action takes the rest."""
+    return np.append((1 - params.eps1) * params.atom_cum, 1 - params.eps1 + params.eps1 * params.p)
+
+
 def test_word_edges_follow_the_probabilities_they_quantise(pc_params):
     assert pc_params.p_edge == round(pc_params.p * 2**32)
-    assert pc_params.eps1_edge == round(pc_params.eps1 * 2**32)
-    assert np.array_equal(pc_params.atom_edges, np.rint(pc_params.atom_cum[:-1] * 2**32))
+    assert np.array_equal(pc_params.joint_edges, np.rint(joint_law(pc_params) * 2**32))
     moved = dataclasses.replace(pc_params, p=0.5, eps1=0.25)
-    assert (moved.p_edge, moved.eps1_edge) == (2**31, 2**30)
+    assert moved.p_edge == 2**31
+    assert np.array_equal(moved.joint_edges, np.rint(np.append(0.75 * pc_params.atom_cum, 0.875) * 2**32))
     with pytest.raises(TypeError):
         dataclasses.replace(pc_params, p_edge=0)
 
@@ -421,17 +428,35 @@ def test_chunk_draws_raw_philox_halves_against_integer_edges():
     assert rows.size, "the chunk must reach the absorbing subphase"
     assert np.array_equal(chunk.review(slice(None)), review)
     assert np.array_equal(chunk.rows, rows)
-    device = halves(rows.size, params.t2_bar) < edge(params.eps1)
-    action = halves(rows.size, params.t2_bar)
-    atom = np.searchsorted(edge(params.atom_cum[:-1]), action, side="right")
-    mix = len(params.atom_a) + (action >= edge(params.p))
-    assert np.array_equal(chunk.outcome, np.where(device, mix, atom))
+    # One word per absorbing period: its code is the number of joint edges <= it.
+    absorbing = halves(rows.size, params.t2_bar)
+    assert np.array_equal(chunk.outcome, np.searchsorted(edge(joint_law(params)), absorbing, side="right"))
     # The coin's probability is quantised to 2**-32, and a word below its edge
     # ends the compensation run one period early.
     coins = halves(1, blocks)[0]
     phi_edge = chunk.phi * 2.0**32
     assert np.array_equal(phi_edge, np.round(phi_edge))
     assert np.array_equal(chunk.comp_len, np.where(chunk.burns, chunk.n_comp - (coins < phi_edge), 0))
+
+
+def test_absorbing_codes_follow_the_joint_law_of_device_and_action():
+    # Over a million absorbing periods, each code's count lies within 4 sigma
+    # of its share: (1 - eps1) * q_k for witness atom k, then eps1 * p for the
+    # mixture's tempting action and eps1 * (1 - p) for its commitment action.
+    delta = 0.999
+    game, params = absorbing_game_params(delta)
+    paths = 100
+    bitgens = [np.random.Philox(key=np.array([23, k], dtype=np.uint64)) for k in range(paths)]
+    blocks = np.full(paths, _MAX_CHUNK_BLOCKS)
+    chunk = _Chunk(bitgens, game, params, delta, blocks, np.zeros(paths, dtype=np.int64), _horizon(delta))
+    cells = chunk.outcome.size
+    assert cells >= 10**6
+    eps1, p = params.eps1, params.p
+    share = np.append((1 - eps1) * np.diff(params.atom_cum, prepend=0.0), [eps1 * p, eps1 * (1 - p)])
+    counts = np.bincount(chunk.outcome.ravel(), minlength=len(share))
+    assert len(counts) == len(share)
+    sigma = np.sqrt(cells * share * (1 - share))
+    assert np.all(np.abs(counts - cells * share) <= 4 * sigma), (counts, cells * share)
 
 
 def block_length_estimate(game, params, delta) -> int:
