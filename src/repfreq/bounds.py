@@ -9,7 +9,10 @@ halfspaces are homogeneous in alpha, so each block stays in its reply's cone
 unchanged. Only two constraints couple the blocks (total mass one and the
 payoff floor), so a basic optimum has at most two nonzero blocks --
 Caratheodory in the (frequency, payoff) plane -- and the LP value is the
-two-point program's value.
+two-point program's value. The commitment type's own play, all mass on
+(a*, b*), keeps b* a best reply and pays v*, so it meets every row of the
+program with a floor: its simplex starts at that vertex and runs no phase 1.
+The pinned-payoff program knows no such vertex and runs both phases.
 
 The finite-candidate variant is the same program with other columns: one
 weight per vertex of each candidate (indifference pieces and the lowest-action
@@ -42,9 +45,6 @@ from .stage import (
 # The most (q, point) pairs min_freq_grid sorts at once; it bounds the working
 # memory only.
 _GRID_CELLS = 2**16
-
-_INFEASIBLE = "frequency program infeasible; the Stackelberg point always qualifies"
-
 
 @dataclass(frozen=True)
 class FreqBound:
@@ -121,19 +121,20 @@ def _stacked_reply_blocks(game: StageGame) -> tuple[np.ndarray, np.ndarray]:
     return cone, game.u1.T.flatten()
 
 
-def _solve_block_lp(c, pay, cone, a_eq, b_eq, lo: float, hi: float = np.inf):
+def _solve_block_lp(c, pay, cone, a_eq, b_eq, lo: float, hi: float = np.inf, start: int | None = None):
     """Minimize ``c @ x`` over x >= 0 with ``cone @ x <= 0``, ``a_eq @ x = b_eq``
     and the payoff ``pay @ x`` in [lo, hi].
 
     ``lo == hi`` pins the payoff with one equality row after ``a_eq``.
     Otherwise the band adds the row ``pay @ x <= hi`` when ``hi`` is finite,
-    then ``-pay @ x <= -lo``.
+    then ``-pay @ x <= -lo``, and ``start`` reaches :func:`solve_lp`.
     """
     if lo == hi:
         return solve_lp(c, a_ub=cone, b_ub=np.zeros(len(cone)), a_eq=np.vstack([a_eq, pay]), b_eq=np.append(b_eq, lo))
     cap, rhs = ([pay], [hi]) if hi < np.inf else ([], [])
     a_ub = np.vstack([cone, *cap, -pay])
-    return solve_lp(c, a_ub=a_ub, b_ub=np.concatenate([np.zeros(len(cone)), rhs, [-lo]]), a_eq=a_eq, b_eq=b_eq)
+    b_ub = np.concatenate([np.zeros(len(cone)), rhs, [-lo]])
+    return solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, start=start)
 
 
 def _live_blocks(game: StageGame, blocks: np.ndarray) -> list[tuple[int, float, MixedAction]]:
@@ -195,13 +196,15 @@ def min_stackelberg_freq(
     n_a = len(game.actions1)
     cone, pay = _stacked_reply_blocks(game)
     c = np.zeros(len(pay))
-    c[game.a_index(stack.a_star) :: n_a] = 1.0
+    i_star = game.a_index(stack.a_star)
+    c[i_star::n_a] = 1.0
     floor = stack.v_star - epsilon
-    res = _solve_block_lp(c, pay, cone, np.ones((1, len(c))), [1.0], floor, floor if equality else np.inf)
+    start = None if equality else game.b_index(stack.b_star) * n_a + i_star
+    res = _solve_block_lp(c, pay, cone, np.ones((1, len(c))), [1.0], floor, floor if equality else np.inf, start)
     if not res.optimal:
         if equality:
             raise ValueError(f"no reply-consistent profile pays the pinned payoff v* - epsilon = {floor}")
-        raise RuntimeError(_INFEASIBLE)
+        raise RuntimeError(f"frequency LP returned {res.status!r}; its objective is bounded below by 0")
     return _freq_bound(game, res.value, res.x.reshape(-1, n_a), game.actions2, "lp", tol, epsilon, equality)
 
 
@@ -254,7 +257,7 @@ def min_stackelberg_freq_finite(game: StageGame, tol: float = DEFAULT_TOL) -> Fr
     c = vertices[:, game.a_index(stack.a_star)]
     res = _solve_block_lp(c, pay, np.empty((0, len(c))), np.ones((1, len(c))), [1.0], stack.v_star)
     if not res.optimal:
-        raise RuntimeError(_INFEASIBLE)
+        raise RuntimeError("frequency program infeasible; the Stackelberg point always qualifies")
     starts = np.cumsum([0] + [len(v) for v, _ in candidates[:-1]])
     blocks = np.add.reduceat(res.x[:, None] * vertices, starts, axis=0)
     return _freq_bound(game, res.value, blocks, [b for _, b in candidates], "prop1", tol)

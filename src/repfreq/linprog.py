@@ -10,15 +10,18 @@ positive and negative parts.
 
 A ``<=`` row with a nonnegative right-hand side starts with its slack basic;
 only flipped ``<=`` rows and equality rows get an artificial, and phase 1 runs
-only when one does. The tableau's last row holds the reduced costs: each phase
-sets it once, and each pivot's one broadcast update carries it with the basic
-rows. The programs are small enough that NumPy's per-call cost outweighs the
-arithmetic, so the basis is a list of column indices, and each pivot reads the
-reduced costs, the entering column and the right-hand side once each as lists:
-the entering scan and the ratio test run on those lists, the latter only over
-the rows with a positive entry in the entering column. At the optimum, the
-square basic system of the rows not found redundant is solved again against
-the original data.
+only when one does. A caller that knows a vertex of a program with one
+equality row names its column as ``start`` instead: one crash pivot puts it
+in that row, every ``<=`` row keeps its slack and no row is flipped, so no
+artificial is built and phase 2 runs alone. The tableau's last row holds the
+reduced costs: each phase sets it once, and each pivot's one broadcast update
+carries it with the basic rows. The programs are small enough that NumPy's
+per-call cost outweighs the arithmetic, so the basis is a list of column
+indices, and each pivot reads the reduced costs, the entering column and the
+right-hand side once each as lists: the entering scan and the ratio test run
+on those lists, the latter only over the rows with a positive entry in the
+entering column. At the optimum, the square basic system of the rows not found
+redundant is solved again against the original data.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ _PIVOT_TOL = 1e-8
 _FEAS_TOL = 1e-8
 # Pivots allowed in one simplex run. The ratio test compares within _TOL, so
 # Bland's rule no longer rules out cycling. The most pivots measured in one
-# run: 36 in the tests, 100 in the benchmark's workloads (6x6 games at most)
-# and 220 on random 16x16 games; no random 10x10 to 16x16 game tried
-# (default_rng(4)) reached this cap.
+# run: 73 in the tests, 100 in the benchmark's workloads (6x6 games at most)
+# and 322 on random 12x12 games; no random 7x7 to 16x16 game tried
+# (default_rng(4)) came near this cap.
 _MAX_PIVOTS = 10_000
 
 
@@ -120,11 +123,18 @@ def solve_lp(
     b_ub=None,
     a_eq=None,
     b_eq=None,
+    start: int | None = None,
 ) -> LPResult:
     """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @ x == b_eq``, ``x >= 0``.
 
+    ``start`` names a column that, pivoted into the single equality row with
+    every ``<=`` row's slack basic and no row flipped, gives a feasible basis:
+    the simplex then builds no artificials and runs phase 2 alone from there.
+
     Raises ``ValueError`` when a matrix comes without its right-hand side (or
-    the reverse), when the shapes disagree, or when any entry is not finite.
+    the reverse), when the shapes disagree, when any entry is not finite, or
+    when ``start`` is given for a program without exactly one equality row or
+    its pivot leaves a right-hand side negative.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
@@ -135,11 +145,16 @@ def solve_lp(
     n_ub = a_ub.shape[0]
     m = n_ub + a_eq.shape[0]
     k = n + n_ub  # structural and slack columns; the artificials follow
-    # A row with b < 0 is flipped. A <= row with b >= 0 starts with its slack
-    # basic; every other row (a flipped <= row or an equality) starts with an
-    # artificial.
-    flipped = [i for i, b in enumerate(b_ub.tolist() + b_eq.tolist()) if b < 0]
-    art_rows = [i for i in flipped if i < n_ub] + list(range(n_ub, m))
+    # Without a start, a row with b < 0 is flipped. A <= row with b >= 0 starts
+    # with its slack basic; every other row (a flipped <= row or an equality)
+    # starts with an artificial. A start flips no row and needs no artificial.
+    if start is None:
+        flipped = [i for i, b in enumerate(b_ub.tolist() + b_eq.tolist()) if b < 0]
+        art_rows = [i for i in flipped if i < n_ub] + list(range(n_ub, m))
+    elif m - n_ub != 1 or not 0 <= start < n:
+        raise ValueError(f"a start needs one equality row and a column in [0, {n}), got {m - n_ub} rows and {start}")
+    else:
+        flipped = art_rows = []
     n_art = len(art_rows)
 
     # Rows 0..m-1 are the constraints in standard form; the last row holds the
@@ -169,6 +184,12 @@ def solve_lp(
     for a, r in enumerate(art_rows, start=k):
         basis[r] = a
         tableau[r, a] = 1.0
+    if start is not None:  # the crash pivot, which makes ``start`` basic in the equality row
+        if not body[-1, start] > _PIVOT_TOL:
+            raise ValueError(f"start column {start} has no positive entry in the equality row")
+        _pivot(tableau, basis, m - 1, start)
+        if body[:, -1].min() < 0.0:
+            raise ValueError(f"start column {start} leaves a negative right-hand side")
 
     kept = slice(None)  # the original rows not found redundant in phase 1
     cost = np.zeros(width)

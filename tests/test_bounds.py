@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repfreq import attain, bounds
+from repfreq.apps import build_stage_game
 from repfreq.bounds import (
     indifference_pieces,
     min_freq_curve,
@@ -14,7 +15,14 @@ from repfreq.bounds import (
 from repfreq.game import MixedAction, StageGame, expected_payoffs
 from repfreq.linprog import LPResult, solve_lp
 from repfreq.stage import best_replies_p2, check_assumptions, is_monotone_supermodular, stackelberg
-from .conftest import TWO_BY_TWO, UNIQUE_GAMES, load_fixture, random_assumption_games, reply_halfspaces
+from .conftest import (
+    TWO_BY_TWO,
+    UNIQUE_GAMES,
+    criterion_1_params,
+    load_fixture,
+    random_assumption_games,
+    reply_halfspaces,
+)
 
 
 def _witness_payoff(game, fb):
@@ -422,6 +430,38 @@ def test_more_than_two_nonzero_blocks_is_an_error(monkeypatch, games):
     monkeypatch.setattr(bounds, "solve_lp", lambda *args, **kwargs: spread)
     with pytest.raises(RuntimeError, match="3 nonzero reply blocks"):
         min_stackelberg_freq(game)
+
+
+def test_the_warm_start_matches_the_two_phase_route(monkeypatch):
+    # Each inequality program is solved from the Stackelberg vertex, as
+    # min_stackelberg_freq solves it, and again by two phases from the slack basis.
+    solved = []
+
+    def both_routes(*args, **kwargs):
+        warm = solve_lp(*args, **kwargs)
+        solved.append((kwargs, warm, solve_lp(*args, **{**kwargs, "start": None})))
+        return warm
+
+    monkeypatch.setattr(bounds, "solve_lp", both_routes)
+    games = [build_stage_game(params) for params in criterion_1_params()]
+    for size in range(2, 7):
+        games += random_assumption_games(20, seed=900 + size, size=size)
+    for n, game in enumerate(games):
+        stack = stackelberg(game)
+        for eps in (0.0, 0.05):
+            fb = min_stackelberg_freq(game, epsilon=eps)
+            ((kwargs, warm, cold),) = solved
+            solved.clear()
+            assert kwargs["start"] is not None, n
+            assert warm.optimal and cold.optimal, n
+            assert abs(warm.value - cold.value) <= 1e-12, n
+            cone, neg_pay = kwargs["a_ub"][:-1], kwargs["a_ub"][-1]
+            for res in (warm, cold):
+                assert (cone @ res.x).max(initial=0.0) <= 1e-9, n  # every block meets its reply rows
+                assert -neg_pay @ res.x >= stack.v_star - eps - 1e-9, n
+            assert _witness_payoff(game, fb) >= stack.v_star - eps - 1e-9, n
+            freq = fb.q * fb.alpha1.prob(stack.a_star) + (1 - fb.q) * fb.alpha2.prob(stack.a_star)
+            assert abs(freq - fb.value) <= 1e-12, n
 
 
 @pytest.mark.parametrize("mass, kept", [(1e-10, False), (2e-9, True)])

@@ -11,9 +11,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from repfreq import cli, concentration, linprog, simulate
+from repfreq import bounds, cli, concentration, linprog, simulate
 from repfreq.cli import dispatch
 from repfreq.game import StageGame, emit_game
+from repfreq.linprog import LPResult
 from . import _reference_stage
 from .conftest import cycling_game, fixture_path, random_assumption_games
 from .test_simulate import equality_target
@@ -447,6 +448,27 @@ def test_entry_non_finite_cost_in_exits_1_with_one_stderr_line(capsys, cost_in):
     assert code == 1
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: cost_in must be finite and positive, got {cost_in}"]
+
+
+@pytest.mark.parametrize("cost_in", ["1e300", "1e308"])
+def test_entry_at_a_huge_cost_in_matches_the_closed_form_quietly(cost_in):
+    # Solved through phase 1, this LP answered 0.5 at 1e300 and overflowed in
+    # its pivots at 1e308, printing numpy warnings on a success.
+    proc = run_cli_process("app", "entry", "--gamma", "0.5", "--co", "0.5", "--ci", cost_in, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["closed_form"] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert doc["difference"] == 0.0
+
+
+def test_a_failed_frequency_lp_exits_1_with_one_stderr_line(capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "solve_lp", lambda *args, **kwargs: LPResult("unbounded"))
+    code = dispatch(["fstar", str(fixture_path("product_choice"))])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: frequency LP returned 'unbounded'; its objective is bounded below by 0"]
 
 
 def test_prop1_outside_its_hypothesis_exits_1(capsys, tmp_path):

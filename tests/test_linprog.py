@@ -234,6 +234,37 @@ def test_ratio_ties_leave_the_smaller_basic_index(monkeypatch, gap):
     assert res.value == pytest.approx(1.0, abs=1e-10)
 
 
+# min x0 s.t. x0 + 2 x1 >= 1 and x0 + x1 = 1: the payoff floor of a frequency
+# LP in miniature, whose floor row starts with a negative right-hand side.
+FLOOR_LP = {"c": [1.0, 0.0], "a_ub": [[-1.0, -2.0]], "b_ub": [-1.0], "a_eq": [[1.0, 1.0]], "b_eq": [1.0]}
+
+
+@pytest.mark.parametrize("start, pivots_after", [(0, [(1, 1)]), (1, [])])
+def test_start_pivots_into_the_equality_row_and_runs_phase_2_alone(monkeypatch, start, pivots_after):
+    pivots = _record_pivots(monkeypatch)
+    res = solve_lp(**FLOOR_LP, start=start)
+    assert pivots == [(1, start)] + pivots_after
+    assert res.optimal
+    assert res.value == 0.0
+    assert res.x.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"b_ub": [-2.0]}, "leaves a negative right-hand side"),  # x0 = 1 pays 1 < 2
+        ({"a_eq": [[0.0, 1.0]]}, "no positive entry in the equality row"),
+        ({"a_eq": [[1.0, 1.0], [1.0, -1.0]], "b_eq": [1.0, 0.0]}, "one equality row"),
+        ({"a_eq": None, "b_eq": None}, "one equality row"),
+        ({"start": 2}, "one equality row and a column in"),
+    ],
+    ids=["infeasible-start", "zero-pivot", "two-equality-rows", "no-equality-row", "out-of-range"],
+)
+def test_start_refuses_what_one_crash_pivot_cannot_make_feasible(change, message):
+    with pytest.raises(ValueError, match=message):
+        solve_lp(**{**FLOOR_LP, "start": 0, **change})
+
+
 def test_the_cycling_games_lp_is_infeasible():
     # b1 and b2 cannot both be best replies. With rows of size 1e6 this LP made
     # the tolerance ratio test cycle while every row started with an artificial.
@@ -258,16 +289,17 @@ def test_a_cycling_run_stops_at_the_pivot_cap(monkeypatch):
 
 
 def test_criterion_1_block_lps_stay_within_their_pivot_count(monkeypatch):
-    # The slack start leaves at most two artificials in these LPs: 12,754
-    # pivots over the 2,268 grid points, against 17,345 when every row started
-    # with an artificial. The ceiling leaves 2 % for round-off on other hosts.
+    # These LPs start at the Stackelberg vertex, one crash pivot each, and run
+    # phase 2 alone: 8,153 pivots over the 2,268 grid points, against 12,754
+    # with phase 1 from the slack basis and 17,345 when every row started with
+    # an artificial. The ceiling leaves 2 % for round-off on other hosts.
     pivots = _record_pivots(monkeypatch)
     points = 0
     for params in criterion_1_params():
         bounds.min_stackelberg_freq(build_stage_game(params))
         points += 1
     assert points == 2268
-    assert len(pivots) <= 13_000
+    assert len(pivots) <= 8_316
 
 
 def benchmark_game(seed: int, k: int, n: int, i: int) -> StageGame:
@@ -293,8 +325,8 @@ def test_round_off_is_never_a_pivot(monkeypatch, seed, k, n, i):
     game = benchmark_game(seed, k, n, i)
     solved = []
 
-    def recording(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
-        result = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    def recording(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, **kwargs):
+        result = solve_lp(c, a_ub, b_ub, a_eq, b_eq, **kwargs)
         solved.append((result, a_ub, b_ub, a_eq, b_eq))
         return result
 
