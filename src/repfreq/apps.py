@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from .game import StageGame
 
 
@@ -101,8 +99,8 @@ def build_stage_game(params: AppParams) -> StageGame:
         return StageGame(
             actions1=("H", "L"),
             actions2=("h", "l"),
-            u1=np.array([[1.0 - ch, -cl], [1.0, 0.0]]),
-            u2=np.array([[2.0 - g, 1.0], [-g, 0.0]]),
+            u1=[[1.0 - ch, -cl], [1.0, 0.0]],
+            u2=[[2.0 - g, 1.0], [-g, 0.0]],
             order1=("H", "L"),
             order2=("h", "l"),
             name="product-choice",
@@ -115,10 +113,8 @@ def build_stage_game(params: AppParams) -> StageGame:
         return StageGame(
             actions1=("H", "L"),
             actions2=("h", "m", "l"),
-            u1=np.array([[1.0 - c, p - c, -c], [1.0, p, 0.0]]),
-            u2=np.array(
-                [[2.0 - g1 - g2, 1.0 - g2, 0.0], [-g1 - g2, -g2, 0.0]]
-            ),
+            u1=[[1.0 - c, p - c, -c], [1.0, p, 0.0]],
+            u2=[[2.0 - g1 - g2, 1.0 - g2, 0.0], [-g1 - g2, -g2, 0.0]],
             order1=("H", "L"),
             order2=("h", "m", "l"),
             name="product-choice-three",
@@ -128,8 +124,8 @@ def build_stage_game(params: AppParams) -> StageGame:
         return StageGame(
             actions1=("F", "A"),
             actions2=("O", "I"),
-            u1=np.array([[1.0 - co, -ci], [1.0, 0.0]]),
-            u2=np.array([[0.0, -(1.0 - g) + s], [0.0, g + s]]),
+            u1=[[1.0 - co, -ci], [1.0, 0.0]],
+            u2=[[0.0, -(1.0 - g) + s], [0.0, g + s]],
             order1=("F", "A"),
             order2=("O", "I"),
             name="entry-deterrence",
@@ -139,8 +135,8 @@ def build_stage_game(params: AppParams) -> StageGame:
         return StageGame(
             actions1=("Normal", "Expropriate"),
             actions2=("Invest", "NotInvest"),
-            u1=np.array([[t, 0.0], [1.0, 0.0]]),
-            u2=np.array([[1.0 - t - c, 0.0], [-c, 0.0]]),
+            u1=[[t, 0.0], [1.0, 0.0]],
+            u2=[[1.0 - t - c, 0.0], [-c, 0.0]],
             order1=("Normal", "Expropriate"),
             order2=("Invest", "NotInvest"),
             name="fiscal-policy",

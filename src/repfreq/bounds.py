@@ -93,7 +93,7 @@ def _require_unique_stackelberg(game: StageGame, tol: float):
 
 
 def _placeholder_component(game: StageGame, tol: float) -> tuple[MixedAction, str]:
-    return MixedAction.delta(game.actions1[0]), game.actions2[_best(game.u2[0], tol)[0]]
+    return MixedAction.delta(game.actions1[0]), game.actions2[_best(game.u2[0].tolist(), tol)[0]]
 
 
 def _clamp_unit(value: float, tol: float = 1e-9) -> float:
@@ -113,12 +113,12 @@ def _stacked_reply_blocks(game: StageGame) -> tuple[np.ndarray, np.ndarray]:
     """
     n_a, n_b = game.u2.shape
     gaps = game.u2.T[None] - game.u2.T[:, None]  # gaps[j, k] = u2(., b_k) - u2(., b_j)
-    rivals = gaps[~np.eye(n_b, dtype=bool)]  # block j's rows, its rivals k != j, block after block
-    cone = np.zeros((len(rivals), n_a * n_b))
-    for j in range(n_b):
-        rows = slice(j * (n_b - 1), (j + 1) * (n_b - 1))
-        cone[rows, j * n_a : (j + 1) * n_a] = rivals[rows]
-    return cone, game.u1.T.flatten()
+    # Block j's rows are its rivals k != j. Flattened in (j, k) order, the pairs
+    # k = j are every (n_b + 1)-th from the first; dropping them leaves n_b - 1 per j.
+    rivals = gaps.reshape(n_b * n_b, n_a)[1:].reshape(n_b - 1, n_b + 1, n_a)[:, :-1].reshape(n_b, n_b - 1, n_a)
+    cone = np.zeros((n_b, n_b - 1, n_b, n_a))
+    np.einsum("jkja->jka", cone)[...] = rivals  # block j's rows in block j's columns
+    return cone.reshape(n_b * (n_b - 1), n_a * n_b), game.u1.T.flatten()
 
 
 def _solve_block_lp(c, pay, cone, a_eq, b_eq, lo: float, hi: float = np.inf, start: int | None = None):
@@ -131,9 +131,15 @@ def _solve_block_lp(c, pay, cone, a_eq, b_eq, lo: float, hi: float = np.inf, sta
     """
     if lo == hi:
         return solve_lp(c, a_ub=cone, b_ub=np.zeros(len(cone)), a_eq=np.vstack([a_eq, pay]), b_eq=np.append(b_eq, lo))
-    cap, rhs = ([pay], [hi]) if hi < np.inf else ([], [])
-    a_ub = np.vstack([cone, *cap, -pay])
-    b_ub = np.concatenate([np.zeros(len(cone)), rhs, [-lo]])
+    capped = hi < np.inf
+    a_ub = np.empty((len(cone) + capped + 1, len(pay)))
+    b_ub = np.zeros(len(a_ub))
+    a_ub[: len(cone)] = cone
+    if capped:
+        a_ub[-2] = pay
+        b_ub[-2] = hi
+    a_ub[-1] = -pay
+    b_ub[-1] = -lo
     return solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, start=start)
 
 
@@ -141,8 +147,9 @@ def _live_blocks(game: StageGame, blocks: np.ndarray) -> list[tuple[int, float, 
     """The components of a (k x n_a) block matrix, row j being mass_j * alpha_j:
     (j, mass_j, alpha_j) for each row whose mass exceeds rounding dust."""
     masses = blocks.sum(axis=1).tolist()
+    rows = blocks.tolist()
     return [
-        (j, mass, MixedAction.from_vector(game.actions1, blocks[j] / mass, tol=1e-7))
+        (j, mass, MixedAction.from_vector(game.actions1, [x / mass for x in rows[j]], tol=1e-7))
         for j, mass in enumerate(masses)
         if mass > 1e-9  # below is dust at a degenerate vertex
     ]
@@ -275,7 +282,7 @@ def min_freq_grid(game: StageGame, resolution: int, br_tol: float = DEFAULT_TOL)
     stack = _require_unique_stackelberg(game, br_tol)
     n_a = len(game.actions1)
     n_points = comb(resolution + n_a - 1, n_a - 1)
-    if n_points * len(game.actions2) > 200_000 or (n_points * len(game.actions2)) ** 2 * (resolution + 1) > 10**8:
+    if n_points * len(game.actions2) > 200_000:
         raise ValueError("grid too large for the enumeration budget")
 
     i_star = game.a_index(stack.a_star)
@@ -283,7 +290,7 @@ def min_freq_grid(game: StageGame, resolution: int, br_tol: float = DEFAULT_TOL)
     pay_list: list[float] = []
     for counts in _compositions(resolution, n_a):
         vec = np.array(counts, dtype=float) / resolution
-        for j in _best(vec @ game.u2, br_tol):
+        for j in _best((vec @ game.u2).tolist(), br_tol):
             freq_list.append(vec[i_star])
             pay_list.append(float(vec @ game.u1[:, j]))
     freq = np.array(freq_list)

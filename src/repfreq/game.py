@@ -51,11 +51,12 @@ class MixedAction:
         low = min(weights, default=0.0)
         if low < -tol:
             raise ValueError(f"negative weight beyond tolerance: {low}")
-        vec = np.maximum(vec, 0.0)
-        total = vec.sum()
+        if low < 0.0:  # only the sum needs the clamp: a negative weight's quotient is dropped with the zeros
+            vec = np.maximum(vec, 0.0)
+        total = float(vec.sum())  # NumPy's pairwise order, which a Python sum would change from 8 entries on
         if abs(total - 1.0) > tol:
             raise ValueError(f"weights sum to {total}, expected 1 within {tol}")
-        return cls({lab: w for lab, w in zip(labels, (vec / total).tolist()) if w > 0.0})
+        return cls({lab: w for lab, w in zip(labels, [v / total for v in weights]) if w > 0.0})
 
     def prob(self, label: str) -> float:
         return self.weights.get(label, 0.0)
@@ -127,7 +128,7 @@ class StageGame:
             mat = np.array(getattr(self, which), dtype=float)
             if mat.shape != shape:
                 raise GameFormatError(f"{which} has shape {mat.shape}, expected {shape}")
-            if not np.isfinite(mat).all():
+            if not all(map(math.isfinite, mat.ravel().tolist())):
                 raise GameFormatError(f"{which} contains a non-finite payoff")
             mat.setflags(write=False)
             object.__setattr__(self, which, mat)
@@ -215,8 +216,8 @@ def load_game(text: str) -> StageGame:
     return StageGame(
         actions1=tuple(doc["actions1"]),
         actions2=tuple(doc["actions2"]),
-        u1=np.array(doc["u1"], dtype=float),
-        u2=np.array(doc["u2"], dtype=float),
+        u1=doc["u1"],
+        u2=doc["u2"],
         order1=doc.get("order1"),
         order2=doc.get("order2"),
         name=doc.get("name"),

@@ -83,38 +83,37 @@ class AssumptionReport:
         )
 
 
-def _tied(values: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the entries within ``tol`` of the largest in their row: every best-reply tie rule.
+def _best(values: list[float], tol: float) -> list[int]:
+    """Indices of the entries of ``values`` within ``tol`` of the largest:
+    every best-reply tie rule, for either player.
 
-    Raises ``ValueError`` when ``tol`` is negative or NaN, which would leave a
-    row with no best entry.
+    ``values`` is a list of Python floats: the callers' rows hold a handful
+    of entries, where NumPy's per-call cost outweighs the comparisons.
+    Raises ``ValueError`` when ``tol`` is negative or NaN, which would leave
+    no best entry.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    return values >= values.max(axis=-1, keepdims=True) - tol
-
-
-def _best(values: np.ndarray, tol: float) -> np.ndarray:
-    """Indices of the best entries of a vector, by the :func:`_tied` rule."""
-    return _tied(values, tol).nonzero()[0]
+    floor = max(values) - tol
+    return [i for i, v in enumerate(values) if v >= floor]
 
 
 def best_replies_p2(game: StageGame, alpha: MixedAction, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
     """All player-2 actions within ``tol`` of the best payoff against ``alpha``."""
-    return tuple(game.actions2[j] for j in _best(alpha.as_vector(game.actions1) @ game.u2, tol))
+    return tuple(game.actions2[j] for j in _best((alpha.as_vector(game.actions1) @ game.u2).tolist(), tol))
 
 
 def _pure_best_replies_p1(game: StageGame, b: str, tol: float) -> tuple[str, ...]:
-    return tuple(game.actions1[i] for i in _best(game.u1[:, game.b_index(b)], tol))
+    return tuple(game.actions1[i] for i in _best(game.u1[:, game.b_index(b)].tolist(), tol))
 
 
-def _worst_replies(game: StageGame, tol: float) -> np.ndarray:
+def _worst_replies(game: StageGame, tol: float) -> list[int]:
     """Player 1's worst best reply to each of its pure actions, the lowest index on ties.
 
-    Row i's best replies are its :func:`_tied` entries of u2; of those, the
+    Row i's best replies are its :func:`_best` entries of u2; of those, the
     first with the least u1 is taken.
     """
-    return np.where(_tied(game.u2, tol), game.u1, np.inf).argmin(axis=1)
+    return [min(_best(row2, tol), key=row1.__getitem__) for row1, row2 in zip(game.u1.tolist(), game.u2.tolist())]
 
 
 def stackelberg(game: StageGame, tol: float = DEFAULT_TOL) -> StackelbergResult:
@@ -123,15 +122,15 @@ def stackelberg(game: StageGame, tol: float = DEFAULT_TOL) -> StackelbergResult:
     Each pure action is valued at its worst best reply (:func:`_worst_replies`).
     """
     worst = _worst_replies(game, tol)
-    candidates = _best(game.u1[np.arange(len(worst)), worst], tol)
-    i_star = int(candidates[0])
-    j_star = int(worst[i_star])
+    values = [row[j] for row, j in zip(game.u1.tolist(), worst)]
+    candidates = _best(values, tol)
+    i_star = candidates[0]
     return StackelbergResult(
         a_star=game.actions1[i_star],
-        b_star=game.actions2[j_star],
-        v_star=float(game.u1[i_star, j_star]),
+        b_star=game.actions2[worst[i_star]],
+        v_star=values[i_star],
         unique_action=len(candidates) == 1,
-        unique_reply=len(_best(game.u2[i_star], tol)) == 1,
+        unique_reply=len(_best(game.u2[i_star].tolist(), tol)) == 1,
     )
 
 
@@ -337,5 +336,6 @@ def lowest_pair(game: StageGame, tol: float = DEFAULT_TOL) -> tuple[str, str]:
     order1 = _require_order(game, "order1")
     a_low = order1[-1]
     i = game.a_index(a_low)
-    j_low = max(_best(game.u2[i], tol), key=lambda j: (game.u1[i, j], -j))
+    u1 = game.u1[i].tolist()
+    j_low = max(_best(game.u2[i].tolist(), tol), key=lambda j: (u1[j], -j))
     return a_low, game.actions2[j_low]

@@ -474,6 +474,8 @@ def test_block_mass_at_or_below_dust_is_dropped(monkeypatch, product_choice, mas
     assert (fb.placeholder2, fb.alpha2, fb.b2) == (not kept, MixedAction.delta(a2), b2)
     decomposition = attain.decompose_target(product_choice, MixedAction.delta("H"))
     assert sorted(decomposition.weights) == (["h", "l"] if kept else ["h"])
+    live = bounds._live_blocks(product_choice, solved.x.reshape(-1, 2))
+    assert [(j, m) for j, m, _ in live] == [(0, 1.0 - mass), (1, mass)][: 1 + kept]
 
 
 def _relabelled_affine(game: StageGame, rng, player: int, scale: float) -> StageGame:

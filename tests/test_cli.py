@@ -537,6 +537,42 @@ def test_invalid_game_exits_1(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_payoff_in_a_game_file_exits_1_with_one_stderr_line(capsys, tmp_path, literal):
+    # Python's JSON reader takes these literals as floats.
+    bad = tmp_path / "bad.json"
+    bad.write_text(fixture_path("product_choice").read_text().replace("-0.2", literal, 1))
+    assert literal in bad.read_text()
+    code = dispatch(["analyze", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: u1 contains a non-finite payoff"]
+
+
+def test_fstar_grid_at_resolution_50_on_a_3x2_game(capsys):
+    game = str(fixture_path("nash_overlap_3x2"))
+    code, out = run_cli(capsys, "fstar", game)
+    assert code == 0
+    lp = json.loads(out)["value"]
+    code, out = run_cli(capsys, "fstar", game, "--method", "grid", "--resolution", "50")
+    assert code == 0
+    assert lp <= json.loads(out)["value"] <= lp + 0.03
+
+
+def test_fstar_grid_past_its_point_budget_exits_1_with_one_stderr_line(capsys, tmp_path):
+    # 176,851 grid points of 4 actions at resolution 100, times 4 replies.
+    game = tmp_path / "four.json"
+    labels = ["a", "b", "c", "d"]
+    u1, u2 = np.diag([1.0, 2.0, 3.0, 4.0]).tolist(), np.eye(4).tolist()  # a unique commitment point
+    game.write_text(json.dumps({"actions1": labels, "actions2": labels, "u1": u1, "u2": u2}))
+    code = dispatch(["fstar", str(game), "--method", "grid", "--resolution", "100"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: grid too large for the enumeration budget"]
+
+
 @pytest.mark.parametrize(
     "change, message",
     [

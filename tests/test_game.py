@@ -51,8 +51,17 @@ def test_duplicate_labels_rejected():
 
 
 def test_nonfinite_payoff_rejected():
-    with pytest.raises(GameFormatError, match="non-finite"):
-        StageGame(("a", "b"), ("x", "y"), np.array([[np.nan, 0], [0, 0]]), np.zeros((2, 2)))
+    for value in (math.nan, math.inf, -math.inf):
+        for which in ("u1", "u2"):
+            payoffs = {"u1": np.zeros((2, 2)), "u2": np.zeros((2, 2))}
+            payoffs[which][1, 0] = value
+            with pytest.raises(GameFormatError, match=f"^{which} contains a non-finite payoff$"):
+                StageGame(("a", "b"), ("x", "y"), **payoffs)
+
+
+def test_finite_payoffs_whose_sum_overflows_are_accepted():
+    game = StageGame(("a", "b"), ("x", "y"), [[1e308, 1e308], [0.0, 0.0]], [[0.0, 1e308], [1e308, 0.0]])
+    assert game.u1.tolist() == [[1e308, 1e308], [0.0, 0.0]] and game.payoff2("b", "x") == 1e308
 
 
 def test_malformed_document_rejected():
@@ -232,6 +241,23 @@ def test_from_vector_needs_one_weight_per_label():
 def test_from_vector_says_which_check_failed(vec, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         MixedAction.from_vector(("a", "b"), vec)
+
+
+def test_from_vector_divides_by_numpys_sum():
+    # From 8 entries on, NumPy sums pairwise over 8 accumulators; a sum taken in
+    # another order would move some weights by an ulp.
+    rng = np.random.default_rng(35)
+    for n in range(1, 13):
+        labels = tuple(f"a{i}" for i in range(n))
+        for _ in range(200):
+            vec = rng.random(n) * (rng.random(n) < 0.8)
+            vec = vec / vec.sum() if vec.any() else np.eye(n)[0]
+            vec[(vec == 0.0) & (rng.random(n) < 0.5)] = -1e-12  # dust below zero, clamped
+            clamped = np.maximum(vec, 0.0)
+            expected = {lab: w for lab, w in zip(labels, (clamped / clamped.sum()).tolist()) if w > 0.0}
+            weights = MixedAction.from_vector(labels, vec).weights
+            assert weights == expected and list(weights) == list(expected)
+            assert all(type(w) is float for w in weights.values())
 
 
 def test_parse_mixed_action():

@@ -16,3 +16,14 @@ def test_every_function_reads_each_of_its_parameters():
                 read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
                 unread += [f"{path.name}:{fn.lineno} {fn.name}({p})" for p in sorted(params - read - {"self", "cls"})]
     assert unread == []
+
+
+def test_src_holds_no_assert_statement():
+    # python -O strips assert, so no control flow or check may rest on one.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -157,6 +157,70 @@ def test_worst_replies_agree_with_a_per_row_loop(games):
     assert b_primes >= 10, b_primes
 
 
+def _signed_tie_games(count: int, seed: int, scale: float) -> list[StageGame]:
+    """Games of 2 to 5 actions a side with payoffs in scale * {-2, ..., 2}, about
+    half of their zeros stored as -0.0."""
+    rng = np.random.default_rng(seed)
+    games = []
+    for _ in range(count):
+        n_a, n_b = (int(n) for n in rng.integers(2, 6, size=2))
+        u1, u2 = (scale * rng.integers(-2, 3, (n_a, n_b)) for _ in range(2))
+        for u in (u1, u2):
+            u[(u == 0.0) & (rng.random(u.shape) < 0.5)] = -0.0
+        labels1, labels2 = tuple(f"a{i}" for i in range(n_a)), tuple(f"b{j}" for j in range(n_b))
+        games.append(StageGame(labels1, labels2, u1, u2, order1=labels1))
+    return games
+
+
+def _best_by_loop(row: list[float], tol: float) -> list[int]:
+    top = row[0]
+    for v in row[1:]:
+        if v > top:
+            top = v
+    return [j for j in range(len(row)) if row[j] >= top - tol]
+
+
+@pytest.mark.parametrize(
+    "scale, tols, count", [(1.0, (0.0, stage.DEFAULT_TOL, 1.0), 1000), (0.25, (0.25, 0.5), 300)]
+)
+def test_tie_rule_kernels_match_a_plain_loop_bit_for_bit(scale, tols, count):
+    # Entries one grid step apart are exactly tol apart at tol = scale.
+    for game in _signed_tie_games(count, seed=35, scale=scale):
+        u1, u2 = game.u1.tolist(), game.u2.tolist()
+        for tol in tols:
+            replies = [_best_by_loop(row, tol) for row in u2]
+            worst = []
+            for i, r in enumerate(replies):
+                j_min = r[0]
+                for j in r[1:]:
+                    if u1[i][j] < u1[i][j_min]:
+                        j_min = j
+                worst.append(j_min)
+            values = [u1[i][j] for i, j in enumerate(worst)]
+            candidates = _best_by_loop(values, tol)
+            i_star = candidates[0]
+            assert stage._worst_replies(game, tol) == worst
+            res = stackelberg(game, tol)
+            assert (res.a_star, res.b_star, res.unique_action, res.unique_reply) == (
+                game.actions1[i_star],
+                game.actions2[worst[i_star]],
+                len(candidates) == 1,
+                len(replies[i_star]) == 1,
+            )
+            assert res.v_star == values[i_star] and np.signbit(res.v_star) == np.signbit(values[i_star])
+            for i, a in enumerate(game.actions1):
+                assert best_replies_p2(game, MixedAction.delta(a), tol) == tuple(game.actions2[j] for j in replies[i])
+            for j, b in enumerate(game.actions2):
+                column = [row[j] for row in u1]
+                expected = tuple(game.actions1[i] for i in _best_by_loop(column, tol))
+                assert stage._pure_best_replies_p1(game, b, tol) == expected
+            i_low = len(u1) - 1
+            j_low = max(replies[i_low], key=lambda j: (u1[i_low][j], -j))
+            assert lowest_pair(game, tol) == (game.actions1[i_low], game.actions2[j_low])
+            placeholder = (MixedAction.delta(game.actions1[0]), game.actions2[replies[0][0]])
+            assert bounds._placeholder_component(game, tol) == placeholder
+
+
 def test_minmax_values(product_choice, entry_deterrence, matching_pennies):
     assert minmax_p1(product_choice) == pytest.approx(0.0, abs=1e-9)
     assert minmax_p1(entry_deterrence) == pytest.approx(0.0, abs=1e-9)
