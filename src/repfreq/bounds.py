@@ -282,7 +282,8 @@ def min_freq_grid(game: StageGame, resolution: int, br_tol: float = DEFAULT_TOL)
     stack = _require_unique_stackelberg(game, br_tol)
     n_a = len(game.actions1)
     n_points = comb(resolution + n_a - 1, n_a - 1)
-    if n_points * len(game.actions2) > 200_000:
+    # The scan below sorts every (point, reply) pair once per mixing weight q.
+    if (resolution + 1) * n_points * len(game.actions2) > 20_000_000:
         raise ValueError("grid too large for the enumeration budget")
 
     i_star = game.a_index(stack.a_star)

@@ -50,6 +50,15 @@ def _nonneg(text: str) -> float:
 # The method-specific options that each fstar method reads.
 _FSTAR_READS = {"lp": ("epsilon", "equality"), "prop1": (), "grid": ("resolution",)}
 
+# Each app variant's parameter class and the flag and type of each of its
+# fields, in field order. A flag is required exactly when its field has no default.
+_APP_VARIANTS = {
+    "product-choice": (apps.ProductChoiceParams, {"gamma": _unit_open, "ch": _unit_open, "cl": _unit_open}),
+    "product3": (apps.ThreeProductParams, {"g1": _unit_open, "g2": _unit_open, "p": _unit_open, "c": _unit_open}),
+    "entry": (apps.EntryDeterrenceParams, {"gamma": _unit_open, "co": _unit_open, "ci": float, "subsidy": _nonneg}),
+    "fiscal": (apps.FiscalPolicyParams, {"tau": _unit_open, "c": _unit_open}),
+}
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -102,23 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("app", help="closed-form applications versus the LP value")
     app_sub = p.add_subparsers(dest="variant", required=True)
-    q = app_sub.add_parser("product-choice", parents=[fmt, tol])
-    q.add_argument("--gamma", type=_unit_open, required=True)
-    q.add_argument("--ch", type=_unit_open, required=True)
-    q.add_argument("--cl", type=_unit_open, required=True)
-    q = app_sub.add_parser("product3", parents=[fmt, tol])
-    q.add_argument("--g1", type=_unit_open, required=True)
-    q.add_argument("--g2", type=_unit_open, required=True)
-    q.add_argument("--p", type=_unit_open, required=True)
-    q.add_argument("--c", type=_unit_open, required=True)
-    q = app_sub.add_parser("entry", parents=[fmt, tol])
-    q.add_argument("--gamma", type=_unit_open, required=True)
-    q.add_argument("--co", type=_unit_open, required=True)
-    q.add_argument("--ci", type=float, required=True)
-    q.add_argument("--subsidy", type=_nonneg, default=0.0)
-    q = app_sub.add_parser("fiscal", parents=[fmt, tol])
-    q.add_argument("--tau", type=_unit_open, required=True)
-    q.add_argument("--c", type=_unit_open, required=True)
+    for variant, (params_cls, flags) in _APP_VARIANTS.items():
+        q = app_sub.add_parser(variant, parents=[fmt, tol])
+        for field, (flag, kind) in zip(dataclasses.fields(params_cls), flags.items(), strict=True):
+            q.add_argument(f"--{flag}", type=kind, required=field.default is dataclasses.MISSING, default=field.default)
     return parser
 
 
@@ -126,42 +122,23 @@ def _mixed_to_dict(alpha: MixedAction) -> dict[str, float]:
     return {label: alpha.prob(label) for label in sorted(alpha.support())}
 
 
+def _fields(record, names: str) -> dict:
+    """The named fields of a result record, each mixed action as its sorted
+    label-to-probability dict."""
+    values = {name: getattr(record, name) for name in names.split()}
+    return {name: _mixed_to_dict(v) if isinstance(v, MixedAction) else v for name, v in values.items()}
+
+
 def _cmd_analyze(args) -> dict:
     game = load_game_file(args.game)
     report = stage.check_assumptions(game, args.tol)
-    stack = stage.stackelberg(game, args.tol)
     return {
-        "assumptions": {
-            "a1_unique_stackelberg": report.a1_unique_stackelberg,
-            "a1_unique_reply": report.a1_unique_reply,
-            "a2_not_best_reply": report.a2_not_best_reply,
-            "a2_above_minmax": report.a2_above_minmax,
-            "satisfied": report.satisfied,
-        },
-        "stackelberg": {
-            "a_star": stack.a_star,
-            "b_star": stack.b_star,
-            "v_star": stack.v_star,
-        },
+        "assumptions": _fields(
+            report, "a1_unique_stackelberg a1_unique_reply a2_not_best_reply a2_above_minmax satisfied"
+        ),
+        "stackelberg": _fields(stage.stackelberg(game, args.tol), "a_star b_star v_star"),
         "minmax": report.minmax,
         "vbar": stage.vbar_p1(game),
-    }
-
-
-def _freq_bound_to_dict(result: bounds.FreqBound) -> dict:
-    return {
-        "value": result.value,
-        "method": result.method,
-        "epsilon": result.epsilon,
-        "equality": result.equality,
-        "witness": {
-            "q": result.q,
-            "alpha1": _mixed_to_dict(result.alpha1),
-            "b1": result.b1,
-            "alpha2": _mixed_to_dict(result.alpha2),
-            "b2": result.b2,
-            "placeholder2": result.placeholder2,
-        },
     }
 
 
@@ -177,7 +154,10 @@ def _cmd_fstar(args) -> dict:
     else:
         resolution = args.resolution or 50
         return {"value": bounds.min_freq_grid(game, resolution, args.tol), "method": "grid", "resolution": resolution}
-    return _freq_bound_to_dict(result)
+    return {
+        **_fields(result, "value method epsilon equality"),
+        "witness": _fields(result, "q alpha1 b1 alpha2 b2 placeholder2"),
+    }
 
 
 def _cmd_in_set_a(args) -> dict:
@@ -211,22 +191,11 @@ def _cmd_simulate(args) -> dict:
     return {
         **dataclasses.asdict(outcome),
         "params": {
-            "trivial": params.trivial,
-            "a_star": params.a_star,
-            "b_star": params.b_star,
-            "v_star": params.v_star,
-            "a_prime": params.a_prime,
-            "b_prime": params.b_prime,
-            "alpha_prime": _mixed_to_dict(params.alpha_prime) if params.alpha_prime else None,
-            "p": params.p,
-            "eps1": params.eps1,
-            "c": params.c,
-            "t1": params.t1,
-            "t2_bar": params.t2_bar,
-            "r1_star": params.r1_star,
-            "r2_star": params.r2_star,
-            "delta_bar": params.delta_bar,
-            "delta_bar_theory": params.delta_bar_theory,
+            **_fields(
+                params,
+                "trivial a_star b_star v_star a_prime b_prime alpha_prime p eps1 c t1 t2_bar r1_star r2_star"
+                " delta_bar delta_bar_theory",
+            ),
             "in_theory_regime": args.delta >= params.delta_bar_theory,
         },
         "incentives": dataclasses.asdict(incentives),
@@ -249,14 +218,8 @@ def _cmd_concentration(args) -> dict:
 
 
 def _cmd_app(args) -> dict:
-    if args.variant == "product-choice":
-        params = apps.ProductChoiceParams(gamma=args.gamma, cost_high=args.ch, cost_low=args.cl)
-    elif args.variant == "product3":
-        params = apps.ThreeProductParams(gamma_hi=args.g1, gamma_lo=args.g2, mid_value=args.p, cost=args.c)
-    elif args.variant == "entry":
-        params = apps.EntryDeterrenceParams(gamma=args.gamma, cost_out=args.co, cost_in=args.ci, subsidy=args.subsidy)
-    else:
-        params = apps.FiscalPolicyParams(tax=args.tau, cost=args.c)
+    params_cls, flags = _APP_VARIANTS[args.variant]
+    params = params_cls(*(getattr(args, flag) for flag in flags))
     closed = apps.closed_form_min_freq(params)
     game = apps.build_stage_game(params)
     lp_value = bounds.min_stackelberg_freq(game, tol=args.tol).value

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from repfreq import bounds, cli, concentration, linprog, simulate
+from repfreq import apps, bounds, cli, concentration, linprog, simulate
 from repfreq.cli import dispatch
 from repfreq.game import StageGame, emit_game
 from repfreq.linprog import LPResult
@@ -810,3 +810,83 @@ def test_concentration_refuses_a_root_past_the_float_range(capsys, tmp_path):
     assert captured.err.splitlines() == [
         "error: the largest value 4.94e-324 is too small: its reciprocal is not a finite float"
     ]
+
+
+def test_fstar_grid_past_its_sort_budget_exits_1_at_once():
+    # 100,000 points times 2 replies is a small grid, but the scan sorts it
+    # once for each of 100,000 mixing weights: minutes of work, refused at once.
+    argv = ["fstar", str(fixture_path("product_choice")), "--method", "grid", "--resolution", "99999"]
+    proc = run_cli_process(*argv, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: grid too large for the enumeration budget"]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["product-choice", "--gamma", "0.5", "--ch", "0.4", "--cl", "0.2"],
+            apps.ProductChoiceParams(gamma=0.5, cost_high=0.4, cost_low=0.2),
+        ),
+        (
+            ["product3", "--g1", "0.7", "--g2", "0.3", "--p", "0.5", "--c", "0.4"],
+            apps.ThreeProductParams(gamma_hi=0.7, gamma_lo=0.3, mid_value=0.5, cost=0.4),
+        ),
+        (
+            ["entry", "--gamma", "0.6", "--co", "0.5", "--ci", "0.3", "--subsidy", "0.2"],
+            apps.EntryDeterrenceParams(gamma=0.6, cost_out=0.5, cost_in=0.3, subsidy=0.2),
+        ),
+        (
+            ["entry", "--gamma", "0.6", "--co", "0.5", "--ci", "0.3"],
+            apps.EntryDeterrenceParams(gamma=0.6, cost_out=0.5, cost_in=0.3),
+        ),
+        (["fiscal", "--tau", "0.3", "--c", "0.2"], apps.FiscalPolicyParams(tax=0.3, cost=0.2)),
+    ],
+)
+def test_each_app_flag_sets_its_own_field(capsys, monkeypatch, argv, expected):
+    # The parameters, not the document: the fiscal closed form is symmetric in
+    # tax and cost, so swapped fields would print the same numbers.
+    built = []
+    closed_form = apps.closed_form_min_freq
+    monkeypatch.setattr(apps, "closed_form_min_freq", lambda params: built.append(params) or closed_form(params))
+    assert dispatch(["app", *argv]) == 0
+    capsys.readouterr()
+    assert built[0] == expected  # fiscal's expropriation_freq calls it again
+
+
+def test_cli_fuzz_either_refuses_or_prints_a_valid_document(tmp_path):
+    # Seeded integer and uniform games of 2 to 4 actions a side. Each call
+    # either raises ValueError, a refusal, or returns a document that renders
+    # as strict JSON and matches its schema; any other exception is a bug.
+    rng = np.random.default_rng(2026)
+    validators = {}
+    for name in ("analyze", "fstar", "in_set_a"):
+        schema = json.loads((SCHEMAS / f"{name}.schema.json").read_text())
+        validators[name] = jsonschema.validators.validator_for(schema)(schema)
+    documents = dict.fromkeys(("analyze", "fstar", "in-set-a"), 0)
+    for i in range(400):
+        n_a, n_b = (int(n) for n in rng.integers(2, 5, 2))
+        if i < 200:
+            u1, u2 = (rng.integers(-2, 3, (n_a, n_b)).astype(float) for _ in range(2))
+        else:
+            u1, u2 = (rng.uniform(-1.0, 1.0, (n_a, n_b)) for _ in range(2))
+        labels1 = tuple(f"a{k}" for k in range(n_a))
+        path = tmp_path / f"game_{i}.json"
+        path.write_text(emit_game(StageGame(labels1, tuple(f"b{k}" for k in range(n_b)), u1, u2)))
+        target = ",".join(f"{label}:{prob!r}" for label, prob in zip(labels1, rng.dirichlet(np.ones(n_a)).tolist()))
+        for argv in (
+            ["analyze"],
+            ["fstar"],
+            ["fstar", "--epsilon", "0.05"],
+            ["fstar", "--equality", "--epsilon", "0.01"],
+            ["in-set-a", "--alpha", target],
+        ):
+            args = cli.build_parser().parse_args([argv[0], str(path), *argv[1:]])
+            try:
+                doc = cli._COMMANDS[args.command](args)
+            except ValueError:
+                continue
+            validators[args.command.replace("-", "_")].validate(json.loads(cli._emit(doc, "json")))
+            documents[args.command] += 1
+    assert all(documents.values()), documents

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repfreq"
@@ -15,6 +16,38 @@ def test_every_function_reads_each_of_its_parameters():
                 names = (n for s in fn.body for n in ast.walk(s) if isinstance(n, ast.Name))
                 read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
                 unread += [f"{path.name}:{fn.lineno} {fn.name}({p})" for p in sorted(params - read - {"self", "cls"})]
+    assert unread == []
+
+
+def _loads(tree) -> list[str]:
+    """Every name and attribute that ``tree`` reads."""
+    return [
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_every_private_definition_is_read_in_src():
+    # A private function, class, constant or method that nothing reads is
+    # dead code. Reads inside the definition itself (recursion) do not count;
+    # an import is not a read.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = Counter(name for tree in trees.values() for name in _loads(tree))
+    unread = []
+    for file, tree in trees.items():
+        nodes = [*tree.body, *(item for cls in tree.body if isinstance(cls, ast.ClassDef) for item in cls.body)]
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names, own = [node.name], Counter(_loads(node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node in tree.body:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names, own = [t.id for t in targets if isinstance(t, ast.Name)], Counter()
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__") and reads[name] <= own[name]:
+                    unread.append(f"{file}:{node.lineno} {name}")
     assert unread == []
 
 
