@@ -16,7 +16,10 @@ After the fixtures come seeded random games of 2 to 6 actions a side, half
 with uniform payoffs in [-1, 1] and half with integers in {-2, ..., 2}, written
 to a temporary directory: ``analyze``, ``fstar``, ``fstar --equality`` and
 ``in-set-a`` run on each in JSON, so the digest covers the stage bounds'
-vertex table beyond the fixtures.
+vertex table beyond the fixtures. ``--games wide`` adds seeded random games of
+8 and 9 actions a side, uniform and integer, that run the same calls: from 8
+coordinates on, ``np.linalg.norm`` sums pairwise. They are not in the default
+set.
 
 Last before the random games, ``concentration`` runs in JSON on the two laws
 of the acceptance suite's tail grid, ``tail_dist_quarter`` and the one-two law
@@ -46,8 +49,9 @@ GAMES = (
     "product_choice", "product_choice_three", "entry_deterrence", "fiscal_policy",
     "matching_pennies_tilted", "nash_overlap_3x2", "battle_of_sexes", "chicken",
 )
-RANDOM = "random"  # the --games choice for the seeded random games
-RANDOM_GAMES = 40
+# The --games choices for seeded random games: seed, count, fewest and most actions a side.
+RANDOM, WIDE = "random", "wide"
+RANDOM_SETS = {RANDOM: (31, 40, 2, 6), WIDE: (607, 8, 8, 9)}
 FORMATS = ("json", "csv", "human")
 GAME_CALLS = (
     ("analyze",),
@@ -109,18 +113,19 @@ def witness_marginal(doc: str) -> str:
     return ",".join(f"{label}:{prob / total!r}" for label, prob in mix.items() if prob > 0.0)
 
 
-def write_random_games(directory: Path) -> list[str]:
-    """Write the seeded random games into ``directory`` and return their paths."""
-    rng = np.random.default_rng(31)
+def write_random_games(directory: Path, kind: str) -> list[str]:
+    """Write the seeded random games of ``kind`` into ``directory`` and return their paths."""
+    seed, count, low, high = RANDOM_SETS[kind]
+    rng = np.random.default_rng(seed)
     paths = []
-    for i in range(RANDOM_GAMES):
-        n_a, n_b = (int(n) for n in rng.integers(2, 7, 2))
-        kind = ("uniform", "integer")[i % 2]
+    for i in range(count):
+        n_a, n_b = (int(n) for n in rng.integers(low, high + 1, 2))
+        payoffs = ("uniform", "integer")[i % 2]
         u1, u2 = (
-            rng.uniform(-1.0, 1.0, (n_a, n_b)) if kind == "uniform" else rng.integers(-2, 3, (n_a, n_b)).astype(float)
+            rng.uniform(-1.0, 1.0, (n_a, n_b)) if payoffs == "uniform" else rng.integers(-2, 3, (n_a, n_b)).astype(float)
             for _ in range(2)
         )
-        name = f"random_{i:02d}_{n_a}x{n_b}_{kind}"
+        name = f"{kind}_{i:02d}_{n_a}x{n_b}_{payoffs}"
         doc = {
             "name": name,
             "actions1": [f"a{k}" for k in range(n_a)],
@@ -137,13 +142,14 @@ def write_random_games(directory: Path) -> list[str]:
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--games", nargs="+", choices=(*GAMES, RANDOM), default=(*GAMES, RANDOM),
-        help=f"game fixtures to run, and '{RANDOM}' for the random games (default all)",
+        "--games", nargs="+", choices=(*GAMES, *RANDOM_SETS), default=(*GAMES, RANDOM),
+        help=f"game fixtures to run, '{RANDOM}' for the random games and '{WIDE}' for the wide ones"
+        f" (default all but '{WIDE}')",
     )
     args = parser.parse_args()
 
     for name in args.games:
-        if name == RANDOM:
+        if name in RANDOM_SETS:
             continue
         equality = None
         for call in GAME_CALLS:
@@ -186,8 +192,10 @@ def main():
         if code == 0:
             run(["simulate", str(absorbing), "--target", witness_marginal(out), *SIMULATE, "--eps1", "0.2",
                  "--format", "json"])
-        if RANDOM in args.games:
-            for path in write_random_games(Path(directory)):
+        for kind in RANDOM_SETS:
+            if kind not in args.games:
+                continue
+            for path in write_random_games(Path(directory), kind):
                 run(["analyze", path, "--format", "json"])
                 run(["fstar", path, "--format", "json"])
                 code, out = run(["fstar", path, "--equality", "--format", "json"])

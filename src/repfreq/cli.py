@@ -271,7 +271,7 @@ def dispatch(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         rendered = _emit(_COMMANDS[args.command](args), args.format)
-    except (ValueError, OSError, KeyError, RuntimeError, OverflowError) as exc:
+    except (ValueError, OSError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(rendered)

@@ -67,7 +67,7 @@ class FiniteDist:
     def mean(self) -> float:
         return float(self.values @ self.probs)
 
-    @property
+    @cached_property  # read on every prune of tail_probability_mc
     def max_value(self) -> float:
         return float(self.values.max())
 
@@ -181,16 +181,6 @@ def min_horizon(dist: FiniteDist, delta: float, c: float) -> int:
     return h + 1 if _post_horizon(dist, delta, h) >= limit else h
 
 
-def _check_horizon(dist: FiniteDist, delta: float, c: float, horizon: int) -> None:
-    residual = _post_horizon(dist, delta, horizon)
-    limit = _HORIZON_REL * max(c, 1.0)
-    if residual >= limit:
-        raise ValueError(
-            f"horizon {horizon} leaves a reachable post-horizon increment of "
-            f"{residual:.3g}; need below {limit:.3g}"
-        )
-
-
 def _draw_words(bitgen: np.random.Philox, shape: tuple[int, ...]) -> np.ndarray:
     """The next ``prod(shape)`` 32-bit words of ``bitgen``, filled row-major.
 
@@ -276,10 +266,10 @@ def tail_probability_mc(
     row-local ``einsum``, no BLAS), A_0 the chunk's whole weight and A_K = 0.
     Its rounding may differ from the sequential sum's in the last bits.
 
-    The horizon may be at most ``MAX_HORIZON`` (10**7) steps, whose discounts
-    take 80 MB, and the largest ``|value| / (1 - delta)`` must be a finite
-    float, or the discounted sums could overflow; both are refused with a
-    ``ValueError``.
+    The horizon must be at least :func:`min_horizon` and at most
+    ``MAX_HORIZON`` (10**7) steps, whose discounts take 80 MB, and the largest
+    ``|value| / (1 - delta)`` must be a finite float, or the discounted sums
+    could overflow; each is refused with a ``ValueError``.
 
     So after the first chunk, the words a replication receives depend on
     which rows of its batch are still live, which depends on ``delta``,
@@ -299,7 +289,9 @@ def tail_probability_mc(
         raise ValueError("horizon must be positive")
     if horizon > MAX_HORIZON:
         raise ValueError(f"horizon {horizon} is above the cap of {MAX_HORIZON} steps")
-    _check_horizon(dist, delta, c, horizon)
+    need = min_horizon(dist, delta, c)
+    if horizon < need:
+        raise ValueError(f"horizon {horizon} is below min_horizon's {need} for this distribution, delta and c")
 
     r_star = tail_exponent(dist)
     analytic = math.exp(-r_star * c)
@@ -349,7 +341,7 @@ def tail_probability_mc(
             hits += hit.size
             start += n
             # Keep rows that have not hit and whose best future can still reach c.
-            keep = carry + delta**start * max_pos / (1.0 - delta) >= c
+            keep = carry + _post_horizon(dist, delta, start - 1) >= c
             keep[hit] = False
             carry = carry[keep]
         spare.append(bitgen)

@@ -35,7 +35,7 @@ _MAX_CHUNK_BLOCKS = 128
 
 # Cells (review periods, and absorbing periods under the device) that one round
 # of chunks may draw over the paths a simulate_path call runs at once (see
-# _paths_at_once). A round keeps a review cell as one bit and an absorbing cell
+# _paths_at_once). A round keeps a review cell as a bool and an absorbing cell
 # as a one-byte outcome code, so its draws take at most _BATCH_CELLS bytes. The
 # absorbing words are turned into codes, and the absorbing scan run, in groups
 # of rows of about a 64th of it, 2**14 cells, or one row where t2_bar is
@@ -386,11 +386,10 @@ class _Chunk:
     it reads.
 
     Each path turns its review words into what the chunk keeps as it draws
-    them: its reviews packed to bits (see :meth:`review`) and each review's
-    tempting weight. The absorbing words of consecutive paths are turned into
-    one ``outcome`` code per absorbing period a group of rows at a time (see
-    :meth:`_codes`). So a block keeps a bit per review period and a byte per
-    absorbing period.
+    them: its reviews as bool rows of ``review`` and each review's tempting
+    weight. The absorbing words of consecutive paths are turned into one
+    ``outcome`` code per absorbing period a group of rows at a time (see
+    :meth:`_codes`). So a block keeps a byte per review or absorbing period.
     """
 
     def __init__(
@@ -472,12 +471,13 @@ class _Chunk:
 
     def _draw(self, bitgens: list[np.random.Philox], partial: np.ndarray) -> np.ndarray:
         """Draw every path's words in stream order; ``partial[i]`` > 0 draws
-        only that many words of path i's one review. Keeps the reviews
-        ``packed``, each full review's tempting weight ``w_prime``, the
-        all-tempting ``rows`` and their ``outcome`` codes; returns the coins."""
+        only that many words of path i's one review. Keeps the ``review``
+        rows, padded with False to ``width``, each full review's tempting
+        weight ``w_prime``, the all-tempting ``rows`` and their ``outcome``
+        codes; returns the coins."""
         params, t1, t2 = self.params, self.params.t1, self.params.t2_bar
         blocks = len(self.owner)
-        self.packed = np.zeros((blocks, -(-self.width // 8)), dtype=np.uint8)
+        self.review = np.zeros((blocks, self.width), dtype=bool)
         self.w_prime = np.zeros(blocks)
         tempting = np.zeros(blocks, dtype=bool)  # full reviews, all tempting
         firsts, sizes = self.first.tolist(), self.sizes.tolist()
@@ -486,8 +486,7 @@ class _Chunk:
             if not k:
                 self.w_prime[lo : lo + n] = review @ self.disc[:t1]
                 tempting[lo : lo + n] = review.all(axis=1)
-            bits = np.packbits(review, axis=1)
-            self.packed[lo : lo + n, : bits.shape[1]] = bits
+            self.review[lo : lo + n, : review.shape[1]] = review
         # The review decides how many absorbing words follow.
         self.rows = np.flatnonzero(tempting)
         self.outcome = np.empty((len(self.rows), t2), dtype=np.min_scalar_type(len(params.joint_edges)))
@@ -513,11 +512,6 @@ class _Chunk:
         codes of the rows from ``at`` on."""
         words = np.concatenate(words)
         self.outcome[at : at + len(words)] = _word_index(words, self.params.joint_edges)
-
-    def review(self, idx) -> np.ndarray:
-        """The reviews of blocks ``idx`` as a bool matrix, tempting where True,
-        each row padded with False to ``width`` periods."""
-        return np.unpackbits(self.packed[idx], axis=1, count=self.width).view(bool)
 
     def _place(self, t: np.ndarray) -> None:
         """Lay each path's blocks from its period ``t`` on: ``start`` of each
@@ -607,7 +601,7 @@ class _Chunk:
         cut = np.flatnonzero(~self.kept[idx])
         if cut.size:
             # Each action's periods summed apart: no cancellation when one dominates.
-            rows, disc, at = self.review(idx[cut]), self.disc[: self.width], (np.arange(cut.size), rev[cut] - 1)
+            rows, disc, at = self.review[idx[cut]], self.disc[: self.width], (np.arange(cut.size), rev[cut] - 1)
             w_prime[cut] = np.cumsum(np.where(rows, disc, 0.0), axis=1)[at]
             w_star[cut] = np.cumsum(np.where(rows, 0.0, disc), axis=1)[at]
             w_review[cut] = self.cum_disc[rev[cut] - 1]
@@ -717,9 +711,9 @@ def _paths_at_once(params: SimParams, t_max: int) -> int:
     path's first chunk is its largest, since it caps the later ones, and it
     has at most ``_chunk_blocks(t_max, 1, t1)`` blocks, since the estimated
     block length it is sized from is at least t1 (see :func:`simulate_path`).
-    Each block has at most min(t1, t_max) review cells, kept as a bit each,
-    and t2_bar absorbing cells, kept as a byte each (see :class:`_Chunk`). An
-    always-commit path draws no blocks; it is counted as one cell."""
+    Each block has at most min(t1, t_max) review cells and t2_bar absorbing
+    cells, kept as a byte each (see :class:`_Chunk`). An always-commit path
+    draws no blocks; it is counted as one cell."""
     if params.trivial:
         return _BATCH_CELLS
     blocks = int(_chunk_blocks(t_max, 1, params.t1))
@@ -827,9 +821,8 @@ def estimate_frequencies(
     Path ``k`` is ``simulate_path(..., seed, stream=k)``, and one
     ``simulate_path`` call with ``stream=range(reps)`` runs them all, as many
     at once as keep a round's draws within ``_BATCH_CELLS`` = 2**20 cells, a
-    bit per review period and a byte per absorbing period. How many run at
-    once bounds the working memory only; the estimate is bit for bit the same
-    at any number.
+    byte per review or absorbing period. How many run at once bounds the
+    working memory only; the estimate is bit for bit the same at any number.
     """
     if reps < MIN_REPS:
         raise ValueError(f"reps must be at least {MIN_REPS}")

@@ -134,13 +134,6 @@ def stackelberg(game: StageGame, tol: float = DEFAULT_TOL) -> StackelbergResult:
     )
 
 
-def _norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean lengths along the last axis, the squares summed in coordinate
-    order at every width (``np.linalg.norm`` sums pairwise along a contiguous
-    axis from 8 coordinates on)."""
-    return np.sqrt(np.add.reduce(np.square(rows.T, order="C"), axis=0)).T
-
-
 def _simplex_vertices(eq: np.ndarray, ineq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertices of {alpha in the simplex : eq @ alpha = 0, ineq[i] @ alpha >= 0}
     for each system i of ``ineq``, one per row, and the system each came from.
@@ -159,7 +152,7 @@ def _simplex_vertices(eq: np.ndarray, ineq: np.ndarray) -> tuple[np.ndarray, np.
     """
     m, rows, n = ineq.shape
     if len(eq):
-        norms = _norms(eq)
+        norms = np.linalg.norm(eq, axis=-1)
         eq = eq[norms > 0.0] / norms[norms > 0.0, None]
     if len(eq) > 1:  # an orthonormal basis in place of rows that may be dependent
         _, sing, vt = np.linalg.svd(eq)
@@ -167,7 +160,7 @@ def _simplex_vertices(eq: np.ndarray, ineq: np.ndarray) -> tuple[np.ndarray, np.
     need = n - 1 - len(eq)
     if need < 0:
         return np.empty((0, n)), np.empty(0, np.intp)
-    norms = _norms(ineq)[..., None]
+    norms = np.linalg.norm(ineq, axis=-1)[..., None]
     ineq = np.concatenate([ineq / np.where(norms > 0.0, norms, 1.0), np.zeros((m, n, n))], axis=1)
     ineq[:, rows:] = np.eye(n)  # alpha >= 0
     choices = combinations(range(rows + n), need)
@@ -226,7 +219,7 @@ def _reply_table_of(data: bytes, shape: tuple[int, int]) -> tuple[np.ndarray, np
     diff = u2.T[:, None] - u2.T  # diff[j, k] = u2(., b_j) - u2(., b_k)
     rivals = diff[~np.eye(n_b, dtype=bool)].reshape(n_b, n_b - 1, n_a)  # P_b_j's rows, k != j
     vertices, owner = _simplex_vertices(np.empty((0, n_a)), rivals)
-    replies = np.einsum("va,vka->vk", vertices, diff[owner]) <= DEFAULT_TOL * _norms(diff)[owner]
+    replies = np.einsum("va,vka->vk", vertices, diff[owner]) <= DEFAULT_TOL * np.linalg.norm(diff, axis=-1)[owner]
     # A pair dominates another when its row (actions off the support, then
     # replies) contains the other's.
     pairs = _maximal(np.hstack([vertices <= DEFAULT_TOL, replies]))

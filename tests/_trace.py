@@ -73,7 +73,7 @@ def _lay_out(chunk, t1, out_b, actions, replies, phases) -> None:
     steps = np.arange(chunk.width)
     keep = steps < np.minimum(span, t1)[:, None]
     at = (start[:, None] + steps)[keep]
-    actions[at] = np.where(chunk.review(idx), chunk.ia_prime, chunk.ia_star)[keep]
+    actions[at] = np.where(chunk.review[idx], chunk.ia_prime, chunk.ia_star)[keep]
     replies[at] = chunk.jb_star
     phases[at] = PHASE_REVIEW
     j = np.flatnonzero(chunk.row_of[idx] >= 0)

@@ -664,6 +664,18 @@ def test_runtime_error_exits_1_with_one_stderr_line(capsys, monkeypatch):
     assert captured.err.splitlines() == ["error: block entered compensation with a payoff deficit (-0.1)"]
 
 
+def test_a_key_error_is_a_bug_not_a_refusal(capsys, monkeypatch):
+    # No module raises KeyError on purpose, so dispatch lets one through
+    # rather than print it as "error: 'x'" with exit 1.
+    def fail(args):
+        raise KeyError("x")
+
+    monkeypatch.setitem(cli._COMMANDS, "fstar", fail)
+    with pytest.raises(KeyError, match="x"):
+        dispatch(["fstar", str(fixture_path("product_choice"))])
+    assert capsys.readouterr().err == ""
+
+
 def test_simplex_past_its_pivot_cap_exits_1_with_one_stderr_line(capsys, monkeypatch):
     monkeypatch.setattr(linprog, "_MAX_PIVOTS", 0)
     code = dispatch(["fstar", str(fixture_path("product_choice"))])

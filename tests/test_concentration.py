@@ -407,3 +407,8 @@ def test_min_horizon_satisfies_guard():
         assert residual < 1e-6 * max(c, 1.0)
         shorter = delta**h * DIST_QUARTER.max_value / (1 - delta)
         assert shorter >= 1e-6 * max(c, 1.0) or h == 1
+        # tail_probability_mc's guard is min_horizon's own rule, at its boundary.
+        assert tail_probability_mc(DIST_QUARTER, delta, c, h, reps=1000, seed=0).horizon == h
+        if h > 1:
+            with pytest.raises(ValueError, match=f"horizon {h - 1} "):
+                tail_probability_mc(DIST_QUARTER, delta, c, h - 1, reps=1000, seed=0)

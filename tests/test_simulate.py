@@ -426,7 +426,7 @@ def test_chunk_draws_raw_philox_halves_against_integer_edges():
     review = halves(blocks, params.t1) < edge(params.p)
     rows = np.flatnonzero(review.all(axis=1))
     assert rows.size, "the chunk must reach the absorbing subphase"
-    assert np.array_equal(chunk.review(slice(None)), review)
+    assert np.array_equal(chunk.review, review)
     assert np.array_equal(chunk.rows, rows)
     # One word per absorbing period: its code is the number of joint edges <= it.
     absorbing = halves(rows.size, params.t2_bar)
@@ -581,7 +581,7 @@ def config_game_params(config, games, pc_params):
         return games["product_choice"], derive_params(games["product_choice"], MixedAction.delta("H"), 0.01, delta)
     # fiscal_witness: the first chunk is the largest a path draws, at the cap
     # of _MAX_CHUNK_BLOCKS. beyond_horizon: t1 exceeds the horizon, so every
-    # review is cut short and packed to fewer bits than t1.
+    # review is cut short and kept in fewer columns than t1.
     game = games["fiscal_policy"] if config == "fiscal_witness" else random_assumption_games(40, 1305, 5)[1]
     return game, derive_params(game, equality_target(game), eps1=0.01, delta=delta)
 
@@ -611,9 +611,9 @@ def test_estimates_do_not_depend_on_how_many_paths_run_at_once(games, pc_params,
 
 @pytest.mark.parametrize("config, floor", [("criterion7", 48), ("fiscal_witness", 48), ("absorbing", 32)])
 def test_an_estimate_runs_many_paths_at_once_in_a_small_working_set(games, pc_params, config, floor):
-    # A round keeps a bit per review period and a byte per absorbing period,
-    # so at least `floor` paths fit in one round, and the traced allocations
-    # of a whole estimate still peak below 3 MiB.
+    # A round keeps a byte per review or absorbing period, so at least
+    # `floor` paths fit in one round, and the traced allocations of a whole
+    # estimate still peak below 3 MiB.
     delta = 0.999
     game, params = config_game_params(config, games, pc_params)
     assert simulate._paths_at_once(params, _horizon(delta)) >= floor

@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
@@ -437,9 +437,12 @@ def test_bounds_and_assumptions_are_invariant():
         assert shuffled_rep.satisfied == rep.satisfied
         if rep.a1_unique_stackelberg:
             assert _flags(shuffled_rep) == _flags(rep)
-    # Extreme u2 scales: the bounds read u2 only through the vertex table.
-    for scale, integer, _ in product((1e-6, 1e6), (False, True), range(3)):
-        game = _random_game(rng, *rng.integers(2, 6, 2), integer)
+    # Extreme u2 scales: the bounds read u2 only through the vertex table. The
+    # 8x8 games reach the width from which np.linalg.norm sums pairwise.
+    narrow = product((1e-6, 1e6), (False, True), [None] * 3)
+    wide = product((1e-6, 1e6), (False, True), [(8, 8)])
+    for scale, integer, shape in chain(narrow, wide):
+        game = _random_game(rng, *(shape or rng.integers(2, 6, 2)), integer)
         rep, vb = check_assumptions(game), vbar_p1(game)
         moved = StageGame(game.actions1, game.actions2, game.u1, scale * game.u2 + rng.uniform(-2, 2))
         for moved_part, part in zip(stage._reply_table(moved), stage._reply_table(game)):
