@@ -149,13 +149,6 @@ def tail_exponent(dist: FiniteDist) -> float:
     return dist.tail_exponent
 
 
-def _check_delta_c(delta: float, c: float) -> None:
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError("c must be finite and nonnegative")
-
-
 def _post_horizon(dist: FiniteDist, delta: float, horizon: int) -> float:
     """The most the discounted sum can still gain after ``horizon``."""
     return delta ** (horizon + 1) * max(dist.max_value, 0.0) / (1.0 - delta)
@@ -164,7 +157,10 @@ def _post_horizon(dist: FiniteDist, delta: float, horizon: int) -> float:
 def min_horizon(dist: FiniteDist, delta: float, c: float) -> int:
     """Smallest horizon whose post-horizon best case moves the sum by less
     than a millionth (``_HORIZON_REL``) of max(c, 1)."""
-    _check_delta_c(delta, c)
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1)")
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError("c must be finite and nonnegative")
     max_pos = max(dist.max_value, 0.0)
     if max_pos == 0.0:
         return 1
@@ -266,7 +262,8 @@ def tail_probability_mc(
     row-local ``einsum``, no BLAS), A_0 the chunk's whole weight and A_K = 0.
     Its rounding may differ from the sequential sum's in the last bits.
 
-    The horizon must be at least :func:`min_horizon` and at most
+    The horizon must be at least :func:`min_horizon`, which is never below
+    1, so this refuses every horizon below 1 too. It must be at most
     ``MAX_HORIZON`` (10**7) steps, whose discounts take 80 MB, and the largest
     ``|value| / (1 - delta)`` must be a finite float, or the discounted sums
     could overflow; each is refused with a ``ValueError``.
@@ -276,7 +273,7 @@ def tail_probability_mc(
     ``c`` and the horizon. Calls that differ in those share draws only within
     the first chunk, and only where their horizons give it the same width.
     """
-    _check_delta_c(delta, c)
+    need = min_horizon(dist, delta, c)
     values = dist.values.tolist()
     largest = max(map(abs, values))
     if largest / (1.0 - delta) == math.inf:
@@ -285,11 +282,8 @@ def tail_probability_mc(
         )
     if reps < MIN_REPS:
         raise ValueError(f"reps must be at least {MIN_REPS}")
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
     if horizon > MAX_HORIZON:
         raise ValueError(f"horizon {horizon} is above the cap of {MAX_HORIZON} steps")
-    need = min_horizon(dist, delta, c)
     if horizon < need:
         raise ValueError(f"horizon {horizon} is below min_horizon's {need} for this distribution, delta and c")
 

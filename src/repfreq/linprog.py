@@ -20,8 +20,11 @@ per-call cost outweighs the arithmetic, so the basis is a list of column
 indices, and each pivot reads the reduced costs, the entering column and the
 right-hand side once each as lists: the entering scan and the ratio test run
 on those lists, the latter only over the rows with a positive entry in the
-entering column. At the optimum, the square basic system of the rows not found
-redundant is solved again against the original data.
+entering column; the floating-point operations are those of the array form.
+At the optimum, the square basic system of the rows not found redundant is
+solved again against the original data. Its solution is kept only if it is
+nonnegative and meets every original row within 1e-7; otherwise the
+tableau's point stands.
 """
 
 from __future__ import annotations
@@ -168,11 +171,6 @@ def solve_lp(
     tableau[m, :n] = c
     if not np.isfinite(tableau).all():
         raise ValueError("LP data must be finite")
-    if m == 0:
-        # Unconstrained over the nonnegative orthant.
-        if np.any(c < -_TOL):
-            return LPResult("unbounded")
-        return LPResult("optimal", np.zeros(n), 0.0)
     # Entry (i, j + i) of the tableau is entry j + i * (width + 1) of its flat view.
     tableau.reshape(-1)[n : n_ub * (width + 1) : width + 1] = 1.0  # slack i in row i
     body = tableau[:m]

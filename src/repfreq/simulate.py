@@ -184,10 +184,9 @@ def derive_params(
         )
     i_prime = max(candidates, key=lambda i: (col[i], -i))
     a_prime = game.actions1[i_prime]
+    # stackelberg values a_prime at b_prime, so a unique a_star puts u1(a_prime, b_prime) below v* - tol.
     b_prime = game.actions2[_worst_replies(game, tol)[i_prime]]
-    u_tempt, u_comp = game.payoff1(a_prime, stack.b_star), game.payoff1(a_prime, b_prime)
-    if not u_comp < stack.v_star - tol:
-        raise ValueError("no reply to the tempting action pays strictly below the commitment payoff")
+    u_tempt = game.payoff1(a_prime, stack.b_star)
 
     # Against each rival reply k, b_star's margin under weight w on a_prime is
     # linear, (1 - w) * d0[k] + w * d1[k], with d0 > 0 as b_star is the unique
@@ -329,10 +328,10 @@ def _comp_length(g: np.ndarray, lead: np.ndarray, rate: float, log_d: float) -> 
 
 def _block_length(game: StageGame, params: SimParams, delta: float) -> float:
     """An estimated block length: t1 plus the compensation run that burns a
-    review's mean surplus, ``inf`` where no run does. The run length is convex
-    in the surplus, and absorbing runs are left out, so the estimate errs
-    toward blocks shorter than the mean, and a chunk sized from it toward
-    being large enough."""
+    review's mean surplus, with p as its word edge quantises it, ``inf``
+    where no run does. The run length is convex in the surplus, and absorbing
+    runs are left out, so the estimate errs toward blocks shorter than the
+    mean, and a chunk sized from it toward being large enough."""
     t1, v, log_d = params.t1, params.v_star, math.log(delta)
     tempt = game.payoff1(params.a_prime, params.b_star) - v
     surplus = tempt * params.p_edge / 2.0**32 * _burned(t1, 1.0 / (1.0 - delta), log_d)
@@ -380,7 +379,8 @@ class _Chunk:
     witness atom k where w < edge((1 - eps1) * atom_cum[k]), else the
     mixture's tempting action where w < edge(1 - eps1 + eps1 * p), else its
     commitment action; then one compensation coin per block, ending the run
-    one period early where w < edge(phi). A path with ``left = t_max + 1 - t
+    one period early where w < edge(phi), and a block's expected residual is
+    computed from that quantised phi. A path with ``left = t_max + 1 - t
     <= t1`` periods left is surely cut inside its next block's review, so its
     chunk is that one block, of which it draws only the ``left`` review words
     it reads.
@@ -680,10 +680,9 @@ def simulate_path(
     """
     if not params.delta_bar < delta < 1.0:
         raise ValueError(f"delta must lie in ({params.delta_bar}, 1)")
-    if not params.trivial:
-        length = max(min(params.t1, _horizon(delta)), params.t2_bar)
-        if length > MAX_HORIZON:
-            raise ValueError(f"the path's discount vector would take {length} entries, above the cap of {MAX_HORIZON}")
+    length = max(min(params.t1, _horizon(delta)), params.t2_bar)
+    if length > MAX_HORIZON:
+        raise ValueError(f"the path's discount vector would take {length} entries, above the cap of {MAX_HORIZON}")
     streams = stream if isinstance(stream, range) else range(stream, stream + 1)
     paths = _simulate(game, params, delta, seed, streams)
     return paths if isinstance(stream, range) else paths[0]
@@ -778,6 +777,7 @@ def _simulate(game: StageGame, params: SimParams, delta: float, seed: int, strea
                 # endless; it caps every later chunk of the path.
                 size[new] = cap[new] = _chunk_blocks(t_max + 1 - prep, 1, length) if math.isfinite(length) else 1
                 live = np.concatenate([live, new[prep <= t_max]])
+                spare += [bitgens.pop(i) for i in new[prep > t_max].tolist()]
             if not live.size:
                 continue
 

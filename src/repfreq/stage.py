@@ -111,7 +111,8 @@ def _worst_replies(game: StageGame, tol: float) -> list[int]:
     """Player 1's worst best reply to each of its pure actions, the lowest index on ties.
 
     Row i's best replies are its :func:`_best` entries of u2; of those, the
-    first with the least u1 is taken.
+    first with the least u1 is taken. This one rule picks both b* and the
+    simulator's reply b' to the tempting action.
     """
     return [min(_best(row2, tol), key=row1.__getitem__) for row1, row2 in zip(game.u1.tolist(), game.u2.tolist())]
 

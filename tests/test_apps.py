@@ -151,6 +151,9 @@ def test_parameter_validation():
         EntryDeterrenceParams(0.5, 0.5, -1.0)
     with pytest.raises(ValueError):
         FiscalPolicyParams(0.5, 0.6)  # cost above 1 - tax
+    for build in (build_stage_game, closed_form_min_freq):
+        with pytest.raises(TypeError, match="unsupported parameter set object"):
+            build(object())
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -69,6 +69,8 @@ def test_epsilon_shifts_payoff_floor(product_choice):
     stack = stackelberg(product_choice)
     assert fb.value <= min_stackelberg_freq(product_choice).value
     assert _witness_payoff(product_choice, fb) >= stack.v_star - eps - 1e-9
+    with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        min_stackelberg_freq(product_choice, epsilon=-0.1)
 
 
 def test_equality_with_slack_pins_shifted_payoff(product_choice):
@@ -294,6 +296,8 @@ def test_grid_oracle_nash_overlap(nash_overlap):
 def test_grid_oracle_budget_guard(nash_overlap):
     with pytest.raises(ValueError, match="budget"):
         min_freq_grid(nash_overlap, 2000)
+    with pytest.raises(ValueError, match="resolution must be at least 1"):
+        min_freq_grid(nash_overlap, 0)
 
 
 def test_curve_nonincreasing_and_anchored(product_choice):
@@ -476,6 +480,11 @@ def test_block_mass_at_or_below_dust_is_dropped(monkeypatch, product_choice, mas
     assert sorted(decomposition.weights) == (["h", "l"] if kept else ["h"])
     live = bounds._live_blocks(product_choice, solved.x.reshape(-1, 2))
     assert [(j, m) for j, m, _ in live] == [(0, 1.0 - mass), (1, mass)][: 1 + kept]
+
+
+def test_a_value_within_round_off_of_the_unit_interval_is_clamped_into_it():
+    assert [bounds._clamp_unit(v) for v in (-1e-12, 0.0, 0.25, 1.0, 1.0 + 1e-12)] == [0.0, 0.0, 0.25, 1.0, 1.0]
+    assert [bounds._clamp_unit(v) for v in (-1e-8, 1.0 + 1e-8)] == [-1e-8, 1.0 + 1e-8]  # past round-off: kept
 
 
 def _relabelled_affine(game: StageGame, rng, player: int, scale: float) -> StageGame:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from repfreq import apps, bounds, cli, concentration, linprog, simulate
+from repfreq import apps, bounds, cli, concentration, linprog, simulate, stage
 from repfreq.cli import dispatch
 from repfreq.game import StageGame, emit_game
 from repfreq.linprog import LPResult
@@ -357,6 +358,7 @@ def test_unknown_subcommand_exits_2(capsys):
         ["fstar", "GAME", "--epsilon", "inf"],
         ["in-set-a", "GAME", "--alpha", "H:1", "--epsilon", "nan"],
         ["concentration", "--dist", str(DIST_FILE), "--delta", "0.9", "--reps", "1000", "--c", "nan"],
+        ["simulate", "GAME", "--target", "H:1", "--delta", "1.5"],
     ],
 )
 def test_non_finite_or_negative_numbers_are_usage_errors(capsys, argv):
@@ -409,6 +411,21 @@ def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
         dispatch(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_main_exits_with_the_code_of_its_dispatch(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["repfreq", "app", *APP_PRODUCT_CHOICE])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    # As `python -m repfreq.cli` runs it: a fresh module run as __main__.
+    monkeypatch.delitem(sys.modules, "repfreq.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("repfreq.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == out
+    assert json.loads(out)["variant"] == "product-choice"
 
 
 def test_app_variant_takes_format(capsys):
@@ -469,6 +486,25 @@ def test_a_failed_frequency_lp_exits_1_with_one_stderr_line(capsys, monkeypatch)
     assert code == 1
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: frequency LP returned 'unbounded'; its objective is bounded below by 0"]
+
+
+def test_an_infeasible_prop1_program_exits_1_with_one_stderr_line(capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "_solve_block_lp", lambda *args, **kwargs: LPResult("infeasible"))
+    code = dispatch(["fstar", str(fixture_path("entry_deterrence")), "--method", "prop1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: frequency program infeasible; the Stackelberg point always qualifies"]
+
+
+def test_a_failed_max_min_lp_exits_1_with_one_stderr_line(capsys, monkeypatch):
+    # The tilted pennies' bounds solve two max-min LPs; no pure saddle point settles them.
+    monkeypatch.setattr(stage, "solve_lp", lambda *args, **kwargs: LPResult("infeasible"))
+    code = dispatch(["analyze", str(fixture_path("matching_pennies_tilted"))])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: max-min LP must be feasible and bounded"]
 
 
 def test_prop1_outside_its_hypothesis_exits_1(capsys, tmp_path):
@@ -637,8 +673,9 @@ OVERFLOW = "error: the largest |value| 1e+308 / (1 - delta) is not a finite floa
         (HUGE, "0.9999999999999999", OVERFLOW),
         # The chunk reach and the prefix sums would overflow, and numpy would warn on a success.
         (HUGE, "0.9", OVERFLOW),
+        ({"value": 1.0, "prob": 1.0}, "0.9", "error: distribution file must be a JSON array of {value, prob}"),
     ],
-    ids=["past-the-horizon-cap", "horizon-ratio-underflows", "sums-overflow"],
+    ids=["past-the-horizon-cap", "horizon-ratio-underflows", "sums-overflow", "not-an-array"],
 )
 def test_concentration_refusals_exit_1_with_one_stderr_line(capsys, tmp_path, entries, delta, message):
     dist = DIST_FILE

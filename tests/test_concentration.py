@@ -80,6 +80,25 @@ def test_exponent_is_solved_once_per_distribution(monkeypatch):
             tail_exponent(fair)
 
 
+@pytest.mark.parametrize(
+    "pairs, root",
+    [
+        # The root is about 383.76: the doubling passes r = 512, where r * 1.5
+        # is past _EXP_CAP, so the moment there is taken as inf.
+        ([(1.5, 1e-250), (-1.0, 1.0)], 383.76),
+        # The scaled root is about 1.24, where adjacent floats lie farther apart
+        # than the bracket width 1e-13 * 2**-12: the bisection stops on them.
+        ([(3e-4, 0.1), (-1e-4, 0.9)], 5073.01),
+    ],
+    ids=["past-the-exp-cap", "adjacent-floats"],
+)
+def test_the_root_solves_the_moment_equation_at_the_limits_of_its_search(pairs, root):
+    dist = FiniteDist.from_pairs(pairs)
+    r = tail_exponent(dist)
+    assert r == pytest.approx(root, abs=0.01)
+    assert abs(math.fsum(p * math.exp(r * v) for v, p in pairs) - 1.0) <= 1e-12
+
+
 def test_exponent_is_smallest_positive_root():
     r_star = tail_exponent(DIST_QUARTER)
     for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -158,6 +177,8 @@ def test_dist_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="probabilities must be finite and positive"):
             FiniteDist.from_pairs([(1.0, bad), (-1.0, 0.5)])
+    with pytest.raises(ValueError, match="matching nonempty 1-d arrays"):
+        FiniteDist(values=[1.0, 2.0], probs=[1.0])
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, -1.0])
@@ -369,6 +390,10 @@ def test_domain_guards():
     with pytest.raises(ValueError, match="horizon"):
         # A horizon this short leaves a reachable tail above the guard.
         tail_probability_mc(DIST_QUARTER, 0.999, 1.0, 50, reps=2000, seed=0)
+    need = min_horizon(DIST_QUARTER, 0.9, 1.0)
+    for horizon in (0, -5):  # min_horizon is never below 1
+        with pytest.raises(ValueError, match=f"^horizon {horizon} is below min_horizon's {need} "):
+            tail_probability_mc(DIST_QUARTER, 0.9, 1.0, horizon, reps=2000, seed=0)
 
 
 def test_a_horizon_above_the_cap_is_refused_before_its_discounts_are_allocated():
@@ -412,3 +437,5 @@ def test_min_horizon_satisfies_guard():
         if h > 1:
             with pytest.raises(ValueError, match=f"horizon {h - 1} "):
                 tail_probability_mc(DIST_QUARTER, delta, c, h - 1, reps=1000, seed=0)
+    # With no positive value the sum can gain nothing after any horizon.
+    assert min_horizon(FiniteDist.from_pairs([(-1.0, 0.5), (-2.0, 0.5)]), 0.9, 1.0) == 1

@@ -69,6 +69,10 @@ def test_malformed_document_rejected():
         load_game("{not json")
     with pytest.raises(GameFormatError, match="unknown keys"):
         load_game('{"actions1": ["a","b"], "actions2": ["x","y"], "u1": [[0,0],[0,0]], "u2": [[0,0],[0,0]], "extra": 1}')
+    with pytest.raises(GameFormatError, match="must be a JSON object"):
+        load_game("[1]")
+    with pytest.raises(GameFormatError, match="missing required key 'actions2'"):
+        load_game('{"actions1": ["a","b"], "u1": [[0,0],[0,0]], "u2": [[0,0],[0,0]]}')
 
 
 @pytest.mark.parametrize(
@@ -79,6 +83,7 @@ def test_malformed_document_rejected():
         ({"u1": [[True, -0.2], [1.0, 0.0]]}, "u1 must be an array of numeric rows"),
         ({"u2": [[1.5, 1.0], [-0.5, False]]}, "u2 must be an array of numeric rows"),
         ({"actions1": [["H"], "L"]}, "labels must be nonempty strings"),
+        ({"actions1": "HL"}, "actions1 must be an array"),
     ],
 )
 def test_load_game_rejects_mistyped_fields(change, message):
@@ -124,6 +129,10 @@ def test_expected_payoffs_hand_expansion(product_choice):
 def test_expected_payoffs_unknown_label(product_choice):
     with pytest.raises(ValueError, match="unknown"):
         expected_payoffs(product_choice, MixedAction.delta("Z"), MixedAction.delta("h"))
+    with pytest.raises(ValueError, match="unknown player-1 action 'Z'"):
+        product_choice.a_index("Z")
+    with pytest.raises(ValueError, match="unknown player-2 action 'Z'"):
+        product_choice.b_index("Z")
 
 
 @pytest.mark.parametrize("weight", [0.0, 0.5])
@@ -180,6 +189,7 @@ def test_round_trip(game):
 def test_round_trip_preserves_orders(product_choice):
     clone = load_game(emit_game(product_choice))
     assert clone == product_choice
+    assert (product_choice == 5) is False  # not a game: no comparison, so not equal
     assert clone.order1 == ("H", "L")
     assert clone.order2 == ("h", "l")
 
@@ -214,6 +224,8 @@ def test_mixed_action_validation():
         MixedAction({"a": -0.1, "b": 1.1})
     with pytest.raises(ValueError):
         MixedAction({})
+    with pytest.raises(ValueError, match="action label must be a string, got 1"):
+        MixedAction({1: 1.0})
     act = MixedAction({"a": 0.25, "b": 0.75})
     assert act.prob("a") == 0.25
     assert act.prob("missing") == 0.0
@@ -273,3 +285,6 @@ def test_parse_mixed_action():
     assert parse_mixed_action(" H :0.375, L:0.625").weights == {"H": 0.375, "L": 0.625}
     with pytest.raises(ValueError):
         parse_mixed_action("H:0.7,L:0.7")
+    assert parse_mixed_action("H:1,").weights == {"H": 1.0}  # an empty part is skipped
+    with pytest.raises(ValueError, match="bad probability in 'H:x'"):
+        parse_mixed_action("H:x")

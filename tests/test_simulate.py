@@ -9,7 +9,7 @@ import pytest
 
 from repfreq.apps import ProductChoiceParams, build_stage_game
 from repfreq.bounds import min_stackelberg_freq
-from repfreq.game import MixedAction
+from repfreq.game import MixedAction, StageGame
 from repfreq import simulate
 from repfreq.simulate import (
     _MAX_CHUNK_BLOCKS,
@@ -67,6 +67,22 @@ def test_no_tempting_action_is_rejected(nash_overlap):
     target = MixedAction({"M": 0.5, "L": 0.5})
     with pytest.raises(ValueError, match="no action beats"):
         derive_params(nash_overlap, target, eps1=0.05, delta=0.999)
+
+
+def test_no_room_to_mix_toward_the_tempting_action_is_rejected():
+    # At tol 0, b0 is a0's unique reply by 5e-324 alone, and the tempting action
+    # a1 has b1 ahead of b0 by 1, so b0 stays a strict reply only to mixtures
+    # with weight up to 5e-324 on a1; half of that rounds to 0. Every reply
+    # ties against a2, so the target pays v* = 1 with a third of a2 on b2.
+    game = StageGame(
+        ("a0", "a1", "a2"),
+        ("b0", "b1", "b2"),
+        [[1.0, 0.0, 0.0], [2.0, -1.0, -1.0], [0.0, 0.0, 3.0]],
+        [[5e-324, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+    )
+    target = MixedAction({"a0": 0.5, "a2": 0.5})
+    with pytest.raises(ValueError, match="cannot mix toward the tempting action while keeping the reply strict"):
+        derive_params(game, target, eps1=0.01, delta=0.999, tol=0.0)
 
 
 def test_unattainable_target_is_rejected(product_choice):
@@ -232,6 +248,68 @@ def test_estimate_validates_reps(product_choice, pc_params):
 def test_simulate_validates_delta(product_choice, pc_params):
     with pytest.raises(ValueError, match="delta"):
         simulate_path(product_choice, pc_params, 0.95, seed=0)
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+        derive_params(product_choice, TARGET_PC, eps1=0.01, delta=1.0)
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+        check_incentives(product_choice, pc_params, 1.0)
+
+
+@pytest.mark.parametrize(
+    "eps1, message",
+    [
+        (0.0, r"eps1 must lie in \(0, 1\)"),
+        # The drift mean, -eps1 in exact arithmetic, rounds to 0 or above. At
+        # 5e-324, eps1 * w also rounds to 0, and that law entry is dropped.
+        (5e-324, "drift variable has nonnegative mean"),
+        (1e-17, "drift variable has nonnegative mean"),
+    ],
+)
+def test_an_eps1_at_or_near_zero_is_refused(product_choice, eps1, message):
+    with pytest.raises(ValueError, match=message):
+        derive_params(product_choice, TARGET_PC, eps1=eps1, delta=0.999)
+
+
+def test_an_eps1_below_the_float_spacing_at_1_leaves_no_absorbing_period():
+    # 1 - eps1 rounds to 1, so t2_bar = ceil(log(1 - eps1) / log(delta)) is 0;
+    # on this integer game both drift variables still have a negative mean.
+    game = StageGame(
+        ("a0", "a1", "a2"),
+        ("b0", "b1", "b2"),
+        [[1.0, -1.0, -2.0], [-2.0, 1.0, -2.0], [2.0, 0.0, -1.0]],
+        [[0.0, 0.0, -1.0], [-1.0, -2.0, 1.0], [-2.0, 1.0, -2.0]],
+    )
+    with pytest.raises(ValueError, match="absorbing subphase cap degenerates to zero periods"):
+        derive_params(game, equality_target(game), eps1=1e-200, delta=0.999)
+
+
+def test_a_discount_vector_past_the_cap_is_refused_and_always_commit_needs_none(product_choice):
+    # t2_bar = ceil(log(0.1) / log(delta)) = 23,025,850 entries, above MAX_HORIZON.
+    delta = 0.9999999
+    params = derive_params(product_choice, TARGET_PC, eps1=0.9, delta=delta)
+    with pytest.raises(ValueError, match="would take 23025850 entries, above the cap of 10000000"):
+        simulate_path(product_choice, params, delta, seed=0)
+    # Always-commit parameters have t1 = t2_bar = 0, so no cap applies to them.
+    trivial = derive_params(product_choice, MixedAction.delta("H"), eps1=0.9, delta=delta)
+    assert simulate_path(product_choice, trivial, delta, seed=0).prep_periods == _horizon(delta) + 1
+
+
+def test_paths_that_end_in_preparation_hand_their_generators_back(product_choice, pc_params, monkeypatch):
+    # With p = 0 no preparation word is tempting, so every path prepares to
+    # the horizon and never draws a block; a later path re-keys the generator
+    # of one that ended, so no more generators are made than paths run at once.
+    delta = 0.999
+    params = dataclasses.replace(pc_params, p=0.0)
+    made = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    paths = simulate_path(product_choice, params, delta, seed=1, stream=range(200))
+    assert {(st.prep_periods, st.block_count) for st in paths} == {(18_412, 0)}
+    assert 0 < len(made) <= simulate._paths_at_once(params, _horizon(delta)) < 200
 
 
 def test_negative_seed_accepted(product_choice, pc_params):
