@@ -93,53 +93,38 @@ class FiscalPolicyParams:
 AppParams = Union[ProductChoiceParams, ThreeProductParams, EntryDeterrenceParams, FiscalPolicyParams]
 
 
+def _ranked_game(name: str, actions1, actions2, u1, u2) -> StageGame:
+    """An applied game whose actions are listed from highest-ranked to lowest."""
+    return StageGame(actions1, actions2, u1, u2, order1=actions1, order2=actions2, name=name)
+
+
 def build_stage_game(params: AppParams) -> StageGame:
     if isinstance(params, ProductChoiceParams):
         g, ch, cl = params.gamma, params.cost_high, params.cost_low
-        return StageGame(
-            actions1=("H", "L"),
-            actions2=("h", "l"),
-            u1=[[1.0 - ch, -cl], [1.0, 0.0]],
-            u2=[[2.0 - g, 1.0], [-g, 0.0]],
-            order1=("H", "L"),
-            order2=("h", "l"),
-            name="product-choice",
+        return _ranked_game(
+            "product-choice", ("H", "L"), ("h", "l"),
+            [[1.0 - ch, -cl], [1.0, 0.0]], [[2.0 - g, 1.0], [-g, 0.0]],
         )
     if isinstance(params, ThreeProductParams):
         g1, g2, p, c = params.gamma_hi, params.gamma_lo, params.mid_value, params.cost
         # Buyer payoffs are pinned only through the two thresholds: low-end
         # worth 0 everywhere, mid-line crossing 0 at gamma_lo with unit slope,
         # high-line crossing the mid-line at gamma_hi with slope two.
-        return StageGame(
-            actions1=("H", "L"),
-            actions2=("h", "m", "l"),
-            u1=[[1.0 - c, p - c, -c], [1.0, p, 0.0]],
-            u2=[[2.0 - g1 - g2, 1.0 - g2, 0.0], [-g1 - g2, -g2, 0.0]],
-            order1=("H", "L"),
-            order2=("h", "m", "l"),
-            name="product-choice-three",
+        return _ranked_game(
+            "product-choice-three", ("H", "L"), ("h", "m", "l"),
+            [[1.0 - c, p - c, -c], [1.0, p, 0.0]], [[2.0 - g1 - g2, 1.0 - g2, 0.0], [-g1 - g2, -g2, 0.0]],
         )
     if isinstance(params, EntryDeterrenceParams):
         g, co, ci, s = params.gamma, params.cost_out, params.cost_in, params.subsidy
-        return StageGame(
-            actions1=("F", "A"),
-            actions2=("O", "I"),
-            u1=[[1.0 - co, -ci], [1.0, 0.0]],
-            u2=[[0.0, -(1.0 - g) + s], [0.0, g + s]],
-            order1=("F", "A"),
-            order2=("O", "I"),
-            name="entry-deterrence",
+        return _ranked_game(
+            "entry-deterrence", ("F", "A"), ("O", "I"),
+            [[1.0 - co, -ci], [1.0, 0.0]], [[0.0, -(1.0 - g) + s], [0.0, g + s]],
         )
     if isinstance(params, FiscalPolicyParams):
         t, c = params.tax, params.cost
-        return StageGame(
-            actions1=("Normal", "Expropriate"),
-            actions2=("Invest", "NotInvest"),
-            u1=[[t, 0.0], [1.0, 0.0]],
-            u2=[[1.0 - t - c, 0.0], [-c, 0.0]],
-            order1=("Normal", "Expropriate"),
-            order2=("Invest", "NotInvest"),
-            name="fiscal-policy",
+        return _ranked_game(
+            "fiscal-policy", ("Normal", "Expropriate"), ("Invest", "NotInvest"),
+            [[t, 0.0], [1.0, 0.0]], [[1.0 - t - c, 0.0], [-c, 0.0]],
         )
     raise TypeError(f"unsupported parameter set {type(params).__name__}")
 

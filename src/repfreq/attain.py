@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _live_blocks, _solve_block_lp, _stacked_reply_blocks
+from .bounds import _live_blocks, _solve_block_lp, _stacked_reply_blocks, _witness_marginal
 from .game import MixedAction, StageGame
 from .stage import DEFAULT_TOL, stackelberg
 
-# Feasibility slack absorbing LP rounding in the exact-payoff constraint;
-# kept well inside the 1e-9 tolerances used by callers.
+# Feasibility slack absorbing LP rounding in the exact-payoff constraint, in
+# payoff units; kept well inside the 1e-9 tolerances used by callers.
+# ``--tol`` does not reach it.
 _PAYOFF_SLACK = 1e-10
 
 
@@ -35,10 +36,7 @@ class TargetDecomposition:
     payoff: float
 
     def marginal(self, game: StageGame) -> MixedAction:
-        vec = np.zeros(len(game.actions1))
-        for mass, alpha in self.weights.values():
-            vec += mass * alpha.as_vector(game.actions1)
-        return MixedAction.from_vector(game.actions1, vec, tol=1e-7)
+        return _witness_marginal(game, self.weights.values())
 
 
 def decompose_target(

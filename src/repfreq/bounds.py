@@ -31,9 +31,10 @@ from math import comb
 import numpy as np
 
 from .game import MixedAction, StageGame
-from .linprog import solve_lp
+from .linprog import _POINT_TOL, solve_lp
 from .stage import (
     DEFAULT_TOL,
+    _VERTEX_ATOL,
     _best,
     _pure_best_replies_p1,
     _simplex_vertices,
@@ -45,6 +46,9 @@ from .stage import (
 # The most (q, point) pairs min_freq_grid sorts at once; it bounds the working
 # memory only.
 _GRID_CELLS = 2**16
+# LP dust in probability units, which ``--tol`` does not reach: a lighter
+# block is dropped, and a frequency this close outside [0, 1] is clamped.
+_DUST = 1e-9
 
 @dataclass(frozen=True)
 class FreqBound:
@@ -70,8 +74,7 @@ class FreqBound:
 
     def marginal(self, game: StageGame) -> MixedAction:
         """Player 1's action distribution under the witness."""
-        vec = self.q * self.alpha1.as_vector(game.actions1) + (1 - self.q) * self.alpha2.as_vector(game.actions1)
-        return MixedAction.from_vector(game.actions1, vec, tol=1e-7)
+        return _witness_marginal(game, [(self.q, self.alpha1), (1 - self.q, self.alpha2)])
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,17 @@ def _placeholder_component(game: StageGame, tol: float) -> tuple[MixedAction, st
     return MixedAction.delta(game.actions1[0]), game.actions2[_best(game.u2[0].tolist(), tol)[0]]
 
 
-def _clamp_unit(value: float, tol: float = 1e-9) -> float:
-    if -tol < value < 0.0:
+def _witness_marginal(game: StageGame, parts) -> MixedAction:
+    """Player 1's action distribution under a witness: the sum of mass * alpha
+    over its (mass, alpha) ``parts``, decoded as an LP point."""
+    vec = sum(mass * alpha.as_vector(game.actions1) for mass, alpha in parts)
+    return MixedAction.from_vector(game.actions1, vec, tol=_POINT_TOL)
+
+
+def _clamp_unit(value: float) -> float:
+    if -_DUST < value < 0.0:
         return 0.0
-    if 1.0 < value < 1.0 + tol:
+    if 1.0 < value < 1.0 + _DUST:
         return 1.0
     return value
 
@@ -149,9 +159,9 @@ def _live_blocks(game: StageGame, blocks: np.ndarray) -> list[tuple[int, float, 
     masses = blocks.sum(axis=1).tolist()
     rows = blocks.tolist()
     return [
-        (j, mass, MixedAction.from_vector(game.actions1, [x / mass for x in rows[j]], tol=1e-7))
+        (j, mass, MixedAction.from_vector(game.actions1, [x / mass for x in rows[j]], tol=_POINT_TOL))
         for j, mass in enumerate(masses)
-        if mass > 1e-9  # below is dust at a degenerate vertex
+        if mass > _DUST  # below is dust at a degenerate vertex
     ]
 
 
@@ -234,7 +244,7 @@ def indifference_pieces(game: StageGame) -> list[IndifferencePiece]:
             for i, j_best in enumerate(subset):
                 found: list[np.ndarray] = []
                 for x in points[owner == i]:
-                    if not any(np.allclose(x, v, atol=1e-8) for v in found):
+                    if not any(np.allclose(x, v, atol=_VERTEX_ATOL) for v in found):
                         found.append(x)
                 if found:
                     pieces.append(IndifferencePiece(b=game.actions2[j_best], vertices=np.array(found)))

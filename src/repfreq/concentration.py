@@ -15,7 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-_ROOT_WIDTH = 1e-13  # bisection stops when the bracket is this narrow
+from .game import PROB_TOL
+
+# ``--tol`` reaches neither _ROOT_WIDTH nor _HORIZON_REL.
+_ROOT_WIDTH = 1e-13  # bisection stops when the bracket is this narrow, in units of r
 _EXP_CAP = 700.0  # beyond this, exp overflows; the moment is effectively +inf
 # Monte Carlo stream layout: replications per Philox stream, and steps drawn
 # per live row between prune checks. Both fix which 32-bit word each step uses,
@@ -46,7 +49,7 @@ class FiniteDist:
             raise ValueError("support values must be finite")
         if not np.all(np.isfinite(probs) & (probs > 0)):
             raise ValueError("probabilities must be finite and positive")
-        if abs(math.fsum(probs) - 1.0) > 1e-12:
+        if abs(math.fsum(probs) - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {math.fsum(probs)!r}, expected 1")
         if len(np.unique(values)) != len(values):
             raise ValueError("support values must be distinct")

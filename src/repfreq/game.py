@@ -8,8 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Probability vectors must sum to one within this slack.
+# Probability vectors must sum to one within this slack, and from_vector's
+# default tol absorbs LP-sized noise in signs and sum; both in probability
+# units, and ``--tol`` reaches neither.
 PROB_TOL = 1e-12
+_VECTOR_TOL = 1e-9
 
 
 class GameFormatError(ValueError):
@@ -39,7 +42,7 @@ class MixedAction:
         return cls({label: 1.0})
 
     @classmethod
-    def from_vector(cls, labels, vec, tol: float = 1e-9) -> "MixedAction":
+    def from_vector(cls, labels, vec, tol: float = _VECTOR_TOL) -> "MixedAction":
         """Build from a numeric vector, absorbing LP-sized rounding noise."""
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (len(labels),):

@@ -23,7 +23,7 @@ on those lists, the latter only over the rows with a positive entry in the
 entering column; the floating-point operations are those of the array form.
 At the optimum, the square basic system of the rows not found redundant is
 solved again against the original data. Its solution is kept only if it is
-nonnegative and meets every original row within 1e-7; otherwise the
+nonnegative and meets every original row within ``_POINT_TOL``; otherwise the
 tableau's point stands.
 """
 
@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Reduced-cost optimality tolerance, and the ratio test's tie tolerance.
+# Reduced-cost optimality tolerance, and the ratio test's tie tolerance. No
+# tolerance of this module follows ``--tol``.
 _TOL = 1e-10
 # Pivot elements at or below this are treated as 0: the ratio test takes only
 # rows whose entering-column entry exceeds it, and a leftover artificial is
@@ -43,6 +44,10 @@ _TOL = 1e-10
 _PIVOT_TOL = 1e-8
 # Phase-1 objective above this means the program is infeasible.
 _FEAS_TOL = 1e-8
+# How far an optimal point may miss its rows or signs, in their own units
+# (mass and payoff on the block LPs): _refine keeps a re-solved point within
+# it, and the block witness decoders absorb rounding up to it.
+_POINT_TOL = 1e-7
 # Pivots allowed in one simplex run. The ratio test compares within _TOL, so
 # Bland's rule no longer rules out cycling. The most pivots measured in one
 # run: 73 in the tests, 100 in the benchmark's workloads (6x6 games at most)
@@ -244,6 +249,6 @@ def _refine(
         refined = np.linalg.solve(cols[kept], b_std[kept])
     except np.linalg.LinAlgError:
         return xb
-    if refined.min(initial=0.0) < -1e-7 or abs(cols @ refined - b_std).max(initial=0.0) > 1e-7:
+    if refined.min(initial=0.0) < -_POINT_TOL or abs(cols @ refined - b_std).max(initial=0.0) > _POINT_TOL:
         return xb
     return refined

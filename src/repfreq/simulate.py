@@ -21,13 +21,20 @@ import numpy as np
 
 from .attain import decompose_target
 from .concentration import MAX_HORIZON, FiniteDist, _cum_edges, _draw_words, _philox, _word_index, tail_exponent
-from .game import MixedAction, StageGame
+from .game import PROB_TOL, MixedAction, StageGame
 from .stage import DEFAULT_TOL, _worst_replies, minmax_p1, stackelberg
 
-# Path simulation stops once the remaining discounted weight is below this.
+# Path simulation stops once the remaining discounted weight (a share of the
+# path's, 1) is below this; ``--tol`` does not reach it.
 _RESIDUAL_WEIGHT = 1e-8
 # Backoff applied to the largest mixture weight that keeps the reply strict.
 _MIX_MARGIN = 1e-3
+# Payoff tolerances, which ``--tol`` does not reach. Values of a block's payoff
+# law within _LAW_MERGE (payoff units) are one atom. The rest compare a block's
+# surplus g over v*, discounted to its first period: it burns g above
+# _SURPLUS_CUT, its run ends exactly where at most _EXACT_END of g is left, and
+# it owes a deficit below -_DEFICIT_CUT.
+_LAW_MERGE, _SURPLUS_CUT, _EXACT_END, _DEFICIT_CUT = 1e-12, 1e-12, 1e-15, 1e-9
 
 # The most normal-phase blocks a chunk draws (see _chunk_blocks). Part of the
 # stream definition: changing it changes the path drawn for a given (seed, stream).
@@ -152,7 +159,8 @@ def derive_params(
     The target must be attainable (it is decomposed here); the construction
     additionally needs an action strictly better than the commitment action
     against the commitment reply. A target putting all mass on the commitment
-    action selects the trivial always-commit equilibrium instead.
+    action selects the trivial always-commit equilibrium instead, at any delta;
+    every other target needs delta above 1 - eps1.
     """
     if not 0.0 < eps1 < 1.0:
         raise ValueError("eps1 must lie in (0, 1)")
@@ -162,7 +170,7 @@ def derive_params(
     if not stack.unique:
         raise ValueError("construction requires a unique commitment action and reply")
 
-    if target.as_vector(game.actions1)[game.a_index(stack.a_star)] >= 1.0 - 1e-12:
+    if target.as_vector(game.actions1)[game.a_index(stack.a_star)] >= 1.0 - PROB_TOL:
         return SimParams(
             a_star=stack.a_star,
             b_star=stack.b_star,
@@ -170,6 +178,10 @@ def derive_params(
             eps1=eps1,
             trivial=True,
         )
+    delta_bar = 1.0 - eps1
+    if delta <= delta_bar:
+        cause = "; 1 - eps1 rounds to 1" if delta_bar == 1.0 else ""
+        raise ValueError(f"delta {delta} is at or below the construction bound {delta_bar} (1 - eps1){cause}")
 
     witness = decompose_target(game, target, epsilon=0.0, tol=tol)
     if witness is None:
@@ -223,7 +235,7 @@ def derive_params(
             if prob <= 0.0:
                 continue
             for known in merged:
-                if abs(known - value) <= 1e-12:
+                if abs(known - value) <= _LAW_MERGE:
                     value = known
                     break
             merged[value] = merged.get(value, 0.0) + prob
@@ -232,10 +244,7 @@ def derive_params(
         probs = probs / probs.sum()
         if values.max() <= 0.0:
             return None  # breach event unreachable; the bound is vacuous
-        dist = FiniteDist(values=values, probs=probs)
-        if dist.mean >= 0:
-            raise ValueError("drift variable has nonnegative mean; tail exponent undefined")
-        return dist
+        return FiniteDist(values=values, probs=probs)
 
     # Player 1's per-period payoff law over a block: the mixture's two
     # actions against b_star, then the witness atoms. z1 is the deficit below
@@ -245,21 +254,19 @@ def derive_params(
     law += [(float(pay), (1.0 - eps1) * float(pr)) for pay, pr in zip(atom_pay, atom_probs)]
     z1 = finite_dist([(v - x, q) for x, q in law])
     z2 = finite_dist([(x - drift_target, q) for x, q in law])
-    r1 = tail_exponent(z1) if z1 is not None else None
-    r2 = tail_exponent(z2) if z2 is not None else None
+    for z, name in ((z1, "z1, the deficit below v*,"), (z2, "z2, the excess over the drift target,")):
+        if z is not None and z.mean >= 0:
+            raise ValueError(f"drift variable {name} has nonnegative mean; tail exponent undefined")
+    r1, r2 = (tail_exponent(z) if z is not None else None for z in (z1, z2))
     finite = [r for r in (r1, r2) if r is not None]
     c = -math.log(eps1) / min(finite) if finite else 1.0
 
     gap = u_tempt - v
     m_bar = game.max_payoff1
     t1 = max(1, math.ceil((m_bar + c) / gap))
+    # delta > 1 - eps1 puts t2_bar at 1 or more.
     t2_bar = math.ceil(math.log(1.0 - eps1) / math.log(delta))
-    if t2_bar < 1:
-        raise ValueError("absorbing subphase cap degenerates to zero periods")
-    delta_bar = 1.0 - eps1
     delta_bar_theory = max((1.0 - eps1**3) ** (1.0 / t1), 1.0 - eps1**2)
-    if delta <= delta_bar:
-        raise ValueError(f"delta {delta} is at or below the construction bound {delta_bar} (1 - eps1)")
 
     return SimParams(
         a_star=stack.a_star,
@@ -450,14 +457,14 @@ class _Chunk:
         rate = v - self.u_comp
         self.log_d = log_d = math.log(delta)
         self.lead = lead = delta**self.off / (1.0 - delta)
-        self.burns = g > 1e-12
+        self.burns = g > _SURPLUS_CUT
         n = _comp_length(g, lead, rate, log_d)
         self.unending = self.burns & np.isinf(n)
         self.n_comp = np.where(self.burns, np.minimum(n, t_max + 2), 0).astype(np.int64)
         g_after = g - rate * _burned(self.n_comp, lead, log_d)
         g_before = g - rate * _burned(self.n_comp - 1, lead, log_d)
         # 0 where the run ends exactly, or where its last period moves g by nothing.
-        moves = (np.abs(g_after) > 1e-15) & (g_before > g_after)
+        moves = (np.abs(g_after) > _EXACT_END) & (g_before > g_after)
         phi_edge = _cum_edges(np.divide(-g_after, g_before - g_after, out=np.zeros_like(g), where=moves))
         # The coin's probability as drawn, so the expected residual is exact for it.
         self.phi = phi_edge / 2.0**32
@@ -584,7 +591,7 @@ class _Chunk:
         """
         t1, n_a, v, paths = self.params.t1, self.n_a, self.params.v_star, len(self.sizes)
         kept = np.flatnonzero(self.kept)
-        owed = kept[self.g[kept] < -1e-9]
+        owed = kept[self.g[kept] < -_DEFICIT_CUT]
         owners, first = np.unique(self.owner[owed], return_index=True)
         deficit = np.full(paths, np.nan)
         deficit[owners] = self.g[owed[first]]

@@ -44,7 +44,18 @@ import numpy as np
 from .game import MixedAction, StageGame
 from .linprog import solve_lp
 
+# The default of every ``tol`` argument and of ``--tol``: the slack of the
+# best-reply ties and the other payoff comparisons, in payoff units.
 DEFAULT_TOL = 1e-9
+# The vertex enumerator's own tolerances, which ``--tol`` does not reach.
+# _UNIT_ROW_TOL (DEFAULT_TOL's value, not its meaning) is the slack of each
+# test on unit-length rows: their rank, slacks and reply ties at a vertex, and
+# its zero weights. A choice of unit rows whose determinant is at most
+# _DET_TOL is dependent. Vertices within _VERTEX_ATOL in every weight
+# (probability units) are one.
+_UNIT_ROW_TOL = 1e-9
+_DET_TOL = 1e-12
+_VERTEX_ATOL = 1e-8
 # The most matrix cells (systems x n x n) one batch of _simplex_vertices
 # solves: 8 MB of systems. It bounds the working memory only.
 _VERTEX_CELLS = 2**20
@@ -157,7 +168,7 @@ def _simplex_vertices(eq: np.ndarray, ineq: np.ndarray) -> tuple[np.ndarray, np.
         eq = eq[norms > 0.0] / norms[norms > 0.0, None]
     if len(eq) > 1:  # an orthonormal basis in place of rows that may be dependent
         _, sing, vt = np.linalg.svd(eq)
-        eq = vt[: np.count_nonzero(sing > DEFAULT_TOL)]
+        eq = vt[: np.count_nonzero(sing > _UNIT_ROW_TOL)]
     need = n - 1 - len(eq)
     if need < 0:
         return np.empty((0, n)), np.empty(0, np.intp)
@@ -175,12 +186,12 @@ def _simplex_vertices(eq: np.ndarray, ineq: np.ndarray) -> tuple[np.ndarray, np.
         systems[:, :, 1 : n - need] = eq
         systems[:, :, n - need :] = group[:, choices]
         systems = systems.reshape(-1, n, n)
-        keep = np.abs(np.linalg.det(systems)) > 1e-12  # drop choices of dependent rows
+        keep = np.abs(np.linalg.det(systems)) > _DET_TOL  # drop choices of dependent rows
         owner = np.repeat(np.arange(lo, lo + len(group)), len(choices))[keep]
         rhs = np.zeros((len(owner), n, 1))
         rhs[:, 0] = n**-0.5
         point = np.linalg.solve(systems[keep], rhs)[..., 0]
-        feasible = np.all(np.einsum("pn,prn->pr", point, ineq[owner]) >= -DEFAULT_TOL, axis=1)
+        feasible = np.all(np.einsum("pn,prn->pr", point, ineq[owner]) >= -_UNIT_ROW_TOL, axis=1)
         points.append(point[feasible])
         owners.append(owner[feasible])
     return np.concatenate(points), np.concatenate(owners)
@@ -220,10 +231,10 @@ def _reply_table_of(data: bytes, shape: tuple[int, int]) -> tuple[np.ndarray, np
     diff = u2.T[:, None] - u2.T  # diff[j, k] = u2(., b_j) - u2(., b_k)
     rivals = diff[~np.eye(n_b, dtype=bool)].reshape(n_b, n_b - 1, n_a)  # P_b_j's rows, k != j
     vertices, owner = _simplex_vertices(np.empty((0, n_a)), rivals)
-    replies = np.einsum("va,vka->vk", vertices, diff[owner]) <= DEFAULT_TOL * np.linalg.norm(diff, axis=-1)[owner]
+    replies = np.einsum("va,vka->vk", vertices, diff[owner]) <= _UNIT_ROW_TOL * np.linalg.norm(diff, axis=-1)[owner]
     # A pair dominates another when its row (actions off the support, then
     # replies) contains the other's.
-    pairs = _maximal(np.hstack([vertices <= DEFAULT_TOL, replies]))
+    pairs = _maximal(np.hstack([vertices <= _UNIT_ROW_TOL, replies]))
     table = ~pairs[:, :n_a], pairs[:, n_a:]
     for part in table:
         part.setflags(write=False)  # shared by every caller of the cache

@@ -254,14 +254,16 @@ def test_simulate_validates_delta(product_choice, pc_params):
         check_incentives(product_choice, pc_params, 1.0)
 
 
+ROUNDS_TO_ONE = r"at or below the construction bound 1\.0 \(1 - eps1\); 1 - eps1 rounds to 1"
+
+
 @pytest.mark.parametrize(
     "eps1, message",
     [
         (0.0, r"eps1 must lie in \(0, 1\)"),
-        # The drift mean, -eps1 in exact arithmetic, rounds to 0 or above. At
-        # 5e-324, eps1 * w also rounds to 0, and that law entry is dropped.
-        (5e-324, "drift variable has nonnegative mean"),
-        (1e-17, "drift variable has nonnegative mean"),
+        # Below about 1.1e-16, 1 - eps1 rounds to 1, so no delta passes the bound.
+        (5e-324, ROUNDS_TO_ONE),
+        (1e-17, ROUNDS_TO_ONE),
     ],
 )
 def test_an_eps1_at_or_near_zero_is_refused(product_choice, eps1, message):
@@ -270,16 +272,40 @@ def test_an_eps1_at_or_near_zero_is_refused(product_choice, eps1, message):
 
 
 def test_an_eps1_below_the_float_spacing_at_1_leaves_no_absorbing_period():
-    # 1 - eps1 rounds to 1, so t2_bar = ceil(log(1 - eps1) / log(delta)) is 0;
-    # on this integer game both drift variables still have a negative mean.
+    # 1 - eps1 rounds to 1, so t2_bar = ceil(log(1 - eps1) / log(delta)) would
+    # be 0; the bound delta > 1 - eps1 refuses it before any drift variable.
     game = StageGame(
         ("a0", "a1", "a2"),
         ("b0", "b1", "b2"),
         [[1.0, -1.0, -2.0], [-2.0, 1.0, -2.0], [2.0, 0.0, -1.0]],
         [[0.0, 0.0, -1.0], [-1.0, -2.0, 1.0], [-2.0, 1.0, -2.0]],
     )
-    with pytest.raises(ValueError, match="absorbing subphase cap degenerates to zero periods"):
+    with pytest.raises(ValueError, match=ROUNDS_TO_ONE):
         derive_params(game, equality_target(game), eps1=1e-200, delta=0.999)
+
+
+def test_a_drift_variable_without_a_negative_mean_is_named(product_choice):
+    # decompose_target pays v* - 1e-10, so z1's mean, (1 - eps1) * 1e-10 -
+    # eps1 * w * 0.4, is about +8.0e-11 here.
+    message = r"drift variable z1, the deficit below v\*, has nonnegative mean"
+    with pytest.raises(ValueError, match=message):
+        derive_params(product_choice, TARGET_PC, eps1=1e-10, delta=1.0 - 5e-11)
+    # h is H's reply by 1e-323 alone, so the tempting weight w is 5e-324 and
+    # the witness's h block holds about 1e-323 of L. At eps1 = 0.5 both law
+    # entries that pay u1(L, h) get probability 0 and are dropped (FiniteDist
+    # would refuse a zero probability); the rest of z1 keeps the 1e-10
+    # deficit's positive mean.
+    game = StageGame(("H", "L"), ("h", "l"), [[0.6, 2.0], [1.0, 0.0]], [[1e-323, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=message):
+        derive_params(game, MixedAction({"H": 0.5, "L": 0.5}), eps1=0.5, delta=0.9999, tol=0.0)
+
+
+def test_the_absorbing_cap_is_one_period_or_more_just_above_the_bound(product_choice):
+    # delta > 1 - eps1 gives t2_bar = ceil(log(1 - eps1) / log(delta)) >= 1,
+    # also at the first float above the bound.
+    for eps1 in np.geomspace(1e-9, 0.999, 50).tolist():
+        delta = math.nextafter(1.0 - eps1, 1.0)
+        assert derive_params(product_choice, TARGET_PC, eps1=eps1, delta=delta).t2_bar >= 1, eps1
 
 
 def test_a_discount_vector_past_the_cap_is_refused_and_always_commit_needs_none(product_choice):

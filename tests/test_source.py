@@ -60,3 +60,51 @@ def test_src_holds_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _module_constant_nodes(tree) -> set[int]:
+    """The ids of every node inside the value of a module-level assignment."""
+    values = [node.value for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value]
+    return {id(n) for value in values for n in ast.walk(value)}
+
+
+def test_every_tolerance_is_a_named_module_constant():
+    # A float below 1e-6 is a tolerance (or a dust or merge cut). Each one
+    # lives in a module-level constant whose comment gives its unit, so none
+    # sits bare in a comparison, a keyword argument or a parameter default.
+    bare = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = _module_constant_nodes(tree)
+        bare += [
+            f"{path.name}:{node.lineno} {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and type(node.value) is float
+            and 0.0 < abs(node.value) < 1e-6
+            and id(node) not in named
+        ]
+    assert bare == []
+
+
+def test_default_tol_is_read_only_as_a_default():
+    # DEFAULT_TOL is what --tol sets. A check that borrows it for its value
+    # (the vertex enumerator's unit-row tests did) would seem to follow --tol
+    # without doing so; such a check names its own constant.
+    borrowed = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defaults = [
+            *(d for fn in ast.walk(tree) if isinstance(fn, ast.arguments) for d in (*fn.defaults, *fn.kw_defaults) if d),
+            *(kw.value for call in ast.walk(tree) if isinstance(call, ast.Call) for kw in call.keywords if kw.arg == "default"),
+        ]
+        allowed = {id(n) for d in defaults for n in ast.walk(d)}
+        borrowed += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)
+            and "DEFAULT_TOL" in (getattr(node, "id", None), getattr(node, "attr", None))
+            and id(node) not in allowed
+        ]
+    assert borrowed == []
