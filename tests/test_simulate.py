@@ -262,8 +262,8 @@ ROUNDS_TO_ONE = r"at or below the construction bound 1\.0 \(1 - eps1\); 1 - eps1
     [
         (0.0, r"eps1 must lie in \(0, 1\)"),
         # Below about 1.1e-16, 1 - eps1 rounds to 1, so no delta passes the bound.
-        (5e-324, ROUNDS_TO_ONE),
-        (1e-17, ROUNDS_TO_ONE),
+        pytest.param(5e-324, ROUNDS_TO_ONE, id="5e-324-1 - eps1 rounds to 1"),
+        pytest.param(1e-17, ROUNDS_TO_ONE, id="1e-17-1 - eps1 rounds to 1"),
     ],
 )
 def test_an_eps1_at_or_near_zero_is_refused(product_choice, eps1, message):
