@@ -43,7 +43,7 @@ from .stage import (
     stackelberg,
 )
 
-# The most (q, point) pairs min_freq_grid sorts at once; it bounds the working
+# The most (q, point) pairs min_freq_grid scans at once; it bounds the working
 # memory only.
 _GRID_CELLS = 2**16
 # LP dust in probability units, which ``--tol`` does not reach: a lighter
@@ -242,9 +242,9 @@ def indifference_pieces(game: StageGame) -> list[IndifferencePiece]:
             ineq = np.stack([np.hstack([gap[:, others], ahead]).T for ahead in leads])
             points, owner = _simplex_vertices(gap[:, list(subset[1:])].T, ineq)
             for i, j_best in enumerate(subset):
-                found: list[np.ndarray] = []
-                for x in points[owner == i]:
-                    if not any(np.allclose(x, v, atol=_VERTEX_ATOL) for v in found):
+                found: list[list[float]] = []
+                for x in points[owner == i].tolist():
+                    if all(max(abs(a - b) for a, b in zip(x, v)) > _VERTEX_ATOL for v in found):
                         found.append(x)
                 if found:
                     pieces.append(IndifferencePiece(b=game.actions2[j_best], vertices=np.array(found)))
@@ -292,51 +292,41 @@ def min_freq_grid(game: StageGame, resolution: int, br_tol: float = DEFAULT_TOL)
     stack = _require_unique_stackelberg(game, br_tol)
     n_a = len(game.actions1)
     n_points = comb(resolution + n_a - 1, n_a - 1)
-    # The scan below sorts every (point, reply) pair once per mixing weight q.
+    # The scan below visits every (point, reply) pair once per mixing weight q.
     if (resolution + 1) * n_points * len(game.actions2) > 20_000_000:
         raise ValueError("grid too large for the enumeration budget")
 
     i_star = game.a_index(stack.a_star)
     freq_list: list[float] = []
     pay_list: list[float] = []
-    for counts in _compositions(resolution, n_a):
-        vec = np.array(counts, dtype=float) / resolution
+    for bars in combinations(range(resolution + n_a - 1), n_a - 1):  # stars and bars
+        edges = (-1, *bars, resolution + n_a - 1)
+        vec = np.array([b - a - 1 for a, b in zip(edges, edges[1:])], dtype=float) / resolution
         for j in _best((vec @ game.u2).tolist(), br_tol):
             freq_list.append(vec[i_star])
             pay_list.append(float(vec @ game.u1[:, j]))
-    freq = np.array(freq_list)
-    pay = np.array(pay_list)
+    order = np.argsort(pay_list)
+    freq, pay = np.array(freq_list)[order], np.array(pay_list)[order]
 
     # For each q, the cheapest second point paying at least v* - q * pay:
-    # the first sorted second-point payoff at or above it, and the least
-    # frequency from there on. All q of a group, at most _GRID_CELLS pairs of
-    # them, are sorted at once.
+    # the first second-point payoff at or above it, and the least frequency
+    # from there on. Scaling by 1 - q >= 0 keeps the payoff order, so one sort
+    # serves every q. All q of a group, at most _GRID_CELLS pairs of them, are
+    # scanned at once.
     best = np.inf
     qs = np.arange(resolution + 1) / resolution
     step = max(1, _GRID_CELLS // len(pay))
     for lo in range(0, len(qs), step):
         q = qs[lo : lo + step, None]
         u_second = (1.0 - q) * pay
-        order = np.argsort(u_second, axis=1)
-        u_sorted = np.take_along_axis(u_second, order, axis=1)
-        f_sorted = np.take_along_axis((1.0 - q) * freq, order, axis=1)
-        suffix_min = np.minimum.accumulate(f_sorted[:, ::-1], axis=1)[:, ::-1]
+        suffix_min = np.minimum.accumulate(((1.0 - q) * freq)[:, ::-1], axis=1)[:, ::-1]
         needed = stack.v_star - q * pay
-        pos = np.array([np.searchsorted(row, need, side="left") for row, need in zip(u_sorted, needed)])
+        pos = np.array([np.searchsorted(row, need, side="left") for row, need in zip(u_second, needed)])
         ok = pos < len(pay)
         if np.any(ok):
             cand = (q * freq)[ok] + suffix_min[ok.nonzero()[0], pos[ok]]
             best = min(best, float(cand.min()))
     return best
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def min_freq_curve(

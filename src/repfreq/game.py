@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,21 +111,17 @@ class StageGame:
     order1: tuple[str, ...] | None = None
     order2: tuple[str, ...] | None = None
     name: str | None = None
-    _idx1: dict[str, int] = field(init=False, repr=False, compare=False)
-    _idx2: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for which, index in (("actions1", "_idx1"), ("actions2", "_idx2")):
+        for which in ("actions1", "actions2"):
             labels = tuple(getattr(self, which))
             if len(labels) < 2:
                 raise GameFormatError(f"{which} needs at least two actions")
             if not all(isinstance(lab, str) and lab for lab in labels):
                 raise GameFormatError(f"{which} labels must be nonempty strings")
-            positions = {lab: i for i, lab in enumerate(labels)}
-            if len(positions) != len(labels):
+            if len(set(labels)) != len(labels):
                 raise GameFormatError(f"duplicate labels in {which}")
             object.__setattr__(self, which, labels)
-            object.__setattr__(self, index, positions)
         shape = (len(self.actions1), len(self.actions2))
         for which in ("u1", "u2"):
             mat = np.array(getattr(self, which), dtype=float)
@@ -149,14 +145,14 @@ class StageGame:
 
     def a_index(self, label: str) -> int:
         try:
-            return self._idx1[label]
-        except KeyError:
+            return self.actions1.index(label)
+        except ValueError:
             raise ValueError(f"unknown player-1 action {label!r}") from None
 
     def b_index(self, label: str) -> int:
         try:
-            return self._idx2[label]
-        except KeyError:
+            return self.actions2.index(label)
+        except ValueError:
             raise ValueError(f"unknown player-2 action {label!r}") from None
 
     def payoff1(self, a: str, b: str) -> float:

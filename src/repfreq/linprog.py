@@ -52,7 +52,10 @@ _POINT_TOL = 1e-7
 # Bland's rule no longer rules out cycling. The most pivots measured in one
 # run: 73 in the tests, 100 in the benchmark's workloads (6x6 games at most)
 # and 322 on random 12x12 games; no random 7x7 to 16x16 game tried
-# (default_rng(4)) came near this cap.
+# (default_rng(4)) came near this cap. Yet decompose_target's membership LP
+# reaches it on two of the wide games of ``scripts/cli_digest.py --games
+# wide`` (wide_00_9x9_uniform and wide_04_8x8_uniform), so in-set-a refuses
+# the frequency program's own witnesses there.
 _MAX_PIVOTS = 10_000
 
 

@@ -1,4 +1,5 @@
 from functools import cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from repfreq.bounds import (
 )
 from repfreq.game import MixedAction, StageGame, expected_payoffs
 from repfreq.linprog import LPResult, solve_lp
-from repfreq.stage import best_replies_p2, check_assumptions, is_monotone_supermodular, stackelberg
+from repfreq.stage import DEFAULT_TOL, best_replies_p2, check_assumptions, is_monotone_supermodular, stackelberg
 from .conftest import (
     TWO_BY_TWO,
     UNIQUE_GAMES,
@@ -244,6 +245,26 @@ def test_indifference_pieces_empty_under_dominance():
     assert indifference_pieces(game) == []
 
 
+def test_indifference_pieces_keep_vertices_200_vertex_tolerances_apart():
+    # b0 and b1 tie where x2 = 0 and beat b2 there from x0 = 0.5 on; player 1
+    # prefers b0 up to x0 = 0.5 + d. The piece's two ends differ by
+    # d = 2e-6, 200 times _VERTEX_ATOL, in two weights, so they are two
+    # vertices, which a relative merge tolerance of 1e-5 would make one.
+    d = 2e-6
+    game = StageGame(
+        ("a0", "a1", "a2"),
+        ("b0", "b1", "b2"),
+        np.array([[-(0.5 - d), 0.0, 0.0], [0.5 + d, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0]]),
+    )
+    piece = indifference_pieces(game)[0]
+    assert piece.b == "b0"
+    assert len(piece.vertices) == 2
+    expected = [[0.5, 0.5, 0.0], [0.5 + d, 0.5 - d, 0.0]]
+    for target in expected:
+        assert any(np.abs(vertex - target).max() <= 1e-12 for vertex in piece.vertices)
+
+
 def test_piece_vertices_have_tied_replies(games):
     for name in ("product_choice", "product_choice_three", "entry_deterrence"):
         game = games[name]
@@ -282,11 +303,55 @@ def test_grid_oracle_gap_shrinks_with_resolution(games):
 
 
 def test_grid_oracle_does_not_depend_on_its_group_budget(games, monkeypatch):
-    # Below one q's worth of pairs, each q is sorted on its own.
+    # Below one q's worth of pairs, each q is scanned on its own.
     names = [*TWO_BY_TWO, "nash_overlap_3x2", "product_choice_three"]
     values = [min_freq_grid(games[name], 20) for name in names]
     monkeypatch.setattr(bounds, "_GRID_CELLS", 1)
     assert [min_freq_grid(games[name], 20) for name in names] == values
+
+
+def _grid_scan(game, resolution, tol=DEFAULT_TOL):
+    """The grid oracle's value by a direct scan: every grid point found by
+    filtering all count vectors, each reply within ``tol`` of the best, and
+    every ordered pair of (point, reply) candidates at every grid weight q."""
+    stack = stackelberg(game, tol)
+    i_star = game.a_index(stack.a_star)
+    cands = []
+    for counts in product(range(resolution + 1), repeat=len(game.actions1)):
+        if sum(counts) == resolution:
+            vec = np.array(counts, dtype=float) / resolution
+            values = vec @ game.u2
+            for j in np.flatnonzero(values >= values.max() - tol):
+                cands.append((float(vec[i_star]), float(vec @ game.u1[:, j])))
+    best = np.inf
+    for k in range(resolution + 1):
+        q = k / resolution
+        for f_i, u_i in cands:
+            for f_j, u_j in cands:
+                if (1 - q) * u_j >= stack.v_star - q * u_i:
+                    best = min(best, q * f_i + (1 - q) * f_j)
+    return best
+
+
+def test_grid_oracle_equals_a_direct_scan():
+    # Same candidates and the same arithmetic, so the same float, whatever
+    # order the oracle enumerates and sorts its points in.
+    rng = np.random.default_rng(42)
+    games = []
+    while len(games) < 20:
+        n_a, n_b = rng.integers(2, 4, size=2)
+        game = StageGame(
+            tuple(f"a{i}" for i in range(n_a)),
+            tuple(f"b{j}" for j in range(n_b)),
+            rng.uniform(-1, 1, (n_a, n_b)),
+            rng.uniform(-1, 1, (n_a, n_b)),
+        )
+        stack = stackelberg(game)
+        if stack.unique_action and stack.unique_reply:
+            games.append(game)
+    for game in games:
+        for resolution in range(1, 7):
+            assert min_freq_grid(game, resolution) == _grid_scan(game, resolution)
 
 
 def test_grid_oracle_nash_overlap(nash_overlap):

@@ -108,3 +108,19 @@ def test_default_tol_is_read_only_as_a_default():
             and id(node) not in allowed
         ]
     assert borrowed == []
+
+
+def test_every_closeness_test_states_its_relative_tolerance():
+    # np.allclose, np.isclose and math.isclose also apply a relative
+    # tolerance (1e-5 and 1e-9 by default) that no constant names, so the
+    # census above cannot see it: a call leaves it implicit only by mistake.
+    implicit = []
+    for path in sorted(SRC.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "attr", getattr(call.func, "id", None))
+            explicit = len(call.args) > 2 or any(kw.arg in ("rtol", "rel_tol") for kw in call.keywords)
+            if name in ("allclose", "isclose") and not explicit:
+                implicit.append(f"{path.name}:{call.lineno} {name}")
+    assert implicit == []
