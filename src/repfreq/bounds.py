@@ -18,8 +18,8 @@ The finite-candidate variant is the same program with other columns: one
 weight per vertex of each candidate (indifference pieces and the lowest-action
 pair), no cone rows, and a candidate's block is its weighted vertex sum. Both
 routes share one LP builder and one witness rule. The block layout, that
-builder and the block decoder live here alone: attainability
-(:mod:`repfreq.attain`) asks the same program a feasibility question.
+builder and the block decoder live here alone: attainability,
+:func:`decompose_target`, asks the same program a feasibility question.
 """
 
 from __future__ import annotations
@@ -49,6 +49,10 @@ _GRID_CELLS = 2**16
 # LP dust in probability units, which ``--tol`` does not reach: a lighter
 # block is dropped, and a frequency this close outside [0, 1] is clamped.
 _DUST = 1e-9
+# Feasibility slack absorbing LP rounding in attainability's exact-payoff
+# constraint, in payoff units; kept well inside the 1e-9 tolerances used by
+# callers. ``--tol`` does not reach it.
+_PAYOFF_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class FreqBound:
@@ -75,6 +79,22 @@ class FreqBound:
     def marginal(self, game: StageGame) -> MixedAction:
         """Player 1's action distribution under the witness."""
         return _witness_marginal(game, [(self.q, self.alpha1), (1 - self.q, self.alpha2)])
+
+
+@dataclass(frozen=True)
+class TargetDecomposition:
+    """Witness that a target marginal is attainable.
+
+    ``weights`` maps each reply to its mass and the conditional mixture
+    played against it; masses sum to one and the mass-weighted mixtures
+    average to the target.
+    """
+
+    weights: dict[str, tuple[float, MixedAction]]
+    payoff: float
+
+    def marginal(self, game: StageGame) -> MixedAction:
+        return _witness_marginal(game, self.weights.values())
 
 
 @dataclass(frozen=True)
@@ -223,6 +243,46 @@ def min_stackelberg_freq(
             raise ValueError(f"no reply-consistent profile pays the pinned payoff v* - epsilon = {floor}")
         raise RuntimeError(f"frequency LP returned {res.status!r}; its objective is bounded below by 0")
     return _freq_bound(game, res.value, res.x.reshape(-1, n_a), game.actions2, "lp", tol, epsilon, equality)
+
+
+def decompose_target(
+    game: StageGame,
+    target: MixedAction,
+    epsilon: float = 0.0,
+    tol: float = DEFAULT_TOL,
+) -> TargetDecomposition | None:
+    """Find a reply-consistent decomposition of ``target`` delivering the
+    commitment payoff within ``epsilon``, or ``None`` when there is none.
+
+    The frequency bound's block program as a feasibility LP: each block
+    x_b = mass_b * alpha_b obeys the (homogeneous) best-reply halfspaces of
+    its reply, the blocks sum to the target, and the total payoff sits in the
+    required band. One conditional mixture per reply suffices: the
+    reply-consistent region for a fixed reply is convex and payoffs are
+    linear, so averaging distinct mixtures for the same reply loses nothing.
+    """
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    stack = stackelberg(game, tol)
+    n_a = len(game.actions1)
+    cone, pay = _stacked_reply_blocks(game)
+    sums = np.tile(np.eye(n_a), len(game.actions2))  # row i: the blocks' total weight on action i
+    band = epsilon + _PAYOFF_SLACK
+    res = _solve_block_lp(
+        np.zeros(len(pay)), pay, cone, sums, target.as_vector(game.actions1), stack.v_star - band, stack.v_star + band
+    )
+    if not res.optimal:
+        return None
+
+    blocks = res.x.reshape(-1, n_a)
+    live = _live_blocks(game, blocks)
+    total_mass = sum(mass for _, mass, _ in live)
+    weights: dict[str, tuple[float, MixedAction]] = {}
+    total_pay = 0.0
+    for j, mass, alpha in live:
+        weights[game.actions2[j]] = (mass / total_mass, alpha)
+        total_pay += float(blocks[j] @ game.u1[:, j]) / total_mass
+    return TargetDecomposition(weights=weights, payoff=total_pay)
 
 
 def indifference_pieces(game: StageGame) -> list[IndifferencePiece]:

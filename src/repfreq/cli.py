@@ -19,7 +19,7 @@ import json
 import math
 import sys
 
-from . import apps, attain, bounds, concentration, simulate, stage
+from . import apps, bounds, concentration, simulate, stage
 from .game import MixedAction, load_game_file, parse_mixed_action
 
 
@@ -163,7 +163,7 @@ def _cmd_fstar(args) -> dict:
 def _cmd_in_set_a(args) -> dict:
     game = load_game_file(args.game)
     target = parse_mixed_action(args.alpha)
-    witness = attain.decompose_target(game, target, args.epsilon, args.tol)
+    witness = bounds.decompose_target(game, target, args.epsilon, args.tol)
     if witness is None:
         return {"member": False}
     return {

@@ -243,8 +243,9 @@ def _refine(
     """Re-solve the final basic system against the original data.
 
     The basis columns of the ``kept`` rows form a square system. Solving it
-    kills the rounding accumulated by tableau pivots; the solution must still
-    meet every original row, or the tableau's basic values ``xb`` are returned
+    kills the rounding accumulated by tableau pivots. The solution is kept only
+    when both checks below hold, so a NaN, which fails every comparison, is
+    never kept; otherwise the tableau's basic values ``xb`` are returned
     unchanged.
     """
     cols = a_std[:, basis]
@@ -252,6 +253,6 @@ def _refine(
         refined = np.linalg.solve(cols[kept], b_std[kept])
     except np.linalg.LinAlgError:
         return xb
-    if refined.min(initial=0.0) < -_POINT_TOL or abs(cols @ refined - b_std).max(initial=0.0) > _POINT_TOL:
-        return xb
-    return refined
+    if refined.min(initial=0.0) >= -_POINT_TOL and abs(cols @ refined - b_std).max(initial=0.0) <= _POINT_TOL:
+        return refined
+    return xb

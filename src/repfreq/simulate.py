@@ -19,10 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .attain import decompose_target
+from .bounds import _require_unique_stackelberg, decompose_target
 from .concentration import MAX_HORIZON, FiniteDist, _cum_edges, _draw_words, _philox, _word_index, tail_exponent
 from .game import PROB_TOL, MixedAction, StageGame
-from .stage import DEFAULT_TOL, _worst_replies, minmax_p1, stackelberg
+from .stage import DEFAULT_TOL, _worst_replies, minmax_p1
 
 # Path simulation stops once the remaining discounted weight (a share of the
 # path's, 1) is below this; ``--tol`` does not reach it.
@@ -166,9 +166,7 @@ def derive_params(
         raise ValueError("eps1 must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    stack = stackelberg(game, tol)
-    if not stack.unique:
-        raise ValueError("construction requires a unique commitment action and reply")
+    stack = _require_unique_stackelberg(game, tol)
 
     if target.as_vector(game.actions1)[game.a_index(stack.a_star)] >= 1.0 - PROB_TOL:
         return SimParams(

@@ -71,10 +71,6 @@ class StackelbergResult:
     unique_action: bool
     unique_reply: bool
 
-    @property
-    def unique(self) -> bool:
-        return self.unique_action and self.unique_reply
-
 
 @dataclass(frozen=True)
 class AssumptionReport:

@@ -80,3 +80,10 @@ def test_member_payoff_reproduced_by_expected_payoffs(product_choice):
 def test_epsilon_validation(product_choice):
     with pytest.raises(ValueError, match="nonnegative"):
         decompose_target(product_choice, MixedAction.delta("H"), epsilon=-0.5)
+
+
+def test_a_huge_epsilon_witness_recombines_to_its_target(product_choice):
+    target = MixedAction({"H": 0.375, "L": 0.625})
+    witness = decompose_target(product_choice, target, epsilon=1e308)
+    assert witness is not None
+    assert witness.marginal(product_choice).as_vector(product_choice.actions1) == pytest.approx([0.375, 0.625], abs=1e-9)

@@ -112,6 +112,19 @@ def test_in_set_a_nonmember(capsys):
     assert doc == {"member": False}
 
 
+@pytest.mark.parametrize("epsilon", ["9e307", "1e308", "1.7976931348623157e308"])
+def test_in_set_a_at_a_huge_epsilon_prints_the_witness_of_a_large_one(capsys, epsilon):
+    # The membership LP's re-solved point was all NaN here, yet kept, so every
+    # block was dropped as dust and the member witness came out empty.
+    argv = ["in-set-a", str(fixture_path("product_choice")), "--alpha", "H:0.375,L:0.625"]
+    code, out = run_cli(capsys, *argv, "--epsilon", epsilon)
+    assert code == 0
+    doc = json.loads(out)
+    validate(doc, "in_set_a.schema.json")
+    assert run_cli(capsys, *argv, "--epsilon", "5e307") == (0, out)
+    assert doc["weights"] == {"h": {"alpha": {"H": 0.5, "L": 0.5}, "mass": 0.75}, "l": {"alpha": {"L": 1.0}, "mass": 0.25}}
+
+
 def test_simulate_output_and_csv(capsys, tmp_path):
     out_csv = tmp_path / "freq.csv"
     code, out = run_cli(
@@ -444,13 +457,15 @@ def test_app_variant_takes_format(capsys):
                 "simulate", str(fixture_path("product_choice")), "--target", "H:0.375,L:0.625",
                 "--delta", "0.999", "--reps", "100", "--tol", "0.5",
             ],
-            "requires a unique commitment action and reply",
+            "multiple optimal commitment actions",
         ),
         (["app", *APP_PRODUCT_CHOICE, "--tol", "0.5"], "multiple optimal commitment actions"),
+        (["fstar", str(fixture_path("product_choice")), "--tol", "0.5"], "multiple optimal commitment actions"),
     ],
 )
 def test_simulate_and_app_read_tol(capsys, argv, message):
-    # At a tolerance of 0.5 the product-choice commitment point is no longer unique.
+    # At a tolerance of 0.5 the product-choice commitment point is no longer
+    # unique, and every command refuses it with the same message.
     code = dispatch(argv)
     captured = capsys.readouterr()
     assert code == 1

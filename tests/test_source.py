@@ -124,3 +124,16 @@ def test_every_closeness_test_states_its_relative_tolerance():
             if name in ("allclose", "isclose") and not explicit:
                 implicit.append(f"{path.name}:{call.lineno} {name}")
     assert implicit == []
+
+
+def test_only_bounds_reads_the_block_layout():
+    # The block LP's layout, builder and decoder have one home, so the
+    # frequency bound and attainability cannot drift apart.
+    helpers = {"_stacked_reply_blocks", "_solve_block_lp", "_live_blocks", "_witness_marginal"}
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "bounds.py":
+            tree = ast.parse(path.read_text())
+            imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
+            readers += [f"{path.name} {name}" for name in sorted(helpers & {*imported, *_loads(tree)})]
+    assert readers == []

@@ -81,7 +81,7 @@ def test_stackelberg_product_choice(product_choice):
     res = stackelberg(product_choice)
     assert (res.a_star, res.b_star) == ("H", "h")
     assert res.v_star == pytest.approx(0.6)
-    assert res.unique
+    assert res.unique_action and res.unique_reply
 
 
 def test_stackelberg_entry(entry_deterrence):
