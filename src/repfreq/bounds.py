@@ -37,6 +37,7 @@ from .stage import (
     _VERTEX_ATOL,
     _best,
     _pure_best_replies_p1,
+    _reply_gaps,
     _simplex_vertices,
     is_monotone_supermodular,
     lowest_pair,
@@ -142,12 +143,8 @@ def _stacked_reply_blocks(game: StageGame) -> tuple[np.ndarray, np.ndarray]:
     best-reply cone of its reply, and ``pay @ x`` is player 1's payoff.
     """
     n_a, n_b = game.u2.shape
-    gaps = game.u2.T[None] - game.u2.T[:, None]  # gaps[j, k] = u2(., b_k) - u2(., b_j)
-    # Block j's rows are its rivals k != j. Flattened in (j, k) order, the pairs
-    # k = j are every (n_b + 1)-th from the first; dropping them leaves n_b - 1 per j.
-    rivals = gaps.reshape(n_b * n_b, n_a)[1:].reshape(n_b - 1, n_b + 1, n_a)[:, :-1].reshape(n_b, n_b - 1, n_a)
     cone = np.zeros((n_b, n_b - 1, n_b, n_a))
-    np.einsum("jkja->jka", cone)[...] = rivals  # block j's rows in block j's columns
+    np.einsum("jkja->jka", cone)[...] = -_reply_gaps(game.u2)[1]  # block j's negated rival rows in block j's columns
     return cone.reshape(n_b * (n_b - 1), n_a * n_b), game.u1.T.flatten()
 
 
@@ -291,16 +288,17 @@ def indifference_pieces(game: StageGame) -> list[IndifferencePiece]:
     strictly dominant everywhere. The vertices are found under the vertex
     enumerator's fixed tolerance on unit-length rows."""
     n_b = len(game.actions2)
+    gaps = _reply_gaps(game.u2)[0]
     pieces: list[IndifferencePiece] = []
     for size in range(2, n_b + 1):
         for subset in combinations(range(n_b), size):
-            gap = game.u2[:, subset[0], None] - game.u2  # column j: u2(., b_j0) - u2(., b_j)
             others = [j for j in range(n_b) if j not in subset]
             # One system per j_best in the subset, each of n_b - 1 rows: the
-            # other replies' gaps, then j_best's lead over the rest of the subset.
+            # gaps u2(., b_j0) - u2(., b_j) to the other replies, then
+            # j_best's lead over the rest of the subset.
             leads = [game.u1[:, j, None] - game.u1[:, [k for k in subset if k != j]] for j in subset]
-            ineq = np.stack([np.hstack([gap[:, others], ahead]).T for ahead in leads])
-            points, owner = _simplex_vertices(gap[:, list(subset[1:])].T, ineq)
+            ineq = np.stack([np.vstack([gaps[subset[0], others], ahead.T]) for ahead in leads])
+            points, owner = _simplex_vertices(gaps[subset[0], list(subset[1:])], ineq)
             for i, j_best in enumerate(subset):
                 found: list[list[float]] = []
                 for x in points[owner == i].tolist():

@@ -269,7 +269,8 @@ def tail_probability_mc(
     1, so this refuses every horizon below 1 too. It must be at most
     ``MAX_HORIZON`` (10**7) steps, whose discounts take 80 MB, and the largest
     ``|value| / (1 - delta)`` must be a finite float, or the discounted sums
-    could overflow; each is refused with a ``ValueError``.
+    could overflow; each is refused with a ``ValueError``. The distribution
+    is checked first: :func:`tail_exponent`'s refusals come before these.
 
     So after the first chunk, the words a replication receives depend on
     which rows of its batch are still live, which depends on ``delta``,
@@ -277,6 +278,7 @@ def tail_probability_mc(
     the first chunk, and only where their horizons give it the same width.
     """
     need = min_horizon(dist, delta, c)
+    r_star = tail_exponent(dist)
     values = dist.values.tolist()
     largest = max(map(abs, values))
     if largest / (1.0 - delta) == math.inf:
@@ -290,7 +292,6 @@ def tail_probability_mc(
     if horizon < need:
         raise ValueError(f"horizon {horizon} is below min_horizon's {need} for this distribution, delta and c")
 
-    r_star = tail_exponent(dist)
     analytic = math.exp(-r_star * c)
 
     edges = _cum_edges(np.cumsum(dist.probs)[:-1])

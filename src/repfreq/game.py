@@ -127,8 +127,12 @@ class StageGame:
             mat = np.array(getattr(self, which), dtype=float)
             if mat.shape != shape:
                 raise GameFormatError(f"{which} has shape {mat.shape}, expected {shape}")
-            if not all(map(math.isfinite, mat.ravel().tolist())):
+            values = mat.ravel().tolist()
+            if not all(map(math.isfinite, values)):
                 raise GameFormatError(f"{which} contains a non-finite payoff")
+            # Bounds every payoff gap, so no best-reply comparison overflows.
+            if not math.isfinite(max(values) - min(values)):
+                raise GameFormatError(f"{which} spans more than the largest float, so its payoff differences overflow")
             mat.setflags(write=False)
             object.__setattr__(self, which, mat)
         for which, order, labels in (

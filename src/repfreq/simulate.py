@@ -22,7 +22,7 @@ import numpy as np
 from .bounds import _require_unique_stackelberg, decompose_target
 from .concentration import MAX_HORIZON, FiniteDist, _cum_edges, _draw_words, _philox, _word_index, tail_exponent
 from .game import PROB_TOL, MixedAction, StageGame
-from .stage import DEFAULT_TOL, _worst_replies, minmax_p1
+from .stage import DEFAULT_TOL, _reply_gaps, _worst_replies, minmax_p1
 
 # Path simulation stops once the remaining discounted weight (a share of the
 # path's, 1) is below this; ``--tol`` does not reach it.
@@ -201,9 +201,8 @@ def derive_params(
     # Against each rival reply k, b_star's margin under weight w on a_prime is
     # linear, (1 - w) * d0[k] + w * d1[k], with d0 > 0 as b_star is the unique
     # reply to a_star; it vanishes at d0 / (d0 - d1) where d1 < d0.
-    i_star, j_star = game.a_index(stack.a_star), game.b_index(stack.b_star)
-    d0 = game.u2[i_star, j_star] - np.delete(game.u2[i_star], j_star)
-    d1 = game.u2[i_prime, j_star] - np.delete(game.u2[i_prime], j_star)
+    rivals = _reply_gaps(game.u2)[1][game.b_index(stack.b_star)]  # rows k != b_star: u2(., b_star) - u2(., b_k)
+    d0, d1 = rivals[:, [game.a_index(stack.a_star), i_prime]].T
     falls = d1 < d0
     w_max = float(np.min(d0[falls] / (d0 - d1)[falls], initial=1.0))
     w = w_max - _MIX_MARGIN if w_max > 2 * _MIX_MARGIN else 0.5 * w_max

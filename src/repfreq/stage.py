@@ -30,6 +30,11 @@ falling order of it, and one max-min LP per pair gives the value, none
 solved where a pure saddle point or a bound settles it. The vertex count is
 exponential in the number of actions, which is fine at desk scale (six or
 fewer per side).
+
+``_reply_gaps`` is the one source of the P_b rows, and of every other
+opponent-payoff gap u2(., b) - u2(., b'): the frequency LP's reply cones,
+the indifference pieces and the simulator's reply margins read theirs from
+it.
 """
 
 from __future__ import annotations
@@ -220,14 +225,25 @@ def _reply_table(game: StageGame) -> tuple[np.ndarray, np.ndarray]:
     return _reply_table_of(game.u2.tobytes(), game.u2.shape)
 
 
+def _reply_gaps(u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every opponent-payoff gap, gaps[j, k] = u2(., b_j) - u2(., b_k), and
+    each reply's rival rows, rivals[j] = gaps[j, k] for k != j in k order:
+    P_b_j is the simplex cut by rivals[j] @ alpha >= 0.
+
+    Flattened in (j, k) order, the pairs k = j are every (n_b + 1)-th from
+    the first; dropping them leaves n_b - 1 per j.
+    """
+    n_a, n_b = u2.shape
+    gaps = u2.T[:, None] - u2.T
+    return gaps, gaps.reshape(n_b * n_b, n_a)[1:].reshape(n_b - 1, n_b + 1, n_a)[:, :-1].reshape(n_b, n_b - 1, n_a)
+
+
 @lru_cache(maxsize=16)
 def _reply_table_of(data: bytes, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    u2 = np.frombuffer(data).reshape(shape)
-    n_a, n_b = shape
-    diff = u2.T[:, None] - u2.T  # diff[j, k] = u2(., b_j) - u2(., b_k)
-    rivals = diff[~np.eye(n_b, dtype=bool)].reshape(n_b, n_b - 1, n_a)  # P_b_j's rows, k != j
+    n_a = shape[0]
+    gaps, rivals = _reply_gaps(np.frombuffer(data).reshape(shape))
     vertices, owner = _simplex_vertices(np.empty((0, n_a)), rivals)
-    replies = np.einsum("va,vka->vk", vertices, diff[owner]) <= _UNIT_ROW_TOL * np.linalg.norm(diff, axis=-1)[owner]
+    replies = np.einsum("va,vka->vk", vertices, gaps[owner]) <= _UNIT_ROW_TOL * np.linalg.norm(gaps, axis=-1)[owner]
     # A pair dominates another when its row (actions off the support, then
     # replies) contains the other's.
     pairs = _maximal(np.hstack([vertices <= _UNIT_ROW_TOL, replies]))

@@ -689,8 +689,14 @@ OVERFLOW = "error: the largest |value| 1e+308 / (1 - delta) is not a finite floa
         # The chunk reach and the prefix sums would overflow, and numpy would warn on a success.
         (HUGE, "0.9", OVERFLOW),
         ({"value": 1.0, "prob": 1.0}, "0.9", "error: distribution file must be a JSON array of {value, prob}"),
+        # The mean, +0.25, is refused before the horizon of 27631007 steps is.
+        (
+            [{"value": 1.0, "prob": 0.5}, {"value": -0.5, "prob": 0.5}],
+            "0.999999",
+            "error: distribution mean must be negative",
+        ),
     ],
-    ids=["past-the-horizon-cap", "horizon-ratio-underflows", "sums-overflow", "not-an-array"],
+    ids=["past-the-horizon-cap", "horizon-ratio-underflows", "sums-overflow", "not-an-array", "mean-before-horizon"],
 )
 def test_concentration_refusals_exit_1_with_one_stderr_line(capsys, tmp_path, entries, delta, message):
     dist = DIST_FILE

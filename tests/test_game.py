@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repfreq.cli import dispatch
 from repfreq.game import (
     GameFormatError,
     MixedAction,
@@ -62,6 +63,45 @@ def test_nonfinite_payoff_rejected():
 def test_finite_payoffs_whose_sum_overflows_are_accepted():
     game = StageGame(("a", "b"), ("x", "y"), [[1e308, 1e308], [0.0, 0.0]], [[0.0, 1e308], [1e308, 0.0]])
     assert game.u1.tolist() == [[1e308, 1e308], [0.0, 0.0]] and game.payoff2("b", "x") == 1e308
+
+
+SPAN_OVERFLOW = "error: u1 spans more than the largest float, so its payoff differences overflow"
+
+
+@pytest.mark.parametrize(
+    "u1, u2",
+    [
+        ([[1e308, -1e308], [0, 1e308]], [[1e308, -1e308], [-1e308, 1e308]]),
+        (
+            [[1e308, -1e308, 0], [0, 1e308, -1e308], [5, 1, 2]],
+            [[1e308, -1e308, 3], [-1e308, 1e308, 2], [1, 2, 3]],
+        ),
+    ],
+    ids=["2x2", "3x3"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze"],
+        ["fstar"],
+        ["fstar", "--equality"],
+        ["in-set-a", "--alpha", "a0:0.5,a1:0.5"],
+        ["simulate", "--target", "a0:0.5,a1:0.5", "--delta", "0.99", "--reps", "100"],
+    ],
+    ids=["analyze", "fstar", "fstar-equality", "in-set-a", "simulate"],
+)
+def test_payoffs_whose_differences_overflow_are_refused(capsys, tmp_path, u1, u2, command):
+    # A matrix's max - min bounds each of its payoff gaps, so refusing an
+    # infinite span keeps every best-reply comparison finite: no NaN row
+    # reaches the vertex table and no inf reaches a JSON document.
+    labels = [f"a{i}" for i in range(len(u1))], [f"b{j}" for j in range(len(u1))]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"actions1": labels[0], "actions2": labels[1], "u1": u1, "u2": u2}))
+    code = dispatch([command[0], str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [SPAN_OVERFLOW]
 
 
 def test_malformed_document_rejected():

@@ -137,3 +137,19 @@ def test_only_bounds_reads_the_block_layout():
             imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
             readers += [f"{path.name} {name}" for name in sorted(helpers & {*imported, *_loads(tree)})]
     assert readers == []
+
+
+def test_only_stage_subtracts_opponent_payoffs():
+    # The gaps u2(., b) - u2(., b') that cut out each reply's polytope have one
+    # builder, stage._reply_gaps, so the reply table, the frequency LP's cones,
+    # the indifference pieces and the simulator's margins cannot drift apart.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "stage.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and all("u2" in _loads(side) for side in (node.left, node.right))
+    ]
+    assert found == []

@@ -77,6 +77,25 @@ def test_polytope_membership_agrees_with_best_replies(games):
             assert np.array_equal(block, -reply_halfspaces(game, j))
 
 
+@pytest.mark.parametrize("integer", [True, False], ids=["tie-heavy-integer", "uniform"])
+def test_reply_gaps_layout_bit_for_bit(integer):
+    # tobytes tells -0.0 from 0.0, so a gap formed with the opposite sign and
+    # negated back would not pass for the subtraction itself.
+    rng = np.random.default_rng(45)
+    for n_a, n_b in product(range(2, 7), repeat=2):
+        for _ in range(3):
+            game = _random_game(rng, n_a, n_b, integer)
+            gaps, rivals = stage._reply_gaps(game.u2)
+            expected = np.array([[game.u2[:, j] - game.u2[:, k] for k in range(n_b)] for j in range(n_b)])
+            assert gaps.tobytes() == expected.tobytes()
+            rows = np.array([[expected[j, k] for k in range(n_b) if k != j] for j in range(n_b)])
+            assert rivals.tobytes() == rows.tobytes()
+            cone = np.zeros((n_b, n_b - 1, n_b, n_a))
+            for j in range(n_b):
+                cone[j, :, j] = -rows[j]  # block j's rival rows in block j's columns, zero elsewhere
+            assert bounds._stacked_reply_blocks(game)[0].tobytes() == cone.reshape(-1, n_b * n_a).tobytes()
+
+
 def test_stackelberg_product_choice(product_choice):
     res = stackelberg(product_choice)
     assert (res.a_star, res.b_star) == ("H", "h")
