@@ -34,7 +34,6 @@ from .game import MixedAction, StageGame
 from .linprog import _POINT_TOL, solve_lp
 from .stage import (
     DEFAULT_TOL,
-    _VERTEX_ATOL,
     _best,
     _pure_best_replies_p1,
     _reply_gaps,
@@ -54,6 +53,9 @@ _DUST = 1e-9
 # constraint, in payoff units; kept well inside the 1e-9 tolerances used by
 # callers. ``--tol`` does not reach it.
 _PAYOFF_SLACK = 1e-10
+# indifference_pieces' vertices within _VERTEX_ATOL in every weight
+# (probability units) are one. ``--tol`` does not reach it.
+_VERTEX_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class FreqBound:
@@ -224,8 +226,8 @@ def min_stackelberg_freq(
     payoff at that floor, v* - epsilon, instead of bounding it below, and a
     pinned payoff that no reply-consistent profile pays raises ``ValueError``.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be nonnegative and finite, got {epsilon}")
     stack = _require_unique_stackelberg(game, tol)
     n_a = len(game.actions1)
     cone, pay = _stacked_reply_blocks(game)
@@ -258,8 +260,8 @@ def decompose_target(
     reply-consistent region for a fixed reply is convex and payoffs are
     linear, so averaging distinct mixtures for the same reply loses nothing.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be nonnegative and finite, got {epsilon}")
     stack = stackelberg(game, tol)
     n_a = len(game.actions1)
     cone, pay = _stacked_reply_blocks(game)

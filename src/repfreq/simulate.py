@@ -29,12 +29,11 @@ from .stage import DEFAULT_TOL, _reply_gaps, _worst_replies, minmax_p1
 _RESIDUAL_WEIGHT = 1e-8
 # Backoff applied to the largest mixture weight that keeps the reply strict.
 _MIX_MARGIN = 1e-3
-# Payoff tolerances, which ``--tol`` does not reach. Values of a block's payoff
-# law within _LAW_MERGE (payoff units) are one atom. The rest compare a block's
+# Payoff tolerances, which ``--tol`` does not reach. They compare a block's
 # surplus g over v*, discounted to its first period: it burns g above
 # _SURPLUS_CUT, its run ends exactly where at most _EXACT_END of g is left, and
 # it owes a deficit below -_DEFICIT_CUT.
-_LAW_MERGE, _SURPLUS_CUT, _EXACT_END, _DEFICIT_CUT = 1e-12, 1e-12, 1e-15, 1e-9
+_SURPLUS_CUT, _EXACT_END, _DEFICIT_CUT = 1e-12, 1e-15, 1e-9
 
 # The most normal-phase blocks a chunk draws (see _chunk_blocks). Part of the
 # stream definition: changing it changes the path drawn for a given (seed, stream).
@@ -80,10 +79,13 @@ class SimParams:
     drift_target: float = 0.0
     delta_bar: float = 0.0
     delta_bar_theory: float = 0.0
-    # q-sampling table for the absorbing subphase, flattened to atoms.
+    # The absorbing subphase's outcome table. atom_cum: the witness atoms'
+    # cumulative probabilities. out_a, out_b: each outcome code's action and
+    # reply index, the witness atoms in order, then (a', b*), then (a*, b*),
+    # the mixture's two actions against the commitment reply.
     atom_cum: np.ndarray | None = field(default=None, repr=False)
-    atom_a: np.ndarray | None = field(default=None, repr=False)
-    atom_b: np.ndarray | None = field(default=None, repr=False)
+    out_a: np.ndarray | None = field(default=None, repr=False)
+    out_b: np.ndarray | None = field(default=None, repr=False)
 
     # 32-bit word edges (concentration._cum_edges): a draw of probability F is
     # the event w < round(F * 2**32). p_edge is the mixture's tempting action;
@@ -185,24 +187,23 @@ def derive_params(
     if witness is None:
         raise ValueError("target distribution is not attainable at the commitment payoff")
 
-    col = game.u1[:, game.b_index(stack.b_star)]
-    candidates = [i for i in range(len(game.actions1)) if col[i] > stack.v_star + tol]
-    if not candidates:
+    i_star, jb_star = game.a_index(stack.a_star), game.b_index(stack.b_star)
+    i_prime = int(np.argmax(game.u1[:, jb_star]))  # the lowest index among the best
+    u_tempt = float(game.u1[i_prime, jb_star])
+    if u_tempt <= stack.v_star + tol:
         raise ValueError(
             "no action beats the commitment payoff against the commitment reply; "
             "the commitment outcome is a stage-game best reply"
         )
-    i_prime = max(candidates, key=lambda i: (col[i], -i))
     a_prime = game.actions1[i_prime]
     # stackelberg values a_prime at b_prime, so a unique a_star puts u1(a_prime, b_prime) below v* - tol.
     b_prime = game.actions2[_worst_replies(game, tol)[i_prime]]
-    u_tempt = game.payoff1(a_prime, stack.b_star)
 
     # Against each rival reply k, b_star's margin under weight w on a_prime is
     # linear, (1 - w) * d0[k] + w * d1[k], with d0 > 0 as b_star is the unique
     # reply to a_star; it vanishes at d0 / (d0 - d1) where d1 < d0.
-    rivals = _reply_gaps(game.u2)[1][game.b_index(stack.b_star)]  # rows k != b_star: u2(., b_star) - u2(., b_k)
-    d0, d1 = rivals[:, [game.a_index(stack.a_star), i_prime]].T
+    rivals = _reply_gaps(game.u2)[1][jb_star]  # rows k != b_star: u2(., b_star) - u2(., b_k)
+    d0, d1 = rivals[:, [i_star, i_prime]].T
     falls = d1 < d0
     w_max = float(np.min(d0[falls] / (d0 - d1)[falls], initial=1.0))
     w = w_max - _MIX_MARGIN if w_max > 2 * _MIX_MARGIN else 0.5 * w_max
@@ -211,14 +212,12 @@ def derive_params(
     alpha_prime = MixedAction({stack.a_star: 1.0 - w, a_prime: w})
     u_prime_mix = (1.0 - w) * stack.v_star + w * u_tempt
 
-    atoms: list[tuple[float, int, int]] = []
-    for b, (mass, alpha) in witness.weights.items():
-        jb = game.b_index(b)
-        for a in alpha.support():
-            atoms.append((mass * alpha.prob(a), game.a_index(a), jb))
-    atom_probs = np.array([p for p, _, _ in atoms])
-    atom_a = np.array([ia for _, ia, _ in atoms], dtype=np.int64)
-    atom_b = np.array([jb for _, _, jb in atoms], dtype=np.int64)
+    atoms = [
+        (mass * alpha.prob(a), game.a_index(a), game.b_index(b))
+        for b, (mass, alpha) in witness.weights.items()
+        for a in alpha.support()
+    ]
+    atom_probs, atom_a, atom_b = map(np.array, zip(*atoms))
     atom_pay = game.u1[atom_a, atom_b]
     mean_witness_payoff = float(atom_probs @ atom_pay)
     atom_cum = np.cumsum(atom_probs / atom_probs.sum())
@@ -227,17 +226,12 @@ def derive_params(
     drift_target = eps1 * u_prime_mix + (1.0 - eps1) * mean_witness_payoff + eps1
 
     def finite_dist(pairs: list[tuple[float, float]]) -> FiniteDist | None:
-        merged: dict[float, float] = {}
+        merged: dict[float, float] = {}  # equal payoffs are one atom
         for value, prob in pairs:
-            if prob <= 0.0:
-                continue
-            for known in merged:
-                if abs(known - value) <= _LAW_MERGE:
-                    value = known
-                    break
-            merged[value] = merged.get(value, 0.0) + prob
+            if prob > 0.0:
+                merged[value] = merged.get(value, 0.0) + prob
         values = np.array(list(merged))
-        probs = np.array([merged[v] for v in values])
+        probs = np.array(list(merged.values()))
         probs = probs / probs.sum()
         if values.max() <= 0.0:
             return None  # breach event unreachable; the bound is vacuous
@@ -286,8 +280,8 @@ def derive_params(
         delta_bar=delta_bar,
         delta_bar_theory=delta_bar_theory,
         atom_cum=atom_cum,
-        atom_a=atom_a,
-        atom_b=atom_b,
+        out_a=np.append(atom_a, [i_prime, i_star]),
+        out_b=np.append(atom_b, [jb_star, jb_star]),
     )
 
 
@@ -389,11 +383,13 @@ class _Chunk:
     chunk is that one block, of which it draws only the ``left`` review words
     it reads.
 
-    Each path turns its review words into what the chunk keeps as it draws
-    them: its reviews as bool rows of ``review`` and each review's tempting
-    weight. The absorbing words of consecutive paths are turned into one
-    ``outcome`` code per absorbing period a group of rows at a time (see
-    :meth:`_codes`). So a block keeps a byte per review or absorbing period.
+    The paths draw one after another, each all of its words in that order in
+    one pass (see :meth:`_draw`). Each path turns its review words into what
+    the chunk keeps as it draws them: its reviews as bool rows of ``review``
+    and each review's tempting weight. The absorbing words of consecutive
+    paths are turned into one ``outcome`` code per absorbing period about
+    2**14 cells at a time. So a block keeps a byte per review or absorbing
+    period.
     """
 
     def __init__(
@@ -435,10 +431,9 @@ class _Chunk:
         self.row_of[rows] = np.arange(len(rows))
         self.scale_t1 = delta**t1
         if rows.size:
-            # Each outcome code's action and payoff; the mixture plays against the commitment reply.
-            self.out_a = np.append(params.atom_a, [self.ia_prime, self.ia_star]).astype(np.int16)
-            out_b = np.append(params.atom_b, [self.jb_star, self.jb_star])
-            self.out_pay = game.u1[self.out_a, out_b]
+            # Each outcome code's action, in a narrow type, and payoff.
+            self.out_a = params.out_a.astype(np.int16)
+            self.out_pay = game.u1[params.out_a, params.out_b]
             self.absorb_actions = np.unique(self.out_a).tolist()
             # A slice of rows at a time keeps the scan's float arrays to
             # _BATCH_CELLS // 64 cells.
@@ -474,48 +469,38 @@ class _Chunk:
         self._place(t)
 
     def _draw(self, bitgens: list[np.random.Philox], partial: np.ndarray) -> np.ndarray:
-        """Draw every path's words in stream order; ``partial[i]`` > 0 draws
-        only that many words of path i's one review. Keeps the ``review``
-        rows, padded with False to ``width``, each full review's tempting
-        weight ``w_prime``, the all-tempting ``rows`` and their ``outcome``
-        codes; returns the coins."""
+        """Draw each path's words in its stream order, one path after another:
+        its review words, the absorbing words of its all-tempting rows, then
+        its coins; ``partial[i]`` > 0 draws only that many words of path i's
+        one review. Keeps the ``review`` rows, padded with False to ``width``,
+        each full review's tempting weight ``w_prime``, the all-tempting
+        ``rows`` and their ``outcome`` codes; returns the coins."""
         params, t1, t2 = self.params, self.params.t1, self.params.t2_bar
         blocks = len(self.owner)
         self.review = np.zeros((blocks, self.width), dtype=bool)
         self.w_prime = np.zeros(blocks)
         tempting = np.zeros(blocks, dtype=bool)  # full reviews, all tempting
-        firsts, sizes = self.first.tolist(), self.sizes.tolist()
-        for bitgen, lo, n, k in zip(bitgens, firsts, sizes, partial.tolist()):
-            review = _draw_words(bitgen, (n, k or t1)) < params.p_edge
-            if not k:
-                self.w_prime[lo : lo + n] = review @ self.disc[:t1]
-                tempting[lo : lo + n] = review.all(axis=1)
-            self.review[lo : lo + n, : review.shape[1]] = review
-        # The review decides how many absorbing words follow.
-        self.rows = np.flatnonzero(tempting)
-        self.outcome = np.empty((len(self.rows), t2), dtype=np.min_scalar_type(len(params.joint_edges)))
         coins = np.zeros(blocks, dtype=np.uint32)
-        words = []  # absorbing words of the rows drawn but not yet converted
-        done = drawn = 0  # rows converted, rows drawn
-        counts = np.bincount(self.owner[self.rows], minlength=len(firsts)).tolist()
-        for bitgen, lo, n, k, part in zip(bitgens, firsts, sizes, counts, partial.tolist()):
+        words, codes = [], [np.empty((0, t2), dtype=np.uint8)]  # words drawn but not yet coded, codes so far
+        drawn = 0  # rows in words
+        for bitgen, lo, n, k in zip(bitgens, self.first.tolist(), self.sizes.tolist(), partial.tolist()):
+            review = _draw_words(bitgen, (n, k or t1)) < params.p_edge
+            self.review[lo : lo + n, : review.shape[1]] = review
             if k:
-                words.append(_draw_words(bitgen, (k, t2)))
-                drawn += k
-                if (drawn - done) * t2 >= _BATCH_CELLS // 64:
-                    self._codes(words, done)
-                    words, done = [], drawn
-            if not part:
-                coins[lo : lo + n] = _draw_words(bitgen, (n,))
+                continue  # a cut review, the path's last words
+            self.w_prime[lo : lo + n] = review @ self.disc[:t1]
+            tempting[lo : lo + n] = full = review.all(axis=1)
+            if rows := np.count_nonzero(full):
+                words.append(_draw_words(bitgen, (rows, t2)))
+                drawn += rows
+                if drawn * t2 >= _BATCH_CELLS // 64:
+                    codes.append(_word_index(np.concatenate(words), params.joint_edges))
+                    words, drawn = [], 0
+            coins[lo : lo + n] = _draw_words(bitgen, (n,))
         if words:
-            self._codes(words, done)
+            codes.append(_word_index(np.concatenate(words), params.joint_edges))
+        self.rows, self.outcome = np.flatnonzero(tempting), np.concatenate(codes)
         return coins
-
-    def _codes(self, words: list[np.ndarray], at: int) -> None:
-        """Turn absorbing word matrices, in stream order, into the ``outcome``
-        codes of the rows from ``at`` on."""
-        words = np.concatenate(words)
-        self.outcome[at : at + len(words)] = _word_index(words, self.params.joint_edges)
 
     def _place(self, t: np.ndarray) -> None:
         """Lay each path's blocks from its period ``t`` on: ``start`` of each

@@ -56,11 +56,9 @@ DEFAULT_TOL = 1e-9
 # _UNIT_ROW_TOL (DEFAULT_TOL's value, not its meaning) is the slack of each
 # test on unit-length rows: their rank, slacks and reply ties at a vertex, and
 # its zero weights. A choice of unit rows whose determinant is at most
-# _DET_TOL is dependent. Vertices within _VERTEX_ATOL in every weight
-# (probability units) are one.
+# _DET_TOL is dependent.
 _UNIT_ROW_TOL = 1e-9
 _DET_TOL = 1e-12
-_VERTEX_ATOL = 1e-8
 # The most matrix cells (systems x n x n) one batch of _simplex_vertices
 # solves: 8 MB of systems. It bounds the working memory only.
 _VERTEX_CELLS = 2**20

@@ -166,8 +166,8 @@ def simulate_path(
             b_sub[device] = jb_star
             idx = np.searchsorted(params.atom_cum, action_u[~device], side="right")
             idx = idx.clip(max=len(params.atom_cum) - 1)
-            a_sub[~device] = params.atom_a[idx]
-            b_sub[~device] = params.atom_b[idx]
+            a_sub[~device] = params.out_a[idx]
+            b_sub[~device] = params.out_b[idx]
 
             sub_disc = powers[t : t + cap] / powers[t]
             pay_sub = game.u1[a_sub, b_sub]

@@ -58,7 +58,7 @@ def traced_path(game, params, delta, seed, stream=0):
             actions[prep - 1] = ia_prime
         # Every normal-phase period not in review or absorbing is compensation.
         actions[prep:], replies[prep:], phases[prep:] = ia_prime, jb_prime, PHASE_COMP
-        out_b = np.append(params.atom_b, [jb_star, jb_star])
+        out_b = params.out_b
         for chunk in chunks:
             _lay_out(chunk, params.t1, out_b, actions, replies, phases)
             blocks += _records(chunk, np.flatnonzero(chunk.kept), delta)

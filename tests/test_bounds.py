@@ -74,6 +74,22 @@ def test_epsilon_shifts_payoff_floor(product_choice):
         min_stackelberg_freq(product_choice, epsilon=-0.1)
 
 
+EPSILON_CALLS = {
+    "lp": lambda game, eps: min_stackelberg_freq(game, epsilon=eps),
+    "pinned": lambda game, eps: min_stackelberg_freq(game, epsilon=eps, equality=True),
+    "decompose": lambda game, eps: bounds.decompose_target(game, MixedAction({"H": 0.375, "L": 0.625}), epsilon=eps),
+    "curve": lambda game, eps: min_freq_curve(game, [eps]),
+}
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", list(EPSILON_CALLS))
+def test_a_nan_or_infinite_epsilon_is_refused_by_name(product_choice, call, epsilon):
+    # Before the LP is built, which would refuse it as nonfinite data.
+    with pytest.raises(ValueError, match=rf"^epsilon must be nonnegative and finite, got {epsilon}$"):
+        EPSILON_CALLS[call](product_choice, epsilon)
+
+
 def test_equality_with_slack_pins_shifted_payoff(product_choice):
     eps = 0.05
     fb = min_stackelberg_freq(product_choice, epsilon=eps, equality=True)

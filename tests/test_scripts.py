@@ -80,3 +80,63 @@ def test_wide_cli_digest_matches_the_committed_golden_lines():
     # committed output covers. Two in-set-a lines record exit 1 at the pivot
     # cap; a change that lifts it moves them.
     _assert_digest_matches("cli_digest_wide.txt", "--games", "wide")
+
+
+SYNTHETIC_MODULE = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment
+
+# a comment line
+
+
+class Box:
+    """Class docstring."""
+
+    size = 1
+
+    def area(self):
+        """Method docstring,
+        over two lines."""
+        return (
+            self.size
+            * math.pi
+        )
+
+
+def loose():
+    "A one-line docstring."
+    text = """a string, not a docstring,
+    over two lines"""
+    return text
+'''
+
+
+MODULES = sorted(path.name for path in (SCRIPTS.parent / "src" / "repfreq").glob("*.py"))
+
+
+def _counts(lines: list[str]) -> dict[str, int]:
+    """The count on each "name count ..." line of a report."""
+    return {name: int(count) for name, count, *_ in map(str.split, lines)}
+
+
+def test_src_lines_counts_lines_that_hold_code(tmp_path):
+    # import, class, size, def area, the four lines of return (...), def
+    # loose, the two lines of text, return text: 12. Docstrings, comments and
+    # blank lines do not count.
+    module = tmp_path / "synthetic.py"
+    module.write_text(SYNTHETIC_MODULE, encoding="utf-8")
+    assert _counts(run_script("src_lines.py", str(module)).splitlines()) == {"synthetic.py": 12, "total": 12}
+    counts = _counts(run_script("src_lines.py").splitlines())
+    assert list(counts) == [*MODULES, "total"]
+    assert sum(counts.values()) == 2 * counts["total"]
+
+
+def test_unrun_lines_lists_what_one_test_file_leaves_unrun():
+    # Only the attainability tests run, so most of the simulator is unrun.
+    # pytest's own lines come first, then a line per module and the total.
+    out = run_script("unrun_lines.py", str(SCRIPTS.parent / "tests" / "test_attain.py"), "-q", "-p", "no:cacheprovider")
+    counts = _counts(out.splitlines()[-len(MODULES) - 1 :])
+    assert list(counts) == [*MODULES, "total"]
+    assert counts["simulate.py"] > 0
+    assert sum(counts.values()) == 2 * counts["total"]

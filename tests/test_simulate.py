@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repfreq.apps import ProductChoiceParams, build_stage_game
-from repfreq.bounds import min_stackelberg_freq
+from repfreq.bounds import decompose_target, min_stackelberg_freq
 from repfreq.game import MixedAction, StageGame
 from repfreq import simulate
 from repfreq.simulate import (
@@ -61,6 +61,72 @@ def test_z_variables_have_negative_mean(pc_params):
     assert pc_params.z2.mean == pytest.approx(-pc_params.eps1, abs=1e-9)
     assert pc_params.z1.max_value > 0
     assert pc_params.z2.max_value > 0
+
+
+def test_payoffs_a_hair_apart_stay_two_points_of_the_law():
+    # The target mixes A (the commitment action, v* = 1) with B, which x
+    # answers only inside the mixture and which pays v* + 1e-13 against it,
+    # and with C and T, whose weights even the payoff out; T also tempts
+    # against x. The law's value 0 (A) and its value -1e-13 (B) stay apart in z1.
+    u1 = [[1.0, 0.0], [1.0 + 1e-13, -1.0], [0.0, 0.0], [2.0, -1.0]]
+    u2 = [[2.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+    game = StageGame(("A", "B", "C", "T"), ("x", "y"), u1, u2)
+    target = MixedAction({"A": 0.4, "B": 0.4, "C": 0.1, "T": 0.1})
+    params = derive_params(game, target, eps1=0.2, delta=0.999)
+    assert (params.a_star, params.b_star, params.v_star, params.a_prime) == ("A", "x", 1.0, "T")
+    hair = 1.0 - (1.0 + 1e-13)
+    assert 0.0 < -hair <= 1e-12
+    z1 = dict(zip(params.z1.values.tolist(), params.z1.probs.tolist()))
+    assert len(z1) == 4
+    eps1, w = params.eps1, params.p
+    assert z1[0.0] == pytest.approx(eps1 * (1 - w) + (1 - eps1) * 0.4, abs=1e-9)
+    assert z1[hair] == pytest.approx((1 - eps1) * 0.4, abs=1e-9)
+
+
+@pytest.mark.parametrize("source", ["fixtures", "tie-heavy-integer", "uniform"])
+def test_the_outcome_table_is_the_witness_atoms_then_the_mixture(games, source):
+    # Code k of the absorbing subphase plays (out_a[k], out_b[k]): the witness
+    # atoms in decompose_target's order, then (a', b*) and (a*, b*), so the
+    # joint edges split a word into one code more than there are edges. a' is
+    # the lowest index among the best against b*. A chunk pays u1 at the table.
+    if source == "fixtures":
+        cases = list(games.values())
+    else:
+        rng = np.random.default_rng(46)
+
+        def draw(n_a, n_b):
+            if source == "uniform":
+                return rng.uniform(-1, 1, (n_a, n_b))
+            return rng.integers(-2, 3, (n_a, n_b)).astype(float)
+
+        shapes = [(n_a, n_b) for n_a in range(2, 7) for n_b in range(2, 7) for _ in range(4)]
+        labels = [(tuple(f"a{i}" for i in range(n_a)), tuple(f"b{j}" for j in range(n_b))) for n_a, n_b in shapes]
+        cases = [StageGame(*names, draw(*shape), draw(*shape)) for names, shape in zip(labels, shapes)]
+    delta, checked = 0.999, 0
+    for game in cases:
+        try:
+            target = equality_target(game)
+            params = derive_params(game, target, eps1=0.2, delta=delta)
+        except ValueError:
+            continue  # no unique commitment point, or no tempting action
+        if params.trivial:
+            continue
+        witness = decompose_target(game, target)
+        atoms = [(a, b) for b, (_, alpha) in witness.weights.items() for a in alpha.support()]
+        atoms += [(params.a_prime, params.b_star), (params.a_star, params.b_star)]
+        col = game.u1[:, game.b_index(params.b_star)]
+        assert game.a_index(params.a_prime) == np.flatnonzero(col == col.max())[0]
+        table = [(game.actions1[ia], game.actions2[jb]) for ia, jb in zip(params.out_a.tolist(), params.out_b.tolist())]
+        assert table == atoms
+        assert len(params.out_a) == len(params.joint_edges) + 1
+        # Every review tempting and one period long: each block absorbs.
+        sure = dataclasses.replace(params, p=1.0, t1=1)
+        bitgens = [np.random.Philox(key=np.array([46, checked], dtype=np.uint64))]
+        chunk = _Chunk(bitgens, game, sure, delta, np.array([4]), np.array([0]), _horizon(delta))
+        assert chunk.rows.size == 4
+        assert chunk.out_pay.tobytes() == game.u1[params.out_a, params.out_b].tobytes()
+        checked += 1
+    assert checked >= {"fixtures": 5, "tie-heavy-integer": 10, "uniform": 25}[source]
 
 
 def test_no_tempting_action_is_rejected(nash_overlap):
