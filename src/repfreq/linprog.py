@@ -24,7 +24,9 @@ entering column; the floating-point operations are those of the array form.
 At the optimum, the square basic system of the rows not found redundant is
 solved again against the original data. Its solution is kept only if it is
 nonnegative and meets every original row within ``_POINT_TOL``; otherwise the
-tableau's point stands.
+tableau's point stands. The pivots run with NumPy set to raise on overflow
+and NaN, so data near the float range is refused, not answered from an
+overflowed tableau.
 """
 
 from __future__ import annotations
@@ -143,9 +145,10 @@ def solve_lp(
     the simplex then builds no artificials and runs phase 2 alone from there.
 
     Raises ``ValueError`` when a matrix comes without its right-hand side (or
-    the reverse), when the shapes disagree, when any entry is not finite, or
+    the reverse), when the shapes disagree, when any entry is not finite,
     when ``start`` is given for a program without exactly one equality row or
-    its pivot leaves a right-hand side negative.
+    its pivot leaves a right-hand side negative, or when a pivot overflows or
+    makes a NaN, as on data near the float range.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
@@ -190,46 +193,51 @@ def solve_lp(
     for a, r in enumerate(art_rows, start=k):
         basis[r] = a
         tableau[r, a] = 1.0
-    if start is not None:  # the crash pivot, which makes ``start`` basic in the equality row
-        if not body[-1, start] > _PIVOT_TOL:
-            raise ValueError(f"start column {start} has no positive entry in the equality row")
-        _pivot(tableau, basis, m - 1, start)
-        if body[:, -1].min() < 0.0:
-            raise ValueError(f"start column {start} leaves a negative right-hand side")
+    # The pivots below raise on overflow or NaN; _refine sets its own error state.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if start is not None:  # the crash pivot, which makes ``start`` basic in the equality row
+                if not body[-1, start] > _PIVOT_TOL:
+                    raise ValueError(f"start column {start} has no positive entry in the equality row")
+                _pivot(tableau, basis, m - 1, start)
+                if body[:, -1].min() < 0.0:
+                    raise ValueError(f"start column {start} leaves a negative right-hand side")
 
-    kept = slice(None)  # the original rows not found redundant in phase 1
-    cost = np.zeros(width)
-    if n_art:
-        # Phase 1 minimizes the sum of the artificials.
-        cost[k:-1] = 1.0
-        status = _run_simplex(tableau, basis, cost)
-        if status != "optimal":
-            raise RuntimeError(f"phase-1 LP returned {status!r}; it is always bounded below by 0")
-        left = [r for r, v in enumerate(basis) if v >= k]  # rows whose artificial is still basic
-        if left and tableau[left, -1].sum() > _FEAS_TOL:
-            return LPResult("infeasible")
+            kept = slice(None)  # the original rows not found redundant in phase 1
+            cost = np.zeros(width)
+            if n_art:
+                # Phase 1 minimizes the sum of the artificials.
+                cost[k:-1] = 1.0
+                status = _run_simplex(tableau, basis, cost)
+                if status != "optimal":
+                    raise RuntimeError(f"phase-1 LP returned {status!r}; it is always bounded below by 0")
+                left = [r for r, v in enumerate(basis) if v >= k]  # rows whose artificial is still basic
+                if left and tableau[left, -1].sum() > _FEAS_TOL:
+                    return LPResult("infeasible")
 
-        # Drive leftover artificials out of the basis; drop redundant rows.
-        redundant = []
-        for r in left:
-            movable = np.abs(tableau[r, :k]) > _PIVOT_TOL
-            j = int(movable.argmax())
-            if movable[j]:
-                _pivot(tableau, basis, r, j)
-            else:
-                redundant.append(r)
-        if redundant:
-            # A row's leftover artificial names the original row it made redundant.
-            dropped = {art_rows[basis[r] - k] for r in redundant}
-            kept = [i for i in range(m) if i not in dropped]
-            tableau = np.delete(tableau, redundant, axis=0)
-            basis = [v for r, v in enumerate(basis) if r not in redundant]
-        tableau[:, k:-1] = 0.0  # artificials are dead from here on
-        cost[k:-1] = 0.0
+                # Drive leftover artificials out of the basis; drop redundant rows.
+                redundant = []
+                for r in left:
+                    movable = np.abs(tableau[r, :k]) > _PIVOT_TOL
+                    j = int(movable.argmax())
+                    if movable[j]:
+                        _pivot(tableau, basis, r, j)
+                    else:
+                        redundant.append(r)
+                if redundant:
+                    # A row's leftover artificial names the original row it made redundant.
+                    dropped = {art_rows[basis[r] - k] for r in redundant}
+                    kept = [i for i in range(m) if i not in dropped]
+                    tableau = np.delete(tableau, redundant, axis=0)
+                    basis = [v for r, v in enumerate(basis) if r not in redundant]
+                tableau[:, k:-1] = 0.0  # artificials are dead from here on
+                cost[k:-1] = 0.0
 
-    cost[:n] = c
-    if _run_simplex(tableau, basis, cost) == "unbounded":
-        return LPResult("unbounded")
+            cost[:n] = c
+            if _run_simplex(tableau, basis, cost) == "unbounded":
+                return LPResult("unbounded")
+    except FloatingPointError as err:
+        raise ValueError(f"LP pivots overflowed the float range ({err})") from err
 
     x = np.zeros(k)
     x[basis] = _refine(tableau[:-1, -1], basis, a_std, b_std, kept)

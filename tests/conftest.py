@@ -69,6 +69,11 @@ def cycling_game(u2_scale: float = 1e6, u2_shift: float = 0.37) -> StageGame:
     return StageGame(("a0", "a1"), ("b0", "b1", "b2", "b3"), CYCLING_U1, u2_scale * CYCLING_U2 + u2_shift)
 
 
+# Payoffs near the largest float: every frequency and membership LP of this
+# game overflows in its pivots.
+NEAR_MAX = StageGame(("a", "b"), ("x", "y"), [[1.7e308, 0.0], [0.0, 1e308]], [[1.7e308, 0.0], [0.0, 1.7e308]])
+
+
 def reply_halfspaces(game: StageGame, j: int) -> np.ndarray:
     """Rows u2(., b_j) - u2(., b_k), one per rival reply k != j: b_j is a best
     reply to alpha iff every row dotted with alpha is nonnegative."""

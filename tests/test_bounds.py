@@ -508,6 +508,66 @@ def test_block_lp_matches_scipy_pair_programs(equality):
         assert ours == pytest.approx(_min_freq_scipy(game, equality), abs=1e-8), name
 
 
+def _two_action_min_freq(game: StageGame, epsilon: float) -> float:
+    """The frequency bound of a game where player 1 has two actions, without an LP.
+
+    With ``a`` the weight on a*, each reply's best-reply set is an interval
+    [lo, hi] of ``a``, cut by one division per rival reply, and a block's
+    (payoff, a) images form the segment between its ends. So the value is the
+    least ``a`` among the ends paying at least v* - epsilon, or among mixes of
+    two ends that straddle that floor and pay it exactly.
+    """
+    stack = stackelberg(game)
+    s = game.a_index(stack.a_star)
+    u1, u2 = game.u1[[1 - s, s]].tolist(), game.u2[[1 - s, s]].tolist()  # row 0 at a = 0, row 1 at a = 1
+    floor = stack.v_star - epsilon
+    ends = []
+    for b in range(len(game.actions2)):
+        lo, hi = 0.0, 1.0
+        for k in range(len(game.actions2)):
+            g0, g1 = u2[0][b] - u2[0][k], u2[1][b] - u2[1][k]  # b's gap over k at a = 0 and a = 1
+            if g1 > g0:
+                lo = max(lo, g0 / (g0 - g1))
+            elif g1 < g0:
+                hi = min(hi, g0 / (g0 - g1))
+            elif g0 < 0.0:
+                hi = -1.0
+        if lo <= hi:
+            ends += [(a * u1[1][b] + (1.0 - a) * u1[0][b], a) for a in (lo, hi)]
+    best = min(a for pay, a in ends if pay >= floor)
+    for (p1, a1), (p2, a2) in product(ends, ends):
+        if p1 > floor > p2:
+            mix = (floor - p2) / (p1 - p2)
+            best = min(best, mix * a1 + (1.0 - mix) * a2)
+    return best
+
+
+def _two_action_games():
+    """The criterion-1 games, then seeded random 2 x k games (k = 2 to 6) with
+    uniform and with {0, 1, 2}-integer payoffs."""
+    yield from (build_stage_game(params) for params in criterion_1_params())
+    rng = np.random.default_rng(2024)
+    for k in range(2, 7):
+        labels2 = tuple(f"b{j}" for j in range(k))
+        for _ in range(60):
+            yield StageGame(("a0", "a1"), labels2, rng.uniform(-1, 1, (2, k)), rng.uniform(-1, 1, (2, k)))
+            yield StageGame(("a0", "a1"), labels2, rng.integers(0, 3, (2, k)) * 1.0, rng.integers(0, 3, (2, k)) * 1.0)
+
+
+def test_two_action_frequency_bound_matches_an_exact_oracle():
+    checked = 0
+    for game in _two_action_games():
+        stack = stackelberg(game)
+        if not (stack.unique_action and stack.unique_reply):
+            continue  # the LP refuses a non-unique commitment point
+        for epsilon in (0.0, 0.05, 0.3):
+            assert min_stackelberg_freq(game, epsilon).value == pytest.approx(
+                _two_action_min_freq(game, epsilon), abs=1e-12
+            ), (game, epsilon)
+            checked += 1
+    assert checked > 7_000
+
+
 def test_more_than_two_nonzero_blocks_is_an_error(monkeypatch, games):
     game = games["product_choice_three"]
     n = len(game.actions1) * len(game.actions2)

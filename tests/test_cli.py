@@ -17,7 +17,7 @@ from repfreq.cli import dispatch
 from repfreq.game import StageGame, emit_game
 from repfreq.linprog import LPResult
 from . import _reference_stage
-from .conftest import cycling_game, fixture_path, random_assumption_games
+from .conftest import NEAR_MAX, cycling_game, fixture_path, random_assumption_games
 from .test_simulate import equality_target
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -492,6 +492,24 @@ def test_entry_at_a_huge_cost_in_matches_the_closed_form_quietly(cost_in):
     doc = json.loads(proc.stdout)
     assert doc["closed_form"] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert doc["difference"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["in-set-a", "--alpha", "a:0.5,b:0.5"], ["fstar"], ["fstar", "--equality"]],
+    ids=["in-set-a", "fstar", "fstar-equality"],
+)
+def test_pivots_that_overflow_exit_1_with_one_stderr_line(tmp_path, argv):
+    # These LPs' pivots overflowed to inf and NaN: in-set-a called the target
+    # a member with a witness averaging to a 0.37, b 0.63, and both fstar
+    # variants answered 1.0, each after NumPy overflow warnings.
+    game = tmp_path / "near_max.json"
+    game.write_text(emit_game(NEAR_MAX))
+    proc = run_cli_process(argv[0], str(game), *argv[1:], timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ")
 
 
 def test_a_failed_frequency_lp_exits_1_with_one_stderr_line(capsys, monkeypatch):

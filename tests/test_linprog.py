@@ -10,7 +10,7 @@ from repfreq.game import StageGame, parse_mixed_action
 from repfreq.linprog import solve_lp
 from repfreq.stage import stackelberg
 
-from .conftest import criterion_1_params, cycling_game, reply_halfspaces
+from .conftest import NEAR_MAX, criterion_1_params, cycling_game, reply_halfspaces
 
 
 def test_simple_bounded():
@@ -107,6 +107,21 @@ def test_an_unbounded_phase_1_is_a_broken_invariant(monkeypatch):
     monkeypatch.setattr(linprog, "_run_simplex", lambda *args: "unbounded")
     with pytest.raises(RuntimeError, match="phase-1 LP returned 'unbounded'; it is always bounded below by 0"):
         solve_lp([1.0, 0.0], a_ub=[[0.0, 1.0]], b_ub=[0.25], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bounds.min_stackelberg_freq(NEAR_MAX),
+        lambda: bounds.min_stackelberg_freq(NEAR_MAX, equality=True),
+        lambda: attain.decompose_target(NEAR_MAX, parse_mixed_action("a:0.5,b:0.5")),
+    ],
+    ids=["fstar", "fstar-equality", "in-set-a"],
+)
+def test_pivots_that_overflow_raise_value_error(call):
+    # Their pivots overflowed to inf and NaN, and each LP still answered.
+    with pytest.raises(ValueError, match=r"^LP pivots overflowed the float range \((overflow|invalid value) encountered"):
+        call()
 
 
 def _random_instance(rng, n, m_ub, m_eq):

@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -153,3 +157,36 @@ def test_only_stage_subtracts_opponent_payoffs():
         and all("u2" in _loads(side) for side in (node.left, node.right))
     ]
     assert found == []
+
+
+def test_the_package_root_declares_no_names_of_its_own():
+    # Each public name lives in its module alone; the root only loads the
+    # modules and states the version.
+    docstring, imports, version = ast.parse((SRC / "__init__.py").read_text()).body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value.value, str)
+    assert isinstance(imports, ast.ImportFrom) and (imports.module, imports.level) == (None, 1)
+    assert all(alias.asname is None and (SRC / f"{alias.name}.py").is_file() for alias in imports.names)
+    assert isinstance(version, ast.Assign) and [t.id for t in version.targets] == ["__version__"]
+
+
+# Prints the repfreq modules that a bare ``import repfreq`` loads.
+LOADED_BY_IMPORT = """
+import json, sys
+import repfreq
+print(json.dumps(sorted(name for name in sys.modules if name.partition(".")[0] == "repfreq")))
+"""
+
+
+def test_importing_the_package_loads_every_library_module_and_not_the_cli():
+    # ``repfreq.<module>`` attribute reads, and tools that look a module up in
+    # sys.modules after importing the package, rely on this set.
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_BY_IMPORT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    library = ["apps", "attain", "bounds", "concentration", "game", "linprog", "simulate", "stage"]
+    assert json.loads(proc.stdout) == ["repfreq", *(f"repfreq.{name}" for name in library)]
