@@ -42,11 +42,12 @@ _MAX_CHUNK_BLOCKS = 128
 # Cells (review periods, and absorbing periods under the device) that one round
 # of chunks may draw over the paths a simulate_path call runs at once (see
 # _paths_at_once). A round keeps a review cell as a bool and an absorbing cell
-# as a one-byte outcome code, so its draws take at most _BATCH_CELLS bytes. The
-# absorbing words are turned into codes, and the absorbing scan run, in groups
-# of rows of about a 64th of it, 2**14 cells, or one row where t2_bar is
-# longer. It bounds the working memory only: every path, and so every
-# estimate, is bit for bit the same at any value.
+# as a one-byte outcome code, so its draws take at most _BATCH_CELLS bytes. It
+# bounds two things: the paths run at once, and the absorbing scan's slices of
+# rows, about a 64th of it, 2**14 cells, or one row where t2_bar is longer.
+# Each path codes its own absorbing words as it draws them, so the words not
+# yet coded are one path's at most. It bounds the working memory only: every
+# path, and so every estimate, is bit for bit the same at any value.
 _BATCH_CELLS = 2**20
 
 MIN_REPS = 100  # fewest replications estimate_frequencies accepts
@@ -384,12 +385,13 @@ class _Chunk:
     it reads.
 
     The paths draw one after another, each all of its words in that order in
-    one pass (see :meth:`_draw`). Each path turns its review words into what
-    the chunk keeps as it draws them: its reviews as bool rows of ``review``
-    and each review's tempting weight. The absorbing words of consecutive
-    paths are turned into one ``outcome`` code per absorbing period about
-    2**14 cells at a time. So a block keeps a byte per review or absorbing
-    period.
+    one pass (see :meth:`_draw`). Each path turns all its words, review and
+    absorbing, into what the chunk keeps during its own turn: its reviews as
+    bool rows of ``review`` and each review's tempting weight, its absorbing
+    words as one ``outcome`` code per absorbing period. So no words are kept
+    from one path to the next, and a block keeps a byte per review or
+    absorbing period. The absorbing scan then runs over slices of rows of
+    about 2**14 cells (see ``_BATCH_CELLS``).
     """
 
     def __init__(
@@ -472,17 +474,18 @@ class _Chunk:
         """Draw each path's words in its stream order, one path after another:
         its review words, the absorbing words of its all-tempting rows, then
         its coins; ``partial[i]`` > 0 draws only that many words of path i's
-        one review. Keeps the ``review`` rows, padded with False to ``width``,
-        each full review's tempting weight ``w_prime``, the all-tempting
-        ``rows`` and their ``outcome`` codes; returns the coins."""
+        one review. Each path turns all its words, review and absorbing, into
+        what the chunk keeps during its own turn: the ``review`` rows, padded
+        with False to ``width``, each full review's tempting weight
+        ``w_prime``, and the ``outcome`` codes of its all-tempting rows,
+        listed in ``rows``. Returns the coins."""
         params, t1, t2 = self.params, self.params.t1, self.params.t2_bar
         blocks = len(self.owner)
         self.review = np.zeros((blocks, self.width), dtype=bool)
         self.w_prime = np.zeros(blocks)
         tempting = np.zeros(blocks, dtype=bool)  # full reviews, all tempting
         coins = np.zeros(blocks, dtype=np.uint32)
-        words, codes = [], [np.empty((0, t2), dtype=np.uint8)]  # words drawn but not yet coded, codes so far
-        drawn = 0  # rows in words
+        codes = [np.empty((0, t2), dtype=np.uint8)]
         for bitgen, lo, n, k in zip(bitgens, self.first.tolist(), self.sizes.tolist(), partial.tolist()):
             review = _draw_words(bitgen, (n, k or t1)) < params.p_edge
             self.review[lo : lo + n, : review.shape[1]] = review
@@ -491,14 +494,8 @@ class _Chunk:
             self.w_prime[lo : lo + n] = review @ self.disc[:t1]
             tempting[lo : lo + n] = full = review.all(axis=1)
             if rows := np.count_nonzero(full):
-                words.append(_draw_words(bitgen, (rows, t2)))
-                drawn += rows
-                if drawn * t2 >= _BATCH_CELLS // 64:
-                    codes.append(_word_index(np.concatenate(words), params.joint_edges))
-                    words, drawn = [], 0
+                codes.append(_word_index(_draw_words(bitgen, (rows, t2)), params.joint_edges))
             coins[lo : lo + n] = _draw_words(bitgen, (n,))
-        if words:
-            codes.append(_word_index(np.concatenate(words), params.joint_edges))
         self.rows, self.outcome = np.flatnonzero(tempting), np.concatenate(codes)
         return coins
 

@@ -239,9 +239,16 @@ def _reply_gaps(u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=16)
 def _reply_table_of(data: bytes, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     n_a = shape[0]
-    gaps, rivals = _reply_gaps(np.frombuffer(data).reshape(shape))
-    vertices, owner = _simplex_vertices(np.empty((0, n_a)), rivals)
-    replies = np.einsum("va,vka->vk", vertices, gaps[owner]) <= _UNIT_ROW_TOL * np.linalg.norm(gaps, axis=-1)[owner]
+    # Raise on overflow or NaN, so payoffs near the float range are refused,
+    # not tabled from gaps or norms that overflowed.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            gaps, rivals = _reply_gaps(np.frombuffer(data).reshape(shape))
+            vertices, owner = _simplex_vertices(np.empty((0, n_a)), rivals)
+            bound = _UNIT_ROW_TOL * np.linalg.norm(gaps, axis=-1)[owner]
+            replies = np.einsum("va,vka->vk", vertices, gaps[owner]) <= bound
+    except FloatingPointError as err:
+        raise ValueError(f"player 2's payoff gaps overflowed the float range in the vertex table ({err})") from err
     # A pair dominates another when its row (actions off the support, then
     # replies) contains the other's.
     pairs = _maximal(np.hstack([vertices <= _UNIT_ROW_TOL, replies]))

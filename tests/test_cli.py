@@ -512,6 +512,18 @@ def test_pivots_that_overflow_exit_1_with_one_stderr_line(tmp_path, argv):
     assert line.startswith("error: ")
 
 
+def test_analyze_near_the_float_range_exits_1_with_one_stderr_line(tmp_path):
+    # The vertex table's norms overflowed: NumPy warned "overflow encountered
+    # in multiply", then analyze reported a max-min LP invariant failure.
+    game = tmp_path / "near_max.json"
+    game.write_text(emit_game(NEAR_MAX))
+    proc = run_python("-W", "default", "-m", "repfreq.cli", "analyze", str(game), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "overflowed the float range" in line
+
+
 def test_a_failed_frequency_lp_exits_1_with_one_stderr_line(capsys, monkeypatch):
     monkeypatch.setattr(bounds, "solve_lp", lambda *args, **kwargs: LPResult("unbounded"))
     code = dispatch(["fstar", str(fixture_path("product_choice"))])

@@ -16,7 +16,7 @@ from repfreq.stage import (
     vbar_p1,
 )
 from . import _reference_stage
-from .conftest import UNIQUE_GAMES, cycling_game, reply_halfspaces
+from .conftest import NEAR_MAX, UNIQUE_GAMES, cycling_game, reply_halfspaces
 
 
 def _random_game(rng, n_a: int, n_b: int, integer: bool) -> StageGame:
@@ -588,3 +588,11 @@ def test_batched_vertices_match_one_system_calls_on_the_indifference_pieces(game
             assert not alone_owner.any()
         batched += len(ineq) > 1
     assert batched == len(calls)
+
+
+@pytest.mark.parametrize("bound", [minmax_p1, vbar_p1], ids=["minmax", "vbar"])
+def test_payoffs_near_the_float_range_are_refused_by_the_vertex_table(bound):
+    # The norms of player 2's payoff gaps overflowed to inf; NumPy warned, and
+    # the max-min LP then failed as an invariant.
+    with pytest.raises(ValueError, match="payoff gaps overflowed the float range in the vertex table"):
+        bound(NEAR_MAX)
