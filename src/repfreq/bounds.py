@@ -394,8 +394,6 @@ def min_freq_curve(
 ) -> list[tuple[float, float]]:
     """Evaluate the relaxed program along an ascending grid of payoff slacks."""
     eps = list(epsilons)
-    if any(e < 0 for e in eps):
-        raise ValueError("slack values must be nonnegative")
     if any(b < a for a, b in zip(eps, eps[1:])):
         raise ValueError("slack values must be sorted ascending")
     return [(e, min_stackelberg_freq(game, epsilon=e, tol=tol).value) for e in eps]

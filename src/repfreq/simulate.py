@@ -406,10 +406,10 @@ class _Chunk:
     ) -> None:
         self.params, self.t_max = params, t_max
         self.ia_star, self.ia_prime = game.a_index(params.a_star), game.a_index(params.a_prime)
-        self.jb_star, self.jb_prime = game.b_index(params.b_star), game.b_index(params.b_prime)
+        jb_star, jb_prime = game.b_index(params.b_star), game.b_index(params.b_prime)
         self.n_a, t1, t2, v = len(game.actions1), params.t1, params.t2_bar, params.v_star
-        self.u_tempt = float(game.u1[self.ia_prime, self.jb_star])
-        self.u_comp = float(game.u1[self.ia_prime, self.jb_prime])
+        self.u_tempt = float(game.u1[self.ia_prime, jb_star])
+        self.u_comp = float(game.u1[self.ia_prime, jb_prime])
         left = t_max + 1 - t
         in_review = left <= t1  # paths surely cut inside their next review
         self.sizes = sizes = np.where(in_review, 1, sizes)
@@ -466,7 +466,6 @@ class _Chunk:
         self.comp_len = np.where(self.burns, self.n_comp - early, 0)
         self.length = self.off + self.comp_len
         self.g = g
-        self.realized_residual = np.where(self.burns, np.where(early, g_before, g_after), g)
         self.expected_residual = np.where(self.burns, self.phi * g_before + (1.0 - self.phi) * g_after, g)
         self._place(t)
 
@@ -504,7 +503,7 @@ class _Chunk:
         block, ``kept`` for the completed blocks a path keeps, ``stop`` for
         each path's first block not kept (its end if it kept all), and
         ``span``, each block's periods inside the horizon: its length if kept,
-        up to the horizon for each path's cut block (listed in ``cut``), else 0."""
+        up to the horizon for each path's cut block, else 0."""
         t_max = self.t_max
         before = np.cumsum(self.length) - self.length
         self.start = before + np.repeat(t - before[self.first], self.sizes)
@@ -514,8 +513,8 @@ class _Chunk:
         self.kept = np.arange(len(fits)) < self.stop[self.owner]
         self.span = np.where(self.kept, self.length, 0)
         cut = self.stop[self.stop < self.end]
-        self.cut = cut[self.start[cut] <= t_max]
-        self.span[self.cut] = t_max + 1 - self.start[self.cut]
+        cut = cut[self.start[cut] <= t_max]
+        self.span[cut] = t_max + 1 - self.start[cut]
 
     def _absorb(self, outcome: np.ndarray, limit) -> tuple[np.ndarray, ...]:
         """The absorbing runs coded by the rows of ``outcome``, each ending at
@@ -697,10 +696,8 @@ def _paths_at_once(params: SimParams, t_max: int) -> int:
     has at most ``_chunk_blocks(t_max, 1, t1)`` blocks, since the estimated
     block length it is sized from is at least t1 (see :func:`simulate_path`).
     Each block has at most min(t1, t_max) review cells and t2_bar absorbing
-    cells, kept as a byte each (see :class:`_Chunk`). An always-commit path
-    draws no blocks; it is counted as one cell."""
-    if params.trivial:
-        return _BATCH_CELLS
+    cells, kept as a byte each (see :class:`_Chunk`). Only parameters that draw
+    blocks are sized; always-commit parameters have no review to size from."""
     blocks = int(_chunk_blocks(t_max, 1, params.t1))
     return max(1, _BATCH_CELLS // (blocks * (min(params.t1, t_max) + params.t2_bar)))
 

@@ -239,11 +239,15 @@ def _reply_gaps(u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=16)
 def _reply_table_of(data: bytes, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     n_a = shape[0]
+    u2 = np.frombuffer(data).reshape(shape)
     # Raise on overflow or NaN, so payoffs near the float range are refused,
-    # not tabled from gaps or norms that overflowed.
+    # not tabled from gaps or norms that overflowed. Payoffs whose largest
+    # magnitude is below 1/2 are first lifted by the power of two that brings
+    # it into [1/2, 1): that is exact, so the norms, which square each gap, do
+    # not underflow, and a power-of-two scale of u2 does not move the table.
     try:
         with np.errstate(over="raise", invalid="raise"):
-            gaps, rivals = _reply_gaps(np.frombuffer(data).reshape(shape))
+            gaps, rivals = _reply_gaps(np.ldexp(u2, max(0, -np.frexp(np.abs(u2).max())[1])))
             vertices, owner = _simplex_vertices(np.empty((0, n_a)), rivals)
             bound = _UNIT_ROW_TOL * np.linalg.norm(gaps, axis=-1)[owner]
             replies = np.einsum("va,vka->vk", vertices, gaps[owner]) <= bound

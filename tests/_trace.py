@@ -15,7 +15,7 @@ from unittest import mock
 import numpy as np
 
 from repfreq import simulate
-from repfreq.simulate import BREACHES, PHASE_ABSORB, PHASE_COMP, PHASE_PREP, PHASE_REVIEW, _horizon
+from repfreq.simulate import BREACHES, PHASE_ABSORB, PHASE_COMP, PHASE_PREP, PHASE_REVIEW, _burned, _horizon
 
 from ._reference_sim import BlockRecord
 
@@ -60,12 +60,12 @@ def traced_path(game, params, delta, seed, stream=0):
         actions[prep:], replies[prep:], phases[prep:] = ia_prime, jb_prime, PHASE_COMP
         out_b = params.out_b
         for chunk in chunks:
-            _lay_out(chunk, params.t1, out_b, actions, replies, phases)
+            _lay_out(chunk, params.t1, jb_star, out_b, actions, replies, phases)
             blocks += _records(chunk, np.flatnonzero(chunk.kept), delta)
     return SimpleNamespace(**vars(stats), blocks=blocks, actions=actions, replies=replies, phases=phases)
 
 
-def _lay_out(chunk, t1, out_b, actions, replies, phases) -> None:
+def _lay_out(chunk, t1, jb_star, out_b, actions, replies, phases) -> None:
     """Write the review and absorbing periods of the chunk's blocks inside the
     horizon, each from its start for its span."""
     idx = np.flatnonzero(chunk.span)
@@ -74,7 +74,7 @@ def _lay_out(chunk, t1, out_b, actions, replies, phases) -> None:
     keep = steps < np.minimum(span, t1)[:, None]
     at = (start[:, None] + steps)[keep]
     actions[at] = np.where(chunk.review[idx], chunk.ia_prime, chunk.ia_star)[keep]
-    replies[at] = chunk.jb_star
+    replies[at] = jb_star
     phases[at] = PHASE_REVIEW
     j = np.flatnonzero(chunk.row_of[idx] >= 0)
     if j.size:
@@ -88,13 +88,16 @@ def _lay_out(chunk, t1, out_b, actions, replies, phases) -> None:
 
 
 def _records(chunk, idx, delta) -> list[BlockRecord]:
+    # The residual left after the compensation run as drawn, comp_len periods.
+    burned = (chunk.params.v_star - chunk.u_comp) * _burned(chunk.comp_len, chunk.lead, chunk.log_d)
+    realized = np.where(chunk.burns, chunk.g - burned, chunk.g)
     cols = zip(
         chunk.length[idx].tolist(),
         chunk.breach[idx].tolist(),
         chunk.burns[idx].tolist(),
         chunk.phi[idx].tolist(),
         ((1.0 - delta) * chunk.expected_residual[idx]).tolist(),
-        ((1.0 - delta) * chunk.realized_residual[idx]).tolist(),
+        ((1.0 - delta) * realized[idx]).tolist(),
     )
     return [
         BlockRecord(length, code != 0, BREACHES[code], phi if burns else None, expected, realized)

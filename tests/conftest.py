@@ -73,6 +73,10 @@ def cycling_game(u2_scale: float = 1e6, u2_shift: float = 0.37) -> StageGame:
 # game overflows in its pivots.
 NEAR_MAX = StageGame(("a", "b"), ("x", "y"), [[1.7e308, 0.0], [0.0, 1e308]], [[1.7e308, 0.0], [0.0, 1.7e308]])
 
+# Player 1's payoffs near the largest float, player 2's at unit scale: nothing
+# overflows, but the max-min LP's absolute tolerances fail at this scale.
+HUGE_U1 = StageGame(("a", "b"), ("x", "y"), [[1.7e308, 0.0], [0.0, 1e308]], [[1.0, 0.0], [0.0, 1.0]])
+
 
 def reply_halfspaces(game: StageGame, j: int) -> np.ndarray:
     """Rows u2(., b_j) - u2(., b_k), one per rival reply k != j: b_j is a best

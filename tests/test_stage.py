@@ -16,7 +16,7 @@ from repfreq.stage import (
     vbar_p1,
 )
 from . import _reference_stage
-from .conftest import NEAR_MAX, UNIQUE_GAMES, cycling_game, reply_halfspaces
+from .conftest import HUGE_U1, NEAR_MAX, UNIQUE_GAMES, cycling_game, reply_halfspaces
 
 
 def _random_game(rng, n_a: int, n_b: int, integer: bool) -> StageGame:
@@ -596,3 +596,26 @@ def test_payoffs_near_the_float_range_are_refused_by_the_vertex_table(bound):
     # the max-min LP then failed as an invariant.
     with pytest.raises(ValueError, match="payoff gaps overflowed the float range in the vertex table"):
         bound(NEAR_MAX)
+
+
+def test_the_vertex_table_is_the_same_at_every_power_of_two_scale_of_u2():
+    # Gap norms square each gap: without an exact lift to unit scale, gaps
+    # below about 1e-154 underflow there and move the table.
+    rng = np.random.default_rng(3)
+    labels = ("a", "b", "c"), ("x", "y", "z")
+    for _ in range(30):
+        u1, u2 = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))
+        game = StageGame(*labels, u1, u2)
+        for k in (565, 600, 900):
+            scaled = StageGame(*labels, u1, np.ldexp(u2, -k))
+            assert (minmax_p1(scaled), vbar_p1(scaled)) == (minmax_p1(game), vbar_p1(game)), k
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RuntimeError,
+    reason="ROADMAP item 3: the max-min LP's absolute tolerances fail at payoffs near 1e308, so minmax_p1 "
+    "raises the invariant 'max-min LP must be feasible and bounded' on a game where nothing overflows",
+)
+def test_minmax_of_payoffs_near_the_float_range_is_their_max_min():
+    assert minmax_p1(HUGE_U1) == pytest.approx(1.7e308 / 2.7, rel=1e-12)
