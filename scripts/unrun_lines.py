@@ -9,7 +9,8 @@ docstring. Only ``src/repfreq`` is traced, so a module that no test imports
 shows every line unrun; ``trace``'s own ignore rule caches its verdict by file
 base name, so there an ignored ``numpy/__init__.py`` would hide
 ``repfreq/__init__.py``. Code run in a child process (the CLI tests'
-subprocesses) is not traced. Exits with pytest's exit code.
+subprocesses) is not traced, but those processes find the package too:
+``src`` heads their ``PYTHONPATH``. Exits with pytest's exit code.
 
     python3 scripts/unrun_lines.py                       # the whole suite
     python3 scripts/unrun_lines.py tests/test_game.py -q
@@ -33,6 +34,7 @@ class OnlyPackage:
 
 def main() -> int:
     sys.path.insert(0, str(SRC))
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     import pytest
 
     tracer = trace.Trace(count=1, trace=0)

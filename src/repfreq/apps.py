@@ -93,16 +93,16 @@ class FiscalPolicyParams:
 AppParams = Union[ProductChoiceParams, ThreeProductParams, EntryDeterrenceParams, FiscalPolicyParams]
 
 
-def _ranked_game(name: str, actions1, actions2, u1, u2) -> StageGame:
+def _ranked_game(actions1, actions2, u1, u2) -> StageGame:
     """An applied game whose actions are listed from highest-ranked to lowest."""
-    return StageGame(actions1, actions2, u1, u2, order1=actions1, order2=actions2, name=name)
+    return StageGame(actions1, actions2, u1, u2, order1=actions1, order2=actions2)
 
 
 def build_stage_game(params: AppParams) -> StageGame:
     if isinstance(params, ProductChoiceParams):
         g, ch, cl = params.gamma, params.cost_high, params.cost_low
         return _ranked_game(
-            "product-choice", ("H", "L"), ("h", "l"),
+            ("H", "L"), ("h", "l"),
             [[1.0 - ch, -cl], [1.0, 0.0]], [[2.0 - g, 1.0], [-g, 0.0]],
         )
     if isinstance(params, ThreeProductParams):
@@ -111,19 +111,19 @@ def build_stage_game(params: AppParams) -> StageGame:
         # worth 0 everywhere, mid-line crossing 0 at gamma_lo with unit slope,
         # high-line crossing the mid-line at gamma_hi with slope two.
         return _ranked_game(
-            "product-choice-three", ("H", "L"), ("h", "m", "l"),
+            ("H", "L"), ("h", "m", "l"),
             [[1.0 - c, p - c, -c], [1.0, p, 0.0]], [[2.0 - g1 - g2, 1.0 - g2, 0.0], [-g1 - g2, -g2, 0.0]],
         )
     if isinstance(params, EntryDeterrenceParams):
         g, co, ci, s = params.gamma, params.cost_out, params.cost_in, params.subsidy
         return _ranked_game(
-            "entry-deterrence", ("F", "A"), ("O", "I"),
+            ("F", "A"), ("O", "I"),
             [[1.0 - co, -ci], [1.0, 0.0]], [[0.0, -(1.0 - g) + s], [0.0, g + s]],
         )
     if isinstance(params, FiscalPolicyParams):
         t, c = params.tax, params.cost
         return _ranked_game(
-            "fiscal-policy", ("Normal", "Expropriate"), ("Invest", "NotInvest"),
+            ("Normal", "Expropriate"), ("Invest", "NotInvest"),
             [[t, 0.0], [1.0, 0.0]], [[1.0 - t - c, 0.0], [-c, 0.0]],
         )
     raise TypeError(f"unsupported parameter set {type(params).__name__}")

@@ -80,8 +80,10 @@ class FreqBound:
     placeholder2: bool = False
 
     def marginal(self, game: StageGame) -> MixedAction:
-        """Player 1's action distribution under the witness."""
-        return _witness_marginal(game, [(self.q, self.alpha1), (1 - self.q, self.alpha2)])
+        """Player 1's action distribution under the witness, decoded as an LP point."""
+        labels = game.actions1
+        vec = self.q * self.alpha1.as_vector(labels) + (1 - self.q) * self.alpha2.as_vector(labels)
+        return MixedAction.from_vector(labels, vec, tol=_POINT_TOL)
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,6 @@ class TargetDecomposition:
 
     weights: dict[str, tuple[float, MixedAction]]
     payoff: float
-
-    def marginal(self, game: StageGame) -> MixedAction:
-        return _witness_marginal(game, self.weights.values())
 
 
 @dataclass(frozen=True)
@@ -120,13 +119,6 @@ def _require_unique_stackelberg(game: StageGame, tol: float):
 
 def _placeholder_component(game: StageGame, tol: float) -> tuple[MixedAction, str]:
     return MixedAction.delta(game.actions1[0]), game.actions2[_best(game.u2[0].tolist(), tol)[0]]
-
-
-def _witness_marginal(game: StageGame, parts) -> MixedAction:
-    """Player 1's action distribution under a witness: the sum of mass * alpha
-    over its (mass, alpha) ``parts``, decoded as an LP point."""
-    vec = sum(mass * alpha.as_vector(game.actions1) for mass, alpha in parts)
-    return MixedAction.from_vector(game.actions1, vec, tol=_POINT_TOL)
 
 
 def _clamp_unit(value: float) -> float:

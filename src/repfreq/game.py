@@ -110,7 +110,6 @@ class StageGame:
     u2: np.ndarray
     order1: tuple[str, ...] | None = None
     order2: tuple[str, ...] | None = None
-    name: str | None = None
 
     def __post_init__(self) -> None:
         for which in ("actions1", "actions2"):
@@ -162,31 +161,9 @@ class StageGame:
     def payoff1(self, a: str, b: str) -> float:
         return float(self.u1[self.a_index(a), self.b_index(b)])
 
-    def payoff2(self, a: str, b: str) -> float:
-        return float(self.u2[self.a_index(a), self.b_index(b)])
-
     @property
     def max_payoff1(self) -> float:
         return float(self.u1.max())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StageGame):
-            return NotImplemented
-        return (
-            self.actions1 == other.actions1
-            and self.actions2 == other.actions2
-            and np.array_equal(self.u1, other.u1)
-            and np.array_equal(self.u2, other.u2)
-            and self.order1 == other.order1
-            and self.order2 == other.order2
-        )
-
-
-def expected_payoffs(game: StageGame, alpha: MixedAction, beta: MixedAction) -> tuple[float, float]:
-    """Expected (u1, u2) when players mix according to ``alpha`` and ``beta``."""
-    av = alpha.as_vector(game.actions1)
-    bv = beta.as_vector(game.actions2)
-    return float(av @ game.u1 @ bv), float(av @ game.u2 @ bv)
 
 
 _KNOWN_KEYS = {"actions1", "actions2", "u1", "u2", "order1", "order2", "name"}
@@ -214,7 +191,7 @@ def load_game(text: str) -> StageGame:
                 raise GameFormatError(f"{key} must be an array of numeric rows")
         if len({len(row) for row in doc[key]}) > 1:
             raise GameFormatError(f"{key} has rows of different lengths")
-    if not isinstance(doc.get("name", ""), str):
+    if not isinstance(doc.get("name", ""), str):  # a label for the reader; checked, not kept
         raise GameFormatError("name must be a string")
     return StageGame(
         actions1=tuple(doc["actions1"]),
@@ -223,27 +200,9 @@ def load_game(text: str) -> StageGame:
         u2=doc["u2"],
         order1=doc.get("order1"),
         order2=doc.get("order2"),
-        name=doc.get("name"),
     )
 
 
 def load_game_file(path) -> StageGame:
     with open(path, encoding="utf-8") as fh:
         return load_game(fh.read())
-
-
-def emit_game(game: StageGame) -> str:
-    """Serialize back to the file format; inverse of :func:`load_game`."""
-    doc: dict = {
-        "actions1": list(game.actions1),
-        "actions2": list(game.actions2),
-        "u1": [[float(v) for v in row] for row in game.u1],
-        "u2": [[float(v) for v in row] for row in game.u2],
-    }
-    if game.order1 is not None:
-        doc["order1"] = list(game.order1)
-    if game.order2 is not None:
-        doc["order2"] = list(game.order2)
-    if game.name is not None:
-        doc["name"] = game.name
-    return json.dumps(doc, indent=2)

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,13 @@ def reply_halfspaces(game: StageGame, j: int) -> np.ndarray:
 
 def fixture_path(name: str) -> Path:
     return FIXTURES / GAME_FILES[name]
+
+
+def game_text(game: StageGame) -> str:
+    """``game`` as a game-file document."""
+    doc = {"actions1": game.actions1, "actions2": game.actions2, "u1": game.u1.tolist(), "u2": game.u2.tolist()}
+    doc.update((key, order) for key, order in (("order1", game.order1), ("order2", game.order2)) if order is not None)
+    return json.dumps(doc)
 
 
 def load_fixture(name: str) -> StageGame:

@@ -3,7 +3,7 @@ import pytest
 
 from repfreq.attain import decompose_target
 from repfreq.bounds import min_stackelberg_freq
-from repfreq.game import MixedAction, expected_payoffs
+from repfreq.game import MixedAction
 from repfreq.stage import best_replies_p2, stackelberg
 from .conftest import UNIQUE_GAMES
 
@@ -41,13 +41,12 @@ def test_witness_invariants(games):
         assert witness is not None, name
         total_mass = sum(mass for mass, _ in witness.weights.values())
         assert total_mass == pytest.approx(1.0, abs=1e-9)
-        recombined = witness.marginal(game)
-        assert recombined.prob(stack.a_star) == pytest.approx(1.0, abs=1e-7)
+        recombined = sum(mass * alpha.as_vector(game.actions1) for mass, alpha in witness.weights.values())
+        assert recombined[game.a_index(stack.a_star)] == pytest.approx(1.0, abs=1e-7)
         payoff = 0.0
         for b, (mass, alpha) in witness.weights.items():
             assert b in best_replies_p2(game, alpha, tol=1e-7)
-            u1, _ = expected_payoffs(game, alpha, MixedAction.delta(b))
-            payoff += mass * u1
+            payoff += mass * (alpha.as_vector(game.actions1) @ game.u1[:, game.b_index(b)])
         assert payoff == pytest.approx(stack.v_star, abs=1e-8)
 
 
@@ -71,8 +70,7 @@ def test_member_payoff_reproduced_by_expected_payoffs(product_choice):
     witness = decompose_target(product_choice, MixedAction({"H": 0.375, "L": 0.625}))
     payoff = 0.0
     for b, (mass, alpha) in witness.weights.items():
-        u1, _ = expected_payoffs(product_choice, alpha, MixedAction.delta(b))
-        payoff += mass * u1
+        payoff += mass * (alpha.as_vector(product_choice.actions1) @ product_choice.u1[:, product_choice.b_index(b)])
     assert payoff == pytest.approx(0.6, abs=1e-9)
     assert witness.payoff == pytest.approx(0.6, abs=1e-9)
 
@@ -86,4 +84,5 @@ def test_a_huge_epsilon_witness_recombines_to_its_target(product_choice):
     target = MixedAction({"H": 0.375, "L": 0.625})
     witness = decompose_target(product_choice, target, epsilon=1e308)
     assert witness is not None
-    assert witness.marginal(product_choice).as_vector(product_choice.actions1) == pytest.approx([0.375, 0.625], abs=1e-9)
+    recombined = sum(mass * alpha.as_vector(product_choice.actions1) for mass, alpha in witness.weights.values())
+    assert recombined == pytest.approx([0.375, 0.625], abs=1e-9)

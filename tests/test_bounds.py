@@ -13,7 +13,7 @@ from repfreq.bounds import (
     min_stackelberg_freq,
     min_stackelberg_freq_finite,
 )
-from repfreq.game import MixedAction, StageGame, expected_payoffs
+from repfreq.game import MixedAction, StageGame
 from repfreq.linprog import LPResult, solve_lp
 from repfreq.stage import DEFAULT_TOL, best_replies_p2, check_assumptions, is_monotone_supermodular, stackelberg
 from .conftest import (
@@ -27,8 +27,8 @@ from .conftest import (
 
 
 def _witness_payoff(game, fb):
-    u1_1, _ = expected_payoffs(game, fb.alpha1, MixedAction.delta(fb.b1))
-    u1_2, _ = expected_payoffs(game, fb.alpha2, MixedAction.delta(fb.b2))
+    u1_1 = fb.alpha1.as_vector(game.actions1) @ game.u1[:, game.b_index(fb.b1)]
+    u1_2 = fb.alpha2.as_vector(game.actions1) @ game.u1[:, game.b_index(fb.b2)]
     return fb.q * u1_1 + (1 - fb.q) * u1_2
 
 
@@ -290,10 +290,10 @@ def test_piece_vertices_have_tied_replies(games):
                 replies = best_replies_p2(game, alpha, tol=1e-7)
                 assert len(replies) >= 2
                 assert piece.b in replies
-                own, _ = expected_payoffs(game, alpha, MixedAction.delta(piece.b))
+                av = alpha.as_vector(game.actions1)
+                own = av @ game.u1[:, game.b_index(piece.b)]
                 for other in replies:
-                    other_pay, _ = expected_payoffs(game, alpha, MixedAction.delta(other))
-                    assert own >= other_pay - 1e-7
+                    assert own >= av @ game.u1[:, game.b_index(other)] - 1e-7
 
 
 def test_grid_oracle_contains_exact_witness(product_choice):
@@ -654,3 +654,19 @@ def test_value_invariant_under_affine_payoff_maps_and_relabelling():
                 moved = _relabelled_affine(game, rng, player, scale)
                 assert stackelberg(moved).a_star == a_star, (name, player, scale)
                 assert abs(min_stackelberg_freq(moved).value - value) <= 1e-10, (name, player, scale)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3a: at u1 * 2**-k the payoff row's entries (about 1e-9) fall under linprog's absolute "
+    "_PIVOT_TOL of 1e-8, so the floor or pin never binds: from k = 27 the bound reads 0.0 with witness (L, l), "
+    "and from k = 26 decompose_target accepts L:1",
+)
+@pytest.mark.parametrize("k", [26, 27, 28, 29])
+def test_an_exact_power_of_two_scale_of_u1_keeps_the_bound_and_attainability(product_choice, k):
+    game = product_choice
+    scaled = StageGame(game.actions1, game.actions2, np.ldexp(game.u1, -k), game.u2, game.order1, game.order2)
+    for equality in (False, True):
+        assert min_stackelberg_freq(scaled, equality=equality).value == pytest.approx(0.375, abs=1e-9), equality
+    assert attain.decompose_target(scaled, MixedAction.delta("L")) is None

@@ -14,10 +14,10 @@ import pytest
 
 from repfreq import apps, bounds, cli, concentration, linprog, simulate, stage
 from repfreq.cli import dispatch
-from repfreq.game import StageGame, emit_game
+from repfreq.game import StageGame
 from repfreq.linprog import LPResult
 from . import _reference_stage
-from .conftest import NEAR_MAX, cycling_game, fixture_path, random_assumption_games
+from .conftest import NEAR_MAX, cycling_game, fixture_path, game_text, random_assumption_games
 from .test_simulate import equality_target
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -233,7 +233,7 @@ def test_simulate_runs_clean_where_compensation_cannot_start(capsys, tmp_path):
     # delta**(t1 + t2_bar) underflows to 0: no compensation run can end.
     game = random_assumption_games(137, 11, 3)[136]
     path = tmp_path / "game.json"
-    path.write_text(emit_game(game))
+    path.write_text(game_text(game))
     target = equality_target(game)
     spec = ",".join(f"{a}:{target.prob(a)!r}" for a in sorted(target.support()))
     code = dispatch(["simulate", str(path), "--target", spec, "--eps1", "0.01", "--delta", "0.995", "--reps", "100"])
@@ -251,7 +251,7 @@ def test_simulate_draws_no_review_past_the_horizon(tmp_path):
     # drawing only the words before the horizon takes milliseconds.
     game = random_assumption_games(40, 1305, 5)[1]
     path = tmp_path / "game.json"
-    path.write_text(emit_game(game))
+    path.write_text(game_text(game))
     target = equality_target(game)
     spec = ",".join(f"{a}:{target.prob(a)!r}" for a in sorted(target.support()))
     argv = ["simulate", str(path), "--target", spec, "--eps1", "0.01", "--delta", "0.999", "--reps", "100"]
@@ -504,7 +504,7 @@ def test_pivots_that_overflow_exit_1_with_one_stderr_line(tmp_path, argv):
     # a member with a witness averaging to a 0.37, b 0.63, and both fstar
     # variants answered 1.0, each after NumPy overflow warnings.
     game = tmp_path / "near_max.json"
-    game.write_text(emit_game(NEAR_MAX))
+    game.write_text(game_text(NEAR_MAX))
     proc = run_cli_process(argv[0], str(game), *argv[1:], timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -516,7 +516,7 @@ def test_analyze_near_the_float_range_exits_1_with_one_stderr_line(tmp_path):
     # The vertex table's norms overflowed: NumPy warned "overflow encountered
     # in multiply", then analyze reported a max-min LP invariant failure.
     game = tmp_path / "near_max.json"
-    game.write_text(emit_game(NEAR_MAX))
+    game.write_text(game_text(NEAR_MAX))
     proc = run_python("-W", "default", "-m", "repfreq.cli", "analyze", str(game), timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -779,7 +779,7 @@ def test_analyze_bounds_ignore_a_large_u2_scale(capsys, tmp_path):
     docs = {}
     for name, game in (("plain", cycling_game(1.0, 0.0)), ("scaled", cycling_game())):
         path = tmp_path / f"{name}.json"
-        path.write_text(emit_game(game))
+        path.write_text(game_text(game))
         code, out = run_cli(capsys, "analyze", str(path))
         assert code == 0
         docs[name] = json.loads(out)
@@ -889,7 +889,7 @@ def test_a_two_by_63_game_reaches_analyze_with_the_reference_bounds(capsys, tmp_
     u2 = np.hstack([rng.uniform(-5.0, -3.0, (2, 60)), [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]])
     game = StageGame(("a0", "a1"), tuple(f"b{j}" for j in range(63)), u1, u2)
     path = tmp_path / "wide.json"
-    path.write_text(emit_game(game))
+    path.write_text(game_text(game))
     code, out = run_cli(capsys, "analyze", str(path))
     assert code == 0
     doc = json.loads(out)
@@ -973,7 +973,7 @@ def test_cli_fuzz_either_refuses_or_prints_a_valid_document(tmp_path):
             u1, u2 = (rng.uniform(-1.0, 1.0, (n_a, n_b)) for _ in range(2))
         labels1 = tuple(f"a{k}" for k in range(n_a))
         path = tmp_path / f"game_{i}.json"
-        path.write_text(emit_game(StageGame(labels1, tuple(f"b{k}" for k in range(n_b)), u1, u2)))
+        path.write_text(game_text(StageGame(labels1, tuple(f"b{k}" for k in range(n_b)), u1, u2)))
         target = ",".join(f"{label}:{prob!r}" for label, prob in zip(labels1, rng.dirichlet(np.ones(n_a)).tolist()))
         for argv in (
             ["analyze"],

@@ -1,4 +1,5 @@
 import difflib
+import os
 import platform
 import subprocess
 import sys
@@ -11,12 +12,13 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def run_script(name: str, *args: str) -> str:
+def run_script(name: str, *args: str, env: dict[str, str] | None = None) -> str:
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -140,3 +142,9 @@ def test_unrun_lines_lists_what_one_test_file_leaves_unrun():
     assert list(counts) == [*MODULES, "total"]
     assert counts["simulate.py"] > 0
     assert sum(counts.values()) == 2 * counts["total"]
+    # A test that starts a script finds the package without PYTHONPATH set:
+    # the child processes of the traced run get src on theirs.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    tests = str(SCRIPTS.parent / "tests" / "test_scripts.py")
+    out = run_script("unrun_lines.py", tests, "-k", "comparative_statics", "-q", "-p", "no:cacheprovider", env=env)
+    assert "1 passed" in out

@@ -133,7 +133,7 @@ def test_every_closeness_test_states_its_relative_tolerance():
 def test_only_bounds_reads_the_block_layout():
     # The block LP's layout, builder and decoder have one home, so the
     # frequency bound and attainability cannot drift apart.
-    helpers = {"_stacked_reply_blocks", "_solve_block_lp", "_live_blocks", "_witness_marginal"}
+    helpers = {"_stacked_reply_blocks", "_solve_block_lp", "_live_blocks"}
     readers = []
     for path in sorted(SRC.glob("*.py")):
         if path.name != "bounds.py":
